@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet lint lint-fix fmt-check fmt bench bench-smoke live-soak net-gate perf-guard examples ci
+.PHONY: build test test-race test-stress vet lint lint-fix fmt-check fmt bench bench-smoke live-soak net-gate perf-guard examples ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ test:
 test-race:
 	$(GO) test -race -short $$($(GO) list ./internal/... | grep -v /experiments)
 	$(GO) test -race -count=2 -run 'TestRecoverDeterminism|TestRecoverEquivalence' ./internal/store
+
+# test-stress hammers the live and net failover tests under the race
+# detector: they route traffic concurrently with failovers of one slot (1
+# and 8 back to back), the interleaving that used to catch an ID between
+# its slot swap and its redirect. A handful of rounds is not enough to hit
+# a window that narrow; 50 is (about 0.5 s per round without -race).
+test-stress:
+	$(GO) test -race -count=50 -run 'TestLive.*Failover|TestNet.*Failover' ./internal/runtime
 
 vet:
 	$(GO) vet ./...

@@ -5,7 +5,8 @@
 // rules:
 //
 //  1. Inside internal/runtime, the unexported Chain scaling internals
-//     (scaleOut, scaleIn, addInstance, ...) may be called only from the
+//     (scaleOut, scaleIn, addInstance, ... and publish, the one function
+//     that installs a new routing topology) may be called only from the
 //     controller layer (controller.go, autoscaler.go) and from the
 //     primitive implementations themselves (manager.go). Any other call
 //     site is a reconcile bypass the action log will never see.
@@ -33,7 +34,7 @@ import (
 var scalingInternals = map[string]bool{
 	"scaleOut": true, "scaleIn": true, "addInstance": true, "moveFlows": true,
 	"failoverNF": true, "cloneStraggler": true, "retainFaster": true,
-	"pollScaleIn": true, "finishScaleIn": true,
+	"pollScaleIn": true, "finishScaleIn": true, "publish": true,
 }
 
 // controllerFiles are the runtime files allowed to invoke the scaling

@@ -4,7 +4,9 @@ package runtime
 
 type Chain struct{ n int }
 
-func (c *Chain) scaleOut(v int) { c.n++ }
+func (c *Chain) scaleOut(v int) { c.publish(func() { c.n++ }) }
+
+func (c *Chain) publish(edit func()) { edit() }
 
 func (c *Chain) scaleIn(v int) {
 	c.n--

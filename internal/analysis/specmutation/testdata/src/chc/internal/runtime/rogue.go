@@ -4,7 +4,8 @@
 package runtime
 
 func (c *Chain) ScaleUpNow(v int) { // want "exported mutation surface"
-	c.scaleOut(v) // want "scaling internal"
+	c.scaleOut(v)               // want "scaling internal"
+	c.publish(func() { c.n++ }) // want "scaling internal"
 }
 
 // RecoverPrimary is the passing shape: failure recovery is not a

@@ -115,7 +115,7 @@ func (a *Autoscaler) run(p transport.Proc) {
 // (nearly) monotonic, so interval deltas measure tier-wide service rate.
 func (a *Autoscaler) processedSum() uint64 {
 	var sum uint64
-	for _, in := range a.ctl.chain.instancesOf(a.v) {
+	for _, in := range a.ctl.chain.topo.Load().slotsOf(a.v) {
 		sum += in.ProcessedCount()
 	}
 	return sum

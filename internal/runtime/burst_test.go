@@ -21,7 +21,7 @@ func desDigest(c *Chain) string {
 	s += fmt.Sprintf("sink received=%d bytes=%d dups=%d\n",
 		c.Sink.Received, c.Sink.Bytes, c.Sink.Duplicates)
 	for _, v := range c.Vertices {
-		for _, in := range c.instancesOf(v) {
+		for _, in := range c.topo.Load().slotsOf(v) {
 			s += fmt.Sprintf("inst %s processed=%d bytes=%d suppressed=%d\n",
 				in.Endpoint, in.Processed, in.BytesProcessed, in.Suppressed)
 		}

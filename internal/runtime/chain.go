@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chc/internal/livenet"
@@ -204,26 +205,6 @@ type ChainConfig struct {
 	// are not started here — their traffic arrives over TCP. Empty runs
 	// all declared nodes in-process as a loopback cluster.
 	Node string
-
-	// Live selects livenet when true.
-	//
-	// Deprecated: Live is the pre-Substrate spelling of
-	// Substrate == SubstrateLive and is kept as an alias so existing
-	// configs and JSON files keep working. It is only consulted when
-	// Substrate is zero (SubstrateSim).
-	Live bool
-}
-
-// substrate resolves the configured substrate, honoring the deprecated
-// Live alias (consulted only when Substrate is left at its zero value).
-func (cfg ChainConfig) substrate() Substrate {
-	if cfg.Substrate != SubstrateSim {
-		return cfg.Substrate
-	}
-	if cfg.Live {
-		return SubstrateLive
-	}
-	return SubstrateSim
 }
 
 // DefaultChainConfig matches the calibration in DESIGN.md: 15µs one-way
@@ -252,7 +233,6 @@ func DefaultChainConfig() ChainConfig {
 func LiveChainConfig() ChainConfig {
 	cfg := DefaultChainConfig()
 	cfg.Substrate = SubstrateLive
-	cfg.Live = true // deprecated alias, kept in sync for old readers
 	cfg.LinkLatency = 0
 	cfg.LineRateBps = 0
 	cfg.DefaultServiceTime = 0
@@ -282,7 +262,6 @@ func LiveChainConfig() ChainConfig {
 func NetChainConfig(nodes []transport.NodeSpec, node string) ChainConfig {
 	cfg := LiveChainConfig()
 	cfg.Substrate = SubstrateNet
-	cfg.Live = false
 	cfg.Nodes = nodes
 	cfg.Node = node
 	return cfg
@@ -318,16 +297,12 @@ type Chain struct {
 	// reconfiguration path.
 	ctl *Controller
 
-	// mu guards the mutable deployment topology (instance lists,
-	// nextInstanceID, xorAlias): in live mode scaling/failover actions run
-	// concurrently with traffic. Never held across calls into splitters,
-	// clients or the transport.
-	mu             sync.RWMutex
-	nextInstanceID uint16
-	// xorAlias maps replacement/clone instance IDs to the canonical
-	// instance whose Fig 6 identity they contribute under (see
-	// Instance.xorID and aliasInstance).
-	xorAlias map[uint16]uint16
+	// topo is the published routing state (see topology): readers Load it,
+	// never lock. topoMu serializes its writers only (Chain.publish) — in
+	// live mode controller verbs and scale-in retirement timers run
+	// concurrently with each other and with traffic.
+	topo   atomic.Pointer[topology]
+	topoMu sync.Mutex
 
 	// Policy-DAG state (see topology.go). classNames indexes traffic
 	// classes; classPaths holds each class's ordered on-path vertex
@@ -338,10 +313,46 @@ type Chain struct {
 	classify   func(*packet.Packet) string
 }
 
+// topology is the deployment's routing state — which instance serves which
+// ID — as ONE immutable value (not the policy DAG; that is TopologySpec).
+// A published topology is never written again: every control verb copies
+// it, edits the copy and publishes it once (Chain.publish), so the packet
+// path reads a single consistent view with one atomic load and a reader
+// can never see a half-applied failover. Instance IDs are global and
+// dense (1, 2, ...), so the three ID tables are slices indexed by ID with
+// entry 0 unused.
+type topology struct {
+	// slots holds each vertex's routing slots (index Vertex.ID-1) in
+	// hash % len placement order.
+	slots [][]*Instance
+	// byID is every instance ever created, live or not.
+	byID []*Instance
+	// serving is the instance now handling each ID's traffic: itself, or —
+	// with failover and retain-faster redirects already resolved — the
+	// instance that finally took over.
+	serving []*Instance
+	// replica is the clone mirroring each primary's traffic (§5.3), nil
+	// for none.
+	replica []*Instance
+}
+
+// slotsOf returns v's routing slots. The slice is shared with every reader
+// of this snapshot: iterate, never write.
+func (t *topology) slotsOf(v *Vertex) []*Instance { return t.slots[v.ID-1] }
+
+// pick returns the instance serving the slot of v that hash h lands on.
+func (t *topology) pick(v *Vertex, h uint64) *Instance {
+	insts := t.slotsOf(v)
+	return t.serving[insts[h%uint64(len(insts))].ID]
+}
+
 // Vertex is the physical realization of a VertexSpec.
 type Vertex struct {
-	Spec      VertexSpec
-	ID        uint16
+	Spec VertexSpec
+	ID   uint16
+	// Instances is the vertex's routing slots as of the last publish, for
+	// callers outside the package to range over. It is assigned a fresh
+	// slice at every publish and never mutated in place.
 	Instances []*Instance
 	Splitter  *Splitter // routes traffic INTO this vertex's instances
 	Manager   *VertexManager
@@ -366,7 +377,7 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 	var tr transport.Transport
 	var sim *vtime.Sim
 	var nodes *transport.NodeMap
-	sub := cfg.substrate()
+	sub := cfg.Substrate
 	switch sub {
 	case SubstrateLive:
 		tr = livenet.New(livenet.Config{Seed: cfg.Seed,
@@ -395,8 +406,9 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 	}
 	c := &Chain{cfg: cfg, sub: sub, sim: sim, tr: tr, spec: spec,
 		nodes: nodes, node: cfg.Node, Metrics: NewMetrics(),
-		xorAlias: make(map[uint16]uint16),
-		arena:    packet.NewArena(sub != SubstrateSim)}
+		arena: packet.NewArena(sub != SubstrateSim)}
+	c.topo.Store(&topology{slots: make([][]*Instance, len(spec)),
+		byID: []*Instance{nil}, serving: []*Instance{nil}, replica: []*Instance{nil}})
 
 	nshards := cfg.StoreShards
 	if nshards <= 0 {
@@ -424,12 +436,14 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 			vs.Threads = cfg.DefaultThreads
 		}
 		v := &Vertex{Spec: vs, ID: uint16(vi + 1), chain: c}
-		for k := 0; k < vs.Instances; k++ {
-			v.Instances = append(v.Instances, c.newInstance(v))
-		}
+		c.Vertices = append(c.Vertices, v)
+		c.publish(func(t *topology) { //chc:allow specmutation -- initial deployment: nothing is running yet, there is no action to log
+			for k := 0; k < vs.Instances; k++ {
+				t.slots[vi] = append(t.slots[vi], c.newInstance(t, v))
+			}
+		})
 		v.Splitter = NewSplitter(c, v)
 		v.Manager = NewVertexManager(c, v)
-		c.Vertices = append(c.Vertices, v)
 		for _, s := range c.Stores {
 			s.Declare(v.ID, mustDecls(vs))
 		}
@@ -474,9 +488,9 @@ func (c *Chain) Now() transport.Time { return c.tr.Now() }
 // Live reports whether the chain runs in real time (livenet or netnet).
 func (c *Chain) Live() bool { return c.live() }
 
-// live is the internal spelling of "real-time substrate": every code path
-// that used to branch on cfg.Live branches on this, so livenet behavior
-// extends unchanged to netnet.
+// live is the internal spelling of "real-time substrate": code paths branch
+// on this rather than on one substrate, so livenet behavior extends
+// unchanged to netnet.
 func (c *Chain) live() bool { return c.sub != SubstrateSim }
 
 // Substrate reports which substrate the chain was built on.
@@ -592,7 +606,7 @@ func (c *Chain) Start() {
 		c.Sink.Start()
 	}
 	for _, v := range c.Vertices {
-		for _, inst := range v.Instances {
+		for _, inst := range c.topo.Load().slotsOf(v) {
 			inst.Start()
 		}
 		if c.onNode(c.Root.Endpoint) {
@@ -619,7 +633,7 @@ func (c *Chain) registerCustomOps() {
 // SubstrateNet worker, only instance 0's home node performs the seeding
 // (the state lands in the shared store, visible to every process).
 func (v *Vertex) Seed(fn func(apply func(store.Request))) {
-	inst := v.Instances[0]
+	inst := v.chain.topo.Load().slotsOf(v)[0]
 	if !v.chain.onNode(inst.Endpoint) {
 		return
 	}
@@ -643,51 +657,12 @@ func (v *Vertex) Seed(fn func(apply func(store.Request))) {
 	}
 }
 
-// xorIDFor resolves an instance ID to the canonical identity used for
-// Fig 6 XOR accounting (itself unless aliased by aliasInstance).
-func (c *Chain) xorIDFor(id uint16) uint16 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if canon, ok := c.xorAlias[id]; ok {
-		return canon
-	}
-	return id
-}
-
-// aliasInstance makes nu contribute to Fig 6 bit vectors under the
-// identity of the instance it stands in for (failover replacement,
-// straggler clone). Commit signals the old instance already sent then
-// match vectors the new one computes for the same ops — the root
-// canonicalizes both sides through this map. Chained failovers resolve to
-// the original identity.
-func (c *Chain) aliasInstance(nu, old *Instance) {
-	canon := c.xorIDFor(old.ID)
-	c.mu.Lock()
-	c.xorAlias[nu.ID] = canon
-	c.mu.Unlock()
-	nu.xorID = canon
-}
-
-// instancesOf returns the vertex's instance list header under the
-// topology lock. Mutators only append or install a freshly copied slice
-// (never write an element in place), so the returned header is a
-// consistent snapshot safe to iterate without the lock.
-func (c *Chain) instancesOf(v *Vertex) []*Instance {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return v.Instances
-}
-
-// Instance lookup by global instance ID.
+// instanceByID looks an instance up by global ID: any instance ever
+// created, serving or not. IDs arrive off the wire (commit signals, replay
+// markers), so unknown ones yield nil.
 func (c *Chain) instanceByID(id uint16) *Instance {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, v := range c.Vertices {
-		for _, in := range v.Instances {
-			if in.ID == id {
-				return in
-			}
-		}
+	if t := c.topo.Load(); int(id) < len(t.byID) {
+		return t.byID[id]
 	}
 	return nil
 }

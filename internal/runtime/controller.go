@@ -82,7 +82,8 @@ const lastActionCap = 32
 // Controller reconciles DeploymentSpecs against the running chain. One
 // controller exists per Chain (Chain.Controller); all mutating entry
 // points serialize through its mutex, so a reconcile never interleaves
-// with a failover's routing-slot swap or another reconcile.
+// with a failover or another reconcile (each verb's routing change is
+// itself one atomic publish; see Chain.publish).
 type Controller struct {
 	chain *Chain
 
@@ -122,7 +123,7 @@ func modeName(m store.Mode) string {
 // satisfy a desired replica).
 func (c *Chain) liveReplicas(v *Vertex) int {
 	n := 0
-	for _, in := range c.instancesOf(v) {
+	for _, in := range c.topo.Load().slotsOf(v) {
 		if !in.isDead() && !in.isDraining() {
 			n++
 		}
@@ -296,7 +297,7 @@ func (ctl *Controller) applySpecLocked(spec DeploymentSpec) ([]ReconcileAction, 
 // instance (draining newest-first keeps the longest-lived instances — and
 // the bulk of the pinned flow placements — where they are).
 func (ctl *Controller) newestLive(v *Vertex) *Instance {
-	insts := ctl.chain.instancesOf(v)
+	insts := ctl.chain.topo.Load().slotsOf(v)
 	for i := len(insts) - 1; i >= 0; i-- {
 		if !insts[i].isDead() && !insts[i].isDraining() {
 			return insts[i]

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +255,144 @@ func TestControllerFailoverRecorded(t *testing.T) {
 	total, ok := c.StoreGet(store.Key{Vertex: 1, Obj: nat.ObjTotal})
 	if !ok || total.Int != int64(tr.Len()) {
 		t.Fatalf("total = %v,%v want %d after controller failover", total, ok, tr.Len())
+	}
+}
+
+// TestTopologyVerbSequence walks one deployment through every control verb
+// that publishes routing state — add, failover, failover of the
+// replacement, clone, retain-faster, scale-in retirement (of the retained
+// clone, then of a clone still being mirrored to) — and checks the
+// snapshot after each publish against a plain model of what the
+// separately locked tables used to hold: Vertex.Instances grew on add and
+// clone, swapped in place on failover and never shrank; redirects chained;
+// a replacement or clone signed Fig 6 vectors as the instance it stood in
+// for. Every ID ever issued must keep resolving to an instance of its own
+// vertex, and a published snapshot must never change again.
+func TestTopologyVerbSequence(t *testing.T) {
+	c := twoVertexChain(t, 2, 1)
+	ctl := c.Controller()
+	ctl.DrainGrace = 2 * time.Millisecond
+	natV, idsV := c.Vertices[0], c.Vertices[1]
+
+	// The model, keyed by instance ID.
+	slots := map[*Vertex][]uint16{natV: {1, 2}, idsV: {3}}
+	home := map[uint16]*Vertex{1: natV, 2: natV, 3: idsV}
+	origin := map[uint16]uint16{1: 1, 2: 2, 3: 3}
+	serving := map[uint16]uint16{1: 1, 2: 2, 3: 3}
+	replica := map[uint16]uint16{}
+	born := func(in *Instance, identity uint16) {
+		home[in.ID], origin[in.ID], serving[in.ID] = in.vertex, identity, in.ID
+	}
+	redirect := func(from, to uint16) {
+		for id, s := range serving {
+			if s == from {
+				serving[id] = to
+			}
+		}
+	}
+	failover := func(old *Instance) *Instance {
+		nu := ctl.Failover(old)
+		born(nu, origin[old.ID])
+		for i, id := range slots[natV] {
+			if id == old.ID {
+				slots[natV][i] = nu.ID
+			}
+		}
+		redirect(old.ID, nu.ID)
+		return nu
+	}
+	clone := func(straggler *Instance) *Instance {
+		cl := ctl.CloneStraggler(straggler)
+		born(cl, origin[straggler.ID])
+		slots[natV] = append(slots[natV], cl.ID)
+		replica[straggler.ID] = cl.ID
+		return cl
+	}
+	retireNewest := func() {
+		applyReplicas(t, c, "nat", c.liveReplicas(natV)-1)
+		c.RunFor(10 * time.Millisecond)
+	}
+
+	i1, i2 := natV.Instances[0], natV.Instances[1]
+	var added, repl, cl *Instance
+	steps := []struct {
+		verb string
+		do   func()
+	}{
+		{"add", func() {
+			added = ctl.AddInstance(natV)
+			born(added, added.ID)
+			slots[natV] = append(slots[natV], added.ID)
+		}},
+		{"failover", func() { repl = failover(i1) }},
+		{"failover of the replacement", func() { failover(repl) }},
+		{"clone", func() { cl = clone(i2) }},
+		{"retain-faster", func() {
+			ctl.RetainFaster(i2, cl)
+			delete(replica, i2.ID)
+			redirect(i2.ID, cl.ID)
+		}},
+		{"scale-in retire", retireNewest},
+		{"clone again", func() { cl = clone(added) }},
+		{"scale-in retire of a mirroring clone", func() {
+			retireNewest()
+			delete(replica, added.ID)
+		}},
+	}
+
+	ids := func(insts []*Instance) string {
+		out := make([]uint16, len(insts))
+		for i, in := range insts {
+			if in != nil {
+				out[i] = in.ID
+			}
+		}
+		return fmt.Sprint(out)
+	}
+	dump := func(snap *topology) string {
+		s := ids(snap.byID) + ids(snap.serving) + ids(snap.replica)
+		for _, sl := range snap.slots {
+			s += ids(sl)
+		}
+		return s
+	}
+	for _, st := range steps {
+		before := c.topo.Load()
+		frozen := dump(before)
+		st.do()
+		snap := c.topo.Load()
+		if snap == before {
+			t.Fatalf("%s: published nothing", st.verb)
+		}
+		if got := dump(before); got != frozen {
+			t.Fatalf("%s: wrote to a published snapshot:\n was %s\n now %s", st.verb, frozen, got)
+		}
+		if issued := len(snap.byID) - 1; issued != len(home) {
+			t.Fatalf("%s: %d IDs indexed, %d issued", st.verb, issued, len(home))
+		}
+		for id := uint16(1); int(id) < len(snap.byID); id++ {
+			in, srv := c.instanceByID(id), snap.serving[id]
+			if in == nil || in.ID != id || in.vertex != home[id] {
+				t.Fatalf("%s: ID %d resolves to %+v", st.verb, id, in)
+			}
+			if in.xorID != origin[id] {
+				t.Fatalf("%s: ID %d signs Fig 6 vectors as %d, want %d", st.verb, id, in.xorID, origin[id])
+			}
+			if srv == nil || srv.vertex != home[id] || srv.ID != serving[id] {
+				t.Fatalf("%s: ID %d served by %+v, want instance %d", st.verb, id, srv, serving[id])
+			}
+			if rep := snap.replica[id]; (rep == nil) != (replica[id] == 0) || rep != nil && rep.ID != replica[id] {
+				t.Fatalf("%s: ID %d mirrored to %+v, want %d", st.verb, id, rep, replica[id])
+			}
+		}
+		for _, v := range c.Vertices {
+			want := fmt.Sprint(slots[v])
+			if got := ids(snap.slotsOf(v)); got != want {
+				t.Fatalf("%s: %s slots = %s, want %s", st.verb, v.Spec.Name, got, want)
+			}
+			if got := ids(v.Instances); got != want {
+				t.Fatalf("%s: %s.Instances = %s, want %s", st.verb, v.Spec.Name, got, want)
+			}
+		}
 	}
 }

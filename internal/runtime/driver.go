@@ -106,7 +106,7 @@ func (c *Chain) runTraceLive(tr *trace.Trace, settle time.Duration) time.Duratio
 func (c *Chain) HarvestClientStats() {
 	var blocking, async, hits, misses, retrans, flushed, coalesced, batched, burstRPCs uint64
 	for _, v := range c.Vertices {
-		for _, in := range c.instancesOf(v) {
+		for _, in := range c.topo.Load().slotsOf(v) {
 			cl := in.Client()
 			if cl == nil {
 				continue

@@ -43,11 +43,13 @@ type Instance struct {
 	Endpoint string
 	// xorID is the instance identity used for Fig 6 XOR bit-vector
 	// contributions. Normally the instance's own ID; a failover
-	// replacement or straggler clone inherits the instance it stands in
-	// for (Chain.aliasInstance), so a replayed or replicated packet's
-	// vector matches commit signals the ORIGINAL instance already sent —
-	// otherwise every clock with pre-crash commits would stay unbalanced
-	// (and logged at the root) forever.
+	// replacement or straggler clone inherits the xorID of the instance it
+	// stands in for (so chained failovers keep the original's), and a
+	// replayed or replicated packet's vector matches commit signals the
+	// ORIGINAL instance already sent — otherwise every clock with pre-crash
+	// commits would stay unbalanced (and logged at the root) forever. The
+	// root canonicalizes commit signals through the same field. Set before
+	// the instance is published, never after.
 	xorID uint16
 
 	nfImpl nf.NF
@@ -121,12 +123,12 @@ type Instance struct {
 	DupStateEvents uint64
 }
 
-// newInstance allocates an instance (not yet started).
-func (c *Chain) newInstance(v *Vertex) *Instance {
-	c.mu.Lock()
-	c.nextInstanceID++
-	id := c.nextInstanceID
-	c.mu.Unlock()
+// newInstance allocates v's next instance in the draft topology t (see
+// Chain.publish): it takes the next global ID and enters t's ID tables
+// serving itself. It is not started, and in no routing slot until the
+// calling verb places it.
+func (c *Chain) newInstance(t *topology, v *Vertex) *Instance {
+	id := uint16(len(t.byID))
 	ep := fmt.Sprintf("v%d.i%d", v.ID, id)
 	inst := &Instance{
 		chain:    c,
@@ -154,6 +156,9 @@ func (c *Chain) newInstance(v *Vertex) *Instance {
 		inst.client = c.newClient(v, id, ep, v.Spec.Mode)
 		inst.state = &nf.ClientState{C: inst.client}
 	}
+	t.byID = append(t.byID, inst)
+	t.serving = append(t.serving, inst)
+	t.replica = append(t.replica, nil)
 	return inst
 }
 

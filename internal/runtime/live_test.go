@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -68,11 +69,23 @@ func TestLiveLinearConservation(t *testing.T) {
 	}
 }
 
+// failoverRounds are the back-to-back failover counts the live and net
+// failover tests run with: one, and a chain of eight where each
+// replacement is itself failed over at once (its slot's redirects chain
+// while traffic keeps routing through them).
+var failoverRounds = []int{1, 8}
+
 // TestLiveFailoverReplay crashes an instance mid-stream under live
-// concurrency, fails over with root replay, and checks that the chain
-// still converges to a balanced state (the §5.4 failover story on real
-// goroutines).
+// concurrency, fails over with root replay — rounds times in a row on the
+// same routing slot — and checks that the chain still converges to a
+// balanced state (the §5.4 failover story on real goroutines).
 func TestLiveFailoverReplay(t *testing.T) {
+	for _, rounds := range failoverRounds {
+		t.Run(fmt.Sprintf("failovers=%d", rounds), func(t *testing.T) { liveFailoverReplay(t, rounds) })
+	}
+}
+
+func liveFailoverReplay(t *testing.T, rounds int) {
 	ch := liveNATChain(t, 2)
 	ch.Root.traceCommits = map[uint64][]store.CommitMsg{}
 	tr := liveTrace(11, 80)
@@ -82,7 +95,10 @@ func TestLiveFailoverReplay(t *testing.T) {
 	crashed := make(chan struct{})
 	go func() {
 		time.Sleep(time.Duration(tr.Duration()) / 2)
-		ch.Controller().Failover(ch.Vertices[0].Instances[0])
+		victim := ch.Vertices[0].Instances[0]
+		for i := 0; i < rounds; i++ {
+			victim = ch.Controller().Failover(victim)
+		}
 		close(crashed)
 	}()
 

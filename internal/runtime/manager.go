@@ -52,7 +52,7 @@ func (m *VertexManager) Start() {
 // Snapshot gathers current stats.
 func (m *VertexManager) Snapshot() []InstanceStats {
 	var out []InstanceStats
-	for _, in := range m.chain.instancesOf(m.vertex) {
+	for _, in := range m.chain.topo.Load().slotsOf(m.vertex) {
 		out = append(out, InstanceStats{
 			ID:        in.ID,
 			Processed: in.ProcessedCount(),
@@ -65,14 +65,52 @@ func (m *VertexManager) Snapshot() []InstanceStats {
 
 // --- Dynamic actions ---------------------------------------------------------
 
+// publish is the one way routing state changes: it hands edit a private
+// copy of the current topology and then installs the result for every
+// reader with a single atomic store (refreshing the exported
+// Vertex.Instances views alongside). topoMu orders writers against each
+// other only; readers never wait. Whatever a reader can reach through the
+// new value — a replacement instance, its Fig 6 identity, its replay-target
+// state — must be complete inside edit, before the store.
+func (c *Chain) publish(edit func(t *topology)) {
+	c.topoMu.Lock()
+	defer c.topoMu.Unlock()
+	cur := c.topo.Load()
+	t := &topology{
+		slots:   make([][]*Instance, len(cur.slots)),
+		byID:    append([]*Instance(nil), cur.byID...),
+		serving: append([]*Instance(nil), cur.serving...),
+		replica: append([]*Instance(nil), cur.replica...),
+	}
+	for i, s := range cur.slots {
+		t.slots[i] = append([]*Instance(nil), s...)
+	}
+	edit(t)
+	for _, v := range c.Vertices {
+		v.Instances = t.slotsOf(v)
+	}
+	c.topo.Store(t)
+}
+
+// redirect hands every ID that from serves over to to. Chains resolve
+// here, once per verb, so the packet path never walks one.
+func (t *topology) redirect(from, to *Instance) {
+	for id, in := range t.serving {
+		if in == from {
+			t.serving[id] = to
+		}
+	}
+}
+
 // addInstance scales the vertex up with a fresh instance (elastic scaling,
 // §5.1) without rebalancing. Deployment mutations go through the
 // Controller (ApplySpec / AddInstance); this is its internal primitive.
 func (c *Chain) addInstance(v *Vertex) *Instance {
-	in := c.newInstance(v)
-	c.mu.Lock()
-	v.Instances = append(v.Instances, in)
-	c.mu.Unlock()
+	var in *Instance
+	c.publish(func(t *topology) {
+		in = c.newInstance(t, v)
+		t.slots[v.ID-1] = append(t.slots[v.ID-1], in)
+	})
 	in.Start()
 	v.Splitter.notifyExclusivity()
 	return in
@@ -156,10 +194,19 @@ func (c *Chain) pollScaleIn(v *Vertex, inst *Instance, lastProcessed uint64) {
 
 // finishScaleIn completes a drain: outstanding handovers touching the
 // drained instance are force-completed or retargeted (their flows route
-// straight to live targets), cached operations flush, residual ownership
-// is released on every shard, and the instance fail-stops.
+// straight to live targets), straggler mirroring to or from it ends,
+// cached operations flush, residual ownership is released on every shard,
+// and the instance fail-stops. Slots and serving entries stay: the
+// retiree keeps its draining flag, which is what diverts its hash share.
 func (c *Chain) finishScaleIn(v *Vertex, inst *Instance) {
 	v.Splitter.RetireInstance(inst.ID)
+	c.publish(func(t *topology) {
+		for id, clone := range t.replica {
+			if clone == inst || id == int(inst.ID) {
+				t.replica[id] = nil
+			}
+		}
+	})
 	if inst.client != nil {
 		inst.client.FlushAll()
 	}
@@ -172,7 +219,7 @@ func (c *Chain) finishScaleIn(v *Vertex, inst *Instance) {
 
 // failoverNF replaces a crashed (or about-to-be-crashed) instance: a fresh
 // instance takes over its ID space, the datastore manager re-binds per-flow
-// state, the splitter redirects, and the root replays logged packets
+// state, routing redirects, and the root replays logged packets
 // (§5.4 "NF Failover").
 //
 // The replacement takes over the crashed instance's ROUTING SLOT in the
@@ -185,37 +232,34 @@ func (c *Chain) finishScaleIn(v *Vertex, inst *Instance) {
 // clock. The DES never surfaced this (its failovers land at quiescent
 // instants where every op is already flushed and re-execution is fully
 // emulated); live mid-stream crashes hit it immediately.
+//
+// Slot, redirect and Fig 6 identity go out in ONE publish, after the
+// replacement is built and marked a replay target: a concurrent router
+// sees the old instance everywhere or the new one everywhere, never an ID
+// that resolves to nothing.
 func (c *Chain) failoverNF(old *Instance) *Instance {
 	if !old.isDead() {
 		old.Crash()
 	}
 	v := old.vertex
-	nu := c.newInstance(v)
-	c.mu.Lock()
-	// Copy-on-write: concurrent readers hold headers of the old slice
-	// (instancesOf), so the slot swap must never mutate it in place.
-	insts := append([]*Instance(nil), v.Instances...)
-	replaced := false
-	for idx, in := range insts {
-		if in == old {
-			insts[idx] = nu
-			replaced = true
-			break
+	var nu *Instance
+	c.publish(func(t *topology) {
+		nu = c.newInstance(t, v)
+		nu.xorID = old.xorID
+		nu.StartReplayTarget()
+		slots := t.slotsOf(v)
+		for idx, in := range slots {
+			if in == old {
+				slots[idx] = nu
+			}
 		}
-	}
-	if !replaced {
-		insts = append(insts, nu)
-	}
-	v.Instances = insts
-	c.mu.Unlock()
+		t.redirect(old, nu)
+	})
 	// Datastore manager associates the failover instance's ID with the
 	// failed instance's state, on every shard holding any of it.
 	for _, s := range c.Stores {
 		s.Engine().ReassignOwner(old.ID, nu.ID)
 	}
-	v.Splitter.Redirect(old.ID, nu.ID)
-	c.aliasInstance(nu, old)
-	nu.StartReplayTarget()
 	nu.Start()
 	// Replay brings state up to speed with in-transit packets. In a
 	// multi-process deployment every worker executes this verb (SPMD), but
@@ -233,27 +277,30 @@ func (c *Chain) failoverNF(old *Instance) *Instance {
 // incoming traffic to both.
 func (c *Chain) cloneStraggler(straggler *Instance) *Instance {
 	v := straggler.vertex
-	clone := c.newInstance(v) // per-instance ExtraDelay is not inherited
-	c.aliasInstance(clone, straggler)
-	clone.StartReplayTarget()
-	c.mu.Lock()
-	v.Instances = append(v.Instances, clone)
-	c.mu.Unlock()
+	var clone *Instance
+	c.publish(func(t *topology) {
+		clone = c.newInstance(t, v) // per-instance ExtraDelay is not inherited
+		clone.xorID = straggler.xorID
+		clone.StartReplayTarget()
+		t.slots[v.ID-1] = append(t.slots[v.ID-1], clone)
+		t.replica[straggler.ID] = clone
+	})
 	clone.Start()
-	v.Splitter.Replicate(straggler.ID, clone.ID)
 	if c.onNode(clone.Endpoint) {
 		c.sendControl(c.Root.Endpoint, ReplayCmd{CloneID: clone.ID})
 	}
 	return clone
 }
 
-// retainFaster ends straggler mitigation keeping the clone: the straggler
-// is killed and its traffic redirected.
+// retainFaster ends straggler mitigation keeping the clone: mirroring
+// stops, the straggler's traffic redirects to the clone, and the straggler
+// is killed.
 func (c *Chain) retainFaster(straggler, clone *Instance) {
-	v := straggler.vertex
-	v.Splitter.StopReplicate(straggler.ID)
+	c.publish(func(t *topology) {
+		t.replica[straggler.ID] = nil
+		t.redirect(straggler, clone)
+	})
 	straggler.Crash()
-	v.Splitter.Redirect(straggler.ID, clone.ID)
 }
 
 // --- Store failover ----------------------------------------------------------
@@ -298,7 +345,7 @@ func (c *Chain) RecoverStoreShard(idx int, rcfg StoreRecoveryConfig) (took time.
 		var clients []store.ClientState
 		rtt := 2 * c.cfg.LinkLatency
 		for _, v := range c.Vertices {
-			for _, in := range c.instancesOf(v) {
+			for _, in := range c.topo.Load().slotsOf(v) {
 				if in.client == nil || in.isDead() {
 					continue
 				}

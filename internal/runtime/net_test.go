@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -84,7 +85,14 @@ func TestNetLinearConservation(t *testing.T) {
 // the state re-binding RPCs and the replacement's catch-up all cross the
 // codec and sockets. The replacement (v1.i3) hashes onto node A via the
 // bare "v1" prefix, so the failover also re-homes the vertex across nodes.
+// Runs with the same back-to-back failover counts as the live test.
 func TestNetFailoverReplay(t *testing.T) {
+	for _, rounds := range failoverRounds {
+		t.Run(fmt.Sprintf("failovers=%d", rounds), func(t *testing.T) { netFailoverReplay(t, rounds) })
+	}
+}
+
+func netFailoverReplay(t *testing.T, rounds int) {
 	ch := netNATChain(t, 11)
 	tr := liveTrace(11, 80)
 
@@ -98,7 +106,9 @@ func TestNetFailoverReplay(t *testing.T) {
 		for i := 0; i < 5000 && i2.ProcessedCount() == 0; i++ {
 			time.Sleep(time.Millisecond)
 		}
-		ch.Controller().Failover(i2)
+		for victim, i := i2, 0; i < rounds; i++ {
+			victim = ch.Controller().Failover(victim)
+		}
 		close(crashed)
 	}()
 

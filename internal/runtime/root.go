@@ -87,8 +87,11 @@ type Root struct {
 	next         []*Vertex // successor per traffic class (see topology.go)
 	offPathTaps  []*Vertex
 	proc         transport.Handle
-	// fwdBuf is the burst-ingest scratch buffer (root process only).
+	// fwdBuf and runBuf are the burst-ingest scratch buffers (root process
+	// only): the burst's packets to forward, and the same packets grouped
+	// per traffic class.
 	fwdBuf []*packet.Packet
+	runBuf [][]*packet.Packet
 
 	// Stats.
 	Injected uint64
@@ -226,26 +229,29 @@ func (r *Root) ingestBurst(p transport.Proc, batch []PacketMsg) {
 		}
 		tap.Splitter.RouteBurst(r.Endpoint, cl, now)
 	}
-	// Group per traffic class, preserving arrival order within each class.
-	for ci := range r.next {
-		if r.next[ci] == nil {
+	// Group per traffic class, preserving arrival order within each class;
+	// packets whose class has no successor end here (mirrors forward()).
+	// Every packet's fate is decided BEFORE any is routed: once RouteBurst
+	// hands a packet downstream the sink may Put it and the injector reuse
+	// it, so a forwarded packet must never be read again.
+	if len(r.runBuf) < len(r.next) {
+		r.runBuf = make([][]*packet.Packet, len(r.next))
+	}
+	for _, pkt := range fwd {
+		ci := int(pkt.Meta.Class)
+		if ci >= len(r.next) || r.next[ci] == nil {
+			r.chain.arena.Put(pkt)
 			continue
 		}
-		var run []*packet.Packet
-		for _, pkt := range fwd {
-			if int(pkt.Meta.Class) == ci {
-				run = append(run, pkt)
-			}
-		}
-		if len(run) > 0 {
-			r.next[ci].Splitter.RouteBurst(r.Endpoint, run, now)
-		}
+		r.runBuf[ci] = append(r.runBuf[ci], pkt)
 	}
-	// Packets whose class has no successor end here (mirrors forward()).
-	for _, pkt := range fwd {
-		if int(pkt.Meta.Class) >= len(r.next) || r.next[pkt.Meta.Class] == nil {
-			r.chain.arena.Put(pkt)
+	for ci, run := range r.runBuf {
+		if len(run) == 0 {
+			continue
 		}
+		r.next[ci].Splitter.RouteBurst(r.Endpoint, run, now)
+		clear(run)
+		r.runBuf[ci] = run[:0]
 	}
 }
 
@@ -359,6 +365,7 @@ func (r *Root) handleCommit(m store.CommitMsg) {
 	if r.traceCommits != nil {
 		r.traceCommits[m.Clock] = append(r.traceCommits[m.Clock], m)
 	}
+	xorID := m.Instance
 	if in := r.chain.instanceByID(m.Instance); in != nil {
 		if in.vertex.Spec.OffPath {
 			return
@@ -366,11 +373,12 @@ func (r *Root) handleCommit(m store.CommitMsg) {
 		if ent, ok := r.log[m.Clock]; ok && !in.vertex.OnClass(ent.class) {
 			return
 		}
+		// Canonicalize the committing instance: a failover replacement or
+		// clone signs its vectors with the instance it stands in for, so
+		// its commits must accumulate under the same identity.
+		xorID = in.xorID
 	}
-	// Canonicalize the committing instance: a failover replacement or
-	// clone signs its vectors with the instance it stands in for, so its
-	// commits must accumulate under the same identity.
-	r.commitXor[m.Clock] ^= uint32(r.chain.xorIDFor(m.Instance))<<16 | uint32(m.Key.Obj)
+	r.commitXor[m.Clock] ^= uint32(xorID)<<16 | uint32(m.Key.Obj)
 	if ent, ok := r.log[m.Clock]; ok && ent.gotDelete {
 		r.tryDelete(m.Clock, ent)
 	}
@@ -399,14 +407,10 @@ func (r *Root) tryDelete(clock uint64, ent *rootLogEntry) {
 	}
 }
 
-// replay resends logged packets in clock order, marked as replay traffic
-// destined for cloneID; the last carries the end-of-replay marker. In a
-// policy DAG only the clone's branch is replayed: a logged packet whose
-// class path never reaches the clone's vertex cannot rebuild any state the
-// clone needs (it would only burn cycles on other branches before being
-// duplicate-suppressed), so it stays logged but is not resent.
-func (r *Root) replay(p transport.Proc, cloneID uint16) {
-	// Compact order: drop deleted clocks.
+// liveOrder compacts r.order to the clocks still logged and returns it, so
+// walking the log in insertion order costs the live log, not every clock
+// ever stamped.
+func (r *Root) liveOrder() []uint64 {
 	live := r.order[:0]
 	for _, c := range r.order {
 		if _, ok := r.log[c]; ok {
@@ -414,9 +418,19 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		}
 	}
 	r.order = live
+	return live
+}
+
+// replay resends logged packets in clock order, marked as replay traffic
+// destined for cloneID; the last carries the end-of-replay marker. In a
+// policy DAG only the clone's branch is replayed: a logged packet whose
+// class path never reaches the clone's vertex cannot rebuild any state the
+// clone needs (it would only burn cycles on other branches before being
+// duplicate-suppressed), so it stays logged but is not resent.
+func (r *Root) replay(p transport.Proc, cloneID uint16) {
 	clone := r.chain.instanceByID(cloneID)
 	now := p.Now()
-	for _, c := range live {
+	for _, c := range r.liveOrder() {
 		ent := r.log[c]
 		if clone != nil && !clone.vertex.OnClass(ent.class) {
 			continue
@@ -474,9 +488,9 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 // output suppressed — they only need their Fig 6 commit balance rebuilt.
 func (r *Root) sweepRetransmit(p transport.Proc) {
 	now := p.Now()
-	for _, c := range r.order {
-		ent, ok := r.log[c]
-		if !ok || now.Sub(ent.sentAt) < rootRetransmitAge {
+	for _, c := range r.liveOrder() {
+		ent := r.log[c]
+		if now.Sub(ent.sentAt) < rootRetransmitAge {
 			continue
 		}
 		cp := ent.pkt.Clone()
@@ -595,7 +609,7 @@ func (c *Chain) RecoverRoot() (newRoot *Root, took time.Duration) {
 		}
 		// Query flow allocation from one instance of each on-path vertex.
 		for _, v := range c.OnPath() {
-			for _, in := range c.instancesOf(v) {
+			for _, in := range c.topo.Load().slotsOf(v) {
 				if in.isDead() {
 					continue
 				}

@@ -343,11 +343,11 @@ func TestSplitterScopePartitioning(t *testing.T) {
 	// Reconstruct host->instance from instance seen clocks is awkward;
 	// instead verify the partitioning function directly.
 	for _, e := range tr.Events {
-		a := sp.instanceFor(partKey(e.Pkt, sp.Scope()))
+		a := sp.instanceFor(c.topo.Load(), partKey(e.Pkt, sp.Scope()))
 		rev := e.Pkt.Clone()
 		rev.SrcIP, rev.DstIP = e.Pkt.DstIP, e.Pkt.SrcIP
 		rev.SrcPort, rev.DstPort = e.Pkt.DstPort, e.Pkt.SrcPort
-		b := sp.instanceFor(partKey(rev, sp.Scope()))
+		b := sp.instanceFor(c.topo.Load(), partKey(rev, sp.Scope()))
 		if a != b {
 			t.Fatalf("direction split across instances for %v", e.Pkt.Key())
 		}

@@ -17,10 +17,13 @@ type Splitter struct {
 	chain  *Chain
 	vertex *Vertex
 
-	// mu guards the routing tables: in live mode the root process, every
-	// upstream instance's worker and the framework's scaling actions all
-	// route/mutate concurrently (uncontended on the DES). Never held
-	// across blocking operations; Send is non-blocking.
+	// mu guards the tables the data path itself writes while routing
+	// (moves, overrides, seenKeys, pending) plus scopeIdx and splitHosts:
+	// in live mode the root process, every upstream instance's worker and
+	// the framework's scaling actions all route/mutate concurrently
+	// (uncontended on the DES). Which instance serves an ID is NOT here —
+	// that is the chain's published topology, loaded once per route call.
+	// Never held across blocking operations; Send is non-blocking.
 	mu sync.Mutex
 
 	// scopes are the candidate partitioning granularities, coarsest first
@@ -54,10 +57,6 @@ type Splitter struct {
 	// IdxFn, when set, selects the instance index directly (strongest
 	// override; modulo the instance count).
 	IdxFn func(*packet.Packet) int
-	// redirect maps failed instance IDs to their replacements.
-	redirect map[uint16]uint16
-	// replicate mirrors a primary instance's traffic to a clone (§5.3).
-	replicate map[uint16]uint16
 
 	// pending buffers this route call's outgoing packet messages so one
 	// Route (or RouteBurst) turns into one transport.SendBurst. The buffer
@@ -75,7 +74,6 @@ type moveState struct {
 	// "last" mark. Captured up front so a move survives the owner later
 	// being marked draining (scale-in) without misrouting the mark.
 	from      uint16
-	hasFrom   bool
 	lastSent  bool
 	firstSent bool
 }
@@ -90,8 +88,6 @@ func NewSplitter(c *Chain, v *Vertex) *Splitter {
 		moves:      make(map[uint64]*moveState),
 		seenKeys:   make(map[uint64]struct{}),
 		splitHosts: make(map[uint32]bool),
-		redirect:   make(map[uint16]uint16),
-		replicate:  make(map[uint16]uint16),
 	}
 	// Candidate scopes: the NF's declared non-global scopes, coarsest
 	// first; always ending at flow granularity for load balance.
@@ -158,7 +154,7 @@ func (s *Splitter) grantsExclusiveLocked(objScope store.Scope) bool {
 
 func (s *Splitter) aliveCount() int {
 	n := 0
-	for _, in := range s.chain.instancesOf(s.vertex) {
+	for _, in := range s.chain.topo.Load().slotsOf(s.vertex) {
 		if !in.isDead() {
 			n++
 		}
@@ -170,7 +166,7 @@ func (s *Splitter) aliveCount() int {
 // instance's client library (§4.3: the framework notifies the client-side
 // library when to cache or flush).
 func (s *Splitter) notifyExclusivity() {
-	for _, in := range s.chain.instancesOf(s.vertex) {
+	for _, in := range s.chain.topo.Load().slotsOf(s.vertex) {
 		if in.client == nil || in.isDead() {
 			continue
 		}
@@ -212,25 +208,21 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// instanceFor picks the target instance for a partition key. Keys whose
-// hash lands on a draining instance re-hash across the remaining instances
-// — by construction only NEW keys do (a draining instance's existing keys
-// were all moved or pinned before the drain flag was set), so no in-flight
-// flow changes instance without a handover.
-func (s *Splitter) instanceFor(key uint64) *Instance {
-	insts := s.chain.instancesOf(s.vertex)
+// instanceFor picks the target instance for a partition key under routing
+// snapshot t. Keys whose hash lands on a draining instance re-hash across
+// the remaining instances — by construction only NEW keys do (a draining
+// instance's existing keys were all moved or pinned before the drain flag
+// was set), so no in-flight flow changes instance without a handover.
+func (s *Splitter) instanceFor(t *topology, key uint64) *Instance {
 	if id, ok := s.overrides[key]; ok {
-		if in := s.chain.instanceByID(s.resolve(id)); in != nil {
-			return in
-		}
+		return t.serving[id]
 	}
-	idx := int(mix(key) % uint64(len(insts)))
-	in := s.chain.instanceByID(s.resolve(insts[idx].ID))
-	if in != nil && in.isDraining() {
+	in := t.pick(s.vertex, mix(key))
+	if in.isDraining() {
 		// A retired instance keeps its draining flag, so post-drain traffic
 		// also lands here (crashed-but-not-drained instances are the
-		// failover path's business, via redirect).
-		if alt := s.rehashLive(key); alt != nil {
+		// failover path's business, via the serving table).
+		if alt := s.rehashLive(t, key); alt != nil {
 			// Pin the re-placement so later packets skip the slow path (and
 			// keep this key stable if the instance set changes again).
 			s.overrides[key] = alt.ID
@@ -243,9 +235,9 @@ func (s *Splitter) instanceFor(key uint64) *Instance {
 // rehashLive deterministically re-hashes a key over the non-draining, live
 // instances (second-level hash so the distribution differs from the primary
 // placement).
-func (s *Splitter) rehashLive(key uint64) *Instance {
+func (s *Splitter) rehashLive(t *topology, key uint64) *Instance {
 	var live []*Instance
-	for _, in := range s.chain.instancesOf(s.vertex) {
+	for _, in := range t.slotsOf(s.vertex) {
 		if !in.isDead() && !in.isDraining() {
 			live = append(live, in)
 		}
@@ -254,17 +246,7 @@ func (s *Splitter) rehashLive(key uint64) *Instance {
 		return nil
 	}
 	idx := int(mix(mix(key)^0x9e3779b97f4a7c15) % uint64(len(live)))
-	return s.chain.instanceByID(s.resolve(live[idx].ID))
-}
-
-func (s *Splitter) resolve(id uint16) uint16 {
-	for {
-		nid, ok := s.redirect[id]
-		if !ok {
-			return id
-		}
-		id = nid
-	}
+	return t.serving[live[idx].ID]
 }
 
 // Route delivers pkt to the owning instance, applying handover marks,
@@ -272,7 +254,7 @@ func (s *Splitter) resolve(id uint16) uint16 {
 func (s *Splitter) Route(from string, pkt *packet.Packet, now transport.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.routeOne(from, pkt, now)
+	s.routeOne(s.chain.topo.Load(), from, pkt, now)
 	s.flushLocked()
 }
 
@@ -281,19 +263,22 @@ func (s *Splitter) Route(from string, pkt *packet.Packet, now transport.Time) {
 // and notified once per run of same-target packets instead of once per
 // packet. Routing decisions are made per packet, identically to Route —
 // the DES (burst size 1) and the live substrate therefore produce the
-// same per-packet placements.
+// same per-packet placements — and the whole burst routes under one
+// topology snapshot.
 func (s *Splitter) RouteBurst(from string, pkts []*packet.Packet, now transport.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := s.chain.topo.Load()
 	for _, pkt := range pkts {
-		s.routeOne(from, pkt, now)
+		s.routeOne(t, from, pkt, now)
 	}
 	s.flushLocked()
 }
 
-// routeOne applies the routing decision for one packet, queueing its
-// deliveries on s.pending. Expects s.mu held; the caller flushes.
-func (s *Splitter) routeOne(from string, pkt *packet.Packet, now transport.Time) {
+// routeOne applies the routing decision for one packet under routing
+// snapshot t, queueing its deliveries on s.pending. Expects s.mu held; the
+// caller flushes.
+func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now transport.Time) {
 	s.Routed++
 
 	// End-of-replay marker: deliver straight to the clone when it lives in
@@ -304,7 +289,7 @@ func (s *Splitter) routeOne(from string, pkt *packet.Packet, now transport.Time)
 			s.deliver(from, clone, pkt, now)
 			return
 		}
-		s.deliver(from, s.instanceFor(0), pkt, now)
+		s.deliver(from, s.instanceFor(t, 0), pkt, now)
 		return
 	}
 
@@ -314,18 +299,14 @@ func (s *Splitter) routeOne(from string, pkt *packet.Packet, now transport.Time)
 	if mv, ok := s.moves[flowKey]; ok {
 		if !mv.lastSent {
 			mv.lastSent = true
-			old := s.instanceFor(flowKey)
-			if mv.hasFrom {
-				old = s.chain.instanceByID(s.resolve(mv.from))
-			}
 			marked := pkt.Clone()
 			marked.Meta.Flags |= packet.MetaLast
-			s.deliver(from, old, marked, now)
+			s.deliver(from, t.serving[mv.from], marked, now)
 			// Subsequent packets go to the new instance.
 			s.overrides[flowKey] = mv.to
 			return
 		}
-		target := s.chain.instanceByID(s.resolve(mv.to))
+		target := t.serving[mv.to]
 		if !mv.firstSent {
 			mv.firstSent = true
 			marked := pkt.Clone()
@@ -341,26 +322,20 @@ func (s *Splitter) routeOne(from string, pkt *packet.Packet, now transport.Time)
 	var target *Instance
 	switch {
 	case s.IdxFn != nil:
-		insts := s.chain.instancesOf(s.vertex)
-		idx := s.IdxFn(pkt) % len(insts)
-		target = s.chain.instanceByID(s.resolve(insts[idx].ID))
+		target = t.pick(s.vertex, uint64(s.IdxFn(pkt)))
 	case s.KeyFn != nil:
-		target = s.instanceFor(s.KeyFn(pkt))
+		target = s.instanceFor(t, s.KeyFn(pkt))
 	case len(s.splitHosts) > 0 && s.splitHosts[insideHost(pkt)]:
 		// Shared-set hosts: flow-granularity spray across instances.
-		insts := s.chain.instancesOf(s.vertex)
-		idx := int(mix(flowKey) % uint64(len(insts)))
-		target = s.chain.instanceByID(s.resolve(insts[idx].ID))
+		target = t.pick(s.vertex, mix(flowKey))
 	default:
 		pk := partKey(pkt, s.scopes[s.scopeIdx])
 		s.seenKeys[pk] = struct{}{}
-		target = s.instanceFor(pk)
+		target = s.instanceFor(t, pk)
 	}
 	s.deliver(from, target, pkt, now)
-	if cloneID, ok := s.replicate[target.ID]; ok {
-		if clone := s.chain.instanceByID(cloneID); clone != nil {
-			s.deliver(from, clone, pkt.Clone(), now)
-		}
+	if clone := t.replica[target.ID]; clone != nil {
+		s.deliver(from, clone, pkt.Clone(), now)
 	}
 }
 
@@ -399,12 +374,9 @@ func (s *Splitter) flushLocked() {
 func (s *Splitter) StartMove(flowKeys []uint64, to uint16) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := s.chain.topo.Load()
 	for _, k := range flowKeys {
-		from := uint16(0)
-		if in := s.instanceFor(k); in != nil {
-			from = in.ID
-		}
-		s.startMoveFrom(k, from, to)
+		s.startMoveFrom(k, s.instanceFor(t, k).ID, to)
 	}
 }
 
@@ -413,12 +385,8 @@ func (s *Splitter) StartMove(flowKeys []uint64, to uint16) {
 // must pass the PLANNED owner — re-deriving it from the enlarged hash would
 // mark the wrong instance and strand the real owner's state.
 func (s *Splitter) startMoveFrom(k uint64, from, to uint16) {
-	mv := &moveState{to: to}
-	if from != 0 {
-		mv.from, mv.hasFrom = from, true
-		s.seedOwnership(k, from)
-	}
-	s.moves[k] = mv
+	s.seedOwnership(k, from)
+	s.moves[k] = &moveState{to: to, from: from}
 }
 
 // seedOwnership pre-binds a moving flow's per-flow state to its current
@@ -445,6 +413,7 @@ func (s *Splitter) planScaleOut() scaleOutPlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	plan := make(scaleOutPlan, len(s.seenKeys))
+	t := s.chain.topo.Load()
 	for k := range s.seenKeys {
 		if _, ov := s.overrides[k]; ov {
 			continue // already pinned; the enlarged hash never sees it
@@ -452,9 +421,7 @@ func (s *Splitter) planScaleOut() scaleOutPlan {
 		if _, mv := s.moves[k]; mv {
 			continue // mid-handover; its move decides its placement
 		}
-		if in := s.instanceFor(k); in != nil {
-			plan[k] = in.ID
-		}
+		plan[k] = s.instanceFor(t, k).ID
 	}
 	return plan
 }
@@ -470,7 +437,7 @@ func (s *Splitter) applyScaleOut(plan scaleOutPlan, newID uint16) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	canMove := s.scopes[s.scopeIdx] == store.ScopeFlow
-	insts := s.vertex.Instances
+	t := s.chain.topo.Load()
 	// Deterministic key order: moves send ownership-seed messages, and map
 	// iteration order would perturb same-instant scheduling (seed contract).
 	keys := make([]uint64, 0, len(plan))
@@ -480,8 +447,7 @@ func (s *Splitter) applyScaleOut(plan scaleOutPlan, newID uint16) {
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	for _, k := range keys {
 		oldID := plan[k]
-		idx := int(mix(k) % uint64(len(insts)))
-		newTarget := s.resolve(insts[idx].ID)
+		newTarget := t.pick(s.vertex, mix(k)).ID
 		if newTarget == oldID {
 			continue
 		}
@@ -506,8 +472,9 @@ func (s *Splitter) planScaleIn(drainID uint16) map[uint64]uint16 {
 	if s.scopes[s.scopeIdx] != store.ScopeFlow {
 		return targets
 	}
+	t := s.chain.topo.Load()
 	var live []*Instance
-	for _, in := range s.chain.instancesOf(s.vertex) {
+	for _, in := range t.slotsOf(s.vertex) {
 		if !in.isDead() && !in.isDraining() && in.ID != drainID {
 			live = append(live, in)
 		}
@@ -519,8 +486,7 @@ func (s *Splitter) planScaleIn(drainID uint16) map[uint64]uint16 {
 		if _, mv := s.moves[k]; mv {
 			continue
 		}
-		in := s.instanceFor(k)
-		if in == nil || in.ID != drainID {
+		if s.instanceFor(t, k).ID != drainID {
 			continue
 		}
 		idx := int(mix(mix(k)^0x9e3779b97f4a7c15) % uint64(len(live)))
@@ -547,13 +513,13 @@ func (s *Splitter) RetireInstance(id uint16) {
 	defer s.mu.Unlock()
 	for k, mv := range s.moves {
 		switch {
-		case mv.hasFrom && mv.from == id:
+		case mv.from == id:
 			s.overrides[k] = mv.to
 			delete(s.moves, k)
 		case mv.to == id && !mv.lastSent:
 			delete(s.moves, k)
 		case mv.to == id:
-			if in := s.rehashLive(k); in != nil {
+			if in := s.rehashLive(s.chain.topo.Load(), k); in != nil {
 				s.overrides[k] = in.ID
 			} else {
 				delete(s.overrides, k)
@@ -590,7 +556,7 @@ func (s *Splitter) SetSplitHosts(hosts []uint32, objs []uint16) {
 		prevSorted = append(prevSorted, h)
 	}
 	sort.Slice(prevSorted, func(i, j int) bool { return prevSorted[i] < prevSorted[j] })
-	for _, in := range s.chain.instancesOf(s.vertex) {
+	for _, in := range s.chain.topo.Load().slotsOf(s.vertex) {
 		if in.client == nil || in.isDead() {
 			continue
 		}
@@ -608,27 +574,6 @@ func (s *Splitter) SetSplitHosts(hosts []uint32, objs []uint16) {
 			}
 		}
 	}
-}
-
-// Redirect reroutes a failed instance's traffic to its replacement.
-func (s *Splitter) Redirect(from, to uint16) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.redirect[from] = to
-}
-
-// Replicate mirrors primary's traffic to clone (straggler mitigation).
-func (s *Splitter) Replicate(primary, clone uint16) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.replicate[primary] = clone
-}
-
-// StopReplicate ends mirroring for primary.
-func (s *Splitter) StopReplicate(primary uint16) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.replicate, primary)
 }
 
 // FlowTable is the splitter state a recovering root retrieves (§5.4).
