@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-stress vet lint lint-fix fmt-check fmt bench bench-smoke live-soak net-gate perf-guard examples ci
+.PHONY: build test test-race test-stress vet lint lint-fix fmt-check fmt bench bench-smoke bench-compare live-soak net-gate perf-guard examples ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,19 @@ bench:
 # alongside the paper figures, BenchmarkScale and BenchmarkDAG.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench-compare is how a PR claims a wall-clock gain, or shows it moved
+# nothing: A is the parent's set of chcperf runs and B the change's, each
+# built with `bash bench/runset.sh SET FIRST_SEED N` from a checkout of that
+# commit, the two sides alternating seed by seed (so the box's drift hits
+# both) on seeds not used while the change was written. It prints, per
+# workload and end-to-end metric, both medians and spreads and `within` /
+# `outside` / `unresolved` against the bound, and exits non-zero on
+# `outside` or an incorrect run. The two sets are checked in at the repo
+# root as BENCH_<pr>.a.json / BENCH_<pr>.b.json (paths are relative to it):
+#   make bench-compare A=BENCH_17.a.json B=BENCH_17.b.json
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 # live-soak runs the live execution mode under the race detector for a
 # sustained window: fork topology, branch crash + root replay every round,

@@ -101,6 +101,7 @@ type cacheEntry struct {
 	exclusive  bool      // split-aware objects: may cache while exclusive
 	exclSet    bool      // exclusive was set per-sub (overrides the per-obj default)
 	pending    []Request // locally applied, unflushed ops (per-flow cache)
+	dirty      bool      // key is on Client.dirty (see markDirty)
 	registered bool      // update callback registered with the store
 }
 
@@ -125,6 +126,12 @@ type Client struct {
 	// slice, not the map, so their RPC order is deterministic.
 	declList []ObjDecl
 	cache    map[Key]*cacheEntry
+	// dirty lists the keys whose entries may hold unflushed ops, so the
+	// periodic flush costs in proportion to ops issued, not entries held.
+	// Invariant: an entry in cache with len(pending) > 0 has its key here.
+	// The converse does not hold (FlushObject, ReleaseFlow and SetExclusive
+	// empty an entry without unlisting it); flushDirty skips those.
+	dirty []Key
 
 	// Async-op retransmission state.
 	seq     uint64
@@ -148,7 +155,7 @@ type Client struct {
 	// shard (the position piggybacked on outgoing ops); walDropped counts
 	// entries already truncated per shard, so absolute positions in
 	// checkpoints map onto the retained WAL.
-	wal        []WalOp
+	wal        walLog
 	walCount   map[string]uint64
 	walDropped map[string]uint64
 	readLog    []ReadRecord
@@ -240,7 +247,7 @@ func (c *Client) Config() ClientConfig { return c.cfg }
 func (c *Client) WAL() []WalOp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]WalOp(nil), c.wal...)
+	return c.wal.flat()
 }
 
 // WALDropped returns, per shard, how many of this client's WAL entries
@@ -354,30 +361,53 @@ func (c *Client) SetObjExclusive(obj uint16, exclusive bool) {
 	was := c.objExcl[obj]
 	c.objExcl[obj] = exclusive
 	if was && !exclusive {
-		// Sorted-keys idiom: flushing emits async ops, and map iteration
-		// order would make the flush message order nondeterministic.
-		for _, k := range c.sortedCacheKeys(func(k Key, e *cacheEntry) bool {
-			return k.Obj == obj && !e.exclSet && len(e.pending) > 0
-		}) {
-			e := c.cache[k]
-			c.flushEntry(k, e)
-			e.valid = false
+		covered := func(k Key, e *cacheEntry) bool { return k.Obj == obj && !e.exclSet }
+		c.flushDirty(covered)
+		// Clean entries go stale too once another instance may write the
+		// object. Invalidating sends nothing, so map order is harmless here.
+		for k, e := range c.cache {
+			if covered(k, e) {
+				e.valid = false
+			}
 		}
 	}
 }
 
-// sortedCacheKeys returns the cache keys matching keep, sorted: every
-// flush path that walks the cache AND sends messages iterates this so the
-// DES message schedule never depends on map iteration order.
-func (c *Client) sortedCacheKeys(keep func(Key, *cacheEntry) bool) []Key {
-	var keys []Key
-	for k, e := range c.cache {
-		if keep(k, e) {
-			keys = append(keys, k)
-		}
+// markDirty puts k on the dirty list the first time e's pending goes
+// non-empty; e.dirty keeps it there once until flushDirty takes it off.
+func (c *Client) markDirty(k Key, e *cacheEntry) {
+	if !e.dirty {
+		e.dirty = true
+		c.dirty = append(c.dirty, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	return keys
+}
+
+// flushDirty flushes the pending ops of every listed entry sel selects
+// (nil selects all) and returns how many ops it sent. The list is sorted
+// with Key.Less first: flushing emits async ops, and the DES message
+// schedule must depend neither on map iteration order nor on which key an
+// NF happened to dirty first. Entries sel rejects stay listed.
+func (c *Client) flushDirty(sel func(Key, *cacheEntry) bool) int {
+	if len(c.dirty) == 0 {
+		return 0
+	}
+	sort.Slice(c.dirty, func(i, j int) bool { return c.dirty[i].Less(c.dirty[j]) })
+	n := 0
+	kept := c.dirty[:0]
+	for _, k := range c.dirty {
+		e := c.cache[k]
+		if e == nil {
+			continue // InvalidateAll raced an Update that was fetching the value
+		}
+		if len(e.pending) > 0 && sel != nil && !sel(k, e) {
+			kept = append(kept, k)
+			continue
+		}
+		e.dirty = false
+		n += c.flushEntry(k, e)
+	}
+	c.dirty = kept
+	return n
 }
 
 // SetExclusive marks a split-aware object (obj,sub) as exclusively accessed
@@ -503,18 +533,17 @@ func (c *Client) sendBatch(shard string, ops []AsyncOp) {
 		Size:    size,
 	})
 	c.BurstRPCs++
-	seqs := make([]uint64, len(ops))
-	for i, op := range ops {
-		seqs[i] = op.Seq
-	}
+	// ops now belongs to the message just sent and is never appended to
+	// again (flushBurst unhooked it from c.burst), so the retransmit timer
+	// can read the seqs out of it.
 	c.net.Schedule(c.cfg.AckTimeout, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.shutdown {
 			return
 		}
-		for _, seq := range seqs {
-			if p, ok := c.pending[seq]; ok {
+		for _, op := range ops {
+			if p, ok := c.pending[op.Seq]; ok {
 				c.Retransmits++
 				c.sendAsync(p)
 			}
@@ -606,7 +635,7 @@ func (c *Client) HandleMessage(payload any) bool {
 // Preferred marker is the positional vector pos: the checkpoint covers the
 // first pos[instance] of this client's ops OWNED BY THAT SHARD (in issue
 // order), counted from the client's birth; c.walDropped maps that absolute
-// count onto the retained slice. When the message carries no positions
+// count onto the retained log. When the message carries no positions
 // (older peers, hand-built tests), the TS clock's last occurrence is used
 // instead — correct only when clocks are unique per instance WAL. Entries
 // for other shards are never touched — their checkpoints cover them
@@ -619,38 +648,25 @@ func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 		covered := pos[c.cfg.Instance]
 		drop := int64(covered) - int64(c.walDropped[shard])
 		if drop > 0 {
-			kept := make([]WalOp, 0, len(c.wal))
-			var dropped int64
-			for _, w := range c.wal {
-				if dropped < drop && owns(w.Req.Key) {
-					dropped++
-					continue
+			c.walDropped[shard] += uint64(c.wal.filter(func(_ int, w *WalOp) bool {
+				if drop == 0 || !owns(w.Req.Key) {
+					return false
 				}
-				kept = append(kept, w)
-			}
-			c.wal = kept
-			c.walDropped[shard] += uint64(dropped)
+				drop--
+				return true
+			}))
 		}
 	} else if upto != 0 {
 		cut := -1
-		for i := len(c.wal) - 1; i >= 0; i-- {
-			if owns(c.wal[i].Req.Key) && c.wal[i].Clock == upto {
+		c.wal.each(func(i int, w *WalOp) {
+			if owns(w.Req.Key) && w.Clock == upto {
 				cut = i
-				break
 			}
-		}
+		})
 		if cut >= 0 {
-			kept := make([]WalOp, 0, len(c.wal))
-			var dropped uint64
-			for i, w := range c.wal {
-				if i <= cut && owns(w.Req.Key) {
-					dropped++
-					continue
-				}
-				kept = append(kept, w)
-			}
-			c.wal = kept
-			c.walDropped[shard] += dropped
+			c.walDropped[shard] += uint64(c.wal.filter(func(i int, w *WalOp) bool {
+				return i <= cut && owns(w.Req.Key)
+			}))
 		}
 	}
 	if upto == 0 {
@@ -675,7 +691,7 @@ func (c *Client) logWal(req Request) {
 	if req.Clock == 0 {
 		return
 	}
-	c.wal = append(c.wal, WalOp{Clock: req.Clock, Req: req})
+	c.wal.append(WalOp{Clock: req.Clock, Req: req})
 	c.walCount[c.shardFor(req.Key)]++
 }
 
@@ -744,6 +760,7 @@ func (c *Client) Update(p transport.Proc, req Request) {
 		c.ensureCached(p, e, &req)
 		c.applyLocal(e, &req)
 		e.pending = append(e.pending, req)
+		c.markDirty(req.Key, e)
 		return
 	}
 	if c.cfg.Mode.NoAckWait && c.tryCoalesce(&req) {
@@ -787,6 +804,7 @@ func (c *Client) UpdateBlocking(p transport.Proc, req Request) (Reply, bool) {
 		rep := ApplyToValue(&e.val, &req)
 		e.valid = true
 		e.pending = append(e.pending, req)
+		c.markDirty(req.Key, e)
 		return rep, true
 	}
 	// Flush before logging so WAL order matches send order (the ts
@@ -1036,10 +1054,7 @@ func (c *Client) FlushAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushCoalesced()
-	n := 0
-	for _, k := range c.sortedCacheKeys(func(_ Key, e *cacheEntry) bool { return len(e.pending) > 0 }) {
-		n += c.flushEntry(k, c.cache[k])
-	}
+	n := c.flushDirty(nil)
 	c.flushBurst()
 	return n
 }
@@ -1165,6 +1180,7 @@ func (c *Client) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cache = make(map[Key]*cacheEntry)
+	c.dirty = nil
 }
 
 // Stats is a consistent snapshot of the client's op counters, safe to

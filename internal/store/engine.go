@@ -121,7 +121,8 @@ type Reply struct {
 type CustomOp func(cur *Value, arg Value) (result Value, ok bool)
 
 // Hooks let the embedding server observe engine effects. All hooks are
-// invoked synchronously from Apply with no shard lock held.
+// invoked synchronously from Apply; all but Listening with no shard lock
+// held.
 type Hooks struct {
 	// OnCommit fires after a mutating op with a clock commits (Fig 6 step 2:
 	// the store signals the root with the packet clock and instance‖object).
@@ -129,6 +130,12 @@ type Hooks struct {
 	// OnUpdate fires after any mutation with the new value (drives the
 	// read-heavy cache callbacks of Table 1).
 	OnUpdate func(key Key, val Value, by uint16)
+	// Listening reports whether OnUpdate has anyone to tell about key. The
+	// engine asks while it still holds the key's shard lock (so it must not
+	// call back into the engine) and, on false, neither copies the post-op
+	// value — the NAT's whole port list, the balancer's whole map — nor
+	// fires OnUpdate. Nil means always listening.
+	Listening func(key Key) bool
 	// OnOwnerChange fires when ownership metadata changes (drives the Fig 4
 	// step 6 handover notification).
 	OnOwnerChange func(key Key, owner uint16)
@@ -462,8 +469,9 @@ func (e *Engine) Apply(req *Request) Reply {
 	if req.WantTS {
 		rep.TS = e.TS()
 	}
+	notify := mutated && e.listening(req.Key)
 	var updVal Value
-	if mutated && e.hooks.OnUpdate != nil && ent != nil {
+	if notify && ent != nil {
 		updVal = ent.val.Copy()
 	}
 	sh.mu.Unlock()
@@ -477,7 +485,7 @@ func (e *Engine) Apply(req *Request) Reply {
 		if e.hooks.OnCommit != nil && req.Clock != 0 {
 			e.hooks.OnCommit(req.Clock, req.Instance, req.Key)
 		}
-		if e.hooks.OnUpdate != nil {
+		if notify {
 			e.hooks.OnUpdate(req.Key, updVal, req.Instance)
 		}
 	}
@@ -576,8 +584,9 @@ func (e *Engine) applyBatch(req *Request) Reply {
 	if req.WantTS {
 		rep.TS = e.TS()
 	}
+	notify := e.listening(req.Key)
 	var updVal Value
-	if e.hooks.OnUpdate != nil {
+	if notify {
 		updVal = ent.val.Copy()
 	}
 	sh.mu.Unlock()
@@ -591,10 +600,16 @@ func (e *Engine) applyBatch(req *Request) Reply {
 			e.hooks.OnCommit(b.Clock, req.Instance, req.Key)
 		}
 	}
-	if e.hooks.OnUpdate != nil {
+	if notify {
 		e.hooks.OnUpdate(req.Key, updVal, req.Instance)
 	}
 	return rep
+}
+
+// listening reports whether a mutation of k has to hand its post-op value
+// to OnUpdate. Callers hold k's shard lock.
+func (e *Engine) listening(k Key) bool {
+	return e.hooks.OnUpdate != nil && (e.hooks.Listening == nil || e.hooks.Listening(k))
 }
 
 func (e *Engine) ensureMap(sh *shard, k Key, ent *entry, exists bool) *entry {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -387,7 +388,7 @@ func TestConcurrentIncrements(t *testing.T) {
 func TestConcurrentPopDisjoint(t *testing.T) {
 	e := NewEngine(16)
 	key := k(1, 2, 0)
-	const n = 4096
+	const n = 16000
 	for i := int64(0); i < n; i++ {
 		e.Apply(&Request{Op: OpPushList, Key: key, Arg: IntVal(i)})
 	}
@@ -561,5 +562,98 @@ func TestBatchIntraBatchClockDedup(t *testing.T) {
 		if got[c] != n {
 			t.Fatalf("commit count for clock %d = %d, want %d (commits %v)", c, got[c], n, commits)
 		}
+	}
+}
+
+// listServer returns a server on a stub transport whose engine holds an
+// n-element list at the returned key: the NAT's port pool in miniature.
+func listServer(n int) (*Server, *stubNet, Key) {
+	net := &stubNet{keep: true}
+	srv := NewServer(net, "store0", DefaultServerConfig())
+	key := k(1, 1, 0)
+	list := make([]int64, n)
+	for i := range list {
+		list[i] = int64(i)
+	}
+	srv.Engine().Apply(&Request{Op: OpSet, Key: key, Arg: ListVal(list...)})
+	return srv, net, key
+}
+
+// TestApplyNoListenerCopiesNothing: with no callback registered on the key
+// a mutation does not copy the post-op value for OnUpdate, in Apply and in
+// applyBatch alike.
+func TestApplyNoListenerCopiesNothing(t *testing.T) {
+	srv, net, key := listServer(10000)
+	pop := Request{Op: OpPopList, Key: key, Instance: 1}
+	if a := testing.AllocsPerRun(100, func() { srv.Engine().Apply(&pop) }); a != 0 {
+		t.Errorf("pop from a 10000-element list with no listener allocates %v times, want 0", a)
+	}
+	// The coalesced path: a map big enough that copying it would show.
+	mkey := k(1, 2, 0)
+	for i := 0; i < 1000; i++ {
+		srv.Engine().Apply(&Request{Op: OpMapSet, Key: mkey, Field: fmt.Sprint("srv", i), Arg: IntVal(0)})
+	}
+	batch := Request{Op: OpMapIncr, Key: mkey, Field: "srv7", Arg: IntVal(1), Instance: 1,
+		Batch: []BatchEntry{{Delta: 1}, {Delta: 1}}}
+	// applyBatch's own bookkeeping (entry slices, the in-batch set) stays.
+	if a := testing.AllocsPerRun(100, func() { srv.Engine().Apply(&batch) }); a > 4 {
+		t.Errorf("batched incr on a 1000-field map with no listener allocates %v times, want <= 4", a)
+	}
+	if len(net.sent) != 0 {
+		t.Fatalf("%d messages sent with nobody registered", len(net.sent))
+	}
+}
+
+// TestApplyListenerGetsPostOpValue: a registered callback still receives
+// exactly the value the op left behind, as a copy the engine no longer
+// aliases, from Apply and from applyBatch; the updater itself is skipped.
+func TestApplyListenerGetsPostOpValue(t *testing.T) {
+	srv, net, key := listServer(4)
+	srv.registerCallback(key, 2, "nfb")
+	srv.registerCallback(key, 1, "nfa")
+	srv.Engine().Apply(&Request{Op: OpPushList, Key: key, Arg: IntVal(99), Instance: 1})
+	if len(net.sent) != 1 || net.sent[0].To != "nfb" {
+		t.Fatalf("sent = %+v, want one callback to nfb", net.sent)
+	}
+	cb := net.sent[0].Payload.(CallbackMsg)
+	if want := ListVal(0, 1, 2, 3, 99); cb.Key != key || !cb.Val.Equal(want) {
+		t.Fatalf("callback = %v %v, want %v %v", cb.Key, cb.Val, key, want)
+	}
+	srv.Engine().Apply(&Request{Op: OpPopList, Key: key, Instance: 1})
+	if want := ListVal(0, 1, 2, 3, 99); !cb.Val.Equal(want) {
+		t.Fatalf("callback value changed to %v after a later op: it aliases the engine's", cb.Val)
+	}
+
+	ctr := k(1, 3, 0)
+	srv.registerCallback(ctr, 2, "nfb")
+	net.sent = net.sent[:0]
+	srv.Engine().Apply(&Request{Op: OpIncr, Key: ctr, Arg: IntVal(5), Instance: 1,
+		Batch: []BatchEntry{{Delta: 2}, {Delta: 3}}})
+	if len(net.sent) != 1 || !net.sent[0].Payload.(CallbackMsg).Val.Equal(IntVal(10)) {
+		t.Fatalf("batched incr: sent = %+v, want one callback carrying 10", net.sent)
+	}
+}
+
+// TestSeedPushesAreLinear: seeding a list with N blocking pushes (the NAT's
+// SeedPorts) costs in proportion to N. Copying the whole list for OnUpdate
+// on every push made it quadratic. Bytes allocated is that cost without
+// the clock's noise: 4N pushes allocate 4 to 5 times what N do (the list's
+// own geometric regrowth lands on different steps), a copy per push 16
+// times.
+func TestSeedPushesAreLinear(t *testing.T) {
+	seed := func(n int) uint64 {
+		srv, _, key := listServer(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			srv.Engine().Apply(&Request{Op: OpPushList, Key: key, Arg: IntVal(int64(i)), Instance: 1})
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const n = 10000
+	small, big := seed(n), seed(4*n)
+	if big > 6*small {
+		t.Fatalf("%d pushes allocate %d bytes, %d pushes %d: %.1fx, want about 4x", n, small, 4*n, big, float64(big)/float64(small))
 	}
 }

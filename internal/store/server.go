@@ -169,6 +169,7 @@ func NewServerWithEngine(net transport.Transport, name string, cfg ServerConfig,
 	eng.SetHooks(Hooks{
 		OnCommit:      s.onCommit,
 		OnUpdate:      s.onUpdate,
+		Listening:     s.hasCallback,
 		OnOwnerChange: s.onOwnerChange,
 	})
 	return s
@@ -196,6 +197,7 @@ func NewServer(net transport.Transport, name string, cfg ServerConfig) *Server {
 	s.engine.SetHooks(Hooks{
 		OnCommit:      s.onCommit,
 		OnUpdate:      s.onUpdate,
+		Listening:     s.hasCallback,
 		OnOwnerChange: s.onOwnerChange,
 	})
 	return s
@@ -493,6 +495,15 @@ func (s *Server) onCommit(clock uint64, instance uint16, key Key) {
 		Payload: CommitMsg{Clock: clock, Instance: instance, Key: key},
 		Size:    20,
 	})
+}
+
+// hasCallback reports whether any instance registered for updates of key
+// (Hooks.Listening). Registrations are never withdrawn, so a true answer
+// still holds when onUpdate runs.
+func (s *Server) hasCallback(key Key) bool {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	return len(s.callbacks[key]) > 0
 }
 
 // onUpdate fans out new values of callback-registered (read-heavy) objects
