@@ -24,6 +24,7 @@ var DESPackages = []string{
 	"chc/internal/simnet",
 	"chc/internal/vtime",
 	"chc/internal/experiments",
+	"chc/internal/clockset",
 }
 
 // PortedPackages is the substrate-PORTED subset: code that runs on both

@@ -38,8 +38,7 @@ var emitMethods = map[string]bool{"Send": true, "Call": true, "Spawn": true, "Sc
 // metricsMethods are the shared-metrics writers on runtime.Metrics and
 // runtime.Series whose record order feeds experiment tables and digests.
 var metricsMethods = map[string]bool{
-	"Add": true, "AddAt": true, "SetCounter": true, "ProcTime": true,
-	"TotalTime": true, "ProcTimeAt": true, "TotalTimeAt": true,
+	"Add": true, "AddAt": true, "SetCounter": true,
 }
 
 // actionLogField is the controller's reconcile-action tail; writes to it

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"chc/internal/clockset"
 	"chc/internal/nf"
 	"chc/internal/packet"
 	"chc/internal/store"
@@ -58,7 +59,12 @@ type Instance struct {
 
 	procs []transport.Handle
 
-	// mu guards the per-instance mutable maps and counters shared between
+	// procTime and totalTime are the vertex's "proc." and "total." series
+	// (dequeue -> done, and arrival -> done including queueing), resolved
+	// once: Metrics.Get takes the chain-wide lock and builds the name.
+	procTime, totalTime *Series
+
+	// mu guards the per-instance mutable sets and counters shared between
 	// the worker process, the framework (manager polls, replay control)
 	// and — in live mode — concurrent upstream deliveries. Never held
 	// across blocking operations.
@@ -67,7 +73,7 @@ type Instance struct {
 
 	// seen implements queue-level duplicate suppression (R5): clocks this
 	// instance has already accepted.
-	seen map[uint64]struct{}
+	seen clockset.Set
 	// inFlight counts packets a worker has accepted (marked seen) but not
 	// finished processing — a worker blocked in a handover acquire or a
 	// service sleep holds one. Scale-in quiescence requires zero.
@@ -78,8 +84,9 @@ type Instance struct {
 	// one: reads are not clock-emulated, so re-executed control flow can
 	// drift (e.g. a FIN whose port mapping the first pass already
 	// deleted), and a drifted vector would leave the packet's Fig 6 check
-	// unbalanced forever. Growth is one entry per clock, like seen.
-	xorLog map[uint64]uint32
+	// unbalanced forever. Kept only by store-backed instances (without a
+	// client every contribution is 0): 4 bytes per clock, never deleted.
+	xorLog clockset.Table[uint32]
 
 	// parked buffers replicated live traffic while replayed traffic is
 	// being processed (§5.3 straggler cloning / failover bring-up).
@@ -131,14 +138,14 @@ func (c *Chain) newInstance(t *topology, v *Vertex) *Instance {
 	id := uint16(len(t.byID))
 	ep := fmt.Sprintf("v%d.i%d", v.ID, id)
 	inst := &Instance{
-		chain:    c,
-		vertex:   v,
-		ID:       id,
-		Endpoint: ep,
-		xorID:    id,
-		nfImpl:   v.Spec.Make(),
-		seen:     make(map[uint64]struct{}),
-		xorLog:   make(map[uint64]uint32),
+		chain:     c,
+		vertex:    v,
+		ID:        id,
+		Endpoint:  ep,
+		xorID:     id,
+		nfImpl:    v.Spec.Make(),
+		procTime:  c.Metrics.Get("proc." + v.Spec.Name),
+		totalTime: c.Metrics.Get("total." + v.Spec.Name),
 	}
 	switch v.Spec.Backend {
 	case BackendTraditional:
@@ -446,7 +453,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 	// starve the clone of its recovery stream whenever the failed vertex
 	// is not the head of its path.
 	i.mu.Lock()
-	_, dup := i.seen[clock]
+	dup := i.seen.Has(clock)
 	if dup && replay && pkt.Meta.CloneID != i.ID {
 		if clone := i.chain.instanceByID(pkt.Meta.CloneID); clone != nil &&
 			i.chain.downstreamOf(pkt.Meta.Class, i.vertex, clone.vertex) {
@@ -477,7 +484,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 		i.mu.Unlock()
 		return
 	}
-	i.seen[clock] = struct{}{}
+	i.seen.Add(clock)
 	// inFlight covers the accepted-but-not-finished window: a worker can
 	// block for a long time below (handover acquire, service sleep) with
 	// the packet in hand and the inbox already empty — the scale-in
@@ -520,9 +527,8 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 	i.mu.Lock()
 	i.Processed++
 	i.mu.Unlock()
-	v := i.vertex.Spec.Name
-	i.chain.Metrics.ProcTimeAt(v, done, done.Sub(start))
-	i.chain.Metrics.TotalTimeAt(v, done, done.Sub(m.SentAt))
+	i.procTime.AddAt(done, done.Sub(start))
+	i.totalTime.AddAt(done, done.Sub(m.SentAt))
 
 	// Fig 4 handover, old-instance side: after processing the packet marked
 	// "last", flush cached state and release ownership.
@@ -563,12 +569,14 @@ func (i *Instance) process(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 	}
 	i.mu.Lock()
 	i.BytesProcessed += uint64(pkt.WireLen())
-	if prev, done := i.xorLog[pkt.Meta.Clock]; done {
-		// Re-executed pass-through toward a downstream clone: repeat the
-		// first pass's recorded contribution (see xorLog).
-		xor = prev
-	} else {
-		i.xorLog[pkt.Meta.Clock] = xor
+	if i.client != nil {
+		if prev := i.xorLog.Get(pkt.Meta.Clock); prev != nil {
+			// Re-executed pass-through toward a downstream clone: repeat the
+			// first pass's recorded contribution (see xorLog).
+			xor = *prev
+		} else {
+			*i.xorLog.Put(pkt.Meta.Clock) = xor
+		}
 	}
 	i.mu.Unlock()
 
@@ -691,7 +699,7 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 	i.mu.Unlock()
 	for _, m := range parked {
 		i.mu.Lock()
-		if _, dup := i.seen[m.Pkt.Meta.Clock]; dup {
+		if i.seen.Has(m.Pkt.Meta.Clock) {
 			i.DupSeen++
 			if m.Pkt.IsSYN() || m.Pkt.IsSYNACK() || m.Pkt.IsRST() {
 				i.DupStateEvents++
@@ -702,7 +710,7 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 				continue
 			}
 		}
-		i.seen[m.Pkt.Meta.Clock] = struct{}{}
+		i.seen.Add(m.Pkt.Meta.Clock)
 		i.mu.Unlock()
 		i.process(p, ctx, m.Pkt)
 		i.mu.Lock()

@@ -107,10 +107,10 @@ func liveFailoverReplay(t *testing.T, rounds int) {
 	if !ch.AwaitDrained(15 * time.Second) {
 		st, _ := ch.QueryRootStats(time.Second)
 		ch.Stop()
-		for clk, ent := range ch.Root.log {
+		ch.Root.log.Each(func(clk uint64, ent *rootLogEntry) {
 			t.Logf("stuck clock=%d gotDelete=%v finalVec=%08x commitXor=%08x proto=%d flags=%02x commits=%v",
-				clk, ent.gotDelete, ent.finalVec, ch.Root.commitXor[clk], ent.pkt.Proto, ent.pkt.TCPFlags, ch.Root.traceCommits[clk])
-		}
+				clk, ent.gotDelete, ent.finalVec, ent.commitXor, ent.pkt.Proto, ent.pkt.TCPFlags, ch.Root.traceCommits[clk])
+		})
 		t.Fatalf("chain did not drain after failover: injected=%d deleted=%d log=%d replayed=%d",
 			st.Injected, st.Deleted, st.LogSize, st.Replayed)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"chc/internal/clockset"
 	"chc/internal/nf"
 	"chc/internal/packet"
 	"chc/internal/transport"
@@ -32,12 +33,14 @@ type Sink struct {
 	// ReceivedByClass counts deliveries per traffic class (policy-DAG
 	// deployments; linear chains put everything under class 0).
 	ReceivedByClass map[uint8]uint64
-	seen            map[uint64]struct{}
+	seen            clockset.Set
+	// latency is the "total.chain" series: root ingress to egress.
+	latency *Series
 }
 
 // NewSink builds the sink.
 func NewSink(c *Chain) *Sink {
-	return &Sink{chain: c, seen: make(map[uint64]struct{}), ReceivedByClass: make(map[uint8]uint64)}
+	return &Sink{chain: c, ReceivedByClass: make(map[uint8]uint64), latency: c.Metrics.Get("total.chain")}
 }
 
 // Start spawns the sink process.
@@ -50,7 +53,7 @@ func (s *Sink) Start() {
 			if !ok {
 				continue
 			}
-			if _, dup := s.seen[m.Pkt.Meta.Clock]; dup {
+			if s.seen.Has(m.Pkt.Meta.Clock) {
 				if m.Pkt.Meta.Flags&packet.MetaReplay != 0 {
 					s.ReplayFiltered++
 					s.chain.arena.Put(m.Pkt)
@@ -61,9 +64,9 @@ func (s *Sink) Start() {
 			s.Received++
 			s.Bytes += uint64(m.Pkt.WireLen())
 			s.ReceivedByClass[m.Pkt.Meta.Class]++
-			s.seen[m.Pkt.Meta.Clock] = struct{}{}
+			s.seen.Add(m.Pkt.Meta.Clock)
 			if m.Pkt.IngressNs > 0 {
-				s.chain.Metrics.TotalTime("chain", p.Now().Sub(transport.Time(m.Pkt.IngressNs)))
+				s.latency.Add(p.Now().Sub(transport.Time(m.Pkt.IngressNs)))
 			}
 			// Egress is the packet's final release point: all accounting
 			// above read the buffer, nothing retains it past here.
@@ -211,7 +214,10 @@ func (m *Metrics) Counter(name string) uint64 {
 	return m.Counters[name]
 }
 
-// Get returns (creating) the named series.
+// Get returns (creating) the named series. The per-packet series are
+// resolved once by their writers ("proc.<vertex>" and "total.<vertex>" by
+// each instance, "proc.root" by the root, "total.chain" by the sink), which
+// then add to the *Series directly.
 func (m *Metrics) Get(name string) *Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -221,26 +227,6 @@ func (m *Metrics) Get(name string) *Series {
 		m.series[name] = s
 	}
 	return s
-}
-
-// ProcTime records NF processing time (dequeue -> done) for a vertex.
-func (m *Metrics) ProcTime(vertex string, d time.Duration) {
-	m.Get("proc." + vertex).Add(d)
-}
-
-// TotalTime records arrival-to-done time (includes queueing) for a vertex.
-func (m *Metrics) TotalTime(vertex string, d time.Duration) {
-	m.Get("total." + vertex).Add(d)
-}
-
-// ProcTimeAt records a timestamped processing-time sample.
-func (m *Metrics) ProcTimeAt(vertex string, at transport.Time, d time.Duration) {
-	m.Get("proc."+vertex).AddAt(at, d)
-}
-
-// TotalTimeAt records a timestamped total-time sample.
-func (m *Metrics) TotalTimeAt(vertex string, at transport.Time, d time.Duration) {
-	m.Get("total."+vertex).AddAt(at, d)
 }
 
 // alertFn returns the alert recorder passed to NF contexts.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"chc/internal/clockset"
 	"chc/internal/packet"
 	"chc/internal/store"
 	"chc/internal/transport"
@@ -62,6 +63,11 @@ type rootLogEntry struct {
 	pkt       *packet.Packet
 	gotDelete bool
 	finalVec  uint32
+	// commitXor accumulates the store's Fig 6 step-2 commit signals for this
+	// clock; the delete check passes when it equals finalVec. It lives and
+	// dies with the entry, so a commit that arrives after the delete has
+	// nowhere to land (see handleCommit).
+	commitXor uint32
 	// class is the traffic class the fork classifier assigned at ingest:
 	// replay uses it to resend only the packets whose branch reaches the
 	// recovering vertex, and the Fig 6 commit accounting uses it to reject
@@ -81,12 +87,14 @@ type Root struct {
 
 	ctr          uint64
 	traceCommits map[uint64][]store.CommitMsg // debug only
-	log          map[uint64]*rootLogEntry
-	order        []uint64 // insertion-ordered clocks (replay iterates this)
-	commitXor    map[uint64]uint32
-	next         []*Vertex // successor per traffic class (see topology.go)
-	offPathTaps  []*Vertex
-	proc         transport.Handle
+	// log holds the in-flight packets by clock. The root stamps clocks in
+	// ascending order, so walking it in clock order (replay, the sweep) is
+	// walking it in insertion order.
+	log         clockset.Table[rootLogEntry]
+	next        []*Vertex // successor per traffic class (see topology.go)
+	offPathTaps []*Vertex
+	proc        transport.Handle
+	procTime    *Series // "proc.root", resolved once
 	// fwdBuf and runBuf are the burst-ingest scratch buffers (root process
 	// only): the burst's packets to forward, and the same packets grouped
 	// per traffic class.
@@ -111,11 +119,10 @@ type Root struct {
 // NewRoot builds a root (not started).
 func NewRoot(c *Chain, id uint8, endpoint string) *Root {
 	return &Root{
-		chain:     c,
-		ID:        id,
-		Endpoint:  endpoint,
-		log:       make(map[uint64]*rootLogEntry),
-		commitXor: make(map[uint64]uint32),
+		chain:    c,
+		ID:       id,
+		Endpoint: endpoint,
+		procTime: c.Metrics.Get("proc.root"),
 	}
 }
 
@@ -133,7 +140,7 @@ func (r *Root) Crash() {
 }
 
 // LogSize reports in-flight packets.
-func (r *Root) LogSize() int { return len(r.log) }
+func (r *Root) LogSize() int { return r.log.Len() }
 
 // Clock returns the current counter (tests).
 func (r *Root) Clock() uint64 { return r.ctr }
@@ -259,7 +266,7 @@ func (r *Root) ingestBurst(p transport.Proc, batch []PacketMsg) {
 // packet to forward (nil when the buffer-bloat guard dropped it).
 func (r *Root) ingestCore(p transport.Proc, m PacketMsg) *packet.Packet {
 	cfg := r.chain.cfg
-	if cfg.RootLogLimit > 0 && len(r.log) >= cfg.RootLogLimit {
+	if cfg.RootLogLimit > 0 && r.log.Len() >= cfg.RootLogLimit {
 		// Buffer-bloat guard (§5): drop at the root. The dropped packet's
 		// ownership ends here — recycle it.
 		r.Dropped++
@@ -310,14 +317,13 @@ func (r *Root) ingestCore(p transport.Proc, m PacketMsg) *packet.Packet {
 	// the delete verdict in tryDelete.
 	cp := r.chain.arena.Get()
 	*cp = *m.Pkt
-	r.log[clock] = &rootLogEntry{pkt: cp, class: class, sentAt: p.Now()}
-	r.order = append(r.order, clock)
+	*r.log.Put(clock) = rootLogEntry{pkt: cp, class: class, sentAt: p.Now()}
 
 	r.Injected++
 	if int(class) < len(r.InjectedByClass) {
 		r.InjectedByClass[class]++
 	}
-	r.chain.Metrics.ProcTime("root", p.Now().Sub(start))
+	r.procTime.Add(p.Now().Sub(start))
 	return m.Pkt
 }
 
@@ -338,8 +344,8 @@ func (r *Root) forward(p transport.Proc, pkt *packet.Packet, now transport.Time)
 // handleDelete runs Fig 6 step 4: match the final vector against the
 // accumulated store commit signals before deleting the log entry.
 func (r *Root) handleDelete(m DeleteMsg) {
-	ent, ok := r.log[m.Clock]
-	if !ok {
+	ent := r.log.Get(m.Clock)
+	if ent == nil {
 		if m.Reply != nil && !m.Reply.Resolved() {
 			m.Reply.Resolve(struct{}{})
 		}
@@ -361,16 +367,23 @@ func (r *Root) handleDelete(m DeleteMsg) {
 // policy DAG: a commit from a vertex off the packet's class path can only
 // come from stray or duplicated traffic (the class routing never sends the
 // packet there), so it is excluded rather than XORed into the balance.
+//
+// A commit for a clock that is not logged is dropped. A clock is logged
+// before its packet is forwarded and never logged twice, and a recovered
+// root starts from an empty log without recycling clocks (RecoverRoot), so
+// such a commit is late — its clock's delete check already passed, or the
+// old root logged it — and no delete check will ever read it.
 func (r *Root) handleCommit(m store.CommitMsg) {
 	if r.traceCommits != nil {
 		r.traceCommits[m.Clock] = append(r.traceCommits[m.Clock], m)
 	}
+	ent := r.log.Get(m.Clock)
+	if ent == nil {
+		return
+	}
 	xorID := m.Instance
 	if in := r.chain.instanceByID(m.Instance); in != nil {
-		if in.vertex.Spec.OffPath {
-			return
-		}
-		if ent, ok := r.log[m.Clock]; ok && !in.vertex.OnClass(ent.class) {
+		if in.vertex.Spec.OffPath || !in.vertex.OnClass(ent.class) {
 			return
 		}
 		// Canonicalize the committing instance: a failover replacement or
@@ -378,25 +391,26 @@ func (r *Root) handleCommit(m store.CommitMsg) {
 		// its commits must accumulate under the same identity.
 		xorID = in.xorID
 	}
-	r.commitXor[m.Clock] ^= uint32(xorID)<<16 | uint32(m.Key.Obj)
-	if ent, ok := r.log[m.Clock]; ok && ent.gotDelete {
+	ent.commitXor ^= uint32(xorID)<<16 | uint32(m.Key.Obj)
+	if ent.gotDelete {
 		r.tryDelete(m.Clock, ent)
 	}
 }
 
 func (r *Root) tryDelete(clock uint64, ent *rootLogEntry) {
-	if r.chain.cfg.XORCheck && ent.finalVec^r.commitXor[clock] != 0 {
+	if r.chain.cfg.XORCheck && ent.finalVec^ent.commitXor != 0 {
 		// Some update this packet induced has not committed: keep the
 		// packet logged so it can be replayed (§5.4 non-blocking ops).
 		return
 	}
-	delete(r.log, clock)
-	delete(r.commitXor, clock)
+	// Delete zeroes the entry in place: take what is still needed first.
+	pkt, class := ent.pkt, ent.class
+	r.log.Delete(clock)
 	// The logged copy's ownership ends with the delete verdict; recycle it.
-	r.chain.arena.Put(ent.pkt)
+	r.chain.arena.Put(pkt)
 	r.Deleted++
-	if int(ent.class) < len(r.DeletedByClass) {
-		r.DeletedByClass[ent.class]++
+	if int(class) < len(r.DeletedByClass) {
+		r.DeletedByClass[class]++
 	}
 	// Prune the duplicate-suppression logs for this packet. Every shard may
 	// hold entries for the clock (the packet's updates can span shards), so
@@ -405,20 +419,6 @@ func (r *Root) tryDelete(clock uint64, ent *rootLogEntry) {
 		r.chain.tr.Send(transport.Message{From: r.Endpoint, To: s.Name,
 			Payload: store.PruneMsg{Clock: clock}, Size: 12})
 	}
-}
-
-// liveOrder compacts r.order to the clocks still logged and returns it, so
-// walking the log in insertion order costs the live log, not every clock
-// ever stamped.
-func (r *Root) liveOrder() []uint64 {
-	live := r.order[:0]
-	for _, c := range r.order {
-		if _, ok := r.log[c]; ok {
-			live = append(live, c)
-		}
-	}
-	r.order = live
-	return live
 }
 
 // replay resends logged packets in clock order, marked as replay traffic
@@ -430,10 +430,9 @@ func (r *Root) liveOrder() []uint64 {
 func (r *Root) replay(p transport.Proc, cloneID uint16) {
 	clone := r.chain.instanceByID(cloneID)
 	now := p.Now()
-	for _, c := range r.liveOrder() {
-		ent := r.log[c]
+	r.log.Each(func(_ uint64, ent *rootLogEntry) {
 		if clone != nil && !clone.vertex.OnClass(ent.class) {
-			continue
+			return
 		}
 		cp := ent.pkt.Clone()
 		cp.Meta.Flags |= packet.MetaReplay
@@ -446,7 +445,7 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		ent.sentAt = now
 		r.Replayed++
 		r.forward(p, cp, now)
-	}
+	})
 	// End-of-replay markers: dedicated control packets (Proto 0) that flow
 	// through the chain BEHIND the replayed packets (FIFO links); each
 	// splitter hands them to the clone directly, so the clone sees them
@@ -488,10 +487,9 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 // output suppressed — they only need their Fig 6 commit balance rebuilt.
 func (r *Root) sweepRetransmit(p transport.Proc) {
 	now := p.Now()
-	for _, c := range r.liveOrder() {
-		ent := r.log[c]
+	r.log.Each(func(_ uint64, ent *rootLogEntry) {
 		if now.Sub(ent.sentAt) < rootRetransmitAge {
-			continue
+			return
 		}
 		cp := ent.pkt.Clone()
 		cp.Meta.Flags |= packet.MetaReplay
@@ -501,7 +499,7 @@ func (r *Root) sweepRetransmit(p transport.Proc) {
 		ent.sentAt = now
 		r.Replayed++
 		r.forward(p, cp, now)
-	}
+	})
 }
 
 // statsSnapshot builds a RootStats inside the root process.
@@ -510,7 +508,7 @@ func (r *Root) statsSnapshot() RootStats {
 		Injected: r.Injected, Deleted: r.Deleted,
 		Dropped: r.Dropped, Replayed: r.Replayed,
 		Bursts:          r.Bursts,
-		LogSize:         len(r.log),
+		LogSize:         r.log.Len(),
 		InjectedByClass: append([]uint64(nil), r.InjectedByClass...),
 		DeletedByClass:  append([]uint64(nil), r.DeletedByClass...),
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"chc/internal/clockset"
 )
 
 // Op is an operation type the store executes on behalf of NF instances
@@ -141,6 +143,13 @@ type Hooks struct {
 	OnOwnerChange func(key Key, owner uint16)
 }
 
+// dupEntry is one logged update of a clock: the key and the result the op
+// returned.
+type dupEntry struct {
+	key Key
+	val Value
+}
+
 type entry struct {
 	val   Value
 	owner uint16 // 0 = shared / unowned
@@ -162,12 +171,14 @@ type Engine struct {
 	customs map[string]CustomOp
 	hooks   Hooks
 
-	// Duplicate-suppression log: clock -> key -> result value of the update
-	// that clock induced (§5.3). Pruned when the root deletes the packet.
+	// Duplicate-suppression log: clock -> (key, result value) of each update
+	// that clock induced (§5.3). A packet updates a handful of keys, so the
+	// per-clock list is searched linearly. Pruned when the root deletes the
+	// packet.
 	logMu  sync.Mutex
-	updLog map[uint64]map[Key]Value
+	updLog clockset.Table[[]dupEntry]
 	// pruned tombstones completed clocks (see PruneClock).
-	pruned map[uint64]struct{}
+	pruned clockset.Set
 
 	// Non-deterministic value support.
 	rng   *rand.Rand
@@ -196,8 +207,6 @@ func NewEngine(nshards int) *Engine {
 		shards:  make([]shard, n),
 		mask:    uint64(n - 1),
 		customs: make(map[string]CustomOp),
-		updLog:  make(map[uint64]map[Key]Value),
-		pruned:  make(map[uint64]struct{}),
 		ts:      make(map[uint16]uint64),
 		rng:     rand.New(rand.NewSource(1)),
 		nowFn:   func() int64 { return 0 },
@@ -238,37 +247,46 @@ func (e *Engine) shardFor(k Key) *shard {
 func (e *Engine) lookupDup(clock uint64, k Key) (Value, bool) {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
-	if _, ok := e.pruned[clock]; ok {
+	if e.pruned.Has(clock) {
 		return Value{}, true
 	}
-	m, ok := e.updLog[clock]
-	if !ok {
-		return Value{}, false
+	if log := e.updLog.Get(clock); log != nil {
+		if d := findDup(*log, k); d != nil {
+			return d.val, true
+		}
 	}
-	v, ok := m[k]
-	return v, ok
+	return Value{}, false
+}
+
+func findDup(log []dupEntry, k Key) *dupEntry {
+	for i := range log {
+		if log[i].key == k {
+			return &log[i]
+		}
+	}
+	return nil
 }
 
 func (e *Engine) logDup(clock uint64, k Key, result Value) {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
-	m, ok := e.updLog[clock]
-	if !ok {
-		m = make(map[Key]Value, 2)
-		e.updLog[clock] = m
+	log := e.updLog.Put(clock)
+	if d := findDup(*log, k); d != nil {
+		d.val = result.Copy()
+		return
 	}
-	m[k] = result.Copy()
+	*log = append(*log, dupEntry{k, result.Copy()})
 }
 
 // PruneClock discards duplicate-suppression log entries for a packet whose
 // processing completed (root "delete", §5), leaving a tombstone so a
 // re-executed op for the finished packet can never double-apply. The
-// tombstone set grows one entry per completed packet — the same order as
-// the instances' per-clock duplicate-suppression sets.
+// tombstone set costs one bit per completed packet until a page of 32 Ki
+// consecutive clocks has completed, and one directory entry from then on.
 func (e *Engine) PruneClock(clock uint64) {
 	e.logMu.Lock()
-	delete(e.updLog, clock)
-	e.pruned[clock] = struct{}{}
+	e.updLog.Delete(clock)
+	e.pruned.Add(clock)
 	e.logMu.Unlock()
 }
 
@@ -276,7 +294,16 @@ func (e *Engine) PruneClock(clock uint64) {
 func (e *Engine) PendingClocks() int {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
-	return len(e.updLog)
+	return e.updLog.Len()
+}
+
+// DupLogPages reports what the duplicate-suppression state holds in memory:
+// the pages of the update log, and the tombstone set's directory entries
+// and real pages (tests/gauges).
+func (e *Engine) DupLogPages() (logPages, prunedDir, prunedPages int) {
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
+	return e.updLog.Pages(), e.pruned.DirLen(), e.pruned.Pages()
 }
 
 // Apply executes one request. It is safe for concurrent use.

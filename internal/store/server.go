@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"chc/internal/clockset"
 	"chc/internal/transport"
 )
 
@@ -130,7 +131,7 @@ type Server struct {
 	// appliedSeqs dedups retransmitted async ops per client endpoint
 	// (at-most-once execution even after the packet's duplicate-
 	// suppression log entry was pruned by a root delete).
-	appliedSeqs map[string]map[uint64]struct{}
+	appliedSeqs map[string]*clockset.Set
 	// clients records every endpoint that has issued an op, so the
 	// checkpointer's TruncateMsg fan-out reaches all WAL holders, not just
 	// callback registrants.
@@ -188,7 +189,7 @@ func NewServer(net transport.Transport, name string, cfg ServerConfig) *Server {
 		decls:       make(map[uint16]map[uint16]ObjDecl),
 		callbacks:   make(map[Key]map[uint16]string),
 		ownWatch:    make(map[Key]map[uint16]string),
-		appliedSeqs: make(map[string]map[uint64]struct{}),
+		appliedSeqs: make(map[string]*clockset.Set),
 		clients:     make(map[string]bool),
 		pos:         make(map[uint16]uint64),
 		stable:      &Stable{},
@@ -339,10 +340,10 @@ func (s *Server) serveAsync(p transport.Proc, pl AsyncOp) {
 	s.noteClient(pl.From)
 	seen := s.appliedSeqs[pl.From]
 	if seen == nil {
-		seen = make(map[uint64]struct{})
+		seen = new(clockset.Set)
 		s.appliedSeqs[pl.From] = seen
 	}
-	if _, dup := seen[pl.Seq]; !dup {
+	if !seen.Has(pl.Seq) {
 		s.applyMu.Lock()
 		rep := s.engine.Apply(pl.Req)
 		if !rep.Conflict {
@@ -362,7 +363,7 @@ func (s *Server) serveAsync(p transport.Proc, pl AsyncOp) {
 			// landed, and appliedSeqs dedups the retries.
 			return
 		}
-		seen[pl.Seq] = struct{}{}
+		seen.Add(pl.Seq)
 	}
 	s.net.Send(transport.Message{From: s.Name, To: pl.From, Payload: AckMsg{Seq: pl.Seq}, Size: 12})
 }
