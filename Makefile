@@ -23,9 +23,14 @@ test-race:
 # detector: they route traffic concurrently with failovers of one slot (1
 # and 8 back to back), the interleaving that used to catch an ID between
 # its slot swap and its redirect. A handful of rounds is not enough to hit
-# a window that narrow; 50 is (about 0.5 s per round without -race).
+# a window that narrow; 50 is (about 0.5 s per round without -race). With
+# them run the two-shard drain test and the {shards x mode x burst}
+# invariant table (-short: its diagonal), whose failures are as rare per
+# packet. Every other TestLive*/TestNet* joins once the
+# replay fix lands: the FIN re-execution flake (ROADMAP) would turn a
+# blanket pattern red.
 test-stress:
-	$(GO) test -race -count=50 -run 'TestLive.*Failover|TestNet.*Failover' ./internal/runtime
+	$(GO) test -race -short -count=50 -run 'TestLive.*Failover|TestNet.*Failover|TestLiveTwoShardDrains|TestLiveInvariantTable' ./internal/runtime
 
 vet:
 	$(GO) vet ./...

@@ -305,7 +305,7 @@ func (ct chainTuning) apply(cfg configJSON, ccfg *runtime.ChainConfig) {
 	if *ct.shards > 0 {
 		ccfg.StoreShards = *ct.shards
 	}
-	ccfg.CheckpointInterval = *ct.ckptInterval
+	ccfg.CheckpointEvery = *ct.ckptInterval
 	ccfg.CheckpointRetain = *ct.ckptRetain
 }
 

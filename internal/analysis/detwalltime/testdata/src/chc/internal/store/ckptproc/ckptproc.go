@@ -2,7 +2,7 @@
 // that must pace itself (and stamp checkpoints) on the transport's
 // virtual clock. Wall-clock pacing in the checkpoint loop would make the
 // truncation horizon depend on host timing and break the golden parity
-// pin on CheckpointInterval=0.
+// pin on CheckpointEvery=0.
 package ckptproc
 
 import "time"

@@ -32,7 +32,7 @@ type rtoResult struct {
 // conserves packets under new traffic.
 func rtoRun(o Opts, histMult int, interval time.Duration) rtoResult {
 	cfg := latencyConfig(o.Seed)
-	cfg.CheckpointInterval = interval
+	cfg.CheckpointEvery = interval
 	cfg.CheckpointRetain = 2
 	c := nfCases()[0] // NAT: per-flow mappings + shared port pool
 	ch := singleNFChain(cfg, c, modelCase{"EO+C+NA", runtime.BackendCHC, store.ModeEOCNA}, 3)

@@ -128,7 +128,7 @@ func ClockCounter(clock uint64) uint64 { return clock & (1<<(64-RootIDBits) - 1)
 // updated along the chain.
 type Meta struct {
 	Clock   uint64 // logical clock; high RootIDBits bits are the root ID
-	BitVec  uint32 // XOR of (instanceID<<16 | objID) per committed-pending update (Fig 6)
+	BitVec  uint32 // XOR of one mixed 32-bit (instanceID, objID) term per update awaiting its commit (Fig 6; runtime.fig6Term)
 	Flags   uint8
 	CloneID uint16 // for replayed packets: ID of the clone that must process them (§5.3)
 	// Class is the traffic-class index the root's fork classifier assigned:

@@ -46,7 +46,6 @@ func TestBurstConfigDESParity(t *testing.T) {
 	run := func(burst int) string {
 		cfg := testConfig()
 		cfg.BurstSize = burst
-		cfg.BurstFlushDeadline = 50 * time.Microsecond
 		c := New(cfg, natVertex(2, BackendCHC, store.ModeEOCNA))
 		c.Start()
 		seedNAT(c, c.Vertices[0])

@@ -126,13 +126,10 @@ type ChainConfig struct {
 	StoreShards int
 	// StoreOpService is the per-op service time at store servers.
 	StoreOpService time.Duration
-	// CheckpointEvery enables periodic store checkpoints.
+	// CheckpointEvery enables periodic durable store checkpoints (§5.4).
+	// Zero disables checkpointing — recovery then replays the full WAL,
+	// byte-identical to pre-checkpoint behavior.
 	CheckpointEvery time.Duration
-	// CheckpointInterval is the preferred spelling of CheckpointEvery
-	// (§5.4 durable checkpoints): when nonzero it wins over CheckpointEvery.
-	// Zero (with CheckpointEvery zero) disables checkpointing — recovery
-	// then replays the full WAL, byte-identical to pre-checkpoint behavior.
-	CheckpointInterval time.Duration
 	// CheckpointRetain is how many committed checkpoints each shard keeps
 	// (newest + fallbacks for torn/corrupt rejection); <=0 keeps 2.
 	CheckpointRetain int
@@ -144,7 +141,7 @@ type ChainConfig struct {
 	FlushEvery time.Duration
 	// CoalesceWindow is passed to every store client (see
 	// store.ClientConfig.CoalesceWindow): zero keeps the client default,
-	// negative disables client-side op coalescing.
+	// negative also turns off the merging of non-blocking increments.
 	CoalesceWindow time.Duration
 	// AckTimeout overrides the store clients' async-op retransmission
 	// timeout. Zero keeps the client default.
@@ -171,10 +168,6 @@ type ChainConfig struct {
 	// there, so golden parity holds by construction (pinned by
 	// TestBurstConfigDESParity).
 	BurstSize int
-	// BurstFlushDeadline bounds how long the pacer may hold an
-	// accumulating burst before flushing a partial one, so batching never
-	// adds unbounded latency at low offered load. Zero means 100µs.
-	BurstFlushDeadline time.Duration
 
 	// Topology, when non-nil, generalizes the linear chain into a policy
 	// DAG: one ordered vertex path per traffic class, with the root's
@@ -461,13 +454,9 @@ func mustDecls(vs VertexSpec) []store.ObjDecl {
 // config (used both at deployment and when RecoverStoreShard rebuilds a
 // crashed shard, so the replacement keeps the same checkpoint cadence).
 func (cfg ChainConfig) storeServerConfig(rootEndpoint string) store.ServerConfig {
-	every := cfg.CheckpointInterval
-	if every == 0 {
-		every = cfg.CheckpointEvery
-	}
 	return store.ServerConfig{
 		OpService:           cfg.StoreOpService,
-		CheckpointEvery:     every,
+		CheckpointEvery:     cfg.CheckpointEvery,
 		CheckpointRetain:    cfg.CheckpointRetain,
 		CheckpointWriteCost: cfg.CheckpointWriteCost,
 		RootEndpoint:        rootEndpoint,
@@ -538,14 +527,6 @@ func (c *Chain) burstSize() int {
 		return 1
 	}
 	return c.cfg.BurstSize
-}
-
-// burstDeadline returns the pacer's partial-burst flush deadline.
-func (c *Chain) burstDeadline() time.Duration {
-	if c.cfg.BurstFlushDeadline > 0 {
-		return c.cfg.BurstFlushDeadline
-	}
-	return 100 * time.Microsecond
 }
 
 // Stop fail-stops every chain process and timer and waits for them to

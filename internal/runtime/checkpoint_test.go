@@ -99,7 +99,7 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d interval=%s", shards, interval), func(t *testing.T) {
 				cfg := testConfig()
 				cfg.StoreShards = shards
-				cfg.CheckpointInterval = interval
+				cfg.CheckpointEvery = interval
 				c := New(cfg, countVertex(2))
 				c.Start()
 				tr := smallTrace(40)
@@ -156,7 +156,7 @@ func runBurstThenAwaitCheckpoints(t *testing.T, c *Chain, ev []trace.Event, st *
 // recovered state byte-identical to what the crash destroyed.
 func TestMidCheckpointCrashFallsBack(t *testing.T) {
 	cfg := testConfig()
-	cfg.CheckpointInterval = 10 * time.Millisecond
+	cfg.CheckpointEvery = 10 * time.Millisecond
 	cfg.CheckpointWriteCost = time.Millisecond
 	c := New(cfg, countVertex(2))
 	c.Start()
@@ -206,7 +206,7 @@ func TestMidCheckpointCrashFallsBack(t *testing.T) {
 // same state, invariants intact.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	cfg := testConfig()
-	cfg.CheckpointInterval = 10 * time.Millisecond
+	cfg.CheckpointEvery = 10 * time.Millisecond
 	c := New(cfg, countVertex(2))
 	c.Start()
 	tr := smallTrace(400)
@@ -273,7 +273,7 @@ func TestLiveCheckpointRecovery(t *testing.T) {
 	for round := 1; round == 1 || time.Now().Before(deadline); round++ {
 		cfg := LiveChainConfig()
 		cfg.Seed = int64(300 + round)
-		cfg.CheckpointInterval = 20 * time.Millisecond
+		cfg.CheckpointEvery = 20 * time.Millisecond
 		c := New(cfg, countVertex(2))
 		c.Start()
 		tr := liveTrace(cfg.Seed, 80)

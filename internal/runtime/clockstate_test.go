@@ -85,17 +85,8 @@ func TestPerClockStateIsWindowed(t *testing.T) {
 			}
 			c := New(sub.cfg, countVertex(1))
 			c.Start()
-			// Offered in laps the chain drains before the next one starts:
-			// live mailboxes are unbounded, so an open loop of this length
-			// on a busy box builds a backlog the sweep then retransmits.
-			const lap = 4096
-			for lo := 0; lo < tr.Len(); lo += lap {
-				part := &trace.Trace{Events: slices.Clone(tr.Events[lo:min(lo+lap, tr.Len())])}
-				part.Pace(2_000_000_000)
-				c.RunTrace(part, 0)
-				if !c.AwaitDrained(30 * time.Second) {
-					t.Fatalf("chain did not drain: injected=%d deleted=%d", c.Root.Injected, c.Root.Deleted)
-				}
+			if !runInDrainedLaps(c, tr) {
+				t.Fatalf("chain did not drain: injected=%d deleted=%d", c.Root.Injected, c.Root.Deleted)
 			}
 			c.RunFor(50 * time.Millisecond) // the last deletes' prunes reach the stores
 			c.Stop()

@@ -37,11 +37,15 @@ func (c *Chain) RunTrace(tr *trace.Trace, settle time.Duration) time.Duration {
 // paying timer-granularity latency per packet.
 const pacerSlack = 200 * time.Microsecond
 
+// burstFlushDeadline bounds how long the pacer holds an accumulating burst
+// before it flushes a partial one, so batching never adds unbounded
+// latency at low offered load.
+const burstFlushDeadline = 100 * time.Microsecond
+
 func (c *Chain) runTraceLive(tr *trace.Trace, settle time.Duration) time.Duration {
 	done := c.tr.NewSignal()
 	base := c.tr.Now()
 	bs := c.burstSize()
-	bd := c.burstDeadline()
 	c.tr.Spawn("driver.pacer", func(p transport.Proc) {
 		// Burst accumulation: due events batch into one SendBurst toward
 		// the root (one mailbox lock + wake per burst). Packets are copied
@@ -84,7 +88,7 @@ func (c *Chain) runTraceLive(tr *trace.Trace, settle time.Duration) time.Duratio
 				Payload: PacketMsg{Pkt: pkt, SentAt: now, InjectedAt: now},
 				Size:    pkt.WireLen(),
 			})
-			if len(msgs) >= bs || now.Sub(burstStart) > bd {
+			if len(msgs) >= bs || now.Sub(burstStart) > burstFlushDeadline {
 				flush()
 			}
 		}

@@ -31,6 +31,27 @@ type DeleteMsg struct {
 	Reply transport.Signal
 }
 
+// fig6Term is one update's contribution to the Fig 6 bit vector: the paper's
+// instanceID‖objectID, passed through a 32-bit bijective mixer (murmur3's
+// finalizer; the offset keeps the term of small IDs away from the mixer's
+// fixed point 0). The mix is what makes the XOR check sound. Instance and object IDs are small and dense, and the
+// raw instance<<16|obj terms of such IDs are linearly dependent —
+// (1,1)^(2,2)^(3,3) == 0 — so a vector could balance while those three
+// commits were all still outstanding: the root deleted the packet early and
+// its prune overtook the ops (DESIGN.md §7). Mixed terms are pairwise
+// distinct, and any three or more outstanding ones cancel with probability
+// 2^-32. The instance signing a packet and the root accumulating commits
+// are the only two users; both must agree, so the mix takes no seed.
+func fig6Term(instance, obj uint16) uint32 {
+	x := (uint32(instance)<<16 | uint32(obj)) + 0x9e3779b9
+	x ^= x >> 16
+	x *= 0x85ebca6b
+	x ^= x >> 13
+	x *= 0xc2b2ae35
+	x ^= x >> 16
+	return x
+}
+
 // FlowTableQuery asks an instance for its current flow allocation (root
 // recovery, §5.4).
 type FlowTableQuery struct{}
@@ -182,8 +203,9 @@ func (c *Chain) newClient(v *Vertex, id uint16, ep string, mode store.Mode) *sto
 		CoalesceWindow: c.cfg.CoalesceWindow,
 		AckTimeout:     c.cfg.AckTimeout,
 		RPCTimeout:     c.cfg.RPCTimeout,
-		// Burst-scoped store RPC batching rides the live packet batching:
-		// the instance flushes the client's buffers at every burst end.
+		// The client holds its async ops for the end of the instance's
+		// packet burst (flushBurst) where there are bursts; elsewhere each
+		// op leaves as it is issued.
 		BurstRPC: c.live() && c.burstSize() > 1,
 	})
 }
@@ -375,7 +397,7 @@ func (i *Instance) bufForward(v *Vertex, pkt *packet.Packet) {
 
 // flushBurst ships the buffered burst outputs: deletes first (§5.4
 // delete-before-output holds per packet), then the per-vertex forward
-// runs, then the sink outputs, then the store clients' batched RPCs.
+// runs, then the sink outputs, then the store client's held async ops.
 // Packet references are zeroed as the buffers truncate so the arena can
 // recycle the buffers once their new owners release them.
 func (i *Instance) flushBurst(p transport.Proc) {
@@ -558,13 +580,13 @@ func (i *Instance) process(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 		outs = nil
 	}
 
-	// Fig 6 step 1: XOR (instanceID‖objID) for each object this packet
-	// updated into the carried bit vector. Only store-backed instances
+	// Fig 6 step 1: XOR the (instanceID, objID) term of each object this
+	// packet updated into the carried bit vector. Only store-backed instances
 	// participate — the vector is matched against store commit signals.
 	var xor uint32
 	if i.client != nil {
 		for _, obj := range ctx.Updated {
-			xor ^= uint32(i.xorID)<<16 | uint32(obj)
+			xor ^= fig6Term(i.xorID, obj)
 		}
 	}
 	i.mu.Lock()

@@ -146,7 +146,7 @@ func TestNetRecoveryEquivalence(t *testing.T) {
 		{Name: "b", Endpoints: []string{"v1"}},
 	}, "")
 	cfg.Seed = 301
-	cfg.CheckpointInterval = 20 * time.Millisecond
+	cfg.CheckpointEvery = 20 * time.Millisecond
 	c := New(cfg, countVertex(2))
 	c.Start()
 	tr := liveTrace(cfg.Seed, 80)

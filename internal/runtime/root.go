@@ -391,7 +391,7 @@ func (r *Root) handleCommit(m store.CommitMsg) {
 		// its commits must accumulate under the same identity.
 		xorID = in.xorID
 	}
-	ent.commitXor ^= uint32(xorID)<<16 | uint32(m.Key.Obj)
+	ent.commitXor ^= fig6Term(xorID, m.Key.Obj)
 	if ent.gotDelete {
 		r.tryDelete(m.Clock, ent)
 	}

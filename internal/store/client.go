@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -47,31 +48,28 @@ type ClientConfig struct {
 	// FlushEvery drives periodic non-blocking flush of cached per-flow
 	// objects (Table 1). Zero keeps flush purely event-driven (handover).
 	FlushEvery time.Duration
-	// CoalesceWindow bounds how long a non-blocking increment may sit in
-	// the client-side coalescing buffer before being flushed to the store
-	// (+NA mode only). Zero selects the default; negative disables
-	// coalescing.
+	// CoalesceWindow bounds how long an async op may sit unsent in the
+	// outbound list (see Client.out): the window timer flushes whatever no
+	// other trigger has. Zero selects the default; negative also turns off
+	// the merging of non-blocking increments (+NA mode).
 	CoalesceWindow time.Duration
-	// CoalesceMax caps how many increments merge into one batched request.
-	// Zero selects the default.
-	CoalesceMax int
-	// BurstRPC enables burst-scoped RPC batching: async ops buffer per
-	// shard and flush as one AsyncBatchMsg per shard when the instance
-	// finishes its packet burst (Client.FlushBurst), when a blocking call
-	// needs the wire ordering, or when the safety window elapses. Per-op
-	// acks, retransmission, WalPos stamping and checkpoint positions are
-	// unchanged — only the message count drops. The runtime enables this
-	// on the live substrate only; the DES never sets it, so the golden
-	// message schedules are untouched.
+	// BurstRPC holds async ops on the outbound list until a flush trigger
+	// (FlushBurst, a blocking call, FlushAll, the window timer) and ships
+	// them as one AsyncBatchMsg per shard; without it every op leaves when
+	// it is issued, a message of its own. Acks, retransmission, WalPos
+	// stamping and checkpoint positions are per op either way — only the
+	// message count differs. The runtime sets this on the live substrates
+	// only; the DES never does, so the golden message schedules are
+	// untouched.
 	BurstRPC bool
 }
 
-// Coalescing defaults: a window two-ish store RTTs wide keeps batching
-// invisible next to the ACK timeout, and the cap bounds replay divergence
-// per batch.
+// A window two-ish store RTTs wide keeps merging invisible next to the ACK
+// timeout; the cap on the ops merged into one request bounds replay
+// divergence per request.
 const (
 	defaultCoalesceWindow = 20 * time.Microsecond
-	defaultCoalesceMax    = 32
+	coalesceMax           = 32
 )
 
 // acquirePoll is the handover-acquire retry interval: a few store RTTs, so
@@ -116,8 +114,8 @@ type Client struct {
 	cfg ClientConfig
 	net transport.Transport
 
-	// mu guards every mutable field below (cache, pending, coalescing
-	// buffers, WAL, read log, ownership waits, stats).
+	// mu guards every mutable field below (cache, outbound list, pending,
+	// WAL, read log, ownership waits, stats).
 	mu    sync.Mutex
 	pmap  *PartitionMap
 	decls map[uint16]ObjDecl
@@ -133,23 +131,20 @@ type Client struct {
 	// empty an entry without unlisting it); flushDirty skips those.
 	dirty []Key
 
-	// Async-op retransmission state.
+	// out is the outbound list: every async op issued and not yet sent, in
+	// issue order. open indexes the increments in it that a later increment
+	// of the same stream may still merge into (the stream's open head); an
+	// op not in open is sealed. flushOut is the only way off the list, and
+	// it is where an op gets its WAL entries, WalPos, Seq and pending slot,
+	// so all four follow wire order. groups is flushOut's per-shard scratch.
+	out      []*Request
+	open     map[outKey]*Request
+	outTimer bool // the window timer is scheduled and has not fired
+	groups   []outGroup
+
+	// Async ops sent and not yet acknowledged, by Seq.
 	seq     uint64
 	pending map[uint64]AsyncOp
-
-	// Op coalescing: unsent merged non-blocking increments, keyed by
-	// (key, field). coOrder preserves issue order for deterministic
-	// flushing (map iteration order would perturb the DES).
-	co          map[coKey]*Request
-	coOrder     []coKey
-	coTimer     bool
-	coalesceOff bool
-
-	// Burst-scoped RPC batching (BurstRPC mode): async ops buffered per
-	// shard in issue order, flushed as one AsyncBatchMsg per shard.
-	burst      map[string][]AsyncOp
-	burstOrder []string
-	burstTimer bool
 
 	// Recovery metadata. walCount counts WAL entries ever logged per
 	// shard (the position piggybacked on outgoing ops); walDropped counts
@@ -171,28 +166,35 @@ type Client struct {
 	// shutdown stops retransmissions after the instance crashes.
 	shutdown bool
 
-	// Stats for the experiment harness.
-	BlockingOps uint64
-	AsyncOps    uint64
-	CacheHits   uint64
-	CacheMisses uint64
-	Retransmits uint64
-	FlushedOps  uint64
-	// CoalescedOps counts non-blocking increments absorbed into an
-	// already-buffered batch (ops that never became their own wire
-	// message); BatchedSends counts batched requests actually sent.
-	CoalescedOps uint64
-	BatchedSends uint64
-	// BurstRPCs counts AsyncBatchMsg wire messages sent (BurstRPC mode):
-	// each one replaced len(Ops) individual sends.
+	// Stats for the experiment harness; StatsSnapshot reads them while the
+	// instance's workers run.
+	Stats
+}
+
+// Stats are a client's op counters.
+type Stats struct {
+	BlockingOps, AsyncOps, CacheHits, CacheMisses uint64
+	Retransmits, FlushedOps                       uint64
+	// CoalescedOps counts non-blocking increments merged into an open head
+	// (ops that never became their own request); BatchedSends counts the
+	// requests sent that carry merged increments.
+	CoalescedOps, BatchedSends uint64
+	// BurstRPCs counts the AsyncBatchMsg sent with more than one op: each
+	// replaced len(Ops) messages.
 	BurstRPCs uint64
 }
 
-// coKey identifies one coalescible op stream: a key plus the map field
-// (empty for plain counters).
-type coKey struct {
+// outKey identifies one stream of mergeable increments: a key plus the
+// map field (empty for plain counters).
+type outKey struct {
 	k     Key
 	field string
+}
+
+// outGroup is the ops one flush sends to one shard.
+type outGroup struct {
+	shard string
+	ops   []AsyncOp
 }
 
 // NewClient builds a client library instance.
@@ -203,31 +205,22 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 	if cfg.AckTimeout == 0 {
 		cfg.AckTimeout = 1 * time.Millisecond
 	}
-	coalesceOff := cfg.CoalesceWindow < 0
-	if cfg.CoalesceWindow <= 0 {
-		cfg.CoalesceWindow = defaultCoalesceWindow
-	}
-	if cfg.CoalesceMax <= 0 {
-		cfg.CoalesceMax = defaultCoalesceMax
-	}
 	shards := cfg.Shards
 	if len(shards) == 0 {
 		shards = []string{cfg.Store}
 	}
 	c := &Client{
-		cfg:         cfg,
-		pmap:        NewPartitionMap(shards),
-		net:         net,
-		decls:       make(map[uint16]ObjDecl),
-		cache:       make(map[Key]*cacheEntry),
-		pending:     make(map[uint64]AsyncOp),
-		walCount:    make(map[string]uint64),
-		walDropped:  make(map[string]uint64),
-		co:          make(map[coKey]*Request),
-		coalesceOff: coalesceOff,
-		burst:       make(map[string][]AsyncOp),
-		ownerWait:   make(map[Key]transport.Signal),
-		objExcl:     make(map[uint16]bool),
+		cfg:        cfg,
+		pmap:       NewPartitionMap(shards),
+		net:        net,
+		decls:      make(map[uint16]ObjDecl),
+		cache:      make(map[Key]*cacheEntry),
+		open:       make(map[outKey]*Request),
+		pending:    make(map[uint64]AsyncOp),
+		walCount:   make(map[string]uint64),
+		walDropped: make(map[string]uint64),
+		ownerWait:  make(map[Key]transport.Signal),
+		objExcl:    make(map[uint16]bool),
 	}
 	for _, d := range cfg.Decls {
 		c.decls[d.ID] = d
@@ -257,11 +250,7 @@ func (c *Client) WAL() []WalOp {
 func (c *Client) WALDropped() map[string]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.walDropped))
-	for s, n := range c.walDropped {
-		out[s] = n
-	}
-	return out
+	return maps.Clone(c.walDropped)
 }
 
 // PendingAcks reports async operations not yet acknowledged.
@@ -271,18 +260,16 @@ func (c *Client) PendingAcks() int {
 	return len(c.pending)
 }
 
-// Shutdown stops retransmission of outstanding async ops and drops unsent
-// coalesced batches (instance crash: a dead NF cannot keep retrying; replay
+// Shutdown stops retransmission of outstanding async ops and drops the
+// unsent ones (instance crash: a dead NF cannot keep retrying; replay
 // regenerates anything lost).
 func (c *Client) Shutdown() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.shutdown = true
 	c.pending = make(map[uint64]AsyncOp)
-	c.co = make(map[coKey]*Request)
-	c.coOrder = c.coOrder[:0]
-	c.burst = make(map[string][]AsyncOp)
-	c.burstOrder = nil
+	c.out = nil
+	clear(c.open)
 }
 
 // ReadLog returns a copy of the logged shared reads with their TS vectors.
@@ -363,6 +350,7 @@ func (c *Client) SetObjExclusive(obj uint16, exclusive bool) {
 	if was && !exclusive {
 		covered := func(k Key, e *cacheEntry) bool { return k.Obj == obj && !e.exclSet }
 		c.flushDirty(covered)
+		c.issued()
 		// Clean entries go stale too once another instance may write the
 		// object. Invalidating sends nothing, so map order is harmless here.
 		for k, e := range c.cache {
@@ -382,11 +370,12 @@ func (c *Client) markDirty(k Key, e *cacheEntry) {
 	}
 }
 
-// flushDirty flushes the pending ops of every listed entry sel selects
-// (nil selects all) and returns how many ops it sent. The list is sorted
-// with Key.Less first: flushing emits async ops, and the DES message
-// schedule must depend neither on map iteration order nor on which key an
-// NF happened to dirty first. Entries sel rejects stay listed.
+// flushDirty puts the pending ops of every listed entry sel selects (nil
+// selects all) on the outbound list (flushEntry) and returns how many. The
+// dirty list is sorted with Key.Less first: the ops become async messages,
+// and the DES message schedule must depend neither on map iteration order
+// nor on which key an NF happened to dirty first. Entries sel rejects stay
+// listed.
 func (c *Client) flushDirty(sel func(Key, *cacheEntry) bool) int {
 	if len(c.dirty) == 0 {
 		return 0
@@ -425,6 +414,7 @@ func (c *Client) SetExclusive(obj uint16, sub uint64, exclusive bool) {
 	}
 	if wasExcl && !exclusive {
 		c.flushEntry(k, e)
+		c.issued()
 		e.valid = false
 	}
 	e.exclusive = exclusive
@@ -437,16 +427,12 @@ func (c *Client) shardFor(k Key) string { return c.pmap.ShardFor(k) }
 // Partition exposes the client's view of the shard map (recovery, tests).
 func (c *Client) Partition() *PartitionMap { return c.pmap }
 
-// call performs a blocking RPC to the key's shard. Buffered coalesced
-// batches flush first (FIFO links): a blocking op must observe every
-// increment the NF issued before it. call expects c.mu held and releases
-// it around the network wait.
+// call performs a blocking RPC to the key's shard. The outbound list goes
+// first (FIFO links): a blocking op must observe every async op the NF
+// issued before it. call expects c.mu held and releases it around the
+// network wait.
 func (c *Client) call(p transport.Proc, req *Request) (Reply, bool) {
-	c.flushCoalesced()
-	// Burst buffers flush next (flushCoalesced feeds them in burst mode):
-	// FIFO links then guarantee the blocking op arrives after every async
-	// op issued before it.
-	c.flushBurst()
+	c.flushOut(true)
 	c.BlockingOps++
 	to := c.shardFor(req.Key)
 	// The deferred re-lock (instead of a plain Lock after the call) keeps
@@ -462,67 +448,115 @@ func (c *Client) call(p transport.Proc, req *Request) (Reply, bool) {
 	return res.(Reply), true
 }
 
-// async issues a fire-and-forget op with framework retransmission (§4.3:
-// "NFs do not even wait for the ACK ... the framework handles operation
-// retransmission if an ACK is not received before a timeout").
-func (c *Client) async(req *Request) {
-	c.stampWalPos(req)
-	c.AsyncOps++
-	c.seq++
-	op := AsyncOp{Req: req, Seq: c.seq, From: c.cfg.Endpoint}
-	c.pending[op.Seq] = op
-	if c.cfg.BurstRPC && !c.shutdown {
-		// Burst mode: buffer per shard instead of sending now. Everything
-		// else — WAL position, pending entry, seq — is already recorded, so
-		// the op's recovery semantics are fixed before it reaches the wire.
-		shard := c.shardFor(req.Key)
-		if _, ok := c.burst[shard]; !ok {
-			c.burstOrder = append(c.burstOrder, shard)
-		}
-		c.burst[shard] = append(c.burst[shard], op)
-		c.armBurstTimer()
+// --- The outbound list (DESIGN.md §4) -----------------------------------------
+// Async ops are fire-and-forget (§4.3: "NFs do not even wait for the ACK
+// ... the framework handles operation retransmission if an ACK is not
+// received before a timeout").
+
+// merge takes a non-blocking increment into the list's open head for its
+// stream, or opens one (§4.3 model #3: the NF does not wait for these ops,
+// so consecutive increments on one key can share a request). A head at the
+// cap, or of the other op kind, is sealed by losing its index slot: it
+// keeps its place in the list, ahead of the head that replaces it. False
+// means req is not mergeable.
+func (c *Client) merge(req *Request) bool {
+	if c.cfg.CoalesceWindow < 0 || (req.Op != OpIncr && req.Op != OpMapIncr) {
+		return false
+	}
+	stream := outKey{k: req.Key, field: req.Field}
+	if head := c.open[stream]; head != nil && head.Op == req.Op && 1+len(head.Batch) < coalesceMax {
+		head.Batch = append(head.Batch, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
+		c.CoalescedOps++
+		return true
+	}
+	r := *req
+	c.open[stream] = &r
+	c.out = append(c.out, &r)
+	return true
+}
+
+// issued ends every path that put ops on the list outside a flush. Without
+// BurstRPC the sealed ones leave now; with it they wait for a trigger. What
+// stays is covered by the window timer: an idle instance holds no op long.
+func (c *Client) issued() {
+	if !c.cfg.BurstRPC {
+		c.flushOut(false)
+	}
+	if len(c.out) == 0 || c.outTimer {
 		return
 	}
-	c.sendAsync(op)
+	c.outTimer = true
+	window := c.cfg.CoalesceWindow
+	if window <= 0 {
+		window = defaultCoalesceWindow
+	}
+	c.net.Schedule(window, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.outTimer = false
+		if !c.shutdown {
+			c.flushOut(true)
+		}
+	})
 }
 
-// flushBurst sends every buffered burst batch, one AsyncBatchMsg per
-// shard in first-buffered order. Within a shard, ops keep issue order, so
-// the server applying the slice in order preserves wire-order == WAL-order.
-// Expects c.mu held.
-func (c *Client) flushBurst() {
-	if len(c.burstOrder) == 0 {
-		return
+// flushOut sends the list in issue order: all of it when sealOpen is set,
+// otherwise the sealed ops only, the open heads staying for later
+// increments to merge into. Each op is WAL-logged here, at send time (the
+// positions a checkpoint records assume that the WAL mirrors the order in
+// which ops reach the wire, per shard). With BurstRPC the ops of one shard
+// travel as one message, shards in first-use order; without it each op is
+// its own message. Expects c.mu held.
+func (c *Client) flushOut(sealOpen bool) {
+	if len(c.out) == 0 {
+		return // the usual case under a blocking call; open is empty too
 	}
-	order := c.burstOrder
-	c.burstOrder = nil
-	for _, shard := range order {
-		ops := c.burst[shard]
-		delete(c.burst, shard)
-		if len(ops) == 0 {
+	if sealOpen {
+		clear(c.open)
+	}
+	kept := c.out[:0]
+	for i, req := range c.out {
+		if len(c.open) > 0 && c.open[outKey{k: req.Key, field: req.Field}] == req {
+			kept = append(kept, req)
 			continue
 		}
-		if len(ops) == 1 {
-			c.sendAsync(ops[0])
+		shard := c.logOp(req)
+		if len(req.Batch) > 0 {
+			c.BatchedSends++
+		}
+		c.AsyncOps++
+		c.seq++
+		op := AsyncOp{Req: req, Seq: c.seq, From: c.cfg.Endpoint}
+		c.pending[op.Seq] = op
+		if !c.cfg.BurstRPC {
+			c.send(shard, []AsyncOp{op})
 			continue
 		}
-		c.sendBatch(shard, ops)
+		g := 0
+		for g < len(c.groups) && c.groups[g].shard != shard {
+			g++
+		}
+		if g == len(c.groups) {
+			// The message keeps the slice, so it is made here; no group
+			// can get more than the ops still to go.
+			c.groups = append(c.groups, outGroup{shard: shard, ops: make([]AsyncOp, 0, len(c.out)-i)})
+		}
+		c.groups[g].ops = append(c.groups[g].ops, op)
 	}
+	clear(c.out[len(kept):])
+	c.out = kept
+	for g := range c.groups {
+		c.send(c.groups[g].shard, c.groups[g].ops)
+		c.groups[g] = outGroup{}
+	}
+	c.groups = c.groups[:0]
 }
 
-// FlushBurst drains the burst buffers; the runtime calls it when an
-// instance finishes its packet burst.
-func (c *Client) FlushBurst() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushBurst()
-}
-
-// sendBatch ships one shard's buffered ops as a single wire message. Acks
-// stay per-op: the retransmit timer re-offers whichever ops are still
-// pending individually, so a lost batch degrades to the ordinary
-// retransmission path rather than inventing batch-level ack state.
-func (c *Client) sendBatch(shard string, ops []AsyncOp) {
+// send ships ops to shard as one message and arms their retransmit timer.
+// Acks stay per op: the timer offers again, together, whichever of them are
+// still pending, so a lost message degrades to retransmission without any
+// message-level ack state.
+func (c *Client) send(shard string, ops []AsyncOp) {
 	size := 0
 	for _, op := range ops {
 		size += op.Req.wireSize()
@@ -532,73 +566,48 @@ func (c *Client) sendBatch(shard string, ops []AsyncOp) {
 		Payload: AsyncBatchMsg{Ops: ops},
 		Size:    size,
 	})
-	c.BurstRPCs++
-	// ops now belongs to the message just sent and is never appended to
-	// again (flushBurst unhooked it from c.burst), so the retransmit timer
-	// can read the seqs out of it.
+	if len(ops) > 1 {
+		c.BurstRPCs++
+	}
 	c.net.Schedule(c.cfg.AckTimeout, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.shutdown {
 			return
 		}
+		var again []AsyncOp
 		for _, op := range ops {
-			if p, ok := c.pending[op.Seq]; ok {
-				c.Retransmits++
-				c.sendAsync(p)
+			if _, unacked := c.pending[op.Seq]; unacked {
+				again = append(again, op)
 			}
 		}
-	})
-}
-
-// armBurstTimer schedules the safety flush: a burst buffer must never
-// outlive the coalescing window, or an idle instance would sit on
-// unacked-but-unsent ops until the next packet arrives.
-func (c *Client) armBurstTimer() {
-	if c.burstTimer {
-		return
-	}
-	c.burstTimer = true
-	c.net.Schedule(c.cfg.CoalesceWindow, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.burstTimer = false
-		if c.shutdown {
-			return
+		if len(again) > 0 {
+			c.Retransmits += uint64(len(again))
+			c.send(shard, again)
 		}
-		c.flushBurst()
 	})
 }
 
-// BurstPending reports buffered (unsent) burst ops; scale-in quiescence
-// checks this alongside PendingAcks.
-func (c *Client) BurstPending() int {
+// FlushBurst sends the sealed part of the list; the runtime calls it each
+// time an instance has worked through its BurstSize packets. Open heads
+// stay, to merge later increments until the window timer or the cap.
+func (c *Client) FlushBurst() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.flushOut(false)
+}
+
+// OutPending reports the async ops issued and not yet sent, merged
+// increments counted one each; scale-in quiescence checks this alongside
+// PendingAcks.
+func (c *Client) OutPending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, ops := range c.burst {
-		n += len(ops)
+	for _, req := range c.out {
+		n += 1 + len(req.Batch)
 	}
 	return n
-}
-
-func (c *Client) sendAsync(op AsyncOp) {
-	c.net.Send(transport.Message{
-		From: c.cfg.Endpoint, To: c.shardFor(op.Req.Key), Payload: op,
-		Size: op.Req.wireSize(),
-	})
-	seq := op.Seq
-	c.net.Schedule(c.cfg.AckTimeout, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.shutdown {
-			return
-		}
-		if p, ok := c.pending[seq]; ok {
-			c.Retransmits++
-			c.sendAsync(p)
-		}
-	})
 }
 
 // HandleMessage dispatches store-pushed messages (ACKs, callbacks, owner
@@ -685,23 +694,28 @@ func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 	c.readLog = keptR
 }
 
-// logWal appends a shared-state mutation to the client WAL and advances
-// the target shard's WAL position counter.
-func (c *Client) logWal(req Request) {
-	if req.Clock == 0 {
-		return
+// logOp appends req — and, for a merged request, each increment merged into
+// it — to the client WAL, then stamps req with the resulting WAL position
+// of its shard, which it returns: the store learns from the stamp exactly
+// how much of this client's WAL stream the op's arrival covers (FIFO
+// links: every earlier entry has been delivered by then). Ops without a
+// packet clock are not shared-state mutations and are not logged.
+func (c *Client) logOp(req *Request) (shard string) {
+	shard = c.shardFor(req.Key)
+	if req.Clock != 0 {
+		c.wal.append(WalOp{Clock: req.Clock, Req: *req})
+		c.walCount[shard]++
 	}
-	c.wal.append(WalOp{Clock: req.Clock, Req: req})
-	c.walCount[c.shardFor(req.Key)]++
-}
-
-// stampWalPos records the current WAL position of the request's shard on
-// the request, so the store learns exactly how much of this client's WAL
-// stream the op's arrival covers (FIFO links: every earlier entry has
-// been delivered by then). Must run after the op — and, for batches,
-// every absorbed entry — has been WAL-logged.
-func (c *Client) stampWalPos(req *Request) {
-	req.WalPos = c.walCount[c.shardFor(req.Key)]
+	for _, b := range req.Batch {
+		if b.Clock != 0 {
+			r := *req
+			r.Clock, r.Arg, r.Batch = b.Clock, IntVal(b.Delta), nil
+			c.wal.append(WalOp{Clock: b.Clock, Req: r})
+			c.walCount[shard]++
+		}
+	}
+	req.WalPos = c.walCount[shard]
+	return shard
 }
 
 // --- State operations used by NF code ---------------------------------------
@@ -758,34 +772,45 @@ func (c *Client) Update(p transport.Proc, req Request) {
 		// Absorb locally; flushed later as operations (not values), so the
 		// store's duplicate suppression still sees packet clocks.
 		c.ensureCached(p, e, &req)
-		c.applyLocal(e, &req)
+		ApplyToValue(&e.val, &req)
+		e.valid = true
 		e.pending = append(e.pending, req)
 		c.markDirty(req.Key, e)
 		return
 	}
-	if c.cfg.Mode.NoAckWait && c.tryCoalesce(&req) {
-		return // WAL-logged at flush time, in send order
-	}
-	// Non-coalescible op: flush buffered batches first so the wire (and
-	// the WAL, whose order mirrors it) sees this client's ops in a
-	// consistent send order.
-	c.flushCoalesced()
-	c.logWal(req)
 	if c.cfg.Mode.NoAckWait {
-		r := req
-		c.async(&r)
+		if !c.merge(&req) {
+			// Not mergeable: it seals the open heads, so the wire (and the
+			// WAL, whose order mirrors it) sees this client's ops in issue
+			// order.
+			clear(c.open)
+			r := req
+			c.out = append(c.out, &r)
+		}
+		c.issued()
 		return
 	}
 	// Non-blocking op, but wait for the ACK (models #1/#2): one RTT, no
-	// lock contention since the store serializes (§4.3).
+	// lock contention since the store serializes (§4.3). The call keeps
+	// a copy, so that req stays on the stack for the paths above.
 	r := req
-	c.stampWalPos(&r)
-	rep, ok := c.call(p, &r)
+	c.callLogged(p, d, e, &r)
+}
+
+// callLogged sends a mutating op as a blocking call. The outbound list
+// goes out before the op is logged, so WAL order matches send order (the
+// ts position markers store recovery relies on assume it does). The
+// updater of a cached-with-callbacks object receives the updated object in
+// its reply (§4.3).
+func (c *Client) callLogged(p transport.Proc, d ObjDecl, e *cacheEntry, req *Request) (Reply, bool) {
+	c.flushOut(true)
+	c.logOp(req)
+	rep, ok := c.call(p, req)
 	if ok && rep.OK && c.cfg.Mode.Cache && StrategyFor(d) == StratCacheCallback {
-		// The updater receives the updated object in its reply (§4.3).
 		e.val = rep.Val
 		e.valid = true
 	}
+	return rep, ok
 }
 
 // UpdateBlocking issues a mutating op and returns its result (port pops,
@@ -807,127 +832,7 @@ func (c *Client) UpdateBlocking(p transport.Proc, req Request) (Reply, bool) {
 		c.markDirty(req.Key, e)
 		return rep, true
 	}
-	// Flush before logging so WAL order matches send order (the ts
-	// position markers store recovery relies on assume it does).
-	c.flushCoalesced()
-	c.logWal(req)
-	c.stampWalPos(&req)
-	rep, ok := c.call(p, &req)
-	if ok && rep.OK && c.cfg.Mode.Cache && StrategyFor(d) == StratCacheCallback {
-		e.val = rep.Val
-		e.valid = true
-	}
-	return rep, ok
-}
-
-// --- Op coalescing -----------------------------------------------------------
-
-// tryCoalesce absorbs a non-blocking increment into the per-key batch
-// buffer (§4.3 model #3 fast path: the NF already does not wait for these
-// ops, so consecutive increments on one key can merge into a single wire
-// message). Returns true when the op was buffered; it is sent — merged —
-// by the next flush trigger: the window timer, the batch cap, an
-// intervening blocking or non-coalescible op, or FlushAll.
-func (c *Client) tryCoalesce(req *Request) bool {
-	if c.coalesceOff || (req.Op != OpIncr && req.Op != OpMapIncr) {
-		return false
-	}
-	ck := coKey{k: req.Key, field: req.Field}
-	if head, ok := c.co[ck]; ok {
-		if head.Op == req.Op && 1+len(head.Batch) < c.cfg.CoalesceMax {
-			head.Batch = append(head.Batch, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
-			c.CoalescedOps++
-			return true
-		}
-		// Batch full, or a different op kind on the same stream (Incr vs
-		// MapIncr): keep per-key issue order by flushing the old batch, then
-		// start a fresh head below.
-		c.flushCoalescedKey(ck)
-	}
-	r := *req
-	c.co[ck] = &r
-	c.coOrder = append(c.coOrder, ck)
-	c.armCoalesceTimer()
-	return true
-}
-
-// armCoalesceTimer schedules the window flush for the oldest buffered op.
-func (c *Client) armCoalesceTimer() {
-	if c.coTimer {
-		return
-	}
-	c.coTimer = true
-	c.net.Schedule(c.cfg.CoalesceWindow, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.coTimer = false
-		if c.shutdown {
-			return
-		}
-		c.flushCoalesced()
-	})
-}
-
-// FlushCoalesced sends every buffered batch, ordered by each batch's
-// oldest (head) op.
-func (c *Client) FlushCoalesced() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushCoalesced()
-}
-
-// flushCoalesced is FlushCoalesced with c.mu held.
-func (c *Client) flushCoalesced() {
-	for len(c.coOrder) > 0 {
-		c.flushCoalescedKey(c.coOrder[0])
-	}
-}
-
-// flushCoalescedKey sends one key's batch and retires its coOrder slot, so
-// a later re-buffering of the key re-enters issue order at the tail rather
-// than inheriting the flushed slot. WAL entries for the batch are written
-// here — at send time, one per absorbed op — because the ts position
-// markers the store's recovery relies on assume WAL order mirrors the
-// order ops reach the wire (the cached-object flush path does the same).
-func (c *Client) flushCoalescedKey(ck coKey) {
-	for i, o := range c.coOrder {
-		if o == ck {
-			c.coOrder = append(c.coOrder[:i], c.coOrder[i+1:]...)
-			break
-		}
-	}
-	head, ok := c.co[ck]
-	if !ok {
-		return
-	}
-	delete(c.co, ck)
-	c.logWal(*head)
-	for _, b := range head.Batch {
-		r := *head
-		r.Clock, r.Arg, r.Batch = b.Clock, IntVal(b.Delta), nil
-		c.logWal(r)
-	}
-	if len(head.Batch) > 0 {
-		c.BatchedSends++
-	}
-	c.async(head)
-}
-
-// CoalescePending reports buffered (unsent) coalesced increments.
-func (c *Client) CoalescePending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, head := range c.co {
-		n += 1 + len(head.Batch)
-	}
-	return n
-}
-
-// applyLocal applies a cached-object mutation to the local copy.
-func (c *Client) applyLocal(e *cacheEntry, req *Request) {
-	ApplyToValue(&e.val, req)
-	e.valid = true
+	return c.callLogged(p, d, e, &req)
 }
 
 // ensureCached initializes a cache entry from the store before the first
@@ -1032,30 +937,29 @@ func (c *Client) NonDet(p transport.Proc, obj uint16, sub uint64, kind NonDetKin
 
 // --- Flush and handover ------------------------------------------------------
 
-// flushEntry sends an entry's pending ops to the store (non-blocking) and
-// clears them. Per §7.3 R2, handover "flushes only operations".
+// flushEntry moves an entry's pending ops onto the outbound list, as ops
+// (per §7.3 R2, handover "flushes only operations"), and clears them. It
+// leaves the open heads open: the keys it flushes are cached ones. The
+// caller follows with issued or flushOut.
 func (c *Client) flushEntry(k Key, e *cacheEntry) int {
 	n := len(e.pending)
 	for i := range e.pending {
-		req := e.pending[i]
-		req.Key = k
-		c.logWal(req)
-		r := req
-		c.async(&r)
+		r := e.pending[i]
+		r.Key = k
+		c.out = append(c.out, &r)
 	}
 	c.FlushedOps += uint64(n)
 	e.pending = nil
 	return n
 }
 
-// FlushAll flushes every cached object's pending ops and any buffered
-// coalesced increments.
+// FlushAll sends every cached object's pending ops behind everything
+// already on the outbound list, and returns how many of the former.
 func (c *Client) FlushAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushCoalesced()
 	n := c.flushDirty(nil)
-	c.flushBurst()
+	c.flushOut(true)
 	return n
 }
 
@@ -1065,7 +969,9 @@ func (c *Client) FlushObject(obj uint16, sub uint64) int {
 	defer c.mu.Unlock()
 	k := c.key(obj, sub)
 	if e, ok := c.cache[k]; ok {
-		return c.flushEntry(k, e)
+		n := c.flushEntry(k, e)
+		c.issued()
+		return n
 	}
 	return 0
 }
@@ -1082,6 +988,7 @@ func (c *Client) ReleaseFlow(p transport.Proc, sub uint64) {
 		k := c.key(d.ID, sub)
 		if e, ok := c.cache[k]; ok {
 			c.flushEntry(k, e)
+			c.issued()
 			e.valid = false
 		}
 		req := Request{Op: OpDisassoc, Key: k, Instance: c.cfg.Instance}
@@ -1183,23 +1090,10 @@ func (c *Client) InvalidateAll() {
 	c.dirty = nil
 }
 
-// Stats is a consistent snapshot of the client's op counters, safe to
-// take while the instance's workers are running (live mode).
-type Stats struct {
-	BlockingOps, AsyncOps, CacheHits, CacheMisses uint64
-	Retransmits, FlushedOps                       uint64
-	CoalescedOps, BatchedSends, BurstRPCs         uint64
-}
-
-// StatsSnapshot returns the current counters under the client lock.
+// StatsSnapshot returns the current counters under the client lock, so it
+// is safe while the instance's workers are running (live mode).
 func (c *Client) StatsSnapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		BlockingOps: c.BlockingOps, AsyncOps: c.AsyncOps,
-		CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
-		Retransmits: c.Retransmits, FlushedOps: c.FlushedOps,
-		CoalescedOps: c.CoalescedOps, BatchedSends: c.BatchedSends,
-		BurstRPCs: c.BurstRPCs,
-	}
+	return c.Stats
 }

@@ -75,8 +75,8 @@ func TestCoalesceWindowFlush(t *testing.T) {
 	if r.server.AsyncServed != 0 {
 		t.Fatalf("op sent before window expired")
 	}
-	if r.clients[0].CoalescePending() != 1 {
-		t.Fatalf("pending = %d, want 1", r.clients[0].CoalescePending())
+	if r.clients[0].OutPending() != 1 {
+		t.Fatalf("pending = %d, want 1", r.clients[0].OutPending())
 	}
 	// ...after window + RTT it has been applied.
 	r.sim.RunFor(defaultCoalesceWindow + 2*testLat + time.Millisecond)
@@ -89,17 +89,16 @@ func TestCoalesceWindowFlush(t *testing.T) {
 // than the cap is split into multiple batched sends.
 func TestCoalesceCapFlush(t *testing.T) {
 	r := newRig(t, 1, ModeEOCNA, counterDecl)
-	r.clients[0].cfg.CoalesceMax = 4
 	r.run(func(p *vtime.Proc) {
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 2*coalesceMax; i++ {
 			r.clients[0].Update(p, Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1}, Arg: IntVal(1), Clock: uint64(i + 1)})
 		}
 	})
-	if v, _ := r.server.Engine().Get(Key{Vertex: 1, Obj: 1}); v.Int != 8 {
-		t.Fatalf("value = %d, want 8", v.Int)
+	if v, _ := r.server.Engine().Get(Key{Vertex: 1, Obj: 1}); v.Int != 2*coalesceMax {
+		t.Fatalf("value = %d, want %d", v.Int, 2*coalesceMax)
 	}
 	if r.clients[0].BatchedSends != 2 {
-		t.Fatalf("BatchedSends = %d, want 2 (cap 4, burst 8)", r.clients[0].BatchedSends)
+		t.Fatalf("BatchedSends = %d, want 2 (a burst of twice the cap)", r.clients[0].BatchedSends)
 	}
 }
 
@@ -114,58 +113,36 @@ func TestCoalesceReflushedKeyKeepsSendOrder(t *testing.T) {
 	}
 	r := newRig(t, 1, ModeEOCNA, decls)
 	c := r.clients[0]
-	c.cfg.CoalesceMax = 2
 	kA, kB := Key{Vertex: 1, Obj: 1}, Key{Vertex: 1, Obj: 2}
+	const last = coalesceMax + 2
 	r.run(func(p *vtime.Proc) {
-		c.Update(p, Request{Op: OpIncr, Key: kA, Arg: IntVal(1), Clock: 1}) // head A
-		c.Update(p, Request{Op: OpIncr, Key: kA, Arg: IntVal(1), Clock: 2}) // absorbed
-		c.Update(p, Request{Op: OpIncr, Key: kB, Arg: IntVal(1), Clock: 3}) // head B
-		c.Update(p, Request{Op: OpIncr, Key: kA, Arg: IntVal(1), Clock: 4}) // cap: flush A{1,2}, new head A
+		for cl := uint64(1); cl <= coalesceMax; cl++ { // head A, filled to the cap
+			c.Update(p, Request{Op: OpIncr, Key: kA, Arg: IntVal(1), Clock: cl})
+		}
+		c.Update(p, Request{Op: OpIncr, Key: kB, Arg: IntVal(1), Clock: coalesceMax + 1}) // head B
+		c.Update(p, Request{Op: OpIncr, Key: kA, Arg: IntVal(1), Clock: last})            // cap: A's first head leaves, new head A
 	})
-	// WAL order must mirror send order: A's first batch (1,2), then B (3),
-	// then A's second head (4).
-	var clocks []uint64
-	for _, w := range c.WAL() {
-		clocks = append(clocks, w.Clock)
+	// WAL order must mirror send order: A's first batch, then B, then A's
+	// second head.
+	wal := c.WAL()
+	if len(wal) != last {
+		t.Fatalf("WAL holds %d entries, want %d", len(wal), last)
 	}
-	want := []uint64{1, 2, 3, 4}
-	if len(clocks) != len(want) {
-		t.Fatalf("WAL clocks = %v, want %v", clocks, want)
-	}
-	for i := range want {
-		if clocks[i] != want[i] {
-			t.Fatalf("WAL clocks = %v, want %v (send order violated)", clocks, want)
+	for i, w := range wal {
+		if w.Clock != uint64(i+1) {
+			t.Fatalf("WAL entry %d has clock %d, want %d (send order violated)", i, w.Clock, i+1)
 		}
 	}
-	// The engine's ts position marker must end at the LAST sent op (clock
-	// 4), proving B (clock 3) was not overtaken by A's re-buffered head.
-	if ts := r.server.Engine().TS()[1]; ts != 4 {
-		t.Fatalf("ts marker = %d, want 4 (application order diverged from WAL order)", ts)
+	// The engine's ts position marker must end at the LAST sent op, proving
+	// B was not overtaken by A's re-buffered head.
+	if ts := r.server.Engine().TS()[1]; ts != last {
+		t.Fatalf("ts marker = %d, want %d (application order diverged from WAL order)", ts, last)
 	}
-	if v, _ := r.server.Engine().Get(kA); v.Int != 3 {
-		t.Fatalf("A = %d, want 3", v.Int)
+	if v, _ := r.server.Engine().Get(kA); v.Int != coalesceMax+1 {
+		t.Fatalf("A = %d, want %d", v.Int, coalesceMax+1)
 	}
 	if v, _ := r.server.Engine().Get(kB); v.Int != 1 {
 		t.Fatalf("B = %d, want 1", v.Int)
-	}
-}
-
-// TestCoalesceMaxOneDisablesMerging: CoalesceMax=1 must keep every op a
-// singleton send (the cap is checked before absorbing, not after).
-func TestCoalesceMaxOneDisablesMerging(t *testing.T) {
-	r := newRig(t, 1, ModeEOCNA, counterDecl)
-	r.clients[0].cfg.CoalesceMax = 1
-	r.run(func(p *vtime.Proc) {
-		for i := 0; i < 4; i++ {
-			r.clients[0].Update(p, Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1}, Arg: IntVal(1), Clock: uint64(i + 1)})
-		}
-	})
-	if r.clients[0].CoalescedOps != 0 || r.clients[0].BatchedSends != 0 {
-		t.Fatalf("coalesced=%d batched=%d, want 0/0 at cap 1",
-			r.clients[0].CoalescedOps, r.clients[0].BatchedSends)
-	}
-	if v, _ := r.server.Engine().Get(Key{Vertex: 1, Obj: 1}); v.Int != 4 {
-		t.Fatalf("value = %d, want 4", v.Int)
 	}
 }
 

@@ -16,7 +16,8 @@
 //     Client routes each operation to its key's shard and keeps a
 //     write-ahead log whose per-shard slices (FilterForShard) drive
 //     single-shard crash recovery (RecoverEngine).
-//   - Client also implements the Table 1 caching strategies, client-side
-//     op coalescing under the +NA model, retransmission of un-ACK'd
-//     updates, and the Fig 4 ownership-handover handshakes.
+//   - Client also implements the Table 1 caching strategies, the one
+//     outbound list every async op leaves through (merging of increments
+//     under the +NA model, one message per shard per flush, retransmission
+//     of un-ACK'd updates), and the Fig 4 ownership-handover handshakes.
 package store

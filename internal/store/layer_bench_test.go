@@ -9,7 +9,7 @@ import (
 // with ops issued, not with state held (DESIGN.md §13). `make bench-smoke`
 // runs each once; for numbers:
 //
-//	go test -run '^$' -bench 'ClientFlushAll|ClientLogWal|EngineApplyNoListener' -benchmem ./internal/store
+//	go test -run '^$' -bench 'ClientFlushAll|ClientLogWal|ClientOutbound|EngineApplyNoListener' -benchmem ./internal/store
 
 // BenchmarkClientFlushAll: one periodic flush with `dirty` entries holding
 // an unflushed op among `clean` entries holding none. The cost must not
@@ -55,7 +55,37 @@ func BenchmarkClientLogWal(b *testing.B) {
 		if i%1000000 == 999999 {
 			c = newClient()
 		}
-		c.logWal(req)
+		c.logOp(&req)
+	}
+}
+
+// BenchmarkClientOutbound: the +NA outbound path per async op, driven the
+// way an instance drives it: 32 non-blocking ops (28 increments over eight
+// counters, every eighth op a Set, which seals the open heads), FlushBurst,
+// then every op acked. "des" sends each op as it is issued; "burst32"
+// holds them for the FlushBurst. Clock 0 keeps the ops out of the WAL
+// (BenchmarkClientLogWal has that cost).
+func BenchmarkClientOutbound(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		hold bool
+	}{{"des", false}, {"burst32", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa", Store: "store0",
+				Mode: ModeEOCNA, Decls: counterDecl, BurstRPC: bc.hold})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1, Sub: uint64(i % 8)}, Arg: IntVal(1)}
+				if i%8 == 7 {
+					req.Op = OpSet
+				}
+				c.Update(nil, req)
+				if i%32 == 31 {
+					c.FlushBurst()
+					clear(c.pending) // nobody acks on the stub transport
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // remaining one-way messages are below.
 
 // AsyncOp is a non-blocking operation whose issuer does not wait for the
-// reply (§4.3 model #3): the framework retransmits until ACKed.
+// reply (§4.3 model #3): the framework retransmits until ACKed. It travels
+// inside an AsyncBatchMsg.
 type AsyncOp struct {
 	Req  *Request
 	Seq  uint64
@@ -24,14 +25,12 @@ type AsyncOp struct {
 // AckMsg acknowledges an AsyncOp.
 type AckMsg struct{ Seq uint64 }
 
-// AsyncBatchMsg carries every async op one client burst generated for one
-// shard in a single wire message (the live hot path's burst-scoped RPC
-// batching; see ClientConfig.BurstRPC). The server applies the ops in
-// slice order — the client buffered them in issue order per shard, so
-// per-shard wire order (and therefore WalPos accounting and checkpoint
-// positions) is exactly what a sequence of individual AsyncOp sends would
-// produce — and acknowledges each op individually, so the client's
-// per-op retransmission machinery is unchanged.
+// AsyncBatchMsg is the one message async ops travel in: the ops a client
+// flush had for one shard (see Client.flushOut), a single op when the
+// client sends at issue. The server applies the ops in slice order — the
+// client's issue order for that shard, so WalPos accounting and checkpoint
+// positions do not depend on how ops were grouped into messages — and
+// acknowledges each op individually, so retransmission is per op.
 type AsyncBatchMsg struct {
 	Ops []AsyncOp
 }
@@ -310,8 +309,6 @@ func (s *Server) run(p transport.Proc) {
 			}
 			s.applyMu.Unlock()
 			pl.Reply(rep, 16+rep.Val.wireSize())
-		case AsyncOp:
-			s.serveAsync(p, pl)
 		case AsyncBatchMsg:
 			// Slice order is the client's per-shard issue order; applying
 			// in order keeps the WAL-order == wire-order invariant that
@@ -330,10 +327,8 @@ func (s *Server) run(p transport.Proc) {
 	}
 }
 
-// serveAsync applies one non-blocking op: per-client sequence dedup, the
-// conflict-stays-silent rule, and an individual ACK. Both the single
-// AsyncOp path and AsyncBatchMsg entries land here, so batching changes
-// message count only, never semantics.
+// serveAsync applies one non-blocking op of an AsyncBatchMsg: per-client
+// sequence dedup, the conflict-stays-silent rule, and an individual ACK.
 func (s *Server) serveAsync(p transport.Proc, pl AsyncOp) {
 	p.Sleep(s.cfg.OpService)
 	s.AsyncServed++

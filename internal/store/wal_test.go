@@ -113,7 +113,8 @@ func TestTruncateAcrossSegments(t *testing.T) {
 					}
 					req := Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1, Sub: uint64(r.Intn(64))},
 						Arg: IntVal(int64(i)), Clock: clock + 1, Instance: 3}
-					c.logWal(req)
+					logged := req // logOp stamps its argument after logging it
+					c.logOp(&logged)
 					m.wal = append(m.wal, WalOp{Clock: req.Clock, Req: req})
 				}
 			}

@@ -119,7 +119,8 @@ func decAsyncOp(d *transport.WireDec) AsyncOp {
 func init() {
 	transport.RegisterWire[*Request](16, "store.Request", encRequest, decRequest)
 	transport.RegisterWire[Reply](17, "store.Reply", encReply, decReply)
-	transport.RegisterWire[AsyncOp](18, "store.AsyncOp", encAsyncOp, decAsyncOp)
+	// Tag 18 carried a stand-alone AsyncOp; an op now always travels in an
+	// AsyncBatchMsg. Tags are append-only, so 18 stays unused.
 	transport.RegisterWire[AsyncBatchMsg](19, "store.AsyncBatchMsg",
 		func(e *transport.WireEnc, m AsyncBatchMsg) {
 			e.U32(uint32(len(m.Ops)))
