@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-stress vet lint lint-fix fmt-check fmt bench bench-smoke bench-compare live-soak net-gate perf-guard examples ci
+.PHONY: build test test-race test-stress vet lint lint-fix fmt-check fmt bench bench-smoke bench-compare price live-soak net-gate perf-guard examples ci
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,15 @@ bench-smoke:
 #   make bench-compare A=BENCH_17.a.json B=BENCH_17.b.json
 bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
+
+# price prints the per-NF price of correctness from one chcperf set: the
+# CHC workloads' medians minus fwd_t's, over three NFs, in us of CPU,
+# allocations and MiB of heap per packet, next to the paper's 0.6 us
+# (ci/price.jq). The row for the change's set goes in a perf PR's CHANGES
+# line:
+#   make price B=BENCH_25.b.json
+price:
+	jq -r -f ci/price.jq $(B)
 
 # live-soak runs the live execution mode under the race detector for a
 # sustained window: fork topology, branch crash + root replay every round,

@@ -33,8 +33,8 @@ func TestRootLateCommitHoldsNothing(t *testing.T) {
 		inst := c.Vertices[0].Instances[0]
 		for ctr := uint64(1); ctr <= n; ctr++ {
 			c.Net().Send(transport.Message{From: StoreEndpoint, To: c.Root.Endpoint, Size: 16,
-				Payload: store.CommitMsg{Clock: packet.MakeClock(c.Root.ID, ctr), Instance: inst.ID,
-					Key: store.Key{Vertex: 1, Obj: ckptObjTotal}}})
+				Payload: store.CommitMsg{Commits: []store.Commit{{Clock: packet.MakeClock(c.Root.ID, ctr), Instance: inst.ID,
+					Key: store.Key{Vertex: 1, Obj: ckptObjTotal}}}}})
 		}
 		c.RunFor(10 * time.Millisecond)
 	}
@@ -163,7 +163,7 @@ func TestReplayWalksLogInClockOrder(t *testing.T) {
 					continue
 				}
 				c.Net().Send(transport.Message{From: inst.Endpoint, To: c.Root.Endpoint, Size: 16,
-					Payload: DeleteMsg{Clock: clock}})
+					Payload: DeleteMsg{Dels: []Delete{{Clock: clock}}}})
 			}
 			c.RunFor(2 * rootRetransmitAge)
 			if c.Root.LogSize() != len(survivors) {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,18 +101,110 @@ func TestRootDeleteWaitsForEveryCommit(t *testing.T) {
 	}
 	before := prunes()
 	c.Net().Send(transport.Message{From: tail.Endpoint, To: c.Root.Endpoint, Size: 16,
-		Payload: DeleteMsg{Clock: clock, Vec: vec}})
+		Payload: DeleteMsg{Dels: []Delete{{Clock: clock, Vec: vec}}}})
 	for n, s := range signed {
 		if n > 0 && (c.Root.LogSize() != 1 || c.Root.Deleted != 0 || prunes() != before) {
 			t.Fatalf("with %d of %d signed commits delivered: log=%d deleted=%d prunes=%d, want the clock still logged and unpruned",
 				n, len(signed), c.Root.LogSize(), c.Root.Deleted, prunes()-before)
 		}
 		c.Net().Send(transport.Message{From: shard, To: c.Root.Endpoint, Size: 20,
-			Payload: store.CommitMsg{Clock: clock, Instance: s.in.ID, Key: store.Key{Vertex: s.in.vertex.ID, Obj: s.obj}}})
+			Payload: store.CommitMsg{Commits: []store.Commit{{Clock: clock, Instance: s.in.ID, Key: store.Key{Vertex: s.in.vertex.ID, Obj: s.obj}}}}})
 		c.RunFor(time.Millisecond)
 	}
 	if c.Root.LogSize() != 0 || c.Root.Deleted != 1 || prunes() != before+1 {
 		t.Fatalf("with every signed commit delivered: log=%d deleted=%d prunes=%d, want the clock deleted and pruned once",
 			c.Root.LogSize(), c.Root.Deleted, prunes()-before)
 	}
+}
+
+// TestRootPrunesPerInboundBatch: the clocks one inbound message lets the
+// root delete are pruned together, one PruneMsg per shard listing them in
+// the order their checks passed; a clock whose check still fails stays
+// logged and unpruned; a one-entry message prunes at once, one clock in a
+// message of the single-signal size. The shards are recorders here.
+func TestRootPrunesPerInboundBatch(t *testing.T) {
+	cfg := testConfig()
+	cfg.StoreShards = 2
+	cfg.ClockPersistEvery = 0 // no store calls from the root
+	c := New(cfg, threeNFSpecs(store.ModeEOCNA)...)
+	c.Start()
+	natInst := c.Vertices[0].Instances[0]
+	c.Net().SetLinkUp(c.Root.Endpoint, natInst.Endpoint, false) // log the clocks, process none
+	got := map[string][]transport.Message{}
+	for _, s := range c.Stores {
+		s.Crash()
+		c.Net().Restart(s.Name)
+		// The killed server's stale inbox waiter takes the first wake-up.
+		c.Net().Send(transport.Message{From: "framework", To: s.Name, Payload: 0})
+		name := s.Name
+		c.Net().Spawn(name+".rec", func(p transport.Proc) {
+			ep := c.Net().Endpoint(name)
+			for {
+				m := ep.Recv(p)
+				if _, ok := m.Payload.(store.PruneMsg); ok {
+					got[name] = append(got[name], m)
+				}
+			}
+		})
+	}
+	inject := func(n int) (clocks []uint64) {
+		for i := 0; i < n; i++ {
+			c.Inject(&packet.Packet{Proto: packet.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: uint16(3 + i), DstPort: 4}, c.Now())
+			c.RunFor(time.Millisecond)
+			clocks = append(clocks, packet.MakeClock(c.Root.ID, c.Root.Clock()))
+		}
+		return clocks
+	}
+	send := func(payload any, size int) {
+		c.Net().Send(transport.Message{From: natInst.Endpoint, To: c.Root.Endpoint, Payload: payload, Size: size})
+		c.RunFor(time.Millisecond)
+	}
+	commit := func(clock uint64, obj uint16) store.Commit {
+		return store.Commit{Clock: clock, Instance: natInst.ID, Key: store.Key{Vertex: natInst.vertex.ID, Obj: obj}}
+	}
+	wantPrunes := func(what string, clocks []uint64) {
+		t.Helper()
+		for _, s := range c.Stores {
+			var want []transport.Message
+			if len(clocks) > 0 {
+				want = []transport.Message{{From: c.Root.Endpoint, To: s.Name, Size: 4 + 8*len(clocks),
+					Payload: store.PruneMsg{Clocks: clocks}}}
+			}
+			if !reflect.DeepEqual(got[s.Name], want) {
+				t.Fatalf("%s: %s received %+v, want %+v", what, s.Name, got[s.Name], want)
+			}
+			got[s.Name] = nil
+		}
+	}
+
+	// Four clocks; the last one's vector also signs o2, which never commits.
+	clocks := inject(4)
+	o1 := fig6Term(natInst.xorID, 1)
+	for i, clock := range clocks {
+		vec := o1
+		if i == 3 {
+			vec ^= fig6Term(natInst.xorID, 2)
+		}
+		send(DeleteMsg{Dels: []Delete{{Clock: clock, Vec: vec}}}, 16)
+	}
+	if c.Root.LogSize() != 4 || len(got[c.Stores[0].Name]) != 0 {
+		t.Fatalf("before any commit: log=%d prunes=%d, want 4 logged and none pruned", c.Root.LogSize(), len(got[c.Stores[0].Name]))
+	}
+	send(store.CommitMsg{Commits: []store.Commit{
+		commit(clocks[3], 1), commit(clocks[0], 1), commit(clocks[1], 1), commit(clocks[2], 1)}}, 4+16*4)
+	wantPrunes("one commit message completing three checks", clocks[:3])
+	if c.Root.LogSize() != 1 || c.Root.log.Get(clocks[3]) == nil || c.Root.Deleted != 3 {
+		t.Fatalf("after the batch: log=%d deleted=%d, want clock %d alone logged", c.Root.LogSize(), c.Root.Deleted, clocks[3])
+	}
+
+	// A one-entry delete whose commit came first prunes as it always did.
+	fifth := inject(1)[0]
+	send(store.CommitMsg{Commits: []store.Commit{commit(fifth, 1)}}, 20)
+	send(DeleteMsg{Dels: []Delete{{Clock: fifth, Vec: o1}}}, 16)
+	wantPrunes("a one-entry delete", []uint64{fifth})
+
+	// Empty batches are no-ops.
+	send(DeleteMsg{}, 4)
+	send(store.CommitMsg{}, 4)
+	wantPrunes("empty batches", nil)
 }

@@ -22,12 +22,20 @@ type PacketMsg struct {
 	SentAt transport.Time
 }
 
-// DeleteMsg is the last-NF -> root delete request (§5): packet Clock
-// finished chain processing; Vec is the final XOR bit vector (Fig 6 step 3).
-type DeleteMsg struct {
+// Delete is one delete request (§5): packet Clock finished chain
+// processing; Vec is its final XOR bit vector (Fig 6 step 3).
+type Delete struct {
 	Clock uint64
 	Vec   uint32
-	// Reply, when non-nil, is resolved on receipt (synchronous delete mode).
+}
+
+// DeleteMsg is the last-NF -> root delete message: the deletes of one
+// instance burst (flushBurst), or a single one. Its modeled Size is a 4-byte
+// count plus 12 bytes per delete, 16 for one as before.
+type DeleteMsg struct {
+	Dels []Delete
+	// Reply, when non-nil, is resolved once the root has handled every
+	// delete (synchronous delete mode).
 	Reply transport.Signal
 }
 
@@ -130,9 +138,12 @@ type Instance struct {
 	// order (deletes, forwards, sink) preserves the §5.4 delete-before-
 	// output ordering per packet.
 	bactive bool
-	delBuf  []transport.Message
+	delBuf  []Delete
 	fwdBuf  []fwdRun
 	sinkBuf []transport.Message
+	// delSlab cuts the slices DeleteMsgs carry. Its callers run on the
+	// instance's worker processes: one live, coroutines on the DES.
+	delSlab transport.Slab[Delete]
 
 	dead bool
 	// draining marks an instance being scaled in: the splitter stops
@@ -348,8 +359,8 @@ func (i *Instance) run(p transport.Proc) {
 		}
 		// Burst mode (live only): drain queued packets up to the burst
 		// size, buffering their outputs, then flush everything — one
-		// SendBurst of deletes, one RouteBurst per successor, one
-		// SendBurst to the sink, one store-RPC batch per shard.
+		// DeleteMsg, one RouteBurst per successor, one SendBurst to the
+		// sink, one store-RPC batch per shard.
 		i.bactive = true
 		i.handlePacket(p, ctx, pm)
 		n := 1
@@ -401,11 +412,9 @@ func (i *Instance) bufForward(v *Vertex, pkt *packet.Packet) {
 // Packet references are zeroed as the buffers truncate so the arena can
 // recycle the buffers once their new owners release them.
 func (i *Instance) flushBurst(p transport.Proc) {
-	if len(i.delBuf) > 0 {
-		transport.SendBurst(i.chain.tr, i.delBuf)
-		for idx := range i.delBuf {
-			i.delBuf[idx] = transport.Message{}
-		}
+	if n := len(i.delBuf); n > 0 {
+		i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint,
+			Payload: DeleteMsg{Dels: i.delSlab.Cut(i.delBuf...)}, Size: 4 + 12*n})
 		i.delBuf = i.delBuf[:0]
 	}
 	for idx := range i.fwdBuf {
@@ -671,21 +680,21 @@ func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
 }
 
 func (i *Instance) sendDelete(p transport.Proc, clock uint64, vec uint32) {
-	del := DeleteMsg{Clock: clock, Vec: vec}
-	if i.chain.cfg.SyncDelete {
+	d := Delete{Clock: clock, Vec: vec}
+	wait := i.chain.cfg.SyncDelete
+	if i.bactive && !wait {
+		i.delBuf = append(i.delBuf, d)
+		return
+	}
+	del := DeleteMsg{Dels: i.delSlab.Cut(d)}
+	if wait {
+		del.Reply = i.chain.tr.NewSignal()
+	}
+	i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint, Payload: del, Size: 16})
+	if wait {
 		// Ensure delivery before forwarding: +~1 RTT median (§7.2).
-		fut := i.chain.tr.NewSignal()
-		del.Reply = fut
-		i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint, Payload: del, Size: 16})
-		fut.WaitTimeout(p, 5*time.Millisecond)
-		return
+		del.Reply.WaitTimeout(p, 5*time.Millisecond)
 	}
-	msg := transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint, Payload: del, Size: 16}
-	if i.bactive {
-		i.delBuf = append(i.delBuf, msg)
-		return
-	}
-	i.chain.tr.Send(msg)
 }
 
 // StartReplayTarget puts the instance into replay mode: replayed packets

@@ -90,7 +90,7 @@ func TestLiveFailoverReplay(t *testing.T) {
 
 func liveFailoverReplay(t *testing.T, rounds int) {
 	ch := liveNATChain(t, 2)
-	ch.Root.traceCommits = map[uint64][]store.CommitMsg{}
+	ch.Root.traceCommits = map[uint64][]store.Commit{}
 	tr := liveTrace(11, 80)
 
 	// Crash one instance roughly mid-trace, from a concurrent goroutine —
@@ -156,11 +156,12 @@ func runInDrainedLaps(c *Chain, tr *trace.Trace) bool {
 // threeNFInvariants starts the nat→ids→lb chain under cfg, runs flows flows
 // through it in drained laps and checks what every fault-free run must end
 // with: each injected clock deleted, the root log empty, every packet at the
-// sink once. A run that does not drain prints its stuck clocks.
-func threeNFInvariants(t *testing.T, cfg ChainConfig, mode store.Mode, flows int) {
+// sink once. A run that does not drain prints its stuck clocks. It returns
+// how many messages the root received per packet.
+func threeNFInvariants(t *testing.T, cfg ChainConfig, mode store.Mode, flows int) (rootMsgsPerPkt float64) {
 	t.Helper()
 	ch := New(cfg, threeNFSpecs(mode)...)
-	ch.Root.traceCommits = map[uint64][]store.CommitMsg{}
+	ch.Root.traceCommits = map[uint64][]store.Commit{}
 	ch.Start()
 	ch.Vertices[0].Seed(func(apply func(store.Request)) { nfnat.New().SeedPorts(apply) })
 	ch.Vertices[2].Seed(func(apply func(store.Request)) { lb.New(8).SeedServers(apply) })
@@ -178,6 +179,26 @@ func threeNFInvariants(t *testing.T, cfg ChainConfig, mode store.Mode, flows int
 	if ch.Sink.Duplicates != 0 || int(ch.Sink.Received) != tr.Len() {
 		t.Fatalf("sink received %d of %d packets, %d of them twice", ch.Sink.Received, tr.Len(), ch.Sink.Duplicates)
 	}
+	return float64(rootInbound(ch)) / float64(tr.Len())
+}
+
+// rootInbound sums the messages sent to the root over every link into it.
+func rootInbound(ch *Chain) uint64 {
+	from := []string{"driver", "framework", "stats-query", SinkEndpoint}
+	for _, s := range ch.Stores {
+		from = append(from, s.Name)
+	}
+	for _, v := range ch.Vertices {
+		for _, in := range v.Instances {
+			from = append(from, in.Endpoint)
+		}
+	}
+	var n uint64
+	for _, ep := range from {
+		sent, _, _ := ch.Net().LinkStats(ep, ch.Root.Endpoint)
+		n += sent
+	}
+	return n
 }
 
 // TestLiveTwoShardDrains: the benchmark's state_na chain on two store
@@ -201,6 +222,15 @@ func TestLiveTwoShardDrains(t *testing.T) {
 // once across sockets. -short (the race detector slows live tenfold and
 // more) runs the diagonal on a quarter of the traffic, and leaves the
 // sockets to the net failover tests.
+//
+// The EO+C+NA burst-32 rows also bound the root's inbound messages per
+// packet, so a change cannot quietly undo the per-batch control signals:
+// one packet, about 0.04 delete and 0.1 commit messages on one shard (the
+// parent of that change: one packet, one delete and 3.5 commits). With
+// more shards a capped merged increment often leaves alone in its shard's
+// message, and a lone op's clocks are answered one commit each, as on the
+// DES: about 2.9 there (parent 5.5). EO and EO+C commit blocking calls one
+// op at a time, so no batch exists to answer at once.
 func TestLiveInvariantTable(t *testing.T) {
 	flows := 600 // about 11 k packets
 	if testing.Short() {
@@ -221,7 +251,14 @@ func TestLiveInvariantTable(t *testing.T) {
 					cfg.Seed = int64(11 + si)
 					cfg.StoreShards = shards
 					cfg.BurstSize = burst
-					threeNFInvariants(t, cfg, m.mode, flows)
+					perPkt := threeNFInvariants(t, cfg, m.mode, flows)
+					bound := 2.0
+					if shards > 1 {
+						bound = 4
+					}
+					if m.mode == store.ModeEOCNA && burst > 1 && perPkt > bound {
+						t.Fatalf("the root received %.2f messages per packet, want at most %.0f", perPkt, bound)
+					}
 				})
 			}
 		}

@@ -86,7 +86,7 @@ type Root struct {
 	Endpoint string
 
 	ctr          uint64
-	traceCommits map[uint64][]store.CommitMsg // debug only
+	traceCommits map[uint64][]store.Commit // debug only
 	// log holds the in-flight packets by clock. The root stamps clocks in
 	// ascending order, so walking it in clock order (replay, the sweep) is
 	// walking it in insertion order.
@@ -100,6 +100,11 @@ type Root struct {
 	// per traffic class.
 	fwdBuf []*packet.Packet
 	runBuf [][]*packet.Packet
+	// prunes collects the clocks deleted while one inbound message is
+	// handled (root process only); sendPrunes hands them to the shards in a
+	// slice cut from pruneSlab.
+	prunes    []uint64
+	pruneSlab transport.Slab[uint64]
 
 	// Stats.
 	Injected uint64
@@ -183,13 +188,25 @@ func (r *Root) run(p transport.Proc) {
 	}
 }
 
-// dispatch handles one non-packet root message.
+// dispatch handles one non-packet root message. The clocks a delete or
+// commit message lets the root delete are pruned at the shards once the
+// whole message is handled, in one PruneMsg per shard; a one-entry message
+// (every one on the DES) prunes at once, as a single signal always did.
 func (r *Root) dispatch(p transport.Proc, msg transport.Message) {
 	switch m := msg.Payload.(type) {
 	case DeleteMsg:
-		r.handleDelete(m)
+		for _, d := range m.Dels {
+			r.handleDelete(d)
+		}
+		r.sendPrunes()
+		if m.Reply != nil && !m.Reply.Resolved() {
+			m.Reply.Resolve(struct{}{})
+		}
 	case store.CommitMsg:
-		r.handleCommit(m)
+		for _, c := range m.Commits {
+			r.handleCommit(c)
+		}
+		r.sendPrunes()
 	case ReplayCmd:
 		r.replay(p, m.CloneID)
 	case SweepCmd:
@@ -343,20 +360,14 @@ func (r *Root) forward(p transport.Proc, pkt *packet.Packet, now transport.Time)
 
 // handleDelete runs Fig 6 step 4: match the final vector against the
 // accumulated store commit signals before deleting the log entry.
-func (r *Root) handleDelete(m DeleteMsg) {
-	ent := r.log.Get(m.Clock)
+func (r *Root) handleDelete(d Delete) {
+	ent := r.log.Get(d.Clock)
 	if ent == nil {
-		if m.Reply != nil && !m.Reply.Resolved() {
-			m.Reply.Resolve(struct{}{})
-		}
 		return
 	}
 	ent.gotDelete = true
-	ent.finalVec = m.Vec
-	r.tryDelete(m.Clock, ent)
-	if m.Reply != nil && !m.Reply.Resolved() {
-		m.Reply.Resolve(struct{}{})
-	}
+	ent.finalVec = d.Vec
+	r.tryDelete(d.Clock, ent)
 }
 
 // handleCommit accumulates Fig 6 step-2 signals from the store. Commits
@@ -373,7 +384,7 @@ func (r *Root) handleDelete(m DeleteMsg) {
 // root starts from an empty log without recycling clocks (RecoverRoot), so
 // such a commit is late — its clock's delete check already passed, or the
 // old root logged it — and no delete check will ever read it.
-func (r *Root) handleCommit(m store.CommitMsg) {
+func (r *Root) handleCommit(m store.Commit) {
 	if r.traceCommits != nil {
 		r.traceCommits[m.Clock] = append(r.traceCommits[m.Clock], m)
 	}
@@ -412,12 +423,22 @@ func (r *Root) tryDelete(clock uint64, ent *rootLogEntry) {
 	if int(class) < len(r.DeletedByClass) {
 		r.DeletedByClass[class]++
 	}
-	// Prune the duplicate-suppression logs for this packet. Every shard may
-	// hold entries for the clock (the packet's updates can span shards), so
-	// the delete broadcasts.
+	r.prunes = append(r.prunes, clock)
+}
+
+// sendPrunes prunes the duplicate-suppression logs for the clocks deleted
+// since the last call. Every shard may hold entries for a clock (a packet's
+// updates can span shards), so each shard gets the whole list; the shards
+// only read it, so they share one slice.
+func (r *Root) sendPrunes() {
+	if len(r.prunes) == 0 {
+		return
+	}
+	clocks := r.pruneSlab.Cut(r.prunes...)
+	r.prunes = r.prunes[:0]
 	for _, s := range r.chain.Stores {
 		r.chain.tr.Send(transport.Message{From: r.Endpoint, To: s.Name,
-			Payload: store.PruneMsg{Clock: clock}, Size: 12})
+			Payload: store.PruneMsg{Clocks: clocks}, Size: 4 + 8*len(clocks)})
 	}
 }
 

@@ -66,14 +66,8 @@ func init() {
 				SentAt:     transport.Time(d.I64()),
 			}
 		})
-	transport.RegisterWire[DeleteMsg](49, "runtime.DeleteMsg",
-		func(e *transport.WireEnc, m DeleteMsg) {
-			e.U64(m.Clock)
-			e.U32(m.Vec)
-		},
-		func(d *transport.WireDec) DeleteMsg {
-			return DeleteMsg{Clock: d.U64(), Vec: d.U32()}
-		})
+	// Tag 49 carried a single delete; DeleteMsg carries a slice under 56.
+	// Tags are append-only, so 49 stays unused.
 	transport.RegisterWire[FlowTableQuery](50, "runtime.FlowTableQuery",
 		func(e *transport.WireEnc, m FlowTableQuery) {},
 		func(d *transport.WireDec) FlowTableQuery { return FlowTableQuery{} })
@@ -116,5 +110,23 @@ func init() {
 				InjectedByClass: d.U64s(),
 				DeletedByClass:  d.U64s(),
 			}
+		})
+	transport.RegisterWire[DeleteMsg](56, "runtime.DeleteMsg",
+		func(e *transport.WireEnc, m DeleteMsg) {
+			e.U32(uint32(len(m.Dels)))
+			for _, del := range m.Dels {
+				e.U64(del.Clock)
+				e.U32(del.Vec)
+			}
+		},
+		func(d *transport.WireDec) DeleteMsg {
+			var m DeleteMsg
+			if n := d.Len(12); n > 0 {
+				m.Dels = make([]Delete, n)
+				for i := range m.Dels {
+					m.Dels[i] = Delete{Clock: d.U64(), Vec: d.U32()}
+				}
+			}
+			return m
 		})
 }

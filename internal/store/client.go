@@ -619,7 +619,9 @@ func (c *Client) HandleMessage(payload any) bool {
 	defer c.mu.Unlock()
 	switch m := payload.(type) {
 	case AckMsg:
-		delete(c.pending, m.Seq)
+		for _, seq := range m.Seqs {
+			delete(c.pending, seq)
+		}
 		return true
 	case CallbackMsg:
 		// Read-heavy cache refresh pushed by the store.

@@ -297,13 +297,13 @@ func TestCommitSignalsToRoot(t *testing.T) {
 	cfg.RootEndpoint = "root"
 	srv := NewServer(net, "store0", cfg)
 	srv.Start()
-	var commits []CommitMsg
+	var commits []Commit
 	rootEp := net.Endpoint("root")
 	sim.Spawn("root", func(p *vtime.Proc) {
 		for {
 			msg := rootEp.Recv(p)
 			if cm, ok := msg.Payload.(CommitMsg); ok {
-				commits = append(commits, cm)
+				commits = append(commits, cm.Commits...)
 			}
 		}
 	})

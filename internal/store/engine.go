@@ -275,6 +275,11 @@ func (e *Engine) logDup(clock uint64, k Key, result Value) {
 		d.val = result.Copy()
 		return
 	}
+	if *log == nil {
+		// A packet updates one to four keys per shard: one allocation
+		// instead of growing 1 → 2 → 4.
+		*log = make([]dupEntry, 0, 4)
+	}
 	*log = append(*log, dupEntry{k, result.Copy()})
 }
 

@@ -3,13 +3,17 @@ package store
 import (
 	"fmt"
 	"testing"
+	"time"
+
+	"chc/internal/livenet"
+	"chc/internal/transport"
 )
 
-// Layer benchmarks for the three steady-state store costs that must scale
-// with ops issued, not with state held (DESIGN.md §13). `make bench-smoke`
-// runs each once; for numbers:
+// Layer benchmarks for the steady-state store costs that must scale with
+// ops issued, not with state held, and for the server's answer to a batch
+// (DESIGN.md §13). `make bench-smoke` runs each once; for numbers:
 //
-//	go test -run '^$' -bench 'ClientFlushAll|ClientLogWal|ClientOutbound|EngineApplyNoListener' -benchmem ./internal/store
+//	go test -run '^$' -bench 'ClientFlushAll|ClientLogWal|ClientOutbound|EngineApplyNoListener|ServerAsyncBatch' -benchmem ./internal/store
 
 // BenchmarkClientFlushAll: one periodic flush with `dirty` entries holding
 // an unflushed op among `clean` entries holding none. The cost must not
@@ -85,6 +89,56 @@ func BenchmarkClientOutbound(b *testing.B) {
 					clear(c.pending) // nobody acks on the stub transport
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkServerAsyncBatch: one server on livenet applying async increments
+// (eight counters, every op its own clock) that arrive in messages of `ops`
+// ops, the way a burst-32 instance's client sends them, and "ops=1", the
+// way the DES does. The benchmark's process drains the acks at the client
+// endpoint and the commits at the root endpoint, and prunes the clocks, every
+// window of 1024 ops behind a blocking call the server answers in FIFO
+// order. Reported per op.
+func BenchmarkServerAsyncBatch(b *testing.B) {
+	for _, ops := range []int{1, 32} {
+		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
+			net := livenet.New(livenet.Config{Seed: 1})
+			defer net.Shutdown()
+			srv := NewServer(net, "store0", ServerConfig{OpService: -1, RootEndpoint: "root"})
+			srv.Declare(1, counterDecl)
+			srv.Start()
+			acks, root := net.Endpoint("nfa"), net.Endpoint("root")
+			done := make(chan struct{})
+			net.Spawn("nfa", func(p transport.Proc) {
+				defer close(done)
+				const window = 1024
+				b.ReportAllocs()
+				b.ResetTimer()
+				for seq := uint64(0); seq < uint64(b.N); {
+					lo := seq + 1
+					for n := 0; n < window && seq < uint64(b.N); n += ops {
+						batch := make([]AsyncOp, ops)
+						for i := range batch {
+							seq++
+							batch[i] = AsyncOp{Seq: seq, From: "nfa", Req: &Request{Op: OpIncr,
+								Key: Key{Vertex: 1, Obj: 1, Sub: seq % 8}, Arg: IntVal(1), Clock: seq, Instance: 1}}
+						}
+						net.Send(transport.Message{From: "nfa", To: "store0", Payload: AsyncBatchMsg{Ops: batch}})
+					}
+					net.Call(p, "nfa", "store0", &Request{Op: OpGet, Key: Key{Vertex: 1, Obj: 1}}, 16, time.Second)
+					for acks.Len() > 0 {
+						acks.Recv(p)
+					}
+					for root.Len() > 0 {
+						root.Recv(p)
+					}
+					for c := lo; c <= seq; c++ {
+						srv.Engine().PruneClock(c)
+					}
+				}
+			})
+			<-done
 		})
 	}
 }

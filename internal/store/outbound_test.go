@@ -393,11 +393,19 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 	if len(again) != len(asyncOps) || int(c.Retransmits) != len(asyncOps) {
 		fail("%d of %d unacked ops retransmitted (Retransmits=%d)", len(again), len(asyncOps), c.Retransmits)
 	}
+	var acked []uint64
 	for seq := range asyncOps {
 		if again[seq] != 1 {
 			fail("seq %d retransmitted %d times", seq, again[seq])
 		}
-		c.HandleMessage(AckMsg{Seq: seq})
+		acked = append(acked, seq)
+	}
+	// A server acknowledges a message's ops together: the first ack lists
+	// one op, the second all the others, and an empty one changes nothing.
+	c.HandleMessage(AckMsg{})
+	if len(acked) > 0 {
+		c.HandleMessage(AckMsg{Seqs: acked[:1]})
+		c.HandleMessage(AckMsg{Seqs: acked[1:]})
 	}
 	sentMark = len(net.sent)
 	net.fire(ackTimeout)

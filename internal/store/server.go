@@ -22,15 +22,17 @@ type AsyncOp struct {
 	From string // client endpoint for the ACK
 }
 
-// AckMsg acknowledges an AsyncOp.
-type AckMsg struct{ Seq uint64 }
+// AckMsg acknowledges AsyncOps by sequence number: every op of one
+// AsyncBatchMsg the server applied (or had applied before), in one message.
+// Retransmission stays per op: an op missing from the list is re-offered.
+type AckMsg struct{ Seqs []uint64 }
 
 // AsyncBatchMsg is the one message async ops travel in: the ops a client
 // flush had for one shard (see Client.flushOut), a single op when the
 // client sends at issue. The server applies the ops in slice order — the
 // client's issue order for that shard, so WalPos accounting and checkpoint
-// positions do not depend on how ops were grouped into messages — and
-// acknowledges each op individually, so retransmission is per op.
+// positions do not depend on how ops were grouped into messages. All ops of
+// one message come from the same client (Ops[0].From).
 type AsyncBatchMsg struct {
 	Ops []AsyncOp
 }
@@ -61,17 +63,27 @@ type OwnerSeedMsg struct {
 	Instance uint16
 }
 
-// CommitMsg is the Fig 6 step-2 signal from the store to the root: the
-// update induced by packet Clock at Instance on Key has committed.
-type CommitMsg struct {
+// Commit is one Fig 6 step-2 signal: the update induced by packet Clock at
+// Instance on Key has committed.
+type Commit struct {
 	Clock    uint64
 	Instance uint16
 	Key      Key
 }
 
-// PruneMsg tells the store a packet finished chain processing: its
-// duplicate-suppression log entries can be dropped (§5.3).
-type PruneMsg struct{ Clock uint64 }
+// CommitMsg carries commit signals from the store to the root: the commits
+// one multi-op AsyncBatchMsg raised, in apply order, or a single commit.
+type CommitMsg struct{ Commits []Commit }
+
+// PruneMsg tells the store packets finished chain processing: their
+// duplicate-suppression log entries can be dropped (§5.3). The root sends
+// one per shard per inbound message, listing every clock it deleted there.
+//
+// The modeled Size of each of these signals is a 4-byte count plus 16 bytes
+// per commit or 8 per sequence number or clock, so a one-entry message is
+// as large as the single-entry messages were (commit 20, ack 12, prune 12)
+// and the DES schedule does not change.
+type PruneMsg struct{ Clocks []uint64 }
 
 // TruncateMsg tells clients a checkpoint at shard Shard covered ops up to
 // TS; WAL entries for that shard's keys at or before their instance's clock
@@ -153,6 +165,16 @@ type Server struct {
 	proc    transport.Handle
 	ckpProc transport.Handle
 	locks   *lockTable // naive-baseline lock manager (lock.go)
+
+	// While a multi-op AsyncBatchMsg is applied (holding), the Fig 6
+	// commits it raises collect in commits and its acks in acks; otherwise
+	// each commit leaves as it is raised. The slabs cut the slices the
+	// signals carry. Touched by the serving process only.
+	holding    bool
+	commits    []Commit
+	acks       []uint64
+	commitSlab transport.Slab[Commit]
+	seqSlab    transport.Slab[uint64]
 
 	// stats
 	OpsServed   uint64
@@ -310,57 +332,87 @@ func (s *Server) run(p transport.Proc) {
 			s.applyMu.Unlock()
 			pl.Reply(rep, 16+rep.Val.wireSize())
 		case AsyncBatchMsg:
-			// Slice order is the client's per-shard issue order; applying
-			// in order keeps the WAL-order == wire-order invariant that
-			// WalPos accounting and checkpoint positions rely on.
-			for _, op := range pl.Ops {
-				s.serveAsync(p, op)
-			}
+			s.serveAsync(p, pl.Ops)
 		case OwnerSeedMsg:
 			p.Sleep(s.cfg.OpService)
 			s.applyMu.Lock()
 			s.engine.Apply(&Request{Op: OpAssociate, Key: pl.Key, Instance: pl.Instance})
 			s.applyMu.Unlock()
 		case PruneMsg:
-			s.engine.PruneClock(pl.Clock)
+			for _, clock := range pl.Clocks {
+				s.engine.PruneClock(clock)
+			}
 		}
 	}
 }
 
-// serveAsync applies one non-blocking op of an AsyncBatchMsg: per-client
-// sequence dedup, the conflict-stays-silent rule, and an individual ACK.
-func (s *Server) serveAsync(p transport.Proc, pl AsyncOp) {
-	p.Sleep(s.cfg.OpService)
-	s.AsyncServed++
-	s.noteClient(pl.From)
-	seen := s.appliedSeqs[pl.From]
+// serveAsync applies the non-blocking ops of one AsyncBatchMsg in slice
+// order — the client's per-shard issue order, which keeps the WAL-order ==
+// wire-order invariant that WalPos accounting and checkpoint positions rely
+// on — with per-client sequence dedup and the conflict-stays-silent rule.
+//
+// A message of several ops holds its signals: the commits its ops raise go
+// to the root as one CommitMsg, then every op applied now or before is
+// acknowledged in one AckMsg. The message's modeled service time is charged
+// before the first op is applied, so no blocking point falls between an
+// applied op and its held signal. A single op (every message on the DES) is
+// answered signal by signal: each commit as it is raised, then its ack.
+func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
+	if len(ops) == 0 {
+		return // a malformed peer's empty batch: nothing to apply or ack
+	}
+	p.Sleep(time.Duration(len(ops)) * s.cfg.OpService)
+	s.AsyncServed += uint64(len(ops))
+	from := ops[0].From
+	s.noteClient(from)
+	seen := s.appliedSeqs[from]
 	if seen == nil {
 		seen = new(clockset.Set)
-		s.appliedSeqs[pl.From] = seen
+		s.appliedSeqs[from] = seen
 	}
-	if !seen.Has(pl.Seq) {
-		s.applyMu.Lock()
-		rep := s.engine.Apply(pl.Req)
-		if !rep.Conflict {
-			s.notePos(pl.Req.Instance, pl.Req.WalPos)
+	s.holding = len(ops) > 1
+	for _, op := range ops {
+		if !seen.Has(op.Seq) {
+			s.applyMu.Lock()
+			rep := s.engine.Apply(op.Req)
+			if !rep.Conflict {
+				s.notePos(op.Req.Instance, op.Req.WalPos)
+			}
+			s.applyMu.Unlock()
+			if rep.Conflict {
+				// Transient ownership conflict: mid-handover, the new
+				// instance can issue (or flush) ops for a flow whose
+				// per-flow key the old instance still owns — with
+				// multiple workers, packets behind the "first"-marked
+				// one process while the acquire is still waiting for
+				// the release. Absorbing-and-acking here would lose the
+				// update forever (its clock's Fig 6 vector could never
+				// balance); staying silent instead makes the client's
+				// retransmission re-offer the op once the release has
+				// landed, and appliedSeqs dedups the retries.
+				continue
+			}
+			seen.Add(op.Seq)
 		}
-		s.applyMu.Unlock()
-		if rep.Conflict {
-			// Transient ownership conflict: mid-handover, the new
-			// instance can issue (or flush) ops for a flow whose
-			// per-flow key the old instance still owns — with
-			// multiple workers, packets behind the "first"-marked
-			// one process while the acquire is still waiting for
-			// the release. Absorbing-and-acking here would lose the
-			// update forever (its clock's Fig 6 vector could never
-			// balance); staying silent instead makes the client's
-			// retransmission re-offer the op once the release has
-			// landed, and appliedSeqs dedups the retries.
-			return
+		if s.holding {
+			s.acks = append(s.acks, op.Seq)
+		} else {
+			s.net.Send(transport.Message{From: s.Name, To: from, Payload: AckMsg{Seqs: s.seqSlab.Cut(op.Seq)}, Size: 12})
 		}
-		seen.Add(pl.Seq)
 	}
-	s.net.Send(transport.Message{From: s.Name, To: pl.From, Payload: AckMsg{Seq: pl.Seq}, Size: 12})
+	if !s.holding {
+		return
+	}
+	s.holding = false
+	if n := len(s.commits); n > 0 {
+		s.net.Send(transport.Message{From: s.Name, To: s.cfg.RootEndpoint,
+			Payload: CommitMsg{Commits: s.commitSlab.Cut(s.commits...)}, Size: 4 + 16*n})
+		s.commits = s.commits[:0]
+	}
+	if n := len(s.acks); n > 0 {
+		s.net.Send(transport.Message{From: s.Name, To: from, Payload: AckMsg{Seqs: s.seqSlab.Cut(s.acks...)}, Size: 4 + 8*n})
+		s.acks = s.acks[:0]
+	}
 }
 
 func (s *Server) runCheckpointer(p transport.Proc) {
@@ -481,14 +533,20 @@ func (s *Server) registerOwnerWatch(k Key, inst uint16, ep string) {
 }
 
 // onCommit implements Fig 6 step 2: signal the root that the update induced
-// by Clock committed, carrying instance‖object for the XOR check.
+// by Clock committed, carrying instance‖object for the XOR check. While a
+// multi-op message is being applied the signal is held (serveAsync).
 func (s *Server) onCommit(clock uint64, instance uint16, key Key) {
 	if s.cfg.RootEndpoint == "" {
 		return
 	}
+	c := Commit{Clock: clock, Instance: instance, Key: key}
+	if s.holding {
+		s.commits = append(s.commits, c)
+		return
+	}
 	s.net.Send(transport.Message{
 		From: s.Name, To: s.cfg.RootEndpoint,
-		Payload: CommitMsg{Clock: clock, Instance: instance, Key: key},
+		Payload: CommitMsg{Commits: s.commitSlab.Cut(c)},
 		Size:    20,
 	})
 }

@@ -138,9 +138,9 @@ func init() {
 			}
 			return m
 		})
-	transport.RegisterWire[AckMsg](20, "store.AckMsg",
-		func(e *transport.WireEnc, m AckMsg) { e.U64(m.Seq) },
-		func(d *transport.WireDec) AckMsg { return AckMsg{Seq: d.U64()} })
+	// Tags 20, 24 and 25 carried one ack, commit and prune each; the three
+	// signals now carry a slice under 31–33. Tags are append-only, so the
+	// old ones stay unused.
 	transport.RegisterWire[CallbackMsg](21, "store.CallbackMsg",
 		func(e *transport.WireEnc, m CallbackMsg) { encKey(e, m.Key); encValue(e, m.Val) },
 		func(d *transport.WireDec) CallbackMsg { return CallbackMsg{Key: decKey(d), Val: decValue(d)} })
@@ -152,14 +152,6 @@ func init() {
 		func(d *transport.WireDec) OwnerSeedMsg {
 			return OwnerSeedMsg{Key: decKey(d), Instance: d.U16()}
 		})
-	transport.RegisterWire[CommitMsg](24, "store.CommitMsg",
-		func(e *transport.WireEnc, m CommitMsg) { e.U64(m.Clock); e.U16(m.Instance); encKey(e, m.Key) },
-		func(d *transport.WireDec) CommitMsg {
-			return CommitMsg{Clock: d.U64(), Instance: d.U16(), Key: decKey(d)}
-		})
-	transport.RegisterWire[PruneMsg](25, "store.PruneMsg",
-		func(e *transport.WireEnc, m PruneMsg) { e.U64(m.Clock) },
-		func(d *transport.WireDec) PruneMsg { return PruneMsg{Clock: d.U64()} })
 	transport.RegisterWire[TruncateMsg](26, "store.TruncateMsg",
 		func(e *transport.WireEnc, m TruncateMsg) {
 			e.MapU16U64(m.TS)
@@ -205,4 +197,29 @@ func init() {
 			m.Version = version
 			return m
 		})
+	transport.RegisterWire[AckMsg](31, "store.AckMsg",
+		func(e *transport.WireEnc, m AckMsg) { e.U64s(m.Seqs) },
+		func(d *transport.WireDec) AckMsg { return AckMsg{Seqs: d.U64s()} })
+	transport.RegisterWire[CommitMsg](32, "store.CommitMsg",
+		func(e *transport.WireEnc, m CommitMsg) {
+			e.U32(uint32(len(m.Commits)))
+			for _, c := range m.Commits {
+				e.U64(c.Clock)
+				e.U16(c.Instance)
+				encKey(e, c.Key)
+			}
+		},
+		func(d *transport.WireDec) CommitMsg {
+			var m CommitMsg
+			if n := d.Len(22); n > 0 {
+				m.Commits = make([]Commit, n)
+				for i := range m.Commits {
+					m.Commits[i] = Commit{Clock: d.U64(), Instance: d.U16(), Key: decKey(d)}
+				}
+			}
+			return m
+		})
+	transport.RegisterWire[PruneMsg](33, "store.PruneMsg",
+		func(e *transport.WireEnc, m PruneMsg) { e.U64s(m.Clocks) },
+		func(d *transport.WireDec) PruneMsg { return PruneMsg{Clocks: d.U64s()} })
 }
