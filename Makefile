@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-stress vet lint lint-fix fmt-check fmt bench bench-smoke bench-compare price live-soak net-gate perf-guard examples ci
+.PHONY: build test test-race test-stress flake-census vet lint lint-fix fmt-check fmt bench bench-smoke bench-compare price live-soak net-gate perf-guard examples ci
 
 build:
 	$(GO) build ./...
@@ -25,12 +25,20 @@ test-race:
 # its slot swap and its redirect. A handful of rounds is not enough to hit
 # a window that narrow; 50 is (about 0.5 s per round without -race). With
 # them run the two-shard drain test and the {shards x mode x burst}
-# invariant table (-short: its diagonal), whose failures are as rare per
+# invariant table (-short: its live diagonal), whose failures are as rare per
 # packet. Every other TestLive*/TestNet* joins once the
 # replay fix lands: the FIN re-execution flake (ROADMAP) would turn a
 # blanket pattern red.
 test-stress:
 	$(GO) test -race -short -count=50 -run 'TestLive.*Failover|TestNet.*Failover|TestLiveTwoShardDrains|TestLiveInvariantTable' ./internal/runtime
+
+# flake-census runs the four tests that share the known failover failure
+# signature (ROADMAP item 1) interleaved, N rounds, and writes each test's
+# runs, failures and distinct failure signatures to OUT. Run a parent's and
+# a change's census side by side and compare the two files:
+#   make flake-census N=120 OUT=flakes.b.json
+flake-census:
+	bash ci/flake_census.sh $(N) $(OUT)
 
 vet:
 	$(GO) vet ./...

@@ -555,9 +555,10 @@ type runReport struct {
 	P50us        float64                  `json:"latency_p50_us"`
 	P95us        float64                  `json:"latency_p95_us"`
 	P99us        float64                  `json:"latency_p99_us"`
-	// Burst hot-path counters (live mode; zero on the DES by
-	// construction): the CI gate asserts all three are nonzero so a
-	// config drift that silently disables batching fails the build.
+	// Burst hot-path counters: the live CI gate asserts all three are
+	// nonzero so a drift that silently disables batching fails the build.
+	// On the DES every packet is a root burst of one and the other two
+	// stay zero.
 	RootBursts      uint64 `json:"root_bursts"`
 	ArenaReuse      uint64 `json:"arena_reuse"`
 	ClientBurstRPCs uint64 `json:"client_burst_rpcs"`
@@ -603,6 +604,15 @@ func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string,
 // serves in the background for the lifetime of the run.
 func startAdmin(addr string, ctl *runtime.Controller) *http.Server {
 	mux := http.NewServeMux()
+	controllerRoutes(mux, ctl)
+	srv, bound := serveAdmin(addr, mux)
+	fmt.Printf("admin: controller API on http://%s (GET /spec, GET /status, POST /spec, POST /drain/{vertex})\n", bound)
+	return srv
+}
+
+// controllerRoutes registers the controller API on mux, for `chcd run` and
+// `chcd worker` alike.
+func controllerRoutes(mux *http.ServeMux, ctl *runtime.Controller) {
 	mux.HandleFunc("GET /spec", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ctl.CurrentSpec())
 	})
@@ -630,14 +640,18 @@ func startAdmin(addr string, ctl *runtime.Controller) *http.Server {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"drained": true, "actions": actions})
 	})
+}
+
+// serveAdmin binds addr synchronously and serves mux in the background,
+// returning the server and the bound address.
+func serveAdmin(addr string, mux *http.ServeMux) (*http.Server, net.Addr) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(fmt.Errorf("admin listen: %w", err))
 	}
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	fmt.Printf("admin: controller API on http://%s (GET /spec, GET /status, POST /spec, POST /drain/{vertex})\n", ln.Addr())
-	return srv
+	return srv, ln.Addr()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -50,8 +49,7 @@ func workerMain(args []string) {
 	fmt.Printf("worker %s: chain up (%d vertices, %d shards), netnet listening, admin on %s\n",
 		*node, len(ch.Vertices), len(ch.Stores), admin)
 
-	srv := startWorkerAdmin(admin, ch, *node)
-	_ = srv
+	startWorkerAdmin(admin, ch, *node)
 	select {} // serve until killed (the coordinator or operator owns our lifetime)
 }
 
@@ -69,41 +67,15 @@ type failoverReq struct {
 
 // startWorkerAdmin serves the controller admin API plus the worker verbs:
 // GET /health, POST /run (root-owner node only), POST /failover.
-func startWorkerAdmin(addr string, ch *runtime.Chain, node string) *http.Server {
+func startWorkerAdmin(addr string, ch *runtime.Chain, node string) {
 	ctl := ch.Controller()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /health", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"node": node, "ok": true})
 	})
-	mux.HandleFunc("GET /spec", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ctl.CurrentSpec())
-	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ctl.Status())
-	})
+	controllerRoutes(mux, ctl)
 	mux.HandleFunc("GET /netstats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ch.NetStats())
-	})
-	mux.HandleFunc("POST /spec", func(w http.ResponseWriter, r *http.Request) {
-		var spec runtime.DeploymentSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		actions, err := ctl.ApplySpec(spec)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"applied": true, "actions": actions})
-	})
-	mux.HandleFunc("POST /drain/{vertex}", func(w http.ResponseWriter, r *http.Request) {
-		actions, err := ctl.Drain(r.PathValue("vertex"))
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"drained": true, "actions": actions})
 	})
 	mux.HandleFunc("POST /failover", func(w http.ResponseWriter, r *http.Request) {
 		var req failoverReq
@@ -142,13 +114,7 @@ func startWorkerAdmin(addr string, ch *runtime.Chain, node string) *http.Server 
 		}
 		writeJSON(w, http.StatusOK, report)
 	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(fmt.Errorf("admin listen: %w", err))
-	}
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return srv
+	serveAdmin(addr, mux)
 }
 
 // workerRunReq parameterizes the trace a /run verb offers to the chain.

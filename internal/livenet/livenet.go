@@ -239,7 +239,9 @@ func (c *callMsg) Body() any { return c.payload }
 // replies are no-ops (Resolve is first-wins).
 func (c *callMsg) Reply(v any, replySize int) {
 	n := c.net
-	delay, ok, _ := n.plan(c.to, c.from, replySize)
+	n.mu.Lock()
+	_, _, delay, ok, _ := n.planLocked(c.to, c.from, replySize)
+	n.mu.Unlock()
 	if !ok {
 		return
 	}
@@ -471,23 +473,22 @@ func (n *Net) Restart(name string) {
 	n.mu.Unlock()
 }
 
-// plan applies the directed link's model to one transmission: it counts
-// the send, draws loss, and returns the delivery delay. ok is false when
-// the message is dropped (endpoint down, link cut, loss draw). dup
-// reports an injected duplicate.
-func (n *Net) plan(from, to string, size int) (delay time.Duration, ok, dup bool) {
-	n.mu.Lock()
+// planLocked applies the directed link's model to one transmission: it
+// counts the send, draws loss, duplication and delay, and returns the
+// destination, the link and the delivery delay. ok is false when the
+// message is dropped (endpoint down, link cut, network shut down, loss
+// draw); dup reports an injected duplicate. Expects n.mu held; rngMu nests
+// inside it, and no caller takes n.mu while holding rngMu.
+func (n *Net) planLocked(from, to string, size int) (dst *Endpoint, l *link, delay time.Duration, ok, dup bool) {
 	src := n.endpointLocked(from)
-	dst := n.endpointLocked(to)
-	l := n.linkLocked(from, to)
+	dst = n.endpointLocked(to)
+	l = n.linkLocked(from, to)
 	l.sent++
 	if src.down || dst.down || !l.up || n.stopped {
 		l.dropped++
-		n.mu.Unlock()
-		return 0, false, false
+		return dst, l, 0, false, false
 	}
 	cfg := l.cfg
-	var txWait time.Duration
 	if cfg.BandwidthBps > 0 && size > 0 {
 		tx := time.Duration(int64(size) * 8 * int64(time.Second) / cfg.BandwidthBps)
 		now := n.Now()
@@ -496,17 +497,13 @@ func (n *Net) plan(from, to string, size int) (delay time.Duration, ok, dup bool
 			start = l.txFree
 		}
 		l.txFree = start.Add(tx)
-		txWait = l.txFree.Sub(now)
+		delay = l.txFree.Sub(now)
 	}
-	n.mu.Unlock()
-
 	if cfg.LossProb > 0 && n.float64() < cfg.LossProb {
-		n.mu.Lock()
 		l.dropped++
-		n.mu.Unlock()
-		return 0, false, false
+		return dst, l, 0, false, false
 	}
-	delay = cfg.Latency + txWait
+	delay += cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += time.Duration(n.Intn(int64(cfg.Jitter)))
 	}
@@ -515,16 +512,14 @@ func (n *Net) plan(from, to string, size int) (delay time.Duration, ok, dup bool
 	}
 	if cfg.DupProb > 0 && n.float64() < cfg.DupProb {
 		dup = true
-		n.mu.Lock()
 		l.duplicated++
-		n.mu.Unlock()
 	}
-	return delay, true, dup
+	return dst, l, delay, true, dup
 }
 
-// deliverNow lands one message: liveness re-check, stats and the mailbox
-// push all happen under the network lock, so a concurrent Crash (which
-// drains under the same lock) can never be interleaved between the
+// deliverNow lands one delayed message: liveness re-check, stats and the
+// mailbox push all happen under the network lock, so a concurrent Crash
+// (which drains under the same lock) can never be interleaved between the
 // down-check and the push.
 func (n *Net) deliverNow(msg transport.Message) {
 	n.mu.Lock()
@@ -539,45 +534,23 @@ func (n *Net) deliverNow(msg transport.Message) {
 	n.mu.Unlock()
 }
 
-// Send transmits msg, applying the link model. It never blocks; zero-delay
-// deliveries happen inline on the sender's goroutine, delayed deliveries
-// go through the ordered dispatcher — per-link FIFO is preserved in both
-// cases.
+// Send transmits msg, applying the link model: a burst of one. It never
+// blocks.
 func (n *Net) Send(msg transport.Message) {
-	delay, ok, dup := n.plan(msg.From, msg.To, msg.Size)
-	if !ok {
-		return
-	}
-	if delay <= 0 {
-		n.deliverNow(msg)
-		if dup {
-			n.deliverNow(msg)
-		}
-		return
-	}
-	n.scheduleDelivery(delay, func() { n.deliverNow(msg) })
-	if dup {
-		n.scheduleDelivery(delay, func() { n.deliverNow(msg) })
-	}
+	n.SendBurst([]transport.Message{msg})
 }
 
 // SendBurst transmits msgs with one network-lock acquisition for the
 // whole burst and one mailbox lock/notify per same-destination run,
 // instead of one of each per message. The link model (loss, duplication,
-// jitter, bandwidth serialization) is still applied per message under the
+// jitter, bandwidth serialization) is applied per message under the
 // seeded source, so a burst is observationally a sequence of Sends: FIFO
 // holds within the burst and across consecutive bursts on a link.
-// Delayed and duplicated deliveries leave the inline path and go through
-// the ordered dispatcher, exactly as in Send.
+// Zero-delay deliveries land inline on the sender's goroutine; delayed
+// ones go through the ordered dispatcher, so per-link FIFO holds in both
+// cases.
 func (n *Net) SendBurst(msgs []transport.Message) {
-	if len(msgs) == 0 {
-		return
-	}
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
 	// Zero-delay survivors append to the destination mailbox directly; the
 	// box lock is held across a same-destination run and the wake is
 	// coalesced to one notify per run.
@@ -590,43 +563,9 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 		}
 	}
 	for _, msg := range msgs {
-		src := n.endpointLocked(msg.From)
-		dst := n.endpointLocked(msg.To)
-		l := n.linkLocked(msg.From, msg.To)
-		l.sent++
-		if src.down || dst.down || !l.up {
-			l.dropped++
+		dst, l, delay, ok, dup := n.planLocked(msg.From, msg.To, msg.Size)
+		if !ok {
 			continue
-		}
-		cfg := l.cfg
-		var txWait time.Duration
-		if cfg.BandwidthBps > 0 && msg.Size > 0 {
-			tx := time.Duration(int64(msg.Size) * 8 * int64(time.Second) / cfg.BandwidthBps)
-			now := n.Now()
-			start := now
-			if l.txFree > start {
-				start = l.txFree
-			}
-			l.txFree = start.Add(tx)
-			txWait = l.txFree.Sub(now)
-		}
-		// rngMu nests inside n.mu here; no caller takes n.mu while holding
-		// rngMu, so the ordering is acyclic.
-		if cfg.LossProb > 0 && n.float64() < cfg.LossProb {
-			l.dropped++
-			continue
-		}
-		delay := cfg.Latency + txWait
-		if cfg.Jitter > 0 {
-			delay += time.Duration(n.Intn(int64(cfg.Jitter)))
-		}
-		if cfg.ReorderProb > 0 && n.float64() < cfg.ReorderProb {
-			delay += cfg.ReorderDelay
-		}
-		dup := false
-		if cfg.DupProb > 0 && n.float64() < cfg.DupProb {
-			dup = true
-			l.duplicated++
 		}
 		if delay > 0 {
 			m := msg

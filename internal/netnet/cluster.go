@@ -34,9 +34,10 @@ type ClusterConfig struct {
 // Cluster is an in-process multi-node transport. It implements
 // transport.Transport and transport.BurstSender; sends and calls route
 // through the SOURCE endpoint's node, so traffic between endpoints placed
-// on different nodes crosses a real socket.
+// on different nodes crosses a real socket. Everything else is the
+// embedded shared core's.
 type Cluster struct {
-	inner *livenet.Net
+	*livenet.Net
 	nodes *transport.NodeMap
 	nets  map[string]*Net
 	order []string
@@ -51,7 +52,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	inner := livenet.New(livenet.Config{Seed: cfg.Seed, DefaultLink: cfg.DefaultLink})
 	nm := transport.NewNodeMap(cfg.Nodes)
-	c := &Cluster{inner: inner, nodes: nm, nets: make(map[string]*Net)}
+	c := &Cluster{Net: inner, nodes: nm, nets: make(map[string]*Net)}
 	for _, spec := range cfg.Nodes {
 		n, err := newNode(inner, spec.Name, nm, "127.0.0.1:0")
 		if err != nil {
@@ -116,7 +117,7 @@ func (c *Cluster) Crash(name string) {
 	for _, node := range c.order {
 		c.nets[node].flush()
 	}
-	c.inner.Crash(name)
+	c.Net.Crash(name)
 }
 
 // Restart brings a crashed endpoint back with an empty inbox.
@@ -124,7 +125,7 @@ func (c *Cluster) Restart(name string) {
 	for _, node := range c.order {
 		c.nets[node].flush()
 	}
-	c.inner.Restart(name)
+	c.Net.Restart(name)
 }
 
 // Shutdown tears down every hub, then the shared core.
@@ -132,57 +133,5 @@ func (c *Cluster) Shutdown() {
 	for _, node := range c.order {
 		c.nets[node].closeHub()
 	}
-	c.inner.Shutdown()
+	c.Net.Shutdown()
 }
-
-// Delegations to the shared execution core.
-
-// Endpoint returns (creating on first use) the named endpoint.
-func (c *Cluster) Endpoint(name string) transport.Endpoint { return c.inner.Endpoint(name) }
-
-// SetLink configures the directed link from -> to.
-func (c *Cluster) SetLink(from, to string, cfg transport.LinkConfig) { c.inner.SetLink(from, to, cfg) }
-
-// SetLinkBoth configures both directions with the same config.
-func (c *Cluster) SetLinkBoth(a, b string, cfg transport.LinkConfig) {
-	c.inner.SetLinkBoth(a, b, cfg)
-}
-
-// SetLinkUp raises or cuts the directed link from -> to.
-func (c *Cluster) SetLinkUp(from, to string, up bool) { c.inner.SetLinkUp(from, to, up) }
-
-// LinkStats returns delivery statistics for the directed link.
-func (c *Cluster) LinkStats(from, to string) (sent, delivered, dropped uint64) {
-	return c.inner.LinkStats(from, to)
-}
-
-// Spawn starts fn on a new process in the shared core.
-func (c *Cluster) Spawn(name string, fn func(transport.Proc)) transport.Handle {
-	return c.inner.Spawn(name, fn)
-}
-
-// Kill fail-stops a spawned process at its next blocking point.
-func (c *Cluster) Kill(h transport.Handle) { c.inner.Kill(h) }
-
-// Schedule runs fn once after real delay d.
-func (c *Cluster) Schedule(d time.Duration, fn func()) { c.inner.Schedule(d, fn) }
-
-// Now returns nanoseconds since the transport started.
-func (c *Cluster) Now() transport.Time { return c.inner.Now() }
-
-// Intn draws from the seeded shared random source.
-func (c *Cluster) Intn(v int64) int64 { return c.inner.Intn(v) }
-
-// NewSignal creates a one-shot handoff.
-func (c *Cluster) NewSignal() transport.Signal { return c.inner.NewSignal() }
-
-// RunFor sleeps d of real time.
-func (c *Cluster) RunFor(d time.Duration) { c.inner.RunFor(d) }
-
-// Drive blocks until sig resolves or timeout elapses.
-func (c *Cluster) Drive(sig transport.Signal, timeout time.Duration) bool {
-	return c.inner.Drive(sig, timeout)
-}
-
-// Live reports that this is a real-time substrate.
-func (c *Cluster) Live() bool { return true }

@@ -106,9 +106,12 @@ type NetStats struct {
 }
 
 // Net is one node of a networked transport. It implements
-// transport.Transport and transport.BurstSender.
+// transport.Transport and transport.BurstSender: the embedded livenet core
+// serves processes, timers, signals, link configuration and statistics,
+// and Net overrides what the wire changes (Send, SendBurst, Call, Crash,
+// Restart, Shutdown).
 type Net struct {
-	inner     *livenet.Net
+	*livenet.Net
 	ownsInner bool
 	node      string
 	nodes     *transport.NodeMap
@@ -161,7 +164,7 @@ func newNode(inner *livenet.Net, node string, nodes *transport.NodeMap, listenAd
 		return nil, fmt.Errorf("netnet: listen %s for node %s: %w", listenAddr, node, err)
 	}
 	n := &Net{
-		inner:   inner,
+		Net:     inner,
 		node:    node,
 		nodes:   nodes,
 		ln:      ln,
@@ -244,7 +247,7 @@ func (n *Net) serveConn(c net.Conn) {
 			if err != nil {
 				continue
 			}
-			n.inner.Send(transport.Message{From: from, To: to, Payload: payload, Size: len(enc)})
+			n.Net.Send(transport.Message{From: from, To: to, Payload: payload, Size: len(enc)})
 		case frameBurst:
 			cnt := d.Len(8)
 			msgs := make([]transport.Message, 0, cnt)
@@ -256,7 +259,7 @@ func (n *Net) serveConn(c net.Conn) {
 				}
 				msgs = append(msgs, transport.Message{From: from, To: to, Payload: payload, Size: len(enc)})
 			}
-			n.inner.SendBurst(msgs)
+			n.Net.SendBurst(msgs)
 		case frameCall:
 			id, callerNode, from, to, enc := d.U64(), d.Str(), d.Str(), d.Str(), d.Blob()
 			if d.Err() != nil {
@@ -267,7 +270,7 @@ func (n *Net) serveConn(c net.Conn) {
 				continue
 			}
 			rc := &remoteCall{n: n, node: callerNode, id: id, from: from, body: payload}
-			n.inner.Send(transport.Message{From: from, To: to, Payload: rc, Size: len(enc)})
+			n.Net.Send(transport.Message{From: from, To: to, Payload: rc, Size: len(enc)})
 		case frameReply:
 			id, enc := d.U64(), d.Blob()
 			if d.Err() != nil {
@@ -440,7 +443,7 @@ func encodeMsg(e *transport.WireEnc, msg transport.Message) error {
 func (n *Net) Send(msg transport.Message) {
 	dst := n.nodes.NodeOf(msg.To)
 	if dst == n.node || dst == "" {
-		n.inner.Send(msg)
+		n.Net.Send(msg)
 		return
 	}
 	e := &transport.WireEnc{}
@@ -462,7 +465,7 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 		}
 		run := msgs[i:j]
 		if dst == n.node || dst == "" {
-			n.inner.SendBurst(run)
+			n.Net.SendBurst(run)
 		} else {
 			e := &transport.WireEnc{}
 			e.U32(uint32(len(run)))
@@ -484,14 +487,14 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, timeout time.Duration) (any, bool) {
 	dst := n.nodes.NodeOf(to)
 	if dst == n.node || dst == "" {
-		return n.inner.Call(p, from, to, payload, size, timeout)
+		return n.Net.Call(p, from, to, payload, size, timeout)
 	}
 	enc, err := transport.EncodePayload(payload)
 	if err != nil {
 		panic(err)
 	}
 	id := n.callSeq.Add(1)
-	sig := n.inner.NewSignal()
+	sig := n.Net.NewSignal()
 	n.calls.Store(id, sig)
 	defer n.calls.Delete(id)
 	e := &transport.WireEnc{}
@@ -587,14 +590,14 @@ func (n *Net) flush() {
 // inbox drain cannot race traffic already accepted by the socket layer.
 func (n *Net) Crash(name string) {
 	n.flush()
-	n.inner.Crash(name)
+	n.Net.Crash(name)
 }
 
 // Restart brings a crashed endpoint back with an empty inbox (flushing
 // first: frames sent pre-restart land pre-restart).
 func (n *Net) Restart(name string) {
 	n.flush()
-	n.inner.Restart(name)
+	n.Net.Restart(name)
 }
 
 // closeHub tears down the TCP layer: listener, connections, readers.
@@ -630,57 +633,6 @@ func (n *Net) closeHub() {
 func (n *Net) Shutdown() {
 	n.closeHub()
 	if n.ownsInner {
-		n.inner.Shutdown()
+		n.Net.Shutdown()
 	}
 }
-
-// Delegations to the execution core.
-
-// Endpoint returns (creating on first use) the named endpoint.
-func (n *Net) Endpoint(name string) transport.Endpoint { return n.inner.Endpoint(name) }
-
-// SetLink configures the directed link from -> to (local link model).
-func (n *Net) SetLink(from, to string, cfg transport.LinkConfig) { n.inner.SetLink(from, to, cfg) }
-
-// SetLinkBoth configures both directions with the same config.
-func (n *Net) SetLinkBoth(a, b string, cfg transport.LinkConfig) { n.inner.SetLinkBoth(a, b, cfg) }
-
-// SetLinkUp raises or cuts the directed link from -> to.
-func (n *Net) SetLinkUp(from, to string, up bool) { n.inner.SetLinkUp(from, to, up) }
-
-// LinkStats returns delivery statistics for the directed link as observed
-// by this node's core (cross-node links are accounted at the receiver).
-func (n *Net) LinkStats(from, to string) (sent, delivered, dropped uint64) {
-	return n.inner.LinkStats(from, to)
-}
-
-// Spawn starts fn on a new process in the local core.
-func (n *Net) Spawn(name string, fn func(transport.Proc)) transport.Handle {
-	return n.inner.Spawn(name, fn)
-}
-
-// Kill fail-stops a spawned process at its next blocking point.
-func (n *Net) Kill(h transport.Handle) { n.inner.Kill(h) }
-
-// Schedule runs fn once after real delay d.
-func (n *Net) Schedule(d time.Duration, fn func()) { n.inner.Schedule(d, fn) }
-
-// Now returns nanoseconds since the transport started.
-func (n *Net) Now() transport.Time { return n.inner.Now() }
-
-// Intn draws from the seeded local random source.
-func (n *Net) Intn(v int64) int64 { return n.inner.Intn(v) }
-
-// NewSignal creates a one-shot handoff.
-func (n *Net) NewSignal() transport.Signal { return n.inner.NewSignal() }
-
-// RunFor sleeps d of real time.
-func (n *Net) RunFor(d time.Duration) { n.inner.RunFor(d) }
-
-// Drive blocks until sig resolves or timeout elapses.
-func (n *Net) Drive(sig transport.Signal, timeout time.Duration) bool {
-	return n.inner.Drive(sig, timeout)
-}
-
-// Live reports that this is a real-time substrate.
-func (n *Net) Live() bool { return true }

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -11,67 +10,21 @@ import (
 	"chc/internal/trace"
 )
 
-// desDigest summarizes everything a DES run observably produced: root and
-// sink accounting, per-instance work, and the harvested client counters.
-// Two runs with byte-identical event schedules digest identically.
-func desDigest(c *Chain) string {
-	c.HarvestClientStats()
-	s := fmt.Sprintf("root injected=%d deleted=%d dropped=%d log=%d\n",
-		c.Root.Injected, c.Root.Deleted, c.Root.Dropped, c.Root.LogSize())
-	s += fmt.Sprintf("sink received=%d bytes=%d dups=%d\n",
-		c.Sink.Received, c.Sink.Bytes, c.Sink.Duplicates)
-	for _, v := range c.Vertices {
-		for _, in := range c.topo.Load().slotsOf(v) {
-			s += fmt.Sprintf("inst %s processed=%d bytes=%d suppressed=%d\n",
-				in.Endpoint, in.Processed, in.BytesProcessed, in.Suppressed)
-		}
-	}
-	keys := make([]string, 0, len(c.Metrics.Counters))
-	for k := range c.Metrics.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s += fmt.Sprintf("ctr %s=%d\n", k, c.Metrics.Counters[k])
-	}
-	return s
-}
-
-// TestBurstConfigDESParity pins the central batching invariant: on the
-// DES substrate the effective burst size is ALWAYS 1 regardless of
-// ChainConfig.BurstSize, so the deterministic event schedule — the golden
-// oracle the live path is validated against — is untouched by batching
-// configuration.
-func TestBurstConfigDESParity(t *testing.T) {
-	run := func(burst int) string {
-		cfg := testConfig()
-		cfg.BurstSize = burst
-		c := New(cfg, natVertex(2, BackendCHC, store.ModeEOCNA))
-		c.Start()
-		seedNAT(c, c.Vertices[0])
-		c.RunTrace(smallTrace(40), 50*time.Millisecond)
-		return desDigest(c)
-	}
-	base := run(0)
-	for _, burst := range []int{1, 32, 256} {
-		if got := run(burst); got != base {
-			t.Fatalf("DES digest changed under BurstSize=%d:\n--- base ---\n%s--- got ---\n%s",
-				burst, base, got)
-		}
-	}
-	// Sanity: the DES genuinely routes traffic (the digests are not
-	// trivially empty) and never counts a burst flush.
-	cfg := testConfig()
-	cfg.BurstSize = 64
-	c := New(cfg, natVertex(2, BackendCHC, store.ModeEOCNA))
+// TestDESRunsBurstPath: the DES runs the root's and the instances' burst
+// path, with bursts of one, so every packet the root forwards is one ingest
+// flush; and its packet arena stays off (recycling has nothing to amortize
+// there, and the golden outputs must not depend on pool behavior).
+func TestDESRunsBurstPath(t *testing.T) {
+	c := New(testConfig(), natVertex(2, BackendCHC, store.ModeEOCNA))
 	c.Start()
 	seedNAT(c, c.Vertices[0])
 	c.RunTrace(smallTrace(40), 50*time.Millisecond)
 	if c.Root.Injected == 0 {
-		t.Fatal("parity scenario injected nothing")
+		t.Fatal("scenario injected nothing")
 	}
-	if c.Root.Bursts != 0 {
-		t.Fatalf("DES performed %d burst flushes; burst size must pin to 1", c.Root.Bursts)
+	if c.Root.Bursts != c.Root.Injected {
+		t.Fatalf("root flushed %d bursts for %d packets; the DES bursts are of one",
+			c.Root.Bursts, c.Root.Injected)
 	}
 	if c.Arena().Reuses() != 0 || c.Arena().Puts() != 0 {
 		t.Fatalf("DES arena recycled (reuses=%d puts=%d); the arena must be disabled off-live",
@@ -146,7 +99,6 @@ func TestLiveBurstSoak(t *testing.T) {
 func TestLiveFailoverUnderBurst(t *testing.T) {
 	cfg := LiveChainConfig()
 	cfg.Seed = 17
-	cfg.BurstSize = 8 // small bursts: more flush boundaries around the crash
 	ch := New(cfg, natVertex(2, BackendCHC, store.ModeEOCNA))
 	ch.Start()
 	seedNAT(ch, ch.Vertices[0])

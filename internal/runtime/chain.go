@@ -158,17 +158,6 @@ type ChainConfig struct {
 	// mark. Zero means 250ms.
 	HandoverTimeout time.Duration
 
-	// BurstSize is the packet-burst width of the live hot path: the
-	// driver's pacer accumulates up to this many trace packets before
-	// injecting them as one transport burst, and the root, splitters and
-	// instances propagate bursts downstream (one mailbox lock/notify per
-	// burst instead of per packet). Values <= 1 disable batching. On the
-	// DES substrate the effective burst size is ALWAYS 1 regardless of
-	// this field: transport.SendBurst degrades to a per-message Send loop
-	// there, so golden parity holds by construction (pinned by
-	// TestBurstConfigDESParity).
-	BurstSize int
-
 	// Topology, when non-nil, generalizes the linear chain into a policy
 	// DAG: one ordered vertex path per traffic class, with the root's
 	// classifier picking each packet's branch (see TopologySpec). Nil keeps
@@ -242,10 +231,6 @@ func LiveChainConfig() ChainConfig {
 	cfg.AckTimeout = 100 * time.Millisecond
 	cfg.CoalesceWindow = time.Millisecond
 	cfg.HandoverTimeout = 2 * time.Second
-	// Burst the hot path: 32 packets per transport round amortizes the
-	// mailbox locking, and the arena recycles packet buffers at the root's
-	// delete verdict, so the steady state allocates nothing per packet.
-	cfg.BurstSize = 32
 	return cfg
 }
 
@@ -518,15 +503,49 @@ func (c *Chain) NetStats() netnet.NetStats {
 // the DES the arena degrades to plain allocation).
 func (c *Chain) Arena() *packet.Arena { return c.arena }
 
-// burstSize returns the effective hot-path burst width: cfg.BurstSize in
-// live mode, always 1 on the DES — simnet never implements the burst
-// fast path, so DES golden parity with batching configured holds by
-// construction.
+// liveBurstSize is the packet-burst width of the real-time substrates: the
+// driver's pacer injects up to this many trace packets as one transport
+// burst, and the root and every instance take up to this many queued
+// packets per wake (drain), so a mailbox is locked and notified once per
+// burst rather than once per packet.
+const liveBurstSize = 32
+
+// burstSize is the chain's burst width: liveBurstSize on live and net, 1 on
+// the DES. The DES runs the same burst path, with bursts of one: simnet's
+// SendBurst is a Send loop, so its send sequence and times are those of
+// per-packet sends.
 func (c *Chain) burstSize() int {
-	if !c.live() || c.cfg.BurstSize <= 1 {
-		return 1
+	if c.live() {
+		return liveBurstSize
 	}
-	return c.cfg.BurstSize
+	return 1
+}
+
+// drain is one wake of a packet-processing loop (the root's and every
+// instance worker's). It receives one message; while that is a packet it
+// keeps taking the packets already queued, up to bs, handing each to
+// packet. Any other message goes to other, after a flush, so outputs and
+// side effects keep arrival order; the wake ends with a flush.
+func drain(p transport.Proc, ep transport.Endpoint, bs int,
+	packet func(PacketMsg), other func(transport.Message), flush func()) {
+	msg := ep.Recv(p)
+	pm, ok := msg.Payload.(PacketMsg)
+	if !ok {
+		other(msg)
+		return
+	}
+	packet(pm)
+	for n := 1; n < bs && ep.Len() > 0; {
+		msg = ep.Recv(p)
+		if pm, ok := msg.Payload.(PacketMsg); ok {
+			packet(pm)
+			n++
+			continue
+		}
+		flush()
+		other(msg)
+	}
+	flush()
 }
 
 // Stop fail-stops every chain process and timer and waits for them to

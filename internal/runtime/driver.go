@@ -72,10 +72,6 @@ func (c *Chain) runTraceLive(tr *trace.Trace, settle time.Duration) time.Duratio
 				flush()
 				p.Sleep(d)
 			}
-			if bs <= 1 {
-				c.Inject(ev.Pkt, p.Now())
-				continue
-			}
 			pkt := c.arena.Get()
 			*pkt = *ev.Pkt
 			now := p.Now()

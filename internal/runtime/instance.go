@@ -30,8 +30,8 @@ type Delete struct {
 }
 
 // DeleteMsg is the last-NF -> root delete message: the deletes of one
-// instance burst (flushBurst), or a single one. Its modeled Size is a 4-byte
-// count plus 12 bytes per delete, 16 for one as before.
+// instance burst (flushBurst), or a synchronous delete's single one. Its
+// modeled Size is a 4-byte count plus 12 bytes per delete, 16 for one.
 type DeleteMsg struct {
 	Dels []Delete
 	// Reply, when non-nil, is resolved once the root has handled every
@@ -130,19 +130,17 @@ type Instance struct {
 	// the sim's deterministic Int63n.
 	ExtraDelay func(intn func(int64) int64) time.Duration
 
-	// Burst output buffers (live batching). Touched only by the worker
-	// process between burst begin and flush — live mode runs exactly one
-	// worker per instance, and the DES (burst size 1) never sets bactive —
-	// so they need no locking. delBuf holds delete requests, fwdBuf the
-	// per-successor-vertex packet runs, sinkBuf the tail outputs; the flush
-	// order (deletes, forwards, sink) preserves the §5.4 delete-before-
-	// output ordering per packet.
-	bactive bool
-	delBuf  []Delete
+	// Burst output buffers, flushed by flushBurst: fwdBuf holds the
+	// per-successor-vertex packet runs (off-path taps included), delBuf the
+	// delete requests, sinkBuf the tail outputs. No blocking point lies
+	// between buffering a packet's outputs and the next flush (see run), so
+	// the buffers are empty whenever a worker blocks. That is what lets the
+	// DES's coroutine workers share them, and live runs one worker per
+	// instance; they need no locking. delSlab cuts the slices DeleteMsgs
+	// carry.
 	fwdBuf  []fwdRun
+	delBuf  []Delete
 	sinkBuf []transport.Message
-	// delSlab cuts the slices DeleteMsgs carry. Its callers run on the
-	// instance's worker processes: one live, coroutines on the DES.
 	delSlab transport.Slab[Delete]
 
 	dead bool
@@ -215,9 +213,9 @@ func (c *Chain) newClient(v *Vertex, id uint16, ep string, mode store.Mode) *sto
 		AckTimeout:     c.cfg.AckTimeout,
 		RPCTimeout:     c.cfg.RPCTimeout,
 		// The client holds its async ops for the end of the instance's
-		// packet burst (flushBurst) where there are bursts; elsewhere each
-		// op leaves as it is issued.
-		BurstRPC: c.live() && c.burstSize() > 1,
+		// packet burst (flushBurst) on live; on the DES each op leaves as it
+		// is issued, in one-entry store messages.
+		BurstRPC: c.live(),
 	})
 }
 
@@ -341,43 +339,20 @@ type fwdRun struct {
 	pkts []*packet.Packet
 }
 
-// run is one worker loop.
+// run is one worker loop: each drained burst's outputs are buffered and
+// leave together (flushBurst). Besides the end of a burst, the worker
+// flushes before each blocking point it can reach with outputs in hand: a
+// handover acquire or release, a synchronous delete's wait, and each packet
+// endReplay drains. On the DES, whose bursts are of one, a worker therefore
+// sends exactly what it sent when each output left as it was made.
 func (i *Instance) run(p transport.Proc) {
 	ep := i.chain.tr.Endpoint(i.Endpoint)
 	ctx := nf.NewCtx(p, i.state, i.chain.Metrics.alertFn(i.vertex.Spec.Name))
 	bs := i.chain.burstSize()
+	handle := func(m PacketMsg) { i.handlePacket(p, ctx, m) }
+	flush := func() { i.flushBurst(p) }
 	for {
-		msg := ep.Recv(p)
-		pm, isPkt := msg.Payload.(PacketMsg)
-		if !isPkt {
-			i.dispatch(msg)
-			continue
-		}
-		if bs <= 1 {
-			i.handlePacket(p, ctx, pm)
-			continue
-		}
-		// Burst mode (live only): drain queued packets up to the burst
-		// size, buffering their outputs, then flush everything — one
-		// DeleteMsg, one RouteBurst per successor, one SendBurst to the
-		// sink, one store-RPC batch per shard.
-		i.bactive = true
-		i.handlePacket(p, ctx, pm)
-		n := 1
-		for n < bs && ep.Len() > 0 {
-			nxt := ep.Recv(p)
-			if npm, ok := nxt.Payload.(PacketMsg); ok {
-				i.handlePacket(p, ctx, npm)
-				n++
-				continue
-			}
-			// Control message mid-drain: flush first so side effects stay
-			// in arrival order, then handle it and keep draining.
-			i.flushBurst(p)
-			i.dispatch(nxt)
-		}
-		i.flushBurst(p)
-		i.bactive = false
+		drain(p, ep, bs, handle, i.dispatch, flush)
 	}
 }
 
@@ -406,17 +381,14 @@ func (i *Instance) bufForward(v *Vertex, pkt *packet.Packet) {
 	i.fwdBuf = append(i.fwdBuf, fwdRun{v: v, pkts: []*packet.Packet{pkt}})
 }
 
-// flushBurst ships the buffered burst outputs: deletes first (§5.4
-// delete-before-output holds per packet), then the per-vertex forward
-// runs, then the sink outputs, then the store client's held async ops.
-// Packet references are zeroed as the buffers truncate so the arena can
-// recycle the buffers once their new owners release them.
+// flushBurst ships the buffered outputs: the per-vertex forward runs in
+// first-use order, then the deletes as one DeleteMsg, then the sink
+// outputs (§5.4 delete-before-output holds per packet because the sink goes
+// last), then the store client's held async ops. For a tail with an
+// off-path tap that is [tap copy, delete, sink] per packet. Packet
+// references are zeroed as the buffers truncate so the arena can recycle
+// the buffers once their new owners release them.
 func (i *Instance) flushBurst(p transport.Proc) {
-	if n := len(i.delBuf); n > 0 {
-		i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint,
-			Payload: DeleteMsg{Dels: i.delSlab.Cut(i.delBuf...)}, Size: 4 + 12*n})
-		i.delBuf = i.delBuf[:0]
-	}
 	for idx := range i.fwdBuf {
 		run := &i.fwdBuf[idx]
 		if len(run.pkts) == 0 {
@@ -427,6 +399,11 @@ func (i *Instance) flushBurst(p transport.Proc) {
 			run.pkts[j] = nil
 		}
 		run.pkts = run.pkts[:0]
+	}
+	if n := len(i.delBuf); n > 0 {
+		i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint,
+			Payload: DeleteMsg{Dels: i.delSlab.Cut(i.delBuf...)}, Size: 4 + 12*n})
+		i.delBuf = i.delBuf[:0]
 	}
 	if len(i.sinkBuf) > 0 {
 		transport.SendBurst(i.chain.tr, i.sinkBuf)
@@ -466,9 +443,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 		} else if nxt := i.vertex.nextFor(pkt); nxt != nil {
 			// The marker must stay BEHIND the replayed traffic: flush any
 			// buffered forwards before routing it.
-			if i.bactive {
-				i.flushBurst(p)
-			}
+			i.flushBurst(p)
 			nxt.Splitter.Route(i.Endpoint, pkt, p.Now())
 		}
 		return
@@ -541,6 +516,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 	// acquires per-flow state ownership (waiting for the old instance's
 	// release if needed).
 	if flags&packet.MetaFirst != 0 && i.client != nil {
+		i.flushBurst(p)
 		acqStart := p.Now()
 		timeout := i.chain.cfg.HandoverTimeout
 		if timeout <= 0 {
@@ -564,6 +540,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 	// Fig 4 handover, old-instance side: after processing the packet marked
 	// "last", flush cached state and release ownership.
 	if flags&packet.MetaLast != 0 && i.client != nil {
+		i.flushBurst(p)
 		i.client.ReleaseFlow(p, sub)
 	}
 }
@@ -630,38 +607,16 @@ func (i *Instance) process(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 	}
 }
 
-// forward routes one output packet: off-path taps get copies; the next
+// forward buffers one output packet: off-path taps get copies; the next
 // hop is the packet's class-path successor; the tail of the class's path
 // performs the delete protocol and emits to the sink.
 func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
 	v := i.vertex
-	if i.bactive {
-		for _, tap := range v.offPathTaps {
-			i.bufForward(tap, out.Clone())
-		}
-		if nxt := v.nextFor(out); nxt != nil {
-			i.bufForward(nxt, out)
-			return
-		}
-		if out.Meta.Flags&packet.MetaNoOut != 0 {
-			i.chain.arena.Put(out)
-			return
-		}
-		// Buffered delete precedes the buffered sink output; flushBurst
-		// sends delBuf first, so §5.4 ordering holds per packet.
-		i.sendDelete(p, out.Meta.Clock, out.Meta.BitVec)
-		i.sinkBuf = append(i.sinkBuf, transport.Message{
-			From: i.Endpoint, To: SinkEndpoint,
-			Payload: PacketMsg{Pkt: out, SentAt: p.Now()},
-			Size:    out.WireLen(),
-		})
-		return
-	}
 	for _, tap := range v.offPathTaps {
-		tap.Splitter.Route(i.Endpoint, out.Clone(), p.Now())
+		i.bufForward(tap, out.Clone())
 	}
 	if nxt := v.nextFor(out); nxt != nil {
-		nxt.Splitter.Route(i.Endpoint, out, p.Now())
+		i.bufForward(nxt, out)
 		return
 	}
 	// Tail of this packet's path: the receiver already has this packet if
@@ -670,31 +625,28 @@ func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
 		i.chain.arena.Put(out)
 		return
 	}
-	// Delete request before output (§5.4 ordering).
 	i.sendDelete(p, out.Meta.Clock, out.Meta.BitVec)
-	i.chain.tr.Send(transport.Message{
+	i.sinkBuf = append(i.sinkBuf, transport.Message{
 		From: i.Endpoint, To: SinkEndpoint,
 		Payload: PacketMsg{Pkt: out, SentAt: p.Now()},
 		Size:    out.WireLen(),
 	})
 }
 
+// sendDelete buffers a delete request for flushBurst. With SyncDelete it
+// flushes what is buffered instead and sends the delete alone, waiting for
+// the root to handle it before the output is made (§5.4; +~1 RTT median,
+// §7.2).
 func (i *Instance) sendDelete(p transport.Proc, clock uint64, vec uint32) {
 	d := Delete{Clock: clock, Vec: vec}
-	wait := i.chain.cfg.SyncDelete
-	if i.bactive && !wait {
+	if !i.chain.cfg.SyncDelete {
 		i.delBuf = append(i.delBuf, d)
 		return
 	}
-	del := DeleteMsg{Dels: i.delSlab.Cut(d)}
-	if wait {
-		del.Reply = i.chain.tr.NewSignal()
-	}
+	i.flushBurst(p)
+	del := DeleteMsg{Dels: i.delSlab.Cut(d), Reply: i.chain.tr.NewSignal()}
 	i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint, Payload: del, Size: 16})
-	if wait {
-		// Ensure delivery before forwarding: +~1 RTT median (§7.2).
-		del.Reply.WaitTimeout(p, 5*time.Millisecond)
-	}
+	del.Reply.WaitTimeout(p, 5*time.Millisecond)
 }
 
 // StartReplayTarget puts the instance into replay mode: replayed packets
@@ -744,6 +696,7 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 		i.seen.Add(m.Pkt.Meta.Clock)
 		i.mu.Unlock()
 		i.process(p, ctx, m.Pkt)
+		i.flushBurst(p)
 		i.mu.Lock()
 		i.Processed++
 		i.mu.Unlock()

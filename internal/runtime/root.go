@@ -51,7 +51,7 @@ type RootStatsQuery struct{}
 // RootStats is the reply to a RootStatsQuery.
 type RootStats struct {
 	Injected, Deleted, Dropped, Replayed uint64
-	// Bursts counts multi-packet ingest flushes (live batching).
+	// Bursts counts ingest flushes (see Root.Bursts).
 	Bursts                          uint64
 	LogSize                         int
 	InjectedByClass, DeletedByClass []uint64
@@ -95,8 +95,8 @@ type Root struct {
 	offPathTaps []*Vertex
 	proc        transport.Handle
 	procTime    *Series // "proc.root", resolved once
-	// fwdBuf and runBuf are the burst-ingest scratch buffers (root process
-	// only): the burst's packets to forward, and the same packets grouped
+	// fwdBuf and runBuf are the forwarding buffers (root process only):
+	// the packets the next flushBurst sends, and the same packets grouped
 	// per traffic class.
 	fwdBuf []*packet.Packet
 	runBuf [][]*packet.Packet
@@ -111,7 +111,8 @@ type Root struct {
 	Deleted  uint64
 	Dropped  uint64
 	Replayed uint64
-	// Bursts counts multi-packet ingest flushes (live batching).
+	// Bursts counts ingest flushes that forwarded at least one packet: one
+	// per drained burst, so one per packet on the DES.
 	Bursts uint64
 	// Per-class chain clocks (indexed by traffic-class index): how many
 	// packets of each class were stamped and how many finished the Fig 6
@@ -150,41 +151,25 @@ func (r *Root) LogSize() int { return r.log.Len() }
 // Clock returns the current counter (tests).
 func (r *Root) Clock() uint64 { return r.ctr }
 
+// run stamps, persists and logs each packet of a drained burst, then
+// forwards the burst as one RouteBurst per successor (flushBurst).
 func (r *Root) run(p transport.Proc) {
 	ep := r.chain.tr.Endpoint(r.Endpoint)
 	bs := r.chain.burstSize()
-	var batch []PacketMsg
+	ingest := func(m PacketMsg) {
+		if pkt := r.ingestCore(p, m); pkt != nil {
+			r.fwdBuf = append(r.fwdBuf, pkt)
+		}
+	}
+	other := func(msg transport.Message) { r.dispatch(p, msg) }
+	flush := func() {
+		if len(r.fwdBuf) > 0 {
+			r.Bursts++
+			r.flushBurst(p.Now())
+		}
+	}
 	for {
-		msg := ep.Recv(p)
-		pm, isPkt := msg.Payload.(PacketMsg)
-		if !isPkt {
-			r.dispatch(p, msg)
-			continue
-		}
-		if bs <= 1 {
-			r.ingest(p, pm)
-			continue
-		}
-		// Burst accumulation (live only; DES burst size is pinned to 1):
-		// drain whatever packets are already queued, up to the burst size,
-		// stamping and logging each, then flush their forwards as one
-		// RouteBurst. A non-packet message encountered mid-drain flushes
-		// first so side effects stay in arrival order.
-		batch = append(batch[:0], pm)
-		for len(batch) < bs && ep.Len() > 0 {
-			nxt := ep.Recv(p)
-			if npm, ok := nxt.Payload.(PacketMsg); ok {
-				batch = append(batch, npm)
-				continue
-			}
-			r.ingestBurst(p, batch)
-			batch = batch[:0]
-			r.dispatch(p, nxt)
-		}
-		if len(batch) > 0 {
-			r.ingestBurst(p, batch)
-			batch = batch[:0]
-		}
+		drain(p, ep, bs, ingest, other, flush)
 	}
 }
 
@@ -223,28 +208,10 @@ func (r *Root) dispatch(p transport.Proc, msg transport.Message) {
 	}
 }
 
-// ingest stamps, persists, logs and forwards one input packet.
-func (r *Root) ingest(p transport.Proc, m PacketMsg) {
-	if pkt := r.ingestCore(p, m); pkt != nil {
-		r.forward(p, pkt, p.Now())
-	}
-}
-
-// ingestBurst ingests a drained batch and flushes all its forwards as one
-// burst per successor vertex (the live hot path).
-func (r *Root) ingestBurst(p transport.Proc, batch []PacketMsg) {
-	fwd := r.fwdBuf[:0]
-	for _, m := range batch {
-		if pkt := r.ingestCore(p, m); pkt != nil {
-			fwd = append(fwd, pkt)
-		}
-	}
-	r.fwdBuf = fwd[:0]
-	if len(fwd) == 0 {
-		return
-	}
-	r.Bursts++
-	now := p.Now()
+// flushBurst forwards the buffered packets as one burst per successor
+// vertex, the off-path taps' copies first.
+func (r *Root) flushBurst(now transport.Time) {
+	fwd := r.fwdBuf
 	for _, tap := range r.offPathTaps {
 		// Taps process copies; the originals continue down the chain.
 		cl := make([]*packet.Packet, len(fwd))
@@ -254,7 +221,7 @@ func (r *Root) ingestBurst(p transport.Proc, batch []PacketMsg) {
 		tap.Splitter.RouteBurst(r.Endpoint, cl, now)
 	}
 	// Group per traffic class, preserving arrival order within each class;
-	// packets whose class has no successor end here (mirrors forward()).
+	// packets whose class has no successor end their path here.
 	// Every packet's fate is decided BEFORE any is routed: once RouteBurst
 	// hands a packet downstream the sink may Put it and the injector reuse
 	// it, so a forwarded packet must never be read again.
@@ -277,6 +244,8 @@ func (r *Root) ingestBurst(p transport.Proc, batch []PacketMsg) {
 		clear(run)
 		r.runBuf[ci] = run[:0]
 	}
+	clear(fwd)
+	r.fwdBuf = fwd[:0]
 }
 
 // ingestCore stamps, persists and logs one input packet, returning the
@@ -344,18 +313,11 @@ func (r *Root) ingestCore(p transport.Proc, m PacketMsg) *packet.Packet {
 	return m.Pkt
 }
 
-func (r *Root) forward(p transport.Proc, pkt *packet.Packet, now transport.Time) {
-	for _, tap := range r.offPathTaps {
-		tap.Splitter.Route(r.Endpoint, pkt.Clone(), now)
-	}
-	if int(pkt.Meta.Class) < len(r.next) {
-		if nxt := r.next[pkt.Meta.Class]; nxt != nil {
-			nxt.Splitter.Route(r.Endpoint, pkt, now)
-			return
-		}
-	}
-	// No successor for this class: the packet's path ends at the root.
-	r.chain.arena.Put(pkt)
+// forward sends one packet as a burst of its own (replay, retransmission).
+// It runs between drained bursts, when fwdBuf is empty.
+func (r *Root) forward(pkt *packet.Packet, now transport.Time) {
+	r.fwdBuf = append(r.fwdBuf, pkt)
+	r.flushBurst(now)
 }
 
 // handleDelete runs Fig 6 step 4: match the final vector against the
@@ -465,7 +427,7 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		}
 		ent.sentAt = now
 		r.Replayed++
-		r.forward(p, cp, now)
+		r.forward(cp, now)
 	})
 	// End-of-replay markers: dedicated control packets (Proto 0) that flow
 	// through the chain BEHIND the replayed packets (FIFO links); each
@@ -480,7 +442,7 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		marker.Meta.Flags = packet.MetaReplay | packet.MetaLastRp
 		marker.Meta.CloneID = cloneID
 		marker.Meta.Class = class
-		r.forward(p, marker, now)
+		r.forward(marker, now)
 	}
 	sent := false
 	if clone != nil {
@@ -519,7 +481,7 @@ func (r *Root) sweepRetransmit(p transport.Proc) {
 		}
 		ent.sentAt = now
 		r.Replayed++
-		r.forward(p, cp, now)
+		r.forward(cp, now)
 	})
 }
 

@@ -262,9 +262,9 @@ func (s *Splitter) Route(from string, pkt *packet.Packet, now transport.Time) {
 // as one burst: on the live substrate the destination mailbox is locked
 // and notified once per run of same-target packets instead of once per
 // packet. Routing decisions are made per packet, identically to Route —
-// the DES (burst size 1) and the live substrate therefore produce the
-// same per-packet placements — and the whole burst routes under one
-// topology snapshot.
+// the DES (bursts of one, so a RouteBurst is a Route) and the live
+// substrate therefore produce the same per-packet placements — and the
+// whole burst routes under one topology snapshot.
 func (s *Splitter) RouteBurst(from string, pkts []*packet.Packet, now transport.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

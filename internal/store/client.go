@@ -588,9 +588,10 @@ func (c *Client) send(shard string, ops []AsyncOp) {
 	})
 }
 
-// FlushBurst sends the sealed part of the list; the runtime calls it each
-// time an instance has worked through its BurstSize packets. Open heads
-// stay, to merge later increments until the window timer or the cap.
+// FlushBurst sends the sealed part of the list; the runtime calls it at
+// the end of each instance burst and at the instance's other flush points.
+// Open heads stay, to merge later increments until the window timer or the
+// cap.
 func (c *Client) FlushBurst() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
