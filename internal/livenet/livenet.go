@@ -52,9 +52,18 @@ type link struct {
 // push posts a (coalesced) notify; a consumer that pops while more
 // messages remain re-posts it, so coalesced notifies never strand queued
 // messages when several consumers share the box.
+//
+// The queue is q[head:]. A pop advances head, and the box resets to
+// q[:0] when it empties, so a box that runs dry between messages keeps
+// its array instead of re-slicing it down to capacity 0. An append that
+// finds the array full slides the live part down over the consumed prefix
+// instead of growing, unless the prefix is less than an eighth of the
+// live part: memory stays bounded by peak depth, and a slide costs at
+// most eight copies per message freed.
 type mailbox struct {
 	mu     sync.Mutex
 	q      []transport.Message
+	head   int
 	notify chan struct{}
 }
 
@@ -67,9 +76,20 @@ func (m *mailbox) wake() {
 	}
 }
 
+// appendLocked queues msg. Expects m.mu held.
+func (m *mailbox) appendLocked(msg transport.Message) {
+	if len(m.q) == cap(m.q) && m.head > 0 && m.head*8 >= len(m.q)-m.head {
+		n := copy(m.q, m.q[m.head:])
+		clear(m.q[n:])
+		m.q = m.q[:n]
+		m.head = 0
+	}
+	m.q = append(m.q, msg)
+}
+
 func (m *mailbox) push(msg transport.Message) {
 	m.mu.Lock()
-	m.q = append(m.q, msg)
+	m.appendLocked(msg)
 	m.mu.Unlock()
 	m.wake()
 }
@@ -77,13 +97,15 @@ func (m *mailbox) push(msg transport.Message) {
 func (m *mailbox) pop() (transport.Message, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.q) == 0 {
+	if m.head == len(m.q) {
 		return transport.Message{}, false
 	}
-	msg := m.q[0]
-	m.q[0] = transport.Message{}
-	m.q = m.q[1:]
-	if len(m.q) > 0 {
+	msg := m.q[m.head]
+	m.q[m.head] = transport.Message{}
+	m.head++
+	if m.head == len(m.q) {
+		m.q, m.head = m.q[:0], 0
+	} else {
 		m.wake()
 	}
 	return msg, true
@@ -92,12 +114,12 @@ func (m *mailbox) pop() (transport.Message, bool) {
 func (m *mailbox) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.q)
+	return len(m.q) - m.head
 }
 
 func (m *mailbox) drain() {
 	m.mu.Lock()
-	m.q = nil
+	m.q, m.head = nil, 0
 	m.mu.Unlock()
 }
 
@@ -129,12 +151,31 @@ func (e *Endpoint) Recv(p transport.Proc) transport.Message {
 	}
 }
 
-// Proc is a live process: a goroutine with a fail-stop kill channel.
+// Proc is a live process: a goroutine with a fail-stop kill channel, and
+// the call slot its blocking RPCs resolve.
+//
+// A process blocks in at most one Call at a time, so the slot, its wake
+// channel and its timer are made once and reused by every call. Each call
+// takes a new generation; a reply resolves the slot only while its
+// generation is current, so a late reply to a call that timed out, or a
+// second reply to a duplicated request, can never resolve a later call.
 type Proc struct {
 	net    *Net
 	name   string
 	killed chan struct{}
 	once   sync.Once
+
+	// timer serves every timed wait of the process (Sleep, a signal's
+	// WaitTimeout, a Call); made on first use, owned by the process's
+	// goroutine.
+	timer *time.Timer
+	// wake is posted (capacity 1) when the current call resolves.
+	wake chan struct{}
+
+	mu       sync.Mutex // guards the slot below
+	gen      uint64
+	resolved bool
+	reply    any
 }
 
 // Name returns the process name given at Spawn.
@@ -148,16 +189,79 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	p.wait(nil, d)
+}
+
+func (p *Proc) kill() { p.once.Do(func() { close(p.killed) }) }
+
+// wait blocks until ch is ready or d elapses, and unwinds if the process
+// is killed. A nil ch waits for the timer or the kill alone. Callers read
+// their outcome from their own state, so a resolution racing the timer
+// is not lost.
+func (p *Proc) wait(ch <-chan struct{}, d time.Duration) {
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
 	select {
-	case <-t.C:
+	case <-ch:
+		p.timer.Stop()
+	case <-p.timer.C:
 	case <-p.killed:
+		p.timer.Stop()
 		panic(killSentinel{p.name})
 	}
 }
 
-func (p *Proc) kill() { p.once.Do(func() { close(p.killed) }) }
+// ArmCall opens a new call on p's slot and returns its generation: a reply
+// to any earlier call is dropped from now on. Must be called from p's own
+// goroutine, before the request leaves.
+func (p *Proc) ArmCall() uint64 {
+	p.mu.Lock()
+	p.gen++
+	gen := p.gen
+	p.resolved, p.reply = false, nil
+	// A wake posted by an earlier call's reply (one that raced its
+	// deadline) must not end this call's wait.
+	select {
+	case <-p.wake:
+	default:
+	}
+	p.mu.Unlock()
+	return gen
+}
+
+// ResolveCall delivers v to the call of generation gen, if it is still
+// p's current call and has no reply yet (first reply wins). Safe from any
+// goroutine.
+func (p *Proc) ResolveCall(gen uint64, v any) {
+	p.mu.Lock()
+	if gen == p.gen && !p.resolved {
+		p.resolved, p.reply = true, v
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+	p.mu.Unlock()
+}
+
+// AwaitCall blocks p until its armed call resolves, timeout elapses (ok
+// false) or p is killed (unwind).
+func (p *Proc) AwaitCall(timeout time.Duration) (any, bool) {
+	p.wait(p.wake, timeout)
+	// Whether the wait woke on the reply or on the timer, the slot decides:
+	// a reply racing the deadline must win (matching the DES, where a
+	// resolution at the deadline instant that is ordered before the timer
+	// is delivered), since a dropped reply here would make the caller treat
+	// an APPLIED operation as failed, unbalancing its packet's XOR vector.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	v, ok := p.reply, p.resolved
+	p.reply = nil
+	return v, ok
+}
 
 // signal is a one-shot handoff with first-wins Resolve.
 type signal struct {
@@ -183,50 +287,36 @@ func (s *signal) Resolved() bool {
 	return s.resolved
 }
 
-func (s *signal) value() any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.v
-}
-
+// WaitTimeout suspends p until the signal resolves or d elapses. A
+// resolution racing the deadline wins, as in AwaitCall.
 func (s *signal) WaitTimeout(p transport.Proc, d time.Duration) (any, bool) {
-	lp, _ := p.(*Proc)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	if lp != nil {
-		select {
-		case <-s.done:
-			return s.value(), true
-		case <-t.C:
-		case <-lp.killed:
-			panic(killSentinel{lp.name})
-		}
+	if lp, ok := p.(*Proc); ok {
+		lp.wait(s.done, d)
 	} else {
+		t := time.NewTimer(d)
 		select {
 		case <-s.done:
-			return s.value(), true
 		case <-t.C:
 		}
+		t.Stop()
 	}
-	// The timer fired, but a resolution racing the deadline must win
-	// (matching the DES, where a reply at the deadline instant is
-	// delivered): a dropped reply here would make the caller treat an
-	// APPLIED operation as failed, unbalancing its packet's XOR vector.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.resolved {
-		return s.v, true
-	}
-	return nil, false
+	return s.v, s.resolved
 }
 
-// callMsg is the payload wrapper for live RPCs.
+// callMsg is the payload wrapper for live RPCs. It names the caller's
+// slot and the call's generation. It stays one allocation per call rather
+// than living in the slot: the callee, or a duplicated delivery of the
+// request, may still hold it after the caller has moved on to its next
+// call, and its Reply must then resolve nothing.
 type callMsg struct {
 	net     *Net
 	from    string
 	to      string
 	payload any
-	sig     *signal
+	caller  *Proc
+	gen     uint64
 }
 
 // From returns the calling endpoint's name.
@@ -235,32 +325,31 @@ func (c *callMsg) From() string { return c.from }
 // Body returns the request payload.
 func (c *callMsg) Body() any { return c.payload }
 
-// Reply resolves the caller after the return link's model. Duplicate
-// replies are no-ops (Resolve is first-wins).
+// Reply resolves the caller after the return link's model. Duplicate and
+// late replies are no-ops (the slot's generation and first-wins rule). A
+// zero-delay reply is counted and resolved under the one network-lock
+// section that plans it; the slot lock nests inside n.mu.
 func (c *callMsg) Reply(v any, replySize int) {
 	n := c.net
 	n.mu.Lock()
-	_, _, delay, ok, _ := n.planLocked(c.to, c.from, replySize)
+	_, l, delay, ok, _ := n.planLocked(c.to, c.from, replySize)
+	if ok && delay <= 0 {
+		l.delivered++
+		c.caller.ResolveCall(c.gen, v)
+	}
 	n.mu.Unlock()
-	if !ok {
+	if !ok || delay <= 0 {
 		return
 	}
-	fire := func() {
+	n.scheduleDelivery(delay, func() {
 		n.mu.Lock()
 		down := n.endpointLocked(c.from).down || n.stopped
 		if !down {
 			n.linkLocked(c.to, c.from).delivered++
+			c.caller.ResolveCall(c.gen, v)
 		}
 		n.mu.Unlock()
-		if !down {
-			c.sig.Resolve(v)
-		}
-	}
-	if delay <= 0 {
-		fire()
-	} else {
-		n.scheduleDelivery(delay, fire)
-	}
+	})
 }
 
 // Net is a live network: endpoints, links, timers and processes.
@@ -581,10 +670,10 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 			curBox.mu.Lock()
 		}
 		l.delivered++
-		curBox.q = append(curBox.q, msg)
+		curBox.appendLocked(msg)
 		if dup {
 			l.delivered++
-			curBox.q = append(curBox.q, msg)
+			curBox.appendLocked(msg)
 		}
 	}
 	flush()
@@ -592,12 +681,12 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 }
 
 // Call performs an RPC: the callee receives a transport.Call payload and
-// replies; the caller blocks up to timeout.
+// replies; the caller blocks on its slot up to timeout.
 func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, timeout time.Duration) (any, bool) {
-	sig := &signal{done: make(chan struct{})}
-	cm := &callMsg{net: n, from: from, to: to, payload: payload, sig: sig}
+	lp := p.(*Proc)
+	cm := &callMsg{net: n, from: from, to: to, payload: payload, caller: lp, gen: lp.ArmCall()}
 	n.Send(transport.Message{From: from, To: to, Payload: cm, Size: size})
-	return sig.WaitTimeout(p, timeout)
+	return lp.AwaitCall(timeout)
 }
 
 // NewSignal creates a one-shot handoff.
@@ -606,7 +695,7 @@ func (n *Net) NewSignal() transport.Signal { return &signal{done: make(chan stru
 // Spawn starts fn on a new goroutine. A killed process unwinds at its next
 // blocking point; the panic sentinel is recovered here.
 func (n *Net) Spawn(name string, fn func(transport.Proc)) transport.Handle {
-	p := &Proc{net: n, name: name, killed: make(chan struct{})}
+	p := &Proc{net: n, name: name, killed: make(chan struct{}), wake: make(chan struct{}, 1)}
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()

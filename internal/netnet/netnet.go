@@ -22,11 +22,13 @@
 // reader dispatching sequentially into the core's ordered delivery path —
 // so per-link FIFO holds end to end, bursts included.
 //
-// RPCs: a cross-node Call registers a pending call ID, ships the encoded
-// body, and blocks on a core signal. The callee receives an ordinary
-// transport.Call whose Reply encodes the response and routes it back to
-// the calling node, where the pending signal resolves. Reply legs ride
-// TCP reliability; the link model is applied to the request leg only.
+// RPCs: a cross-node Call arms the calling process's call slot (livenet's
+// per-process slot), registers the slot and its generation under a fresh
+// call ID, ships the encoded body, and blocks on the slot. The callee
+// receives an ordinary transport.Call whose Reply encodes the response and
+// routes it back to the calling node, where the reply frame resolves the
+// registered (slot, generation). Reply legs ride TCP reliability; the link
+// model is applied to the request leg only.
 //
 // Crash/Restart flush in-flight frames first (a ping/pong barrier over
 // every open connection), so fail-stop is atomic with respect to traffic
@@ -128,7 +130,8 @@ type Net struct {
 
 	pingSeq atomic.Uint64
 	callSeq atomic.Uint64
-	calls   sync.Map // call id -> transport.Signal
+	callsMu sync.Mutex
+	calls   map[uint64]pendingCall // call id -> the caller's slot
 
 	remoteMsgs  atomic.Uint64
 	remoteCalls atomic.Uint64
@@ -172,6 +175,7 @@ func newNode(inner *livenet.Net, node string, nodes *transport.NodeMap, listenAd
 		inbound: make(map[net.Conn]struct{}),
 		down:    make(map[string]bool),
 		pings:   make(map[uint64]chan struct{}),
+		calls:   make(map[uint64]pendingCall),
 	}
 	nodes.SetAddr(node, ln.Addr().String())
 	n.wg.Add(1)
@@ -280,8 +284,11 @@ func (n *Net) serveConn(c net.Conn) {
 			if err != nil {
 				continue
 			}
-			if sig, ok := n.calls.Load(id); ok {
-				sig.(transport.Signal).Resolve(payload)
+			n.callsMu.Lock()
+			pc, ok := n.calls[id]
+			n.callsMu.Unlock()
+			if ok {
+				pc.caller.ResolveCall(pc.gen, payload)
 			}
 		case framePing:
 			seq, fromNode := d.U64(), d.Str()
@@ -481,9 +488,16 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 	}
 }
 
+// pendingCall is a cross-node call awaiting its reply frame: the caller's
+// slot and the generation the call armed.
+type pendingCall struct {
+	caller *livenet.Proc
+	gen    uint64
+}
+
 // Call performs an RPC. Local callees use the core's call path; remote
 // callees get the encoded body with a correlation ID, and the caller
-// blocks on a signal the reply frame resolves.
+// blocks on its slot, which the reply frame resolves.
 func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, timeout time.Duration) (any, bool) {
 	dst := n.nodes.NodeOf(to)
 	if dst == n.node || dst == "" {
@@ -493,10 +507,16 @@ func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, tim
 	if err != nil {
 		panic(err)
 	}
+	lp := p.(*livenet.Proc)
 	id := n.callSeq.Add(1)
-	sig := n.Net.NewSignal()
-	n.calls.Store(id, sig)
-	defer n.calls.Delete(id)
+	n.callsMu.Lock()
+	n.calls[id] = pendingCall{caller: lp, gen: lp.ArmCall()}
+	n.callsMu.Unlock()
+	defer func() {
+		n.callsMu.Lock()
+		delete(n.calls, id)
+		n.callsMu.Unlock()
+	}()
 	e := &transport.WireEnc{}
 	e.U64(id)
 	e.Str(n.node)
@@ -507,7 +527,7 @@ func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, tim
 	if err := n.writeFrame(dst, frameCall, e.Bytes()); err != nil {
 		return nil, false
 	}
-	return sig.WaitTimeout(p, timeout)
+	return lp.AwaitCall(timeout)
 }
 
 // remoteCall is the callee-side view of a cross-node RPC.

@@ -4,6 +4,11 @@
 // runtime depends on: per-link FIFO ordering, loss/duplication injection,
 // crash fail-stop semantics, RPC round trips and timeouts, kill-unwind of
 // blocked processes, and timer delivery.
+//
+// The call cases pin what a substrate may reuse between one process's
+// calls: a reply that misses its call (late, after a timeout; a second
+// reply to a duplicated request; a reply to a killed caller) must never
+// resolve the same process's next call.
 package transporttest
 
 import (
@@ -29,6 +34,10 @@ func Run(t *testing.T, mk func() transport.Transport) {
 	t.Run("RestartCleanInbox", func(t *testing.T) { testRestart(t, mk()) })
 	t.Run("CallRoundtrip", func(t *testing.T) { testCall(t, mk()) })
 	t.Run("CallTimeout", func(t *testing.T) { testCallTimeout(t, mk()) })
+	t.Run("KillMidCall", func(t *testing.T) { testKillMidCall(t, mk()) })
+	t.Run("LateReplyAfterTimeout", func(t *testing.T) { testLateReply(t, mk()) })
+	t.Run("DupCallResolvesOnce", func(t *testing.T) { testDupCall(t, mk()) })
+	t.Run("ReplyWinsAtDeadline", func(t *testing.T) { testReplyAtDeadline(t, mk()) })
 	t.Run("KillUnblocksRecv", func(t *testing.T) { testKill(t, mk()) })
 	t.Run("ScheduleFires", func(t *testing.T) { testSchedule(t, mk()) })
 	t.Run("BurstFIFO", func(t *testing.T) { testBurstFIFO(t, mk()) })
@@ -190,17 +199,7 @@ func testCall(t *testing.T, tr transport.Transport) {
 			}
 		}
 	})
-	done := tr.NewSignal()
-	var got any
-	var ok bool
-	tr.Spawn("client", func(p transport.Proc) {
-		got, ok = tr.Call(p, "cli", "srv", 21, 8, step/2)
-		done.Resolve(nil)
-	})
-	if !tr.Drive(done, step) {
-		t.Fatal("call did not complete")
-	}
-	if !ok || got.(int) != 42 {
+	if got, ok := callOnce(t, tr, 21); !ok || got.(int) != 42 {
 		t.Fatalf("call returned %v ok=%v, want 42 true", got, ok)
 	}
 }
@@ -219,6 +218,167 @@ func testCallTimeout(t *testing.T, tr transport.Transport) {
 	}
 	if ok {
 		t.Fatal("call to crashed endpoint succeeded")
+	}
+}
+
+// holdFirstCall spawns a server on "srv" that keeps the first call it
+// receives unanswered and passes every later one to serve. held resolves
+// once the kept call is in *first.
+func holdFirstCall(tr transport.Transport, serve func(first, cm transport.Call)) (held transport.Signal, first *transport.Call) {
+	held, first = tr.NewSignal(), new(transport.Call)
+	tr.Spawn("server", func(p transport.Proc) {
+		ep := tr.Endpoint("srv")
+		for {
+			cm, ok := ep.Recv(p).Payload.(transport.Call)
+			if !ok {
+				continue
+			}
+			if *first == nil {
+				*first = cm
+				held.Resolve(nil)
+				continue
+			}
+			serve(*first, cm)
+		}
+	})
+	return held, first
+}
+
+// callOnce runs one Call on a fresh process and drives it to completion.
+func callOnce(t *testing.T, tr transport.Transport, body int) (any, bool) {
+	t.Helper()
+	done := tr.NewSignal()
+	var v any
+	var ok bool
+	tr.Spawn("client", func(p transport.Proc) {
+		v, ok = tr.Call(p, "cli", "srv", body, 8, step/2)
+		done.Resolve(nil)
+	})
+	if !tr.Drive(done, step) {
+		t.Fatal("call did not complete")
+	}
+	return v, ok
+}
+
+// testKillMidCall: a process killed while blocked in Call unwinds (its
+// defers run, the Call never returns), the reply that arrives afterwards
+// goes nowhere, and calls from other processes still work.
+func testKillMidCall(t *testing.T, tr transport.Transport) {
+	held, first := holdFirstCall(tr, func(_, cm transport.Call) { cm.Reply(cm.Body().(int)*2, 8) })
+	returned, unwound := tr.NewSignal(), tr.NewSignal()
+	h := tr.Spawn("victim", func(p transport.Proc) {
+		defer unwound.Resolve(nil)
+		tr.Call(p, "cli", "srv", 1, 8, time.Minute)
+		returned.Resolve(nil) // must never run
+	})
+	if !tr.Drive(held, step) {
+		t.Fatal("server never received the call")
+	}
+	tr.Kill(h)
+	if !tr.Drive(unwound, step) {
+		t.Fatal("caller killed mid-Call did not unwind")
+	}
+	if returned.Resolved() {
+		t.Fatal("killed caller returned from Call")
+	}
+	(*first).Reply(0, 8)
+	tr.RunFor(5 * time.Millisecond)
+	if v, ok := callOnce(t, tr, 21); !ok || v.(int) != 42 {
+		t.Fatalf("call after a kill returned %v ok=%v, want 42 true", v, ok)
+	}
+}
+
+// testLateReply: the server answers a call only after its caller timed
+// out and called again; the late reply lands first on the same link, yet
+// the second call returns its own reply.
+func testLateReply(t *testing.T, tr transport.Transport) {
+	holdFirstCall(tr, func(first, cm transport.Call) {
+		first.Reply(-1, 8)
+		cm.Reply(cm.Body().(int)*2, 8)
+	})
+	done := tr.NewSignal()
+	var v1, v2 any
+	var ok1, ok2 bool
+	tr.Spawn("client", func(p transport.Proc) {
+		v1, ok1 = tr.Call(p, "cli", "srv", 1, 8, 10*time.Millisecond)
+		v2, ok2 = tr.Call(p, "cli", "srv", 21, 8, step/2)
+		done.Resolve(nil)
+	})
+	if !tr.Drive(done, step) {
+		t.Fatal("calls did not complete")
+	}
+	if ok1 {
+		t.Fatalf("held call returned %v, want a timeout", v1)
+	}
+	if !ok2 || v2.(int) != 42 {
+		t.Fatalf("call after a timeout returned %v ok=%v, want 42 true (a late reply resolved it?)", v2, ok2)
+	}
+}
+
+// testDupCall: with every request duplicated, the callee sees each call
+// twice and answers each delivery with the next count; the caller gets
+// the first answer to each call, exactly once.
+func testDupCall(t *testing.T, tr transport.Transport) {
+	tr.SetLink("cli", "srv", transport.LinkConfig{DupProb: 1.0})
+	seenAll := tr.NewSignal()
+	seen := 0
+	tr.Spawn("server", func(p transport.Proc) {
+		ep := tr.Endpoint("srv")
+		for {
+			cm, ok := ep.Recv(p).Payload.(transport.Call)
+			if !ok {
+				continue
+			}
+			seen++
+			cm.Reply(seen, 8)
+			if seen == 4 {
+				seenAll.Resolve(nil)
+			}
+		}
+	})
+	done := tr.NewSignal()
+	var v1, v2 any
+	var ok1, ok2 bool
+	tr.Spawn("client", func(p transport.Proc) {
+		v1, ok1 = tr.Call(p, "cli", "srv", 1, 8, step/2)
+		v2, ok2 = tr.Call(p, "cli", "srv", 2, 8, step/2)
+		done.Resolve(nil)
+	})
+	if !tr.Drive(done, step) {
+		t.Fatal("calls did not complete")
+	}
+	if !tr.Drive(seenAll, step) {
+		t.Fatal("callee did not see every call twice")
+	}
+	if !ok1 || v1.(int) != 1 || !ok2 || v2.(int) != 3 {
+		t.Fatalf("calls returned (%v %v) (%v %v), want (1 true) (3 true)", v1, ok1, v2, ok2)
+	}
+}
+
+// testReplyAtDeadline: a resolution at the very instant a wait's deadline
+// falls is delivered, not reported as a timeout. Only the DES can place
+// that instant: a resolution scheduled before the wait began runs first at
+// the deadline. (A Call's own reply is always scheduled after its timer,
+// so on the DES it loses an exact tie.) The live substrates stand on the
+// re-check after the timer fires, under the lock the resolution takes.
+func testReplyAtDeadline(t *testing.T, tr transport.Transport) {
+	if tr.Live() {
+		t.Skip("a live substrate cannot place a resolution at the deadline instant")
+	}
+	const d = 10 * time.Millisecond
+	sig, done := tr.NewSignal(), tr.NewSignal()
+	tr.Schedule(d, func() { sig.Resolve(42) })
+	var v any
+	var ok bool
+	tr.Spawn("waiter", func(p transport.Proc) {
+		v, ok = sig.WaitTimeout(p, d)
+		done.Resolve(nil)
+	})
+	if !tr.Drive(done, step) {
+		t.Fatal("wait did not complete")
+	}
+	if !ok || v.(int) != 42 {
+		t.Fatalf("wait returned %v ok=%v, want 42 true", v, ok)
 	}
 }
 
