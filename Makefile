@@ -79,8 +79,8 @@ bench:
 
 # bench-smoke compiles and runs every benchmark in the module exactly once,
 # so experiment wiring (registry ids, table shapes the benchmarks parse)
-# cannot silently rot. This includes BenchmarkLive (real-goroutine mode)
-# alongside the paper figures, BenchmarkScale and BenchmarkDAG.
+# cannot silently rot: the paper figures, BenchmarkScale, BenchmarkDAG and
+# the per-package micro-benchmarks. Wall-clock rates are chcperf's (bench/).
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -107,12 +107,13 @@ price:
 	jq -r -f ci/price.jq $(B)
 
 # live-soak runs the live execution mode under the race detector for a
-# sustained window: fork topology, branch crash + root replay every round,
-# conservation / XOR / duplication invariants checked after each.
-# CHC_SOAK_SECONDS scales the window (CI uses ~30).
+# sustained window: TestLiveSoak repeats the fork failover (branch crash +
+# root replay, conservation / XOR / duplication invariants after each
+# round) and TestLiveBurstSoak offers a trace scaled to the window through
+# the burst path. CHC_SOAK_SECONDS scales both (CI uses ~30).
 live-soak:
 	CHC_SOAK_SECONDS=$${CHC_SOAK_SECONDS:-30} $(GO) test -race -count=1 \
-		-run 'TestLiveSoak' -v -timeout 15m ./internal/experiments
+		-run '^(TestLiveSoak|TestLiveBurstSoak)$$' -v -timeout 15m ./internal/runtime
 
 # net-gate is the multi-process loopback gate (DESIGN.md §12): a real
 # coordinator + two chcd worker processes on 127.0.0.1, jq-asserted clean

@@ -245,51 +245,3 @@ func BenchmarkAutoscale(b *testing.B) {
 		b.ReportMetric(metric(tb, []string{"live-ramp"}, 1, "pps"), "live-ramp-pps")
 	}
 }
-
-// BenchmarkLive runs the live execution mode (real goroutines, wall
-// clock) and reports achieved goodput — machine-dependent by design; the
-// DES benchmarks above are the deterministic trend lines.
-func BenchmarkLive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Live(benchOpts())
-		b.ReportMetric(metric(tb, []string{"goodput"}, 1, "Gbps"), "live-gbps")
-		b.ReportMetric(metric(tb, []string{"pkts/s (ingest)"}, 1, ""), "live-pps")
-	}
-}
-
-// BenchmarkLiveHotPath measures the zero-alloc burst hot path: arena
-// buffers cycling through SendBurst on the live substrate. Allocator
-// events are counted (not timed), so unlike BenchmarkLive the headline
-// number is machine-independent; the ≤2 allocs/op budget is the PR's
-// acceptance bar and is additionally perf-guarded via benchcheck.
-func BenchmarkLiveHotPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := experiments.LiveHotPath(benchOpts())
-		a := metric(tb, []string{"burst=32"}, 1, "allocs/op")
-		b.ReportMetric(a, "allocs/pkt")
-		b.ReportMetric(metric(tb, []string{"burst=32"}, 2, ""), "hot-pps")
-		if a < 0 || a > 2 {
-			b.Fatalf("live hot path costs %.2f allocs/pkt; budget is 2", a)
-		}
-	}
-}
-
-// BenchmarkNetProc runs the multi-process substrate experiment (fork
-// chain across two loopback netnet nodes, remote-node crash mid-stream).
-// Wall-clock goodput is machine-dependent; the benchmark's real job in
-// bench-smoke is proving the cross-socket wiring works — it fails unless
-// the run crossed sockets and drained clean.
-func BenchmarkNetProc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := experiments.NetProc(benchOpts())
-		b.ReportMetric(metric(tb, []string{"goodput"}, 1, "Gbit/s"), "net-gbps")
-		msgs := metric(tb, []string{"remote msgs"}, 1, "")
-		b.ReportMetric(msgs, "remote-msgs")
-		if msgs <= 0 {
-			b.Fatal("netproc run never crossed a socket")
-		}
-		if metric(tb, []string{"xor residue (log)"}, 1, "") != 0 {
-			b.Fatal("netproc run left XOR residue")
-		}
-	}
-}

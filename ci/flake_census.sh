@@ -22,7 +22,6 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
 go -C "$root" test -c -o "$work/runtime.test" ./internal/runtime
-go -C "$root" test -c -o "$work/experiments.test" ./internal/experiments
 go -C "$root" test -c -o "$work/chcd.test" ./cmd/chcd
 
 # run TEST PKGDIR BINARY: one invocation, appended to the results as one
@@ -47,7 +46,7 @@ for ((i = 1; i <= n; i++)); do
 	run TestLiveFailoverReplay internal/runtime runtime.test
 	run TestNetFailoverReplay internal/runtime runtime.test
 	if ((i % 6 == 0)); then
-		run TestLiveSoak internal/experiments experiments.test
+		run TestLiveSoak internal/runtime runtime.test
 		run TestMultiProcessFailoverReplay cmd/chcd chcd.test
 	fi
 done

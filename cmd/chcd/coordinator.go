@@ -34,7 +34,6 @@ func coordinatorMain(args []string) {
 	drainSec := fs.Int("drain-sec", 30, "drain budget (s) on the root owner")
 	upTimeout := fs.Duration("up-timeout", 30*time.Second, "how long to wait for all workers' /health")
 	jsonPath := fs.String("json", "", "write the run report to this path (- for stdout)")
-	minPPS := fs.Float64("min-pps", 0, "exit nonzero if sustained ingest pkts/s falls below this")
 	fs.Parse(args)
 
 	cfg := loadConfig(*cfgPath)
@@ -145,11 +144,6 @@ watch:
 	fmt.Printf("coordinator: run complete: injected=%d deleted=%d residue=%d dups=%d remote_msgs=%d remote_calls=%d\n",
 		report.Injected, report.Deleted, report.LogResidue, report.SinkDups,
 		report.RemoteMsgs, report.RemoteCalls)
-	if *minPPS > 0 && report.PktsPerSec < *minPPS {
-		fmt.Fprintf(os.Stderr, "chcd coordinator: sustained rate %.0f pkts/s below required %.0f\n",
-			report.PktsPerSec, *minPPS)
-		os.Exit(1)
-	}
 }
 
 // netStats mirrors netnet.NetStats's JSON shape (the /netstats verb body).

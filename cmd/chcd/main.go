@@ -39,8 +39,8 @@
 // Live mode (-live) runs the same chain on internal/livenet: real
 // goroutines, channels and wall-clock time. The run reports achieved
 // packet rate, goodput and end-to-end latency percentiles; -json writes
-// them machine-readably and -min-pps N exits nonzero if the sustained
-// ingest rate falls below N (the CI perf gate).
+// them machine-readably. The repository's rate gate is chcperf's fwd_t
+// workload (bench/), not this report.
 //
 // Reconfiguration goes through the chain's declarative Controller. In
 // live mode -admin ADDR serves it as an HTTP JSON API while the run is
@@ -396,7 +396,6 @@ func runMain(args []string) {
 	ct := addChainTuning(fs)
 	live := fs.Bool("live", false, "run on real goroutines and wall-clock time (livenet)")
 	jsonPath := fs.String("json", "", "write a machine-readable run report to this path (- for stdout)")
-	minPPS := fs.Float64("min-pps", 0, "exit nonzero if sustained ingest pkts/s falls below this (live perf gate)")
 	admin := fs.String("admin", "", "serve the controller admin API (HTTP JSON) on this address while the run is active (live mode only)")
 	autoscale := fs.String("autoscale", "", "start the metrics-driven autoscaler on this vertex")
 	asLow := fs.Float64("as-low", 3_000, "autoscaler low band edge (pkts/s per instance)")
@@ -529,10 +528,6 @@ func runMain(args []string) {
 		} else if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
 			fatal(err)
 		}
-	}
-	if *minPPS > 0 && pps < *minPPS {
-		fmt.Fprintf(os.Stderr, "chcd: sustained rate %.0f pkts/s below required %.0f\n", pps, *minPPS)
-		os.Exit(1)
 	}
 }
 

@@ -451,9 +451,6 @@ func All() map[string]func(Opts) *Table {
 		"scale":      Scale,
 		"dag":        DAG,
 		"autoscale":  Autoscale,
-		"live":       Live,
-		"livehot":    LiveHotPath,
-		"netproc":    NetProc,
 	}
 }
 
@@ -462,5 +459,5 @@ var Order = []string{
 	"fig8", "chain-lat", "offload", "fig9", "fig10", "dstore",
 	"meta-clock", "meta-log", "meta-xor",
 	"fig11", "fig12", "move", "table-r4", "table5", "fig13", "root-rec", "fig14",
-	"rto", "scale", "dag", "autoscale", "live", "livehot", "netproc",
+	"rto", "scale", "dag", "autoscale",
 }

@@ -9,7 +9,7 @@ package netnet
 // cross-node message still round-trips through EncodePayload, a real
 // socket, and DecodePayload — so codec or framing bugs fail loudly under
 // the same tests livenet passes. The conformance suite, the in-process
-// multi-node chain tests, and the netproc experiment all run on this.
+// multi-node chain tests and chcperf's net_fork workload all run on this.
 
 import (
 	"fmt"

@@ -1,13 +1,16 @@
 package runtime
 
 import (
-	"fmt"
-	"os"
+	gort "runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"chc/internal/livenet"
+	"chc/internal/packet"
 	"chc/internal/store"
 	"chc/internal/trace"
+	"chc/internal/transport"
 )
 
 // TestDESRunsBurstPath: the DES runs the root's and the instances' burst
@@ -32,18 +35,6 @@ func TestDESRunsBurstPath(t *testing.T) {
 	}
 }
 
-// soakScale stretches the burst soak by CHC_SOAK_SECONDS (CI sets it for
-// the long -race soak; the default keeps `go test` fast).
-func soakScale() int {
-	if s := os.Getenv("CHC_SOAK_SECONDS"); s != "" {
-		var n int
-		if _, err := fmt.Sscanf(s, "%d", &n); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // TestLiveBurstSoak drives sustained traffic through a live chain with
 // batching and the arena enabled and checks the correctness invariants
 // batching must not disturb: conservation, a drained root log, no
@@ -56,7 +47,7 @@ func TestLiveBurstSoak(t *testing.T) {
 	ch := New(cfg, natVertex(2, BackendCHC, store.ModeEOCNA))
 	ch.Start()
 	seedNAT(ch, ch.Vertices[0])
-	flows := 80 * soakScale()
+	flows := 80 * int(soakBudget(time.Second)/time.Second)
 	tr := trace.Generate(trace.Config{
 		Seed: 13, Flows: flows, PktsPerFlowMean: 12,
 		PayloadMedian: 600, Hosts: 16, Servers: 8,
@@ -131,4 +122,80 @@ func TestLiveFailoverUnderBurst(t *testing.T) {
 	if ch.Sink.Duplicates != 0 {
 		t.Fatalf("sink saw %d duplicates (replay surfaced a recycled or re-sent buffer)", ch.Sink.Duplicates)
 	}
+}
+
+// TestLiveHotPathAllocs bounds the allocations of the live packet hot path
+// in isolation: arena Get, one SendBurst of PacketMsg over livenet, arena
+// Put at the receiver — the layer below the chain's bookkeeping (root log,
+// sink dedup map, store ops), so the count is stable in steady state. What
+// is left per packet is boxing PacketMsg into Message.Payload: about one
+// allocation at either burst width, a quarter more under -race (whose
+// sync.Pool drops some Puts).
+func TestLiveHotPathAllocs(t *testing.T) {
+	for _, c := range []struct {
+		burst int
+		max   float64
+	}{{1, 3}, {32, 2}} {
+		if got := hotPathAllocs(c.burst, 400); got > c.max {
+			t.Errorf("burst=%d: %.2f allocs/pkt, want at most %.1f", c.burst, got, c.max)
+		}
+	}
+}
+
+// hotPathAllocs sends rounds bursts of burst arena packets to a receiving
+// proc, after a warm-up, and returns the allocator events per packet. The
+// sender waits until the receiver has released every buffer, so each round
+// starts from a quiesced pool and mailbox.
+func hotPathAllocs(burst, rounds int) float64 {
+	n := livenet.New(livenet.Config{Seed: 1})
+	defer n.Shutdown()
+	arena := packet.NewArena(true)
+	var consumed atomic.Uint64
+	ep := n.Endpoint("rx")
+	n.Spawn("rx", func(p transport.Proc) {
+		for {
+			pm, ok := ep.Recv(p).Payload.(PacketMsg)
+			if !ok {
+				return
+			}
+			arena.Put(pm.Pkt) // the final release point, as at the sink
+			consumed.Add(1)
+		}
+	})
+
+	msgs := make([]transport.Message, burst)
+	var sent, clock uint64
+	send := func() {
+		now := n.Now()
+		for i := range msgs {
+			pkt := arena.Get()
+			pkt.SrcIP, pkt.DstIP = 0x0a000001, 0x0a000002
+			pkt.SrcPort, pkt.DstPort = 40000, 80
+			pkt.Proto = packet.ProtoTCP
+			pkt.PayloadLen = 1394
+			clock++
+			pkt.Meta.Clock = clock
+			msgs[i] = transport.Message{From: "tx", To: "rx", Size: pkt.WireLen(),
+				Payload: PacketMsg{Pkt: pkt, SentAt: now, InjectedAt: now}}
+		}
+		transport.SendBurst(n, msgs)
+		sent += uint64(burst)
+		for consumed.Load() < sent {
+			gort.Gosched()
+		}
+	}
+
+	// Warm the pool, the mailbox and the message slice so the measured
+	// rounds see only steady-state work.
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	var m0, m1 gort.MemStats
+	gort.GC()
+	gort.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		send()
+	}
+	gort.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(rounds*burst)
 }

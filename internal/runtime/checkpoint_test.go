@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -250,17 +248,6 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 }
 
-// ckptSoakBudget mirrors the live-soak convention: CHC_SOAK_SECONDS scales
-// the wall-clock budget (CI ~30s); the default keeps `go test` fast.
-func ckptSoakBudget() time.Duration {
-	if s := os.Getenv("CHC_SOAK_SECONDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return time.Duration(n) * time.Second
-		}
-	}
-	return 2 * time.Second
-}
-
 // TestLiveCheckpointRecovery exercises checkpoint → WAL truncation →
 // crash → bounded recovery on real goroutines: after the chain drains, the
 // wall-clock checkpointer must empty every client WAL behind its covering
@@ -268,7 +255,7 @@ func ckptSoakBudget() time.Duration {
 // (near-)zero re-execution, and the chain must keep processing traffic
 // against the recovered shard with every invariant intact.
 func TestLiveCheckpointRecovery(t *testing.T) {
-	budget := ckptSoakBudget()
+	budget := soakBudget(2 * time.Second)
 	deadline := time.Now().Add(budget)
 	for round := 1; round == 1 || time.Now().Before(deadline); round++ {
 		cfg := LiveChainConfig()

@@ -643,44 +643,27 @@ func (c *Client) HandleMessage(payload any) bool {
 	return false
 }
 
-// truncate drops the WAL prefix covered by one shard's checkpoint.
-// Preferred marker is the positional vector pos: the checkpoint covers the
-// first pos[instance] of this client's ops OWNED BY THAT SHARD (in issue
-// order), counted from the client's birth; c.walDropped maps that absolute
-// count onto the retained log. When the message carries no positions
-// (older peers, hand-built tests), the TS clock's last occurrence is used
-// instead — correct only when clocks are unique per instance WAL. Entries
-// for other shards are never touched — their checkpoints cover them
-// separately. An empty shard name (single-server tier, tests) covers every
-// key.
+// truncate drops the WAL prefix covered by one shard's checkpoint. The one
+// WAL marker is the positional vector pos: the checkpoint covers the first
+// pos[instance] of this client's ops OWNED BY THAT SHARD (in issue order),
+// counted from the client's birth; c.walDropped maps that absolute count
+// onto the retained log. The TS clocks are no WAL marker (one packet's ops
+// can sit at several WAL positions), so a message without positions drops
+// no WAL entry: over-retention is the safe direction. Entries for other
+// shards are never touched — their checkpoints cover them separately. An
+// empty shard name (single-server tier, tests) covers every key.
 func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 	owns := func(k Key) bool { return shard == "" || c.shardFor(k) == shard }
-	upto := ts[c.cfg.Instance]
-	if len(pos) > 0 {
-		covered := pos[c.cfg.Instance]
-		drop := int64(covered) - int64(c.walDropped[shard])
-		if drop > 0 {
-			c.walDropped[shard] += uint64(c.wal.filter(func(_ int, w *WalOp) bool {
-				if drop == 0 || !owns(w.Req.Key) {
-					return false
-				}
-				drop--
-				return true
-			}))
-		}
-	} else if upto != 0 {
-		cut := -1
-		c.wal.each(func(i int, w *WalOp) {
-			if owns(w.Req.Key) && w.Clock == upto {
-				cut = i
+	if drop := int64(pos[c.cfg.Instance]) - int64(c.walDropped[shard]); drop > 0 {
+		c.walDropped[shard] += uint64(c.wal.filter(func(w *WalOp) bool {
+			if drop == 0 || !owns(w.Req.Key) {
+				return false
 			}
-		})
-		if cut >= 0 {
-			c.walDropped[shard] += uint64(c.wal.filter(func(i int, w *WalOp) bool {
-				return i <= cut && owns(w.Req.Key)
-			}))
-		}
+			drop--
+			return true
+		}))
 	}
+	upto := ts[c.cfg.Instance]
 	if upto == 0 {
 		return
 	}

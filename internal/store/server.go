@@ -85,13 +85,13 @@ type CommitMsg struct{ Commits []Commit }
 // and the DES schedule does not change.
 type PruneMsg struct{ Clocks []uint64 }
 
-// TruncateMsg tells clients a checkpoint at shard Shard covered ops up to
-// TS; WAL entries for that shard's keys at or before their instance's clock
-// can be discarded. Entries for other shards are unaffected. Pos carries
-// the exact per-instance WAL positions the checkpoint covers (count of
-// each client's entries for this shard); clients prefer it over the TS
-// clocks, which can be ambiguous position markers (one packet's ops can
-// occupy several WAL positions when flush paths reorder them).
+// TruncateMsg tells clients what a checkpoint at shard Shard covered. Pos
+// carries the exact per-instance WAL positions it covers (count of each
+// client's entries for this shard); clients drop that WAL prefix. TS holds
+// each instance's covered clock; clients drop logged reads of the shard's
+// keys at or before it. TS is no WAL marker: one packet's ops can occupy
+// several WAL positions when flush paths reorder them. Entries for other
+// shards are unaffected.
 type TruncateMsg struct {
 	TS    map[uint16]uint64
 	Pos   map[uint16]uint64

@@ -25,17 +25,6 @@ func (l *walLog) append(w WalOp) {
 	l.segs[n-1] = append(l.segs[n-1], w)
 }
 
-// each calls fn on every entry in log order, with the entry's position.
-func (l *walLog) each(fn func(i int, w *WalOp)) {
-	i := 0
-	for _, seg := range l.segs {
-		for j := range seg {
-			fn(i, &seg[j])
-			i++
-		}
-	}
-}
-
 // flat returns a copy of the log as one slice.
 func (l *walLog) flat() []WalOp {
 	n := 0
@@ -53,18 +42,19 @@ func (l *walLog) flat() []WalOp {
 }
 
 // filter removes the entries drop selects and returns how many that was.
-// drop sees every entry once, in log order, with its position before any
-// removal; the kept entries stay in order.
-func (l *walLog) filter(drop func(i int, w *WalOp) bool) int {
+// drop sees every entry once, in log order; the kept entries stay in order.
+func (l *walLog) filter(drop func(w *WalOp) bool) int {
 	var kept walLog
 	n := 0
-	l.each(func(i int, w *WalOp) {
-		if drop(i, w) {
-			n++
-			return
+	for _, seg := range l.segs {
+		for j := range seg {
+			if drop(&seg[j]) {
+				n++
+				continue
+			}
+			kept.append(seg[j])
 		}
-		kept.append(*w)
-	})
+	}
 	*l = kept
 	return n
 }
