@@ -38,9 +38,6 @@ func NewArena(enabled bool) *Arena {
 	return a
 }
 
-// Enabled reports whether Put actually recycles.
-func (a *Arena) Enabled() bool { return a != nil && a.enabled }
-
 // Get returns a zeroed Packet, reusing a released one when possible.
 func (a *Arena) Get() *Packet {
 	if a == nil || !a.enabled {

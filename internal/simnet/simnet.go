@@ -36,9 +36,6 @@ type Endpoint struct {
 // Name returns the endpoint name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Down reports whether the endpoint is crashed.
-func (e *Endpoint) Down() bool { return e.down }
-
 // Recv implements transport.Endpoint on top of the typed inbox.
 func (e *Endpoint) Recv(p transport.Proc) Message { return e.Inbox.Recv(p.(*vtime.Proc)) }
 

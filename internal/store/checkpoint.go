@@ -1,13 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha512"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
-	"sort"
 	"sync"
 
 	"chc/internal/transport"
@@ -21,262 +19,68 @@ import (
 // longer hash to its ID (bit rot, torn write) is rejected on load and
 // recovery falls back to the previous stable checkpoint.
 
-// snapshotMagic versions the canonical snapshot encoding.
-const snapshotMagic = "CHCK1"
+// snapshotMagic versions the snapshot encoding. CHCK2 is built from the
+// wire codec's Key and Value encodings (wire.go, DESIGN.md §12).
+const snapshotMagic = "CHCK2"
 
 // defaultCheckpointRetain is how many committed checkpoints a shard keeps
 // when the config does not say: the newest plus one fallback.
 const defaultCheckpointRetain = 2
 
-// --- Canonical encoding ------------------------------------------------------
+// Least encoded sizes of a Key and of a Value (every field zero or empty),
+// which bound the decoder's element counts.
+const (
+	keyWireSize   = 2 + 2 + 8
+	valueWireSize = 1 + 8 + 8 + 4 + 4 + 4
+)
 
-func appendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var x [8]byte
-	binary.BigEndian.PutUint64(x[:], v)
-	return append(b, x[:]...)
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendKeyBytes(b []byte, k Key) []byte {
-	b = appendU16(b, k.Vertex)
-	b = appendU16(b, k.Obj)
-	return appendU64(b, k.Sub)
-}
-
-func appendValueBytes(b []byte, v Value) []byte {
-	b = append(b, byte(v.Kind))
-	switch v.Kind {
-	case KindNil:
-	case KindInt:
-		b = appendU64(b, uint64(v.Int))
-	case KindFloat:
-		b = appendU64(b, math.Float64bits(v.Float))
-	case KindBytes:
-		b = appendUvarint(b, uint64(len(v.Bytes)))
-		b = append(b, v.Bytes...)
-	case KindList:
-		b = appendUvarint(b, uint64(len(v.List)))
-		for _, x := range v.List {
-			b = appendU64(b, uint64(x))
-		}
-	case KindMap:
-		// Sorted-keys idiom: map iteration order must never reach the
-		// encoding, or the same state would produce different content IDs.
-		fields := make([]string, 0, len(v.Map))
-		for f := range v.Map {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		b = appendUvarint(b, uint64(len(fields)))
-		for _, f := range fields {
-			b = appendUvarint(b, uint64(len(f)))
-			b = append(b, f...)
-			b = appendU64(b, uint64(v.Map[f]))
-		}
-	}
-	return b
-}
-
-// EncodeSnapshot serializes a snapshot into its canonical form: entries and
-// owners sorted by key, the TS vector sorted by instance, map values by
-// field name. Equal snapshots encode to equal bytes regardless of map
-// iteration order, so the encoding is a stable content-address input.
+// EncodeSnapshot serializes a snapshot into its canonical form with the wire
+// codec's Key and Value encodings: entries and owners sorted by key, the TS
+// and Pos vectors by instance, map values by field name. Equal snapshots
+// encode to equal bytes regardless of map iteration order, so the encoding
+// is a stable content-address input.
 func EncodeSnapshot(s *Snapshot) []byte {
-	b := []byte(snapshotMagic)
-
-	keys := make([]Key, 0, len(s.Entries))
-	for k := range s.Entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	b = appendUvarint(b, uint64(len(keys)))
+	var e transport.WireEnc
+	keys := sortedKeys(s.Entries)
+	e.U32(uint32(len(keys)))
 	for _, k := range keys {
-		b = appendKeyBytes(b, k)
-		b = appendValueBytes(b, s.Entries[k])
+		encKey(&e, k)
+		encValue(&e, s.Entries[k])
 	}
-
-	okeys := make([]Key, 0, len(s.Owners))
-	for k := range s.Owners {
-		okeys = append(okeys, k)
+	keys = sortedKeys(s.Owners)
+	e.U32(uint32(len(keys)))
+	for _, k := range keys {
+		encKey(&e, k)
+		e.U16(s.Owners[k])
 	}
-	sort.Slice(okeys, func(i, j int) bool { return okeys[i].Less(okeys[j]) })
-	b = appendUvarint(b, uint64(len(okeys)))
-	for _, k := range okeys {
-		b = appendKeyBytes(b, k)
-		b = appendU16(b, s.Owners[k])
-	}
-
-	b = appendInstVector(b, s.TS)
-	b = appendInstVector(b, s.Pos)
-	return b
+	e.MapU16U64(s.TS)
+	e.MapU16U64(s.Pos)
+	return append([]byte(snapshotMagic), e.Bytes()...)
 }
 
-// appendInstVector encodes a per-instance uint64 vector (TS clocks or WAL
-// positions) sorted by instance ID.
-func appendInstVector(b []byte, v map[uint16]uint64) []byte {
-	insts := make([]uint16, 0, len(v))
-	for i := range v {
-		insts = append(insts, i)
-	}
-	sort.Slice(insts, func(a, c int) bool { return insts[a] < insts[c] })
-	b = appendUvarint(b, uint64(len(insts)))
-	for _, i := range insts {
-		b = appendU16(b, i)
-		b = appendU64(b, v[i])
-	}
-	return b
-}
-
-// snapReader decodes the canonical encoding with bounds checking.
-type snapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("store: truncated snapshot at offset %d (want %d bytes)", r.off, n)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *snapReader) u16() uint16 {
-	x := r.take(2)
-	if x == nil {
-		return 0
-	}
-	return uint16(x[0])<<8 | uint16(x[1])
-}
-
-func (r *snapReader) u64() uint64 {
-	x := r.take(8)
-	if x == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(x)
-}
-
-func (r *snapReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("store: bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *snapReader) key() Key {
-	return Key{Vertex: r.u16(), Obj: r.u16(), Sub: r.u64()}
-}
-
-func (r *snapReader) value() Value {
-	if r.err != nil {
-		return Value{}
-	}
-	kb := r.take(1)
-	if kb == nil {
-		return Value{}
-	}
-	v := Value{Kind: Kind(kb[0])}
-	switch v.Kind {
-	case KindNil:
-	case KindInt:
-		v.Int = int64(r.u64())
-	case KindFloat:
-		v.Float = math.Float64frombits(r.u64())
-	case KindBytes:
-		n := r.uvarint()
-		if x := r.take(int(n)); x != nil {
-			v.Bytes = append([]byte(nil), x...)
-		}
-	case KindList:
-		n := int(r.uvarint())
-		if r.err == nil && n*8 > len(r.b)-r.off {
-			r.fail("store: truncated list in snapshot")
-			return Value{}
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			v.List = append(v.List, int64(r.u64()))
-		}
-	case KindMap:
-		n := int(r.uvarint())
-		if r.err == nil && n > len(r.b)-r.off {
-			r.fail("store: truncated map in snapshot")
-			return Value{}
-		}
-		v.Map = make(map[string]int64, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			fl := r.uvarint()
-			f := r.take(int(fl))
-			v.Map[string(f)] = int64(r.u64())
-		}
-	default:
-		r.fail("store: unknown value kind %d in snapshot", kb[0])
-	}
-	return v
-}
-
-// DecodeSnapshot parses a canonical snapshot encoding.
+// DecodeSnapshot parses a canonical snapshot encoding. Every count is
+// bounded by the bytes left, so a corrupt one fails instead of allocating.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return nil, errors.New("store: not a snapshot encoding (bad magic)")
 	}
-	r := &snapReader{b: data, off: len(snapshotMagic)}
-	s := &Snapshot{
-		Entries: make(map[Key]Value),
-		Owners:  make(map[Key]uint16),
-		TS:      make(map[uint16]uint64),
-		Pos:     make(map[uint16]uint64),
+	d := transport.NewWireDec(data[len(snapshotMagic):])
+	s := &Snapshot{Entries: make(map[Key]Value), Owners: make(map[Key]uint16)}
+	for n := d.Len(keyWireSize + valueWireSize); n > 0; n-- {
+		k := decKey(d)
+		s.Entries[k] = decValue(d)
 	}
-	ne := int(r.uvarint())
-	for i := 0; i < ne && r.err == nil; i++ {
-		k := r.key()
-		s.Entries[k] = r.value()
+	for n := d.Len(keyWireSize + 2); n > 0; n-- {
+		k := decKey(d)
+		s.Owners[k] = d.U16()
 	}
-	no := int(r.uvarint())
-	for i := 0; i < no && r.err == nil; i++ {
-		k := r.key()
-		s.Owners[k] = r.u16()
+	s.TS = d.MapU16U64()
+	s.Pos = d.MapU16U64()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("store: snapshot: %w", err)
 	}
-	nt := int(r.uvarint())
-	for i := 0; i < nt && r.err == nil; i++ {
-		inst := r.u16()
-		s.TS[inst] = r.u64()
-	}
-	np := int(r.uvarint())
-	for i := 0; i < np && r.err == nil; i++ {
-		inst := r.u16()
-		s.Pos[inst] = r.u64()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("store: %d trailing bytes after snapshot", len(data)-r.off)
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("store: %d trailing bytes after snapshot", d.Rest())
 	}
 	return s, nil
 }

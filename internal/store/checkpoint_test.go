@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,56 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	if _, err := DecodeSnapshot(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+}
+
+// FuzzDecodeSnapshot feeds DecodeSnapshot arbitrary bytes, seeded with
+// real encodings and their truncations. Each input must fail to decode, or
+// decode to a snapshot whose encoding decodes to an equal snapshot (equal
+// canonical encodings, so a NaN float compares by its bits). No input may
+// panic, and none may make the decoder allocate more than a fixed multiple
+// of its length: every count is bounded by the bytes behind it.
+func FuzzDecodeSnapshot(f *testing.F) {
+	seeds := []*Snapshot{
+		{},
+		{
+			Entries: map[Key]Value{
+				{Vertex: 1, Obj: 1}:         IntVal(-3),
+				{Vertex: 1, Obj: 2, Sub: 9}: MapVal(map[string]int64{"b": 2, "a": 1}),
+				{Vertex: 2, Obj: 1, Sub: 7}: ListVal(5, 6),
+				{Vertex: 2, Obj: 3, Sub: 1}: BytesVal([]byte("hi")),
+				{Vertex: 3, Obj: 1, Sub: 2}: FloatVal(0.5),
+			},
+			Owners: map[Key]uint16{{Vertex: 1, Obj: 1}: 2},
+			TS:     map[uint16]uint64{1: 99, 4: 12},
+			Pos:    map[uint16]uint64{1: 7},
+		},
+	}
+	for _, s := range seeds {
+		data := EncodeSnapshot(s)
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+	}
+	f.Add([]byte(snapshotMagic + "\xff\xff\xff\xff"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := DecodeSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := EncodeSnapshot(s)
+		again, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeSnapshot(again), enc) {
+			t.Fatalf("round trip changed the snapshot:\n %+v\n %+v", s, again)
+		}
+	})
 }
 
 func TestIdentify(t *testing.T) {

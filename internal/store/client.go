@@ -755,13 +755,7 @@ func (c *Client) Update(p transport.Proc, req Request) {
 	e := c.entry(req.Key)
 	req.Instance = c.cfg.Instance
 	if c.cacheable(d, e) {
-		// Absorb locally; flushed later as operations (not values), so the
-		// store's duplicate suppression still sees packet clocks.
-		c.ensureCached(p, e, &req)
-		ApplyToValue(&e.val, &req)
-		e.valid = true
-		e.pending = append(e.pending, req)
-		c.markDirty(req.Key, e)
+		c.absorb(p, e, &req)
 		return
 	}
 	if c.cfg.Mode.NoAckWait {
@@ -811,14 +805,21 @@ func (c *Client) UpdateBlocking(p transport.Proc, req Request) (Reply, bool) {
 	// client library cannot evaluate them); everything else may be absorbed
 	// by a cache the strategy permits.
 	if c.cacheable(d, e) && req.Op != OpNonDet && req.Op != OpCustom {
-		c.ensureCached(p, e, &req)
-		rep := ApplyToValue(&e.val, &req)
-		e.valid = true
-		e.pending = append(e.pending, req)
-		c.markDirty(req.Key, e)
-		return rep, true
+		return c.absorb(p, e, &req), true
 	}
 	return c.callLogged(p, d, e, &req)
+}
+
+// absorb applies a mutating op to the cached copy and queues it for the
+// next flush. It is flushed as an operation, not a value, so the store's
+// duplicate suppression still sees packet clocks.
+func (c *Client) absorb(p transport.Proc, e *cacheEntry, req *Request) Reply {
+	c.ensureCached(p, e, req)
+	rep := ApplyToValue(&e.val, req)
+	e.valid = true
+	e.pending = append(e.pending, *req)
+	c.markDirty(req.Key, e)
+	return rep
 }
 
 // ensureCached initializes a cache entry from the store before the first
@@ -834,78 +835,6 @@ func (c *Client) ensureCached(p transport.Proc, e *cacheEntry, req *Request) {
 		e.val = rep.Val
 	}
 	e.valid = true
-}
-
-// ApplyToValue executes req against a local value, mirroring engine
-// semantics for the cacheable op subset.
-func ApplyToValue(v *Value, req *Request) Reply {
-	switch req.Op {
-	case OpSet:
-		*v = req.Arg.Copy()
-		return Reply{Val: v.Copy(), OK: true}
-	case OpDelete:
-		existed := !v.IsNil()
-		*v = Value{}
-		return Reply{OK: existed}
-	case OpIncr:
-		v.Kind = KindInt
-		v.Int += req.Arg.Int
-		return Reply{Val: IntVal(v.Int), OK: true}
-	case OpPushList:
-		v.Kind = KindList
-		v.List = append(v.List, req.Arg.Int)
-		return Reply{Val: IntVal(int64(len(v.List))), OK: true}
-	case OpPopList:
-		if len(v.List) == 0 {
-			return Reply{OK: false}
-		}
-		x := v.List[0]
-		v.List = v.List[1:]
-		return Reply{Val: IntVal(x), OK: true}
-	case OpCAS:
-		if v.Equal(req.Arg) {
-			*v = req.Arg2.Copy()
-			return Reply{Val: v.Copy(), OK: true}
-		}
-		return Reply{Val: v.Copy(), OK: false}
-	case OpMapSet:
-		ensureMapValue(v)
-		v.Map[req.Field] = req.Arg.Int
-		return Reply{Val: IntVal(req.Arg.Int), OK: true}
-	case OpMapIncr:
-		ensureMapValue(v)
-		v.Map[req.Field] += req.Arg.Int
-		return Reply{Val: IntVal(v.Map[req.Field]), OK: true}
-	case OpMapGet:
-		if v.Map == nil {
-			return Reply{OK: false}
-		}
-		x, ok := v.Map[req.Field]
-		return Reply{Val: IntVal(x), OK: ok}
-	case OpMapMinIncr:
-		if len(v.Map) == 0 {
-			return Reply{OK: false}
-		}
-		minKey := ""
-		var minV int64
-		first := true
-		for k, x := range v.Map {
-			if first || x < minV || (x == minV && k < minKey) {
-				minKey, minV, first = k, x, false
-			}
-		}
-		v.Map[minKey] += req.Arg.Int
-		return Reply{Val: StringVal(minKey), OK: true}
-	default:
-		return Reply{OK: false}
-	}
-}
-
-func ensureMapValue(v *Value) {
-	if v.Map == nil {
-		v.Kind = KindMap
-		v.Map = make(map[string]int64)
-	}
 }
 
 // NonDet fetches a store-computed non-deterministic value (Appendix A),

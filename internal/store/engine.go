@@ -117,6 +117,79 @@ type Reply struct {
 	TS       map[uint16]uint64
 }
 
+// ApplyToValue defines what a value op does to a Value: set, incr, the list
+// ops, CAS and the map ops. The engine applies them through it, and so do
+// the client's cache and the locking baseline, so the three cannot drift
+// apart. Get, Delete, Custom, NonDet, Associate and Disassoc need the entry
+// or the engine, and Engine.Apply keeps its own cases for them; Delete here
+// only clears v, for the client's cache. An absent key reads as the zero
+// Value; whether it gets an entry is the engine's call (Engine.Apply).
+func ApplyToValue(v *Value, req *Request) (rep Reply) {
+	// The reply is built in place, field by field: a Reply literal per
+	// case costs a zeroed temporary and a copy, a third of an engine
+	// increment.
+	switch req.Op {
+	case OpSet:
+		*v = req.Arg.Copy()
+		rep.Val, rep.OK = v.Copy(), true
+	case OpDelete:
+		rep.OK = !v.IsNil()
+		*v = Value{}
+	case OpIncr:
+		v.Kind = KindInt
+		v.Int += req.Arg.Int
+		rep.Val, rep.OK = IntVal(v.Int), true
+	case OpPushList:
+		v.Kind = KindList
+		v.List = append(v.List, req.Arg.Int)
+		rep.Val, rep.OK = IntVal(int64(len(v.List))), true
+	case OpPopList:
+		if len(v.List) > 0 {
+			rep.Val, rep.OK = IntVal(v.List[0]), true
+			v.List = v.List[1:]
+		}
+	case OpCAS:
+		if rep.OK = v.Equal(req.Arg); rep.OK {
+			*v = req.Arg2.Copy()
+		}
+		rep.Val = v.Copy()
+	case OpMapSet:
+		ensureMapValue(v)
+		v.Map[req.Field] = req.Arg.Int
+		rep.Val, rep.OK = IntVal(req.Arg.Int), true
+	case OpMapIncr:
+		ensureMapValue(v)
+		v.Map[req.Field] += req.Arg.Int
+		rep.Val, rep.OK = IntVal(v.Map[req.Field]), true
+	case OpMapGet:
+		if x, ok := v.Map[req.Field]; ok {
+			rep.Val, rep.OK = IntVal(x), true
+		}
+	case OpMapMinIncr:
+		if len(v.Map) == 0 {
+			break
+		}
+		minKey := ""
+		var minV int64
+		first := true
+		for k, x := range v.Map {
+			if first || x < minV || (x == minV && k < minKey) {
+				minKey, minV, first = k, x, false
+			}
+		}
+		v.Map[minKey] += req.Arg.Int
+		rep.Val, rep.OK = StringVal(minKey), true
+	}
+	return rep
+}
+
+func ensureMapValue(v *Value) {
+	if v.Map == nil {
+		v.Kind = KindMap
+		v.Map = make(map[string]int64)
+	}
+}
+
 // CustomOp is a developer-loaded operation (§4.3 "Developers can also load
 // custom operations"). It mutates cur in place and returns the result value
 // sent back to the caller.
@@ -361,82 +434,9 @@ func (e *Engine) Apply(req *Request) Reply {
 		} else {
 			rep = Reply{OK: false}
 		}
-	case OpSet:
-		if !exists {
-			ent = &entry{}
-			sh.data[req.Key] = ent
-		}
-		ent.val = req.Arg.Copy()
-		rep = Reply{Val: ent.val.Copy(), OK: true}
 	case OpDelete:
 		delete(sh.data, req.Key)
 		rep = Reply{OK: exists}
-	case OpIncr:
-		if !exists {
-			ent = &entry{val: IntVal(0)}
-			sh.data[req.Key] = ent
-		}
-		ent.val.Kind = KindInt
-		ent.val.Int += req.Arg.Int
-		rep = Reply{Val: IntVal(ent.val.Int), OK: true}
-	case OpPushList:
-		if !exists {
-			ent = &entry{val: Value{Kind: KindList}}
-			sh.data[req.Key] = ent
-		}
-		ent.val.Kind = KindList
-		ent.val.List = append(ent.val.List, req.Arg.Int)
-		rep = Reply{Val: IntVal(int64(len(ent.val.List))), OK: true}
-	case OpPopList:
-		if !exists || len(ent.val.List) == 0 {
-			rep = Reply{OK: false}
-		} else {
-			v := ent.val.List[0]
-			ent.val.List = ent.val.List[1:]
-			rep = Reply{Val: IntVal(v), OK: true}
-		}
-	case OpCAS:
-		if !exists {
-			ent = &entry{}
-			sh.data[req.Key] = ent
-		}
-		if ent.val.Equal(req.Arg) {
-			ent.val = req.Arg2.Copy()
-			rep = Reply{Val: ent.val.Copy(), OK: true}
-		} else {
-			rep = Reply{Val: ent.val.Copy(), OK: false}
-		}
-	case OpMapSet:
-		ent = e.ensureMap(sh, req.Key, ent, exists)
-		ent.val.Map[req.Field] = req.Arg.Int
-		rep = Reply{Val: IntVal(req.Arg.Int), OK: true}
-	case OpMapGet:
-		if !exists || ent.val.Map == nil {
-			rep = Reply{OK: false}
-		} else if v, ok := ent.val.Map[req.Field]; ok {
-			rep = Reply{Val: IntVal(v), OK: true}
-		} else {
-			rep = Reply{OK: false}
-		}
-	case OpMapIncr:
-		ent = e.ensureMap(sh, req.Key, ent, exists)
-		ent.val.Map[req.Field] += req.Arg.Int
-		rep = Reply{Val: IntVal(ent.val.Map[req.Field]), OK: true}
-	case OpMapMinIncr:
-		if !exists || len(ent.val.Map) == 0 {
-			rep = Reply{OK: false}
-		} else {
-			minKey := ""
-			var minV int64
-			first := true
-			for k, v := range ent.val.Map {
-				if first || v < minV || (v == minV && k < minKey) {
-					minKey, minV, first = k, v, false
-				}
-			}
-			ent.val.Map[minKey] += req.Arg.Int
-			rep = Reply{Val: StringVal(minKey), OK: true}
-		}
 	case OpCustom:
 		fn, ok := e.customs[req.Custom]
 		if !ok {
@@ -483,7 +483,17 @@ func (e *Engine) Apply(req *Request) Reply {
 			rep = Reply{OK: exists && ent.owner == 0}
 		}
 	default:
-		rep = Reply{OK: false}
+		// A value op on an absent key runs on the zero Value and creates
+		// the key unless it failed; CAS creates it either way.
+		if exists {
+			rep = ApplyToValue(&ent.val, req)
+		} else {
+			var v Value
+			if rep = ApplyToValue(&v, req); rep.OK || req.Op == OpCAS {
+				ent = &entry{val: v}
+				sh.data[req.Key] = ent
+			}
+		}
 	}
 
 	mutated := rep.OK && req.Op.Mutates()
@@ -589,21 +599,11 @@ func (e *Engine) applyBatch(req *Request) Reply {
 		return Reply{Val: v, OK: true, Emulated: true}
 	}
 
-	var rep Reply
-	switch req.Op {
-	case OpIncr:
-		if !exists {
-			ent = &entry{val: IntVal(0)}
-			sh.data[req.Key] = ent
-		}
-		ent.val.Kind = KindInt
-		ent.val.Int += delta
-		rep = Reply{Val: IntVal(ent.val.Int), OK: true}
-	case OpMapIncr:
-		ent = e.ensureMap(sh, req.Key, ent, exists)
-		ent.val.Map[req.Field] += delta
-		rep = Reply{Val: IntVal(ent.val.Map[req.Field]), OK: true}
+	if !exists {
+		ent = &entry{}
+		sh.data[req.Key] = ent
 	}
+	rep := ApplyToValue(&ent.val, &Request{Op: req.Op, Field: req.Field, Arg: IntVal(delta)})
 
 	// TS position marker: the clock the engine would have ended on had the
 	// fresh entries arrived individually (last fresh op in issue order).
@@ -642,19 +642,6 @@ func (e *Engine) applyBatch(req *Request) Reply {
 // to OnUpdate. Callers hold k's shard lock.
 func (e *Engine) listening(k Key) bool {
 	return e.hooks.OnUpdate != nil && (e.hooks.Listening == nil || e.hooks.Listening(k))
-}
-
-func (e *Engine) ensureMap(sh *shard, k Key, ent *entry, exists bool) *entry {
-	if !exists {
-		ent = &entry{val: Value{Kind: KindMap, Map: make(map[string]int64)}}
-		sh.data[k] = ent
-		return ent
-	}
-	if ent.val.Map == nil {
-		ent.val.Kind = KindMap
-		ent.val.Map = make(map[string]int64)
-	}
-	return ent
 }
 
 // TS returns a copy of the per-instance last-executed-update clock vector.

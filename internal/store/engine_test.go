@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -655,5 +656,78 @@ func TestSeedPushesAreLinear(t *testing.T) {
 	small, big := seed(n), seed(4*n)
 	if big > 6*small {
 		t.Fatalf("%d pushes allocate %d bytes, %d pushes %d: %.1fx, want about 4x", n, small, 4*n, big, float64(big)/float64(small))
+	}
+}
+
+// TestValueOpsMatchApplyToValue pins the engine to ApplyToValue, which
+// defines the value ops: on an absent key and on a present key of every
+// Kind, each value op's engine reply and resulting value equal
+// ApplyToValue's on the same value. It also pins the absent-key rule: Set,
+// Incr, PushList, CAS (even a failing one), MapSet and MapIncr create the
+// key; PopList, MapGet and MapMinIncr fail and leave it absent.
+func TestValueOpsMatchApplyToValue(t *testing.T) {
+	ops := []struct {
+		name    string
+		creates bool
+		req     func(cur Value) Request // cur: the key's value before the op
+	}{
+		{"set", true, func(Value) Request { return Request{Op: OpSet, Arg: ListVal(4, 5)} }},
+		{"incr", true, func(Value) Request { return Request{Op: OpIncr, Arg: IntVal(3)} }},
+		{"pushlist", true, func(Value) Request { return Request{Op: OpPushList, Arg: IntVal(9)} }},
+		{"poplist", false, func(Value) Request { return Request{Op: OpPopList} }},
+		{"cas-hit", true, func(cur Value) Request { return Request{Op: OpCAS, Arg: cur, Arg2: IntVal(8)} }},
+		{"cas-miss", true, func(Value) Request { return Request{Op: OpCAS, Arg: IntVal(-99), Arg2: IntVal(8)} }},
+		{"mapset", true, func(Value) Request { return Request{Op: OpMapSet, Field: "a", Arg: IntVal(6)} }},
+		{"mapget", false, func(Value) Request { return Request{Op: OpMapGet, Field: "a"} }},
+		{"mapincr", true, func(Value) Request { return Request{Op: OpMapIncr, Field: "a", Arg: IntVal(2)} }},
+		{"mapminincr", false, func(Value) Request { return Request{Op: OpMapMinIncr, Arg: IntVal(1)} }},
+	}
+	present := map[string]Value{
+		"nil":   {},
+		"int":   IntVal(7),
+		"float": FloatVal(1.5),
+		"bytes": StringVal("xy"),
+		"list":  ListVal(1, 2),
+		"map":   MapVal(map[string]int64{"a": 3, "b": 1}),
+	}
+	for _, op := range ops {
+		t.Run(op.name+"/absent", func(t *testing.T) {
+			e := NewEngine(1)
+			req := op.req(Value{})
+			req.Key = k(1, 1, 0)
+			got := e.Apply(&req)
+			var v Value
+			if want := ApplyToValue(&v, &req); !reflect.DeepEqual(got, want) {
+				t.Fatalf("engine reply %+v, ApplyToValue %+v", got, want)
+			}
+			after, exists := e.Get(req.Key)
+			if exists != op.creates {
+				t.Fatalf("key exists after the op = %v, want %v", exists, op.creates)
+			}
+			if exists && !reflect.DeepEqual(after, v.Copy()) {
+				t.Fatalf("engine value %+v, ApplyToValue %+v", after, v)
+			}
+		})
+		for kind, init := range present {
+			t.Run(op.name+"/"+kind, func(t *testing.T) {
+				e := NewEngine(1)
+				key := k(1, 1, 0)
+				e.Apply(&Request{Op: OpSet, Key: key, Arg: init})
+				req := op.req(init)
+				req.Key = key
+				got := e.Apply(&req)
+				v := init.Copy()
+				if want := ApplyToValue(&v, &req); !reflect.DeepEqual(got, want) {
+					t.Fatalf("engine reply %+v, ApplyToValue %+v", got, want)
+				}
+				after, exists := e.Get(key)
+				if !exists {
+					t.Fatal("present key gone after the op")
+				}
+				if !reflect.DeepEqual(after, v.Copy()) {
+					t.Fatalf("engine value %+v, ApplyToValue %+v", after, v)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Key identifies a state object. Following §4.3, a key is namespaced by the
 // logical vertex ID ("when two logical vertices use the same key to store
@@ -30,6 +33,17 @@ func (k Key) Less(o Key) bool {
 		return k.Obj < o.Obj
 	}
 	return k.Sub < o.Sub
+}
+
+// sortedKeys returns m's keys in Less order: the sorted-keys idiom that
+// keeps map iteration order out of encodings and replay order.
+func sortedKeys[V any](m map[Key]V) []Key {
+	keys := make([]Key, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	return keys
 }
 
 // Scope is the granularity at which a state object is keyed: the set of

@@ -34,9 +34,6 @@ func NewPartitionMap(shards []string) *PartitionMap {
 	return m
 }
 
-// NumShards reports the shard count.
-func (m *PartitionMap) NumShards() int { return len(m.Shards) }
-
 // Index returns the index of the shard owning k. With a single shard every
 // key maps to it, so a one-shard tier behaves exactly like the pre-sharding
 // single server.

@@ -243,22 +243,8 @@ func RecoverEngine(in RecoverInput) (*Engine, int) {
 		insts = append(insts, inst)
 	}
 	sort.Slice(insts, func(a, b int) bool { return insts[a] < insts[b] })
-	keys := make([]Key, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
-		if ka.Vertex != kb.Vertex {
-			return ka.Vertex < kb.Vertex
-		}
-		if ka.Obj != kb.Obj {
-			return ka.Obj < kb.Obj
-		}
-		return ka.Sub < kb.Sub
-	})
 
-	for _, k := range keys {
+	for _, k := range sortedKeys(keySet) {
 		// Candidates: checkpoint TS (value from checkpoint) plus every read
 		// of this key (Case 2 of §5.4). The checkpoint is always present so
 		// stale reads can never win the selection.

@@ -324,20 +324,13 @@ func (s *Server) run(p transport.Proc) {
 			if req.WatchOwner {
 				s.registerOwnerWatch(req.Key, req.Instance, pl.From())
 			}
-			s.applyMu.Lock()
-			rep := s.engine.Apply(req)
-			if !rep.Conflict {
-				s.notePos(req.Instance, req.WalPos)
-			}
-			s.applyMu.Unlock()
+			rep := s.apply(req)
 			pl.Reply(rep, 16+rep.Val.wireSize())
 		case AsyncBatchMsg:
 			s.serveAsync(p, pl.Ops)
 		case OwnerSeedMsg:
 			p.Sleep(s.cfg.OpService)
-			s.applyMu.Lock()
-			s.engine.Apply(&Request{Op: OpAssociate, Key: pl.Key, Instance: pl.Instance})
-			s.applyMu.Unlock()
+			s.apply(&Request{Op: OpAssociate, Key: pl.Key, Instance: pl.Instance})
 		case PruneMsg:
 			for _, clock := range pl.Clocks {
 				s.engine.PruneClock(clock)
@@ -373,12 +366,7 @@ func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
 	s.holding = len(ops) > 1
 	for _, op := range ops {
 		if !seen.Has(op.Seq) {
-			s.applyMu.Lock()
-			rep := s.engine.Apply(op.Req)
-			if !rep.Conflict {
-				s.notePos(op.Req.Instance, op.Req.WalPos)
-			}
-			s.applyMu.Unlock()
+			rep := s.apply(op.Req)
 			if rep.Conflict {
 				// Transient ownership conflict: mid-handover, the new
 				// instance can issue (or flush) ops for a flow whose
@@ -475,6 +463,19 @@ func (s *Server) checkpoint(p transport.Proc) {
 	for _, ep := range sorted {
 		s.net.Send(transport.Message{From: s.Name, To: ep, Payload: msg, Size: 8 * (len(msg.TS) + len(msg.Pos) + 1)})
 	}
+}
+
+// apply executes one op on the engine and, unless it hit an ownership
+// conflict, notes its WAL position, atomically against a checkpoint
+// capture (applyMu).
+func (s *Server) apply(req *Request) Reply {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	rep := s.engine.Apply(req)
+	if !rep.Conflict {
+		s.notePos(req.Instance, req.WalPos)
+	}
+	return rep
 }
 
 // notePos records an applied op's WAL-position stamp. Positions only move

@@ -7,6 +7,8 @@ package store
 // needs the registry. Encodings are canonical: fixed-width big-endian
 // fields in declaration order, maps in sorted key order, so
 // encode→decode→re-encode is byte-stable (pinned by wire_test.go).
+// Checkpoints (checkpoint.go) encode their keys and values with the same
+// encKey/encValue, so the store has one binary form of its state.
 
 import "chc/internal/transport"
 

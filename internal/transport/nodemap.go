@@ -125,15 +125,3 @@ func (m *NodeMap) Reassign(ep, node string) {
 	defer m.mu.Unlock()
 	m.exact[ep] = node
 }
-
-// Assignments returns the explicit prefix->node table in sorted prefix
-// order (diagnostics and tests).
-func (m *NodeMap) Assignments() map[string]string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string]string, len(m.exact))
-	for k, v := range m.exact {
-		out[k] = v
-	}
-	return out
-}

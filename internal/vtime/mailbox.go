@@ -69,18 +69,6 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	return v
 }
 
-// TryRecv returns the next message without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.queue) == 0 {
-		return zero, false
-	}
-	v := m.queue[0]
-	m.queue[0] = zero
-	m.queue = m.queue[1:]
-	return v, true
-}
-
 // RecvTimeout suspends p until a message arrives or virtual duration d
 // elapses. ok is false on timeout.
 func (m *Mailbox[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
