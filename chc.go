@@ -237,9 +237,6 @@ func NetChainConfig(nodes []NodeSpec, node string) ChainConfig {
 // aggregate properties of the paper's campus-to-EC2 captures.
 func GenerateTrace(cfg TraceConfig) *Trace { return trace.Generate(cfg) }
 
-// DefaultTraceConfig mirrors a scaled-down Trace2.
-func DefaultTraceConfig() TraceConfig { return trace.DefaultConfig() }
-
 // Experiments exposes the paper's evaluation harness: map of experiment id
 // to runner (see DESIGN.md §3 for the per-experiment index).
 func Experiments() map[string]func(experiments.Opts) *experiments.Table {

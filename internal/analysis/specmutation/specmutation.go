@@ -15,9 +15,10 @@
 //     demotion made ApplySpec the only supported mutation path, and an
 //     exported escape hatch reopens it.
 //  3. Raw store.Request composite literals are deprecated outside the
-//     typed-handle layer (PR 1): NF state access goes through nf.DeclSet
-//     handles; only internal/nf, internal/baseline and internal/store
-//     itself may construct Requests.
+//     typed-handle layer: NF state access goes through nf.DeclSet
+//     handles; only the packages internal/nf (the handle layer) and
+//     internal/store itself may construct Requests. Their subpackages
+//     (the NFs under internal/nf, say) may not.
 package specmutation
 
 import (
@@ -25,6 +26,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 
 	"chc/internal/analysis/chcanalysis"
 )
@@ -53,7 +55,6 @@ var mutationVerb = regexp.MustCompile(`^(Scale|Drain|Retire|Move|Failover|Clone|
 var requestAllowed = []string{
 	"internal/store",
 	"internal/nf",
-	"internal/baseline",
 }
 
 // Analyzer is the specmutation pass.
@@ -68,12 +69,9 @@ func run(pass *chcanalysis.Pass) error {
 		return nil
 	}
 	inRuntime := chcanalysis.PathHasSuffix(pass.Pkg.Path(), "internal/runtime")
-	rawRequestOK := false
-	for _, suffix := range requestAllowed {
-		if chcanalysis.PathHasSuffix(pass.Pkg.Path(), suffix) || pathUnderSuffix(pass.Pkg.Path(), suffix) {
-			rawRequestOK = true
-		}
-	}
+	rawRequestOK := slices.ContainsFunc(requestAllowed, func(suffix string) bool {
+		return chcanalysis.PathHasSuffix(pass.Pkg.Path(), suffix)
+	})
 	for _, f := range pass.Files {
 		file := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -105,30 +103,4 @@ func run(pass *chcanalysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// pathUnderSuffix reports whether path contains suffix as a directory
-// prefix of its tail, e.g. internal/baseline matches
-// chc/internal/baseline/ftmb.
-func pathUnderSuffix(path, suffix string) bool {
-	for p := path; p != ""; {
-		if chcanalysis.PathHasSuffix(p, suffix) {
-			return true
-		}
-		i := lastSlash(p)
-		if i < 0 {
-			return false
-		}
-		p = p[:i]
-	}
-	return false
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

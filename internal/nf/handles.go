@@ -11,9 +11,7 @@
 //
 // Handles route every call through the Ctx, so the pluggable State
 // backends (traditional, CHC client, naive locking), XOR update-vector
-// tracking, and clock stamping all behave exactly as with raw requests;
-// the raw Request path remains available for baselines (see
-// internal/baseline/rawnf) and produces byte-identical experiment output.
+// tracking, and clock stamping all behave exactly as with raw requests.
 package nf
 
 import (

@@ -94,6 +94,7 @@ func TestNetFailoverReplay(t *testing.T) {
 
 func netFailoverReplay(t *testing.T, rounds int) {
 	ch := netNATChain(t, 11)
+	ch.Root.traceCommits = map[uint64][]store.Commit{}
 	tr := liveTrace(11, 80)
 
 	crashed := make(chan struct{})
@@ -117,15 +118,18 @@ func netFailoverReplay(t *testing.T, rounds int) {
 	if !ch.AwaitDrained(15 * time.Second) {
 		st, _ := ch.QueryRootStats(time.Second)
 		ch.Stop()
+		logStuckClocks(t, ch)
 		t.Fatalf("chain did not drain after failover: injected=%d deleted=%d log=%d replayed=%d",
 			st.Injected, st.Deleted, st.LogSize, st.Replayed)
 	}
 	ch.Stop()
 	if ch.Root.Injected != ch.Root.Deleted {
+		logStuckClocks(t, ch)
 		t.Fatalf("conservation violated after failover: injected=%d deleted=%d",
 			ch.Root.Injected, ch.Root.Deleted)
 	}
 	if ch.Root.LogSize() != 0 {
+		logStuckClocks(t, ch)
 		t.Fatalf("XOR residue after failover: %d packets still logged", ch.Root.LogSize())
 	}
 	if ch.Sink.Duplicates != 0 {

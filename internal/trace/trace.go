@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -95,9 +96,6 @@ type Config struct {
 	PayloadMedian int
 	Hosts         int // internal /24 host count
 	Servers       int // external server count
-	// AppWeights is the application mix; zero-value gets a default
-	// HTTP-dominated mix with SSH/FTP/IRC present.
-	AppWeights map[packet.App]int
 	// UDPFrac is the fraction of flows generated as UDP request/response
 	// exchanges (DNS-style, port 53) instead of TCP connections. Zero keeps
 	// the all-TCP workload — and, deliberately, the exact RNG draw sequence
@@ -106,18 +104,6 @@ type Config struct {
 	UDPFrac float64
 	// UDPPayloadMedian is the median UDP response payload; zero uses 256B.
 	UDPPayloadMedian int
-}
-
-// DefaultConfig mirrors a scaled-down Trace2.
-func DefaultConfig() Config {
-	return Config{
-		Seed:            42,
-		Flows:           2000,
-		PktsPerFlowMean: 32,
-		PayloadMedian:   1394,
-		Hosts:           64,
-		Servers:         32,
-	}
 }
 
 const (
@@ -211,31 +197,27 @@ func udpFlowPackets(r *rand.Rand, src, dst uint32, sport, dport uint16, nPairs, 
 	return pkts
 }
 
+// appMix is the application mix every trace draws from, one entry per
+// unit of weight in App order: HTTP-dominated, with SSH/FTP/IRC present.
+var appMix = func() []packet.App {
+	var apps []packet.App
+	for _, w := range []struct {
+		app packet.App
+		n   int
+	}{{packet.AppHTTP, 84}, {packet.AppDNS, 8}, {packet.AppSSH, 3}, {packet.AppFTP, 3}, {packet.AppIRC, 2}} {
+		for range w.n {
+			apps = append(apps, w.app)
+		}
+	}
+	slices.Sort(apps)
+	return apps
+}()
+
 // Generate builds a synthetic trace. Events are produced with zero
 // timestamps in a globally interleaved arrival order; call Pace to assign
 // arrival times for a target load.
 func Generate(cfg Config) *Trace {
-	if cfg.Flows == 0 {
-		cfg = DefaultConfig()
-	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	weights := cfg.AppWeights
-	if weights == nil {
-		weights = map[packet.App]int{
-			packet.AppHTTP: 84,
-			packet.AppDNS:  8,
-			packet.AppSSH:  3,
-			packet.AppFTP:  3,
-			packet.AppIRC:  2,
-		}
-	}
-	var apps []packet.App
-	for a, w := range weights {
-		for i := 0; i < w; i++ {
-			apps = append(apps, a)
-		}
-	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
 
 	type flowState struct {
 		pkts []*packet.Packet
@@ -251,7 +233,7 @@ func Generate(cfg Config) *Trace {
 		// The short-circuit matters: with UDPFrac == 0 no extra RNG draw
 		// happens, so all-TCP traces are bit-identical to pre-UDP ones.
 		isUDP := cfg.UDPFrac > 0 && r.Float64() < cfg.UDPFrac
-		app := apps[r.Intn(len(apps))]
+		app := appMix[r.Intn(len(appMix))]
 		src := HostIP(r.Intn(cfg.Hosts))
 		dst := ServerIP(r.Intn(cfg.Servers))
 		ephemeral++
