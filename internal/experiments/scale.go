@@ -229,7 +229,7 @@ func scaleShardCrash(o Opts) []string {
 
 	totalWal := 0
 	for _, in := range v.Instances {
-		totalWal += len(in.Client().WAL())
+		totalWal += in.Client().WALLen()
 	}
 	took, reexec := ch.RecoverStoreShard(1, runtime.DefaultStoreRecoveryConfig())
 	ch.RunTrace(&trace.Trace{Events: tr.Events[half:]}, 300*time.Millisecond)

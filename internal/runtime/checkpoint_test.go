@@ -277,7 +277,7 @@ func TestLiveCheckpointRecovery(t *testing.T) {
 		walLen := func() int {
 			n := 0
 			for _, in := range c.Vertices[0].Instances {
-				n += len(in.Client().WAL())
+				n += in.Client().WALLen()
 			}
 			return n
 		}

@@ -78,7 +78,8 @@ const (
 const acquirePoll = 100 * time.Microsecond
 
 // WalOp is one entry of the client-side write-ahead log of shared-state
-// update operations (§5.4).
+// update operations (§5.4), as WAL() decodes it. Clock is always
+// Req.Clock: the log stores the Request alone (walLog).
 type WalOp struct {
 	Clock uint64
 	Req   Request
@@ -235,12 +236,20 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 // Config returns the client configuration.
 func (c *Client) Config() ClientConfig { return c.cfg }
 
-// WAL returns a copy of the client-side write-ahead log (store recovery
-// input).
+// WAL decodes the client-side write-ahead log (store recovery input).
+// Values come back in the wire codec's canonical form: an empty Bytes,
+// List or Map is nil, as on a request that crossed a socket.
 func (c *Client) WAL() []WalOp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.wal.flat()
+}
+
+// WALLen returns how many entries the WAL holds, without decoding them.
+func (c *Client) WALLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wal.n
 }
 
 // WALDropped returns, per shard, how many of this client's WAL entries
@@ -655,8 +664,8 @@ func (c *Client) HandleMessage(payload any) bool {
 func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 	owns := func(k Key) bool { return shard == "" || c.shardFor(k) == shard }
 	if drop := int64(pos[c.cfg.Instance]) - int64(c.walDropped[shard]); drop > 0 {
-		c.walDropped[shard] += uint64(c.wal.filter(func(w *WalOp) bool {
-			if drop == 0 || !owns(w.Req.Key) {
+		c.walDropped[shard] += uint64(c.wal.filter(func(k Key) bool {
+			if drop == 0 || !owns(k) {
 				return false
 			}
 			drop--
@@ -689,14 +698,14 @@ func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 func (c *Client) logOp(req *Request) (shard string) {
 	shard = c.shardFor(req.Key)
 	if req.Clock != 0 {
-		c.wal.append(WalOp{Clock: req.Clock, Req: *req})
+		c.wal.append(req)
 		c.walCount[shard]++
 	}
 	for _, b := range req.Batch {
 		if b.Clock != 0 {
 			r := *req
 			r.Clock, r.Arg, r.Batch = b.Clock, IntVal(b.Delta), nil
-			c.wal.append(WalOp{Clock: b.Clock, Req: r})
+			c.wal.append(&r)
 			c.walCount[shard]++
 		}
 	}

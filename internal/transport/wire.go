@@ -36,6 +36,12 @@ import (
 // WireEnc appends canonical binary encodings of payload fields.
 type WireEnc struct{ b []byte }
 
+// NewWireEnc returns an encoder that appends to b: the encoding goes into
+// b's spare capacity and allocates only if it outgrows it, so a caller
+// that owns a large enough buffer (a log segment) encodes without
+// allocating.
+func NewWireEnc(b []byte) WireEnc { return WireEnc{b: b} }
+
 // Bytes returns the accumulated encoding.
 func (e *WireEnc) Bytes() []byte { return e.b }
 
@@ -98,6 +104,10 @@ func (e *WireEnc) U64s(vs []uint64) {
 // MapU16U64 appends a map[uint16]uint64 with entries in ascending key
 // order (canonical: map iteration order never leaks into the encoding).
 func (e *WireEnc) MapU16U64(m map[uint16]uint64) {
+	if len(m) == 0 {
+		e.U32(0)
+		return
+	}
 	keys := make([]uint16, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -112,6 +122,10 @@ func (e *WireEnc) MapU16U64(m map[uint16]uint64) {
 
 // MapU64U16 appends a map[uint64]uint16 in ascending key order.
 func (e *WireEnc) MapU64U16(m map[uint64]uint16) {
+	if len(m) == 0 {
+		e.U32(0)
+		return
+	}
 	keys := make([]uint64, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -126,6 +140,10 @@ func (e *WireEnc) MapU64U16(m map[uint64]uint16) {
 
 // MapStrI64 appends a map[string]int64 in ascending key order.
 func (e *WireEnc) MapStrI64(m map[string]int64) {
+	if len(m) == 0 {
+		e.U32(0)
+		return
+	}
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -82,6 +82,52 @@ func TestWirePrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireEncIntoBufferAllocs: encoding a request into a caller's buffer
+// that has room allocates nothing and writes into that buffer. The fields
+// are a store request's: op, key, field, two values (one with bytes and a
+// list, one empty), custom name, clock, instance, flags, WAL position and
+// an empty batch. Only a non-empty map allocates (its sorted key list).
+func TestWireEncIntoBufferAllocs(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	blob, list := []byte("xyz"), []int64{4, 5}
+	value := func(e *WireEnc, kind uint8, i int64, f float64, b []byte, l []int64) {
+		e.U8(kind)
+		e.I64(i)
+		e.F64(f)
+		e.Blob(b)
+		e.I64s(l)
+		e.MapStrI64(nil)
+	}
+	var out []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		e := NewWireEnc(buf)
+		e.U8(3)
+		e.U16(1)
+		e.U16(2)
+		e.U64(9)
+		e.Str("port")
+		value(&e, 3, -7, 0.5, blob, list)
+		value(&e, 0, 0, 0, nil, nil)
+		e.Str("")
+		e.U8(0)
+		e.U64(42)
+		e.U16(3)
+		e.Bool(true)
+		e.Bool(false)
+		e.U64(7)
+		e.U32(0)
+		e.Bool(false)
+		e.Bool(false)
+		out = e.Bytes()
+	})
+	if allocs != 0 {
+		t.Fatalf("encoding into a buffer with room: %v allocs, want 0", allocs)
+	}
+	if len(out) == 0 || &out[0] != &buf[:1][0] {
+		t.Fatal("the encoding did not go into the caller's buffer")
+	}
+}
+
 func TestWireMapEncodingCanonical(t *testing.T) {
 	// Same map contents must encode to the same bytes regardless of
 	// insertion order (sorted-key emission).
