@@ -486,6 +486,10 @@ func runMain(args []string) {
 	}
 	e2e := ch.Metrics.Get("total.chain")
 	fmt.Printf("chain: e2e p50=%v p95=%v\n", e2e.Percentile(50), e2e.Percentile(95))
+	if n := e2e.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "chcd: warning: the latency series dropped %d samples past its cap; its percentiles describe the first %d packets only\n",
+			n, e2e.N())
+	}
 	status := ctl.Status()
 	for _, cs := range status.Checkpoints {
 		fmt.Printf("ckpt:  %-8s taken=%d retained=%d torn=%d rejected=%d last=%.12s…\n",
@@ -550,6 +554,9 @@ type runReport struct {
 	P50us        float64                  `json:"latency_p50_us"`
 	P95us        float64                  `json:"latency_p95_us"`
 	P99us        float64                  `json:"latency_p99_us"`
+	// LatencyDropped counts the packets the latency series dropped past
+	// its sample cap; the percentiles above leave them out.
+	LatencyDropped int `json:"latency_dropped"`
 	// Burst hot-path counters: the live CI gate asserts all three are
 	// nonzero so a drift that silently disables batching fails the build.
 	// On the DES every packet is a root burst of one and the other two
@@ -584,6 +591,7 @@ func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string,
 		P50us:           float64(e2e.Percentile(50).Nanoseconds()) / 1e3,
 		P95us:           float64(e2e.Percentile(95).Nanoseconds()) / 1e3,
 		P99us:           float64(e2e.Percentile(99).Nanoseconds()) / 1e3,
+		LatencyDropped:  e2e.Dropped(),
 		RootBursts:      ch.Root.Bursts,
 		ArenaReuse:      ch.Metrics.Counter("arena.reuse"),
 		ClientBurstRPCs: ch.Metrics.Counter("client.burst_rpcs"),

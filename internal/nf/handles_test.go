@@ -193,15 +193,29 @@ func TestNonDetHandle(t *testing.T) {
 	}
 }
 
-func TestFailedPopDoesNotEnterXORVector(t *testing.T) {
+// TestFailedPopEntersXORVector: a pop from an empty pool fails but does not
+// conflict, so the NF signs it into the packet's XOR vector and the store
+// commits it. Signing and committing follow one rule, so the root's delete
+// check balances and the packet is deleted.
+func TestFailedPopEntersXORVector(t *testing.T) {
 	r := newHandleRig()
 	var s DeclSet
 	p := s.Pool(4, "ports", store.ScopeGlobal, store.WriteReadOften)
 	if _, ok := p.Pop(r.ctx); ok {
 		t.Fatal("pop on empty pool succeeded")
 	}
-	if len(r.ctx.Updated) != 0 {
-		t.Fatalf("failed pop entered Updated: %v (would wedge the root delete check)", r.ctx.Updated)
+	if len(r.ctx.Updated) != 1 || r.ctx.Updated[0] != 4 {
+		t.Fatalf("Updated = %v, want the failed pop's object 4 signed", r.ctx.Updated)
+	}
+
+	e := store.NewEngine(1)
+	var commits []uint64
+	e.SetHooks(store.Hooks{OnCommit: func(clock uint64, _ uint16, _ store.Key) {
+		commits = append(commits, clock)
+	}})
+	rep := e.Apply(&store.Request{Op: store.OpPopList, Key: store.Key{Vertex: 1, Obj: 4}, Clock: 9, Instance: 1})
+	if rep.OK || len(commits) != 1 || commits[0] != 9 {
+		t.Fatalf("failed pop: reply %+v, commits %v; want a failed reply that commits clock 9", rep, commits)
 	}
 }
 

@@ -95,14 +95,14 @@ func (c *Ctx) Update(req store.Request) {
 	c.State.Update(c, req)
 }
 
-// UpdateBlocking issues a mutation and returns its result. Only successful
-// mutations contribute to the packet's XOR vector — a failed op (e.g. a pop
-// from an exhausted pool) commits nothing at the store, so counting it
-// would wedge the root's delete check forever.
+// UpdateBlocking issues a mutation and returns its result. Every mutation
+// the store did not reject for an ownership conflict enters the packet's
+// XOR vector, including a failed one (e.g. a pop from an exhausted pool):
+// the store commits exactly those, so the root's delete check balances.
 func (c *Ctx) UpdateBlocking(req store.Request) (store.Reply, bool) {
 	req.Clock = c.Clock
 	rep, ok := c.State.UpdateBlocking(c, req)
-	if ok && rep.OK && req.Op.Mutates() {
+	if ok && !rep.Conflict && req.Op.Mutates() {
 		c.noteUpdate(req.Key.Obj)
 	}
 	return rep, ok

@@ -383,7 +383,7 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 		tr = simnet.New(sim, transport.LinkConfig{Latency: cfg.LinkLatency})
 	}
 	c := &Chain{cfg: cfg, sub: sub, sim: sim, tr: tr, spec: spec,
-		nodes: nodes, node: cfg.Node, Metrics: NewMetrics(),
+		nodes: nodes, node: cfg.Node, Metrics: NewMetrics(sub == SubstrateSim),
 		arena: packet.NewArena(sub != SubstrateSim)}
 	c.topo.Store(&topology{slots: make([][]*Instance, len(spec)),
 		byID: []*Instance{nil}, serving: []*Instance{nil}, replica: []*Instance{nil}})

@@ -217,16 +217,35 @@ func TestLiveTwoShardDrains(t *testing.T) {
 	threeNFInvariants(t, cfg, store.ModeEOCNA, flows)
 }
 
+// TestEOSignsWhatCommits: on the DES with eight workers per instance, two
+// FIN/RST packets of one connection run at once under EO, and the second
+// one's per-flow Delete finds the key gone. The NF signs that Delete into
+// its packet's XOR vector on issue, so the store has to commit it although
+// it changed nothing, or the clock stays logged forever (eight to sixteen
+// clocks per seed in the first lap before the store committed every
+// non-conflicted mutating op).
+func TestEOSignsWhatCommits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deterministic DES runs, as TestLiveInvariantTable's: the full run covers them")
+	}
+	for seed := int64(11); seed <= 15; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := DefaultChainConfig()
+			cfg.Seed = seed
+			threeNFInvariants(t, cfg, store.ModeEO, 600)
+		})
+	}
+}
+
 // TestLiveInvariantTable runs the same invariants over every combination
 // of the knobs a shard-keyed or burst-keyed mechanism could depend on, and
 // once across sockets. The burst width is the substrate's: 32 on live and
 // 1 on the DES, which runs the same burst path with bursts of one. So the
-// burst=1 rows run the chain on the DES, with live's one worker per
-// instance (with eight, the DES leaves about one EO FIN clock in 700
-// logged; see ROADMAP). -short (the race detector slows live tenfold and
-// more) runs the live shards x mode diagonal on a quarter of the traffic,
-// and leaves the deterministic DES rows and the sockets to the full run and
-// the net failover tests.
+// burst=1 rows run the chain on the DES, at its default eight workers per
+// instance. -short (the race detector slows live tenfold and more) runs the
+// live shards x mode diagonal on a quarter of the traffic, and leaves the
+// deterministic DES rows and the sockets to the full run and the net
+// failover tests.
 //
 // The EO+C+NA burst-32 rows also bound the root's inbound messages per
 // packet, so a change cannot quietly undo the per-batch control signals:
@@ -255,7 +274,6 @@ func TestLiveInvariantTable(t *testing.T) {
 					cfg := LiveChainConfig()
 					if burst == 1 {
 						cfg = DefaultChainConfig()
-						cfg.DefaultThreads = 1
 					}
 					cfg.Seed = int64(11 + si)
 					cfg.StoreShards = shards

@@ -201,6 +201,7 @@ type CustomOp func(cur *Value, arg Value) (result Value, ok bool)
 type Hooks struct {
 	// OnCommit fires after a mutating op with a clock commits (Fig 6 step 2:
 	// the store signals the root with the packet clock and instance‖object).
+	// Every mutating op but a conflicted one commits, changed value or not.
 	OnCommit func(clock uint64, instance uint16, key Key)
 	// OnUpdate fires after any mutation with the new value (drives the
 	// read-heavy cache callbacks of Table 1).
@@ -523,13 +524,16 @@ func (e *Engine) Apply(req *Request) Reply {
 		e.logDup(req.Clock, req.Key, rep.Val)
 	}
 
-	if mutated {
-		if e.hooks.OnCommit != nil && req.Clock != 0 {
-			e.hooks.OnCommit(req.Clock, req.Instance, req.Key)
-		}
-		if notify {
-			e.hooks.OnUpdate(req.Key, updVal, req.Instance)
-		}
+	// A mutating op the NF signed commits whether or not it changed the
+	// value (a Delete of a key already gone, a Pop of an empty pool): the
+	// packet's XOR vector counts it on issue. Only an ownership conflict
+	// does not commit: an async op is re-offered until it applies, and
+	// the NF does not sign a blocking one.
+	if e.hooks.OnCommit != nil && req.Clock != 0 && req.Op.Mutates() && !rep.Conflict {
+		e.hooks.OnCommit(req.Clock, req.Instance, req.Key)
+	}
+	if notify {
+		e.hooks.OnUpdate(req.Key, updVal, req.Instance)
 	}
 	if ownerChanged && e.hooks.OnOwnerChange != nil {
 		e.hooks.OnOwnerChange(req.Key, newOwner)

@@ -350,6 +350,27 @@ func TestHooksCommitAndUpdate(t *testing.T) {
 	}
 }
 
+// TestFailedMutationCommits: a mutating op with a clock commits whether or
+// not it changed the value (the NF signed it on issue), and only an
+// ownership conflict keeps it from committing.
+func TestFailedMutationCommits(t *testing.T) {
+	e := NewEngine(4)
+	var commits []uint64
+	e.SetHooks(Hooks{OnCommit: func(clock uint64, _ uint16, _ Key) {
+		commits = append(commits, clock)
+	}})
+	if rep := e.Apply(&Request{Op: OpDelete, Key: k(1, 1, 3), Clock: 5, Instance: 2}); rep.OK {
+		t.Fatalf("delete of an absent key = %+v, want !OK", rep)
+	}
+	e.Apply(&Request{Op: OpAssociate, Key: k(1, 1, 4), Instance: 3})
+	if rep := e.Apply(&Request{Op: OpSet, Key: k(1, 1, 4), Arg: IntVal(1), Clock: 6, Instance: 2}); !rep.Conflict {
+		t.Fatalf("set of a key owned elsewhere = %+v, want a conflict", rep)
+	}
+	if len(commits) != 1 || commits[0] != 5 {
+		t.Fatalf("commits = %v, want [5]: the failed delete, not the conflicted set", commits)
+	}
+}
+
 func TestOwnerChangeHook(t *testing.T) {
 	e := NewEngine(4)
 	var changes []uint16
