@@ -217,26 +217,6 @@ func TestLiveTwoShardDrains(t *testing.T) {
 	threeNFInvariants(t, cfg, store.ModeEOCNA, flows)
 }
 
-// TestEOSignsWhatCommits: on the DES with eight workers per instance, two
-// FIN/RST packets of one connection run at once under EO, and the second
-// one's per-flow Delete finds the key gone. The NF signs that Delete into
-// its packet's XOR vector on issue, so the store has to commit it although
-// it changed nothing, or the clock stays logged forever (eight to sixteen
-// clocks per seed in the first lap before the store committed every
-// non-conflicted mutating op).
-func TestEOSignsWhatCommits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("deterministic DES runs, as TestLiveInvariantTable's: the full run covers them")
-	}
-	for seed := int64(11); seed <= 15; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := DefaultChainConfig()
-			cfg.Seed = seed
-			threeNFInvariants(t, cfg, store.ModeEO, 600)
-		})
-	}
-}
-
 // TestLiveInvariantTable runs the same invariants over every combination
 // of the knobs a shard-keyed or burst-keyed mechanism could depend on, and
 // once across sockets. The burst width is the substrate's: 32 on live and
@@ -246,6 +226,14 @@ func TestEOSignsWhatCommits(t *testing.T) {
 // live shards x mode diagonal on a quarter of the traffic, and leaves the
 // deterministic DES rows and the sockets to the full run and the net
 // failover tests.
+//
+// The EO DES rows run seeds 11 to 15 each. With eight workers, two FIN/RST
+// packets of one connection run at once under EO, and the second one's
+// per-flow Delete finds the key gone. The NF signs that Delete into its
+// packet's XOR vector on issue, so the store has to commit it although it
+// changed nothing, or the clock stays logged forever (eight to sixteen
+// clocks per seed in the first lap before the store committed every
+// non-conflicted mutating op).
 //
 // The EO+C+NA burst-32 rows also bound the root's inbound messages per
 // packet, so a change cannot quietly undo the per-batch control signals:
@@ -275,8 +263,17 @@ func TestLiveInvariantTable(t *testing.T) {
 					if burst == 1 {
 						cfg = DefaultChainConfig()
 					}
-					cfg.Seed = int64(11 + si)
 					cfg.StoreShards = shards
+					if burst == 1 && m.mode == store.ModeEO {
+						for seed := int64(11); seed <= 15; seed++ {
+							t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+								cfg.Seed = seed
+								threeNFInvariants(t, cfg, m.mode, flows)
+							})
+						}
+						return
+					}
+					cfg.Seed = int64(11 + si)
 					perPkt := threeNFInvariants(t, cfg, m.mode, flows)
 					bound := 2.0
 					if shards > 1 {

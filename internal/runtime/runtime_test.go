@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -205,6 +206,57 @@ func TestNFFailoverRecoversState(t *testing.T) {
 	}
 	if c.Sink.Duplicates != 0 {
 		t.Fatalf("%d duplicates at receiver after failover", c.Sink.Duplicates)
+	}
+}
+
+// TestFailoverWithExhaustedPool: a NAT with one or two ports fails most
+// SYNs' pops, and each failed pop commits. Failover replays the packets
+// still logged, failed pops among them, after FINs have returned ports to
+// the pool: the store emulates each replayed pop with its logged failure,
+// so it neither hands out a port the first pass did not nor commits a
+// second time, which would cancel the first commit and keep the packet
+// logged (one packet in each case while the store logged only successful
+// ops for duplicate suppression).
+func TestFailoverWithExhaustedPool(t *testing.T) {
+	for _, tc := range []struct {
+		ports int64
+		flows int
+	}{{1, 40}, {2, 80}} {
+		t.Run(fmt.Sprintf("ports=%d/flows=%d", tc.ports, tc.flows), func(t *testing.T) {
+			c := New(testConfig(), natVertex(1, BackendCHC, store.ModeEO))
+			c.Start()
+			v := c.Vertices[0]
+			v.Seed(func(apply func(store.Request)) {
+				n := nat.New()
+				n.PortRangeCount = tc.ports
+				n.SeedPorts(apply)
+			})
+
+			tr := smallTrace(tc.flows)
+			half := tr.Len() / 2
+			// No settle: crash with packets still in flight, so failover
+			// replays.
+			c.RunTrace(&trace.Trace{Events: tr.Events[:half]}, 0)
+			old := v.Instances[0]
+			old.Crash()
+			c.Controller().Failover(old)
+			c.RunTrace(&trace.Trace{Events: tr.Events[half:]}, 200*time.Millisecond)
+
+			if c.Metrics.AlertCount("port-exhausted") == 0 {
+				t.Fatal("no pop failed: the pool never ran out and the test is vacuous")
+			}
+			if c.Root.Replayed == 0 {
+				t.Fatal("failover replayed nothing: the test is vacuous")
+			}
+			if c.Root.LogSize() != 0 || c.Root.Injected != c.Root.Deleted {
+				logStuckClocks(t, c)
+				t.Fatalf("injected=%d deleted=%d log=%d, want every clock deleted",
+					c.Root.Injected, c.Root.Deleted, c.Root.LogSize())
+			}
+			if c.Sink.Duplicates != 0 {
+				t.Fatalf("%d duplicates at receiver after failover", c.Sink.Duplicates)
+			}
+		})
 	}
 }
 

@@ -201,7 +201,8 @@ type CustomOp func(cur *Value, arg Value) (result Value, ok bool)
 type Hooks struct {
 	// OnCommit fires after a mutating op with a clock commits (Fig 6 step 2:
 	// the store signals the root with the packet clock and instance‖object).
-	// Every mutating op but a conflicted one commits, changed value or not.
+	// Every mutating op but a conflicted one commits, changed value or not,
+	// once per (clock, key): a duplicate is emulated and does not commit.
 	OnCommit func(clock uint64, instance uint16, key Key)
 	// OnUpdate fires after any mutation with the new value (drives the
 	// read-heavy cache callbacks of Table 1).
@@ -218,10 +219,11 @@ type Hooks struct {
 }
 
 // dupEntry is one logged update of a clock: the key and the result the op
-// returned.
+// returned, failed or not.
 type dupEntry struct {
 	key Key
 	val Value
+	ok  bool
 }
 
 type entry struct {
@@ -311,25 +313,25 @@ func (e *Engine) shardFor(k Key) *shard {
 	return &e.shards[h&e.mask]
 }
 
-// lookupDup returns the logged result for (clock,key), if any. A pruned
-// clock reads as seen with a zero value: pruning only happens once the
-// packet fully committed and left the chain, so any op still arriving with
-// that clock is a duplicate re-execution (e.g. a replayed copy that raced
-// the first pass's completion) and must be absorbed, not re-applied. The
-// first pass's output already reached the receiver, so the zero emulated
-// value is never NF-visible.
-func (e *Engine) lookupDup(clock uint64, k Key) (Value, bool) {
+// lookupDup returns the logged result for (clock,key), if seen. A pruned
+// clock reads as seen with a zero, successful result: pruning only happens
+// once the packet fully committed and left the chain, so any op still
+// arriving with that clock is a duplicate re-execution (e.g. a replayed
+// copy that raced the first pass's completion) and must be absorbed, not
+// re-applied. The first pass's output already reached the receiver, so the
+// zero emulated value is never NF-visible.
+func (e *Engine) lookupDup(clock uint64, k Key) (val Value, ok, seen bool) {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
 	if e.pruned.Has(clock) {
-		return Value{}, true
+		return Value{}, true, true
 	}
 	if log := e.updLog.Get(clock); log != nil {
 		if d := findDup(*log, k); d != nil {
-			return d.val, true
+			return d.val, d.ok, true
 		}
 	}
-	return Value{}, false
+	return Value{}, false, false
 }
 
 func findDup(log []dupEntry, k Key) *dupEntry {
@@ -341,12 +343,12 @@ func findDup(log []dupEntry, k Key) *dupEntry {
 	return nil
 }
 
-func (e *Engine) logDup(clock uint64, k Key, result Value) {
+func (e *Engine) logDup(clock uint64, k Key, result Value, ok bool) {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
 	log := e.updLog.Put(clock)
 	if d := findDup(*log, k); d != nil {
-		d.val = result.Copy()
+		d.val, d.ok = result.Copy(), ok
 		return
 	}
 	if *log == nil {
@@ -354,7 +356,7 @@ func (e *Engine) logDup(clock uint64, k Key, result Value) {
 		// instead of growing 1 → 2 → 4.
 		*log = make([]dupEntry, 0, 4)
 	}
-	*log = append(*log, dupEntry{k, result.Copy()})
+	*log = append(*log, dupEntry{k, result.Copy(), ok})
 }
 
 // PruneClock discards duplicate-suppression log entries for a packet whose
@@ -394,10 +396,11 @@ func (e *Engine) Apply(req *Request) Reply {
 	sh.mu.Lock()
 
 	// Duplicate suppression: a mutating op whose (clock,key) was already
-	// applied is emulated — return the logged result without re-applying
-	// (Fig 5b). NonDet values are memoized the same way (Appendix A).
+	// applied is emulated — return the logged result, failed or not,
+	// without re-applying or committing again (Fig 5b). NonDet values are
+	// memoized the same way (Appendix A).
 	if req.Clock != 0 && (req.Op.Mutates() || req.Op == OpNonDet) {
-		if v, ok := e.lookupDup(req.Clock, req.Key); ok {
+		if v, ok, seen := e.lookupDup(req.Clock, req.Key); seen {
 			e.emulMu.Lock()
 			e.Emulated++
 			if e.EmulatedByVertex == nil {
@@ -406,7 +409,7 @@ func (e *Engine) Apply(req *Request) Reply {
 			e.EmulatedByVertex[req.Key.Vertex]++
 			e.emulMu.Unlock()
 			sh.mu.Unlock()
-			return Reply{Val: v, OK: true, Emulated: true}
+			return Reply{Val: v, OK: ok, Emulated: true}
 		}
 	}
 
@@ -519,9 +522,12 @@ func (e *Engine) Apply(req *Request) Reply {
 	}
 	sh.mu.Unlock()
 
-	// Log for duplicate suppression after releasing the shard lock.
-	if req.Clock != 0 && rep.OK && !rep.Emulated && (req.Op.Mutates() || req.Op == OpNonDet) {
-		e.logDup(req.Clock, req.Key, rep.Val)
+	// Log for duplicate suppression after releasing the shard lock: every
+	// op that commits below, failed or not, so a replayed or retransmitted
+	// copy is emulated with the same result and never commits twice (the
+	// root XORs commits, and a second one would cancel the first).
+	if req.Clock != 0 && !rep.Conflict && (req.Op.Mutates() || req.Op == OpNonDet) {
+		e.logDup(req.Clock, req.Key, rep.Val, rep.OK)
 	}
 
 	// A mutating op the NF signed commits whether or not it changed the
@@ -577,7 +583,7 @@ func (e *Engine) applyBatch(req *Request) Reply {
 				dups++
 				continue
 			}
-			if _, seen := e.lookupDup(b.Clock, req.Key); seen {
+			if _, _, seen := e.lookupDup(b.Clock, req.Key); seen {
 				dups++
 				continue
 			}
@@ -598,9 +604,9 @@ func (e *Engine) applyBatch(req *Request) Reply {
 	if len(fresh) == 0 {
 		// The whole batch was already applied: emulate with the logged
 		// result of its last entry (Fig 5b).
-		v, _ := e.lookupDup(all[len(all)-1].Clock, req.Key)
+		v, ok, _ := e.lookupDup(all[len(all)-1].Clock, req.Key)
 		sh.mu.Unlock()
-		return Reply{Val: v, OK: true, Emulated: true}
+		return Reply{Val: v, OK: ok, Emulated: true}
 	}
 
 	if !exists {
@@ -631,7 +637,7 @@ func (e *Engine) applyBatch(req *Request) Reply {
 		if b.Clock == 0 {
 			continue
 		}
-		e.logDup(b.Clock, req.Key, rep.Val)
+		e.logDup(b.Clock, req.Key, rep.Val, rep.OK)
 		if e.hooks.OnCommit != nil {
 			e.hooks.OnCommit(b.Clock, req.Instance, req.Key)
 		}

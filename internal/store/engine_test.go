@@ -371,6 +371,39 @@ func TestFailedMutationCommits(t *testing.T) {
 	}
 }
 
+// TestFailedMutationReplayCommitsOnce: a replayed or retransmitted copy of
+// a failed mutation is emulated with the logged failure, even when the
+// state has changed so that it would now succeed, and does not commit a
+// second time (the root XORs commits, and a second one would cancel the
+// first).
+func TestFailedMutationReplayCommitsOnce(t *testing.T) {
+	for _, op := range []Op{OpDelete, OpPopList} {
+		t.Run(op.String(), func(t *testing.T) {
+			e := NewEngine(4)
+			var commits []uint64
+			e.SetHooks(Hooks{OnCommit: func(clock uint64, _ uint16, _ Key) {
+				commits = append(commits, clock)
+			}})
+			key := k(1, 1, 3)
+			if rep := e.Apply(&Request{Op: op, Key: key, Clock: 5, Instance: 2}); rep.OK || rep.Emulated {
+				t.Fatalf("first %v on an absent key = %+v, want a failed, applied reply", op, rep)
+			}
+			// Unclocked, so it commits nothing: the key now exists and the
+			// op would succeed if it ran again.
+			e.Apply(&Request{Op: OpPushList, Key: key, Arg: IntVal(7)})
+			if rep := e.Apply(&Request{Op: op, Key: key, Clock: 5, Instance: 2}); rep.OK || !rep.Emulated {
+				t.Fatalf("replayed %v = %+v, want the logged failure, emulated", op, rep)
+			}
+			if len(commits) != 1 || commits[0] != 5 {
+				t.Fatalf("commits = %v, want [5]: the replay must not commit again", commits)
+			}
+			if _, ok := e.Get(key); !ok {
+				t.Fatal("the replay re-applied: the key pushed since is gone")
+			}
+		})
+	}
+}
+
 func TestOwnerChangeHook(t *testing.T) {
 	e := NewEngine(4)
 	var changes []uint16
