@@ -204,7 +204,7 @@ type passNF struct{}
 func (passNF) Name() string           { return "pass" }
 func (passNF) Decls() []store.ObjDecl { return nil }
 func (passNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 func makeNF(v vertexJSON) (func() nf.NF, func(*runtime.Vertex), error) {

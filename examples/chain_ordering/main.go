@@ -26,7 +26,7 @@ type passNF struct{}
 func (passNF) Name() string           { return "scrubber" }
 func (passNF) Decls() []store.ObjDecl { return nil }
 func (passNF) Process(ctx *chc.Ctx, pkt *chc.Packet) []*chc.Packet {
-	return []*chc.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 func run(useClocks bool) (detected int, sigs int) {

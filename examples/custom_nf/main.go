@@ -71,7 +71,7 @@ func (m *Meter) Process(ctx *chc.Ctx, pkt *chc.Packet) []*chc.Packet {
 	if pkt.IsFIN() || pkt.IsRST() {
 		m.flowSize.Delete(ctx, flow)
 	}
-	return []*chc.Packet{pkt}
+	return ctx.Emit(pkt) // forward unchanged; a rewrite would emit ctx.Clone(pkt)
 }
 
 func main() {

@@ -2,14 +2,13 @@
 // the zero-alloc hot path (DESIGN.md §11): arena.Put is the END of a
 // buffer's ownership — after the release the buffer may be recycled and
 // overwritten by any other chain component at any moment. Code that
-// still needs anything from the packet must capture it (or Clone the
-// packet) BEFORE the Put; the sanctioned retention shape is exactly the
-// root's clone-before-log:
+// still needs anything from the packet must capture it (or copy the
+// packet with arena.Clone) BEFORE the Put; the sanctioned retention shape
+// is exactly the root's clone-before-log:
 //
-//	cp := r.chain.arena.Get()
-//	*cp = *m.Pkt                 // retain a copy...
+//	cp := r.chain.arena.Clone(pkt) // retain a copy...
 //	r.log[clock] = &entry{pkt: cp}
-//	...                          // ...and only ever release the original
+//	...                             // ...and only ever release the original
 //
 // The analyzer walks each function body in statement order (the
 // unwindlock pattern): an arena.Put(x) adds x to the released set, any

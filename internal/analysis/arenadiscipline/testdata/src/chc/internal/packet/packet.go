@@ -12,13 +12,13 @@ type Packet struct {
 	Meta       Meta
 }
 
-// Clone returns an independent copy (the sanctioned retention shape).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	return &q
-}
-
 type Arena struct{}
 
 func (a *Arena) Get() *Packet  { return &Packet{} }
 func (a *Arena) Put(p *Packet) {}
+
+// Clone returns an independent copy (the sanctioned retention shape).
+func (a *Arena) Clone(p *Packet) *Packet {
+	q := *p
+	return &q
+}

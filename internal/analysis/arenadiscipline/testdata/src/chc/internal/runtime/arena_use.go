@@ -38,8 +38,7 @@ func (c *chain) goodCapture(pkt *packet.Packet) uint64 {
 // goodCloneBeforeLog is the root's clone-before-log shape: the retained
 // copy is a different buffer, so releasing the original is safe.
 func (c *chain) goodCloneBeforeLog(m packetMsg) {
-	cp := c.arena.Get()
-	*cp = *m.Pkt
+	cp := c.arena.Clone(m.Pkt)
 	c.log[cp.Meta.Clock] = cp
 	c.arena.Put(m.Pkt)
 }

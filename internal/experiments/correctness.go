@@ -264,7 +264,7 @@ func (passthroughNF) Decls() []store.ObjDecl { return nil }
 
 // Process implements nf.NF.
 func (passthroughNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 // Table5 reproduces Table 5: duplicates at a portscan detector downstream of

@@ -72,7 +72,7 @@ func (c *countNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	c.total.IncrAt(ctx, h%scaleSubCounters, 1)
 	c.bytes.IncrAt(ctx, h%scaleSubCounters, int64(pkt.WireLen()))
 	c.seen.Set(ctx, h, int64(ctx.Clock))
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 // scaleGridConfig tunes the grid so one shard saturates below the offered

@@ -11,6 +11,7 @@ package lb
 
 import (
 	"fmt"
+	"strconv"
 
 	"chc/internal/nf"
 	"chc/internal/packet"
@@ -56,6 +57,15 @@ func (b *Balancer) Decls() []store.ObjDecl { return b.decls.List() }
 // serverField is the map key for backend i.
 func serverField(i int) string { return fmt.Sprintf("s%03d", i) }
 
+// serverIndex parses a serverField key back to its backend index.
+func serverIndex(field string) (int, bool) {
+	if len(field) < 2 || field[0] != 's' {
+		return 0, false
+	}
+	i, err := strconv.Atoi(field[1:])
+	return i, err == nil
+}
+
 // SeedServers initializes the per-server connection counts to zero so
 // min-increment sees every backend.
 func (b *Balancer) SeedServers(seed nf.Seeder) {
@@ -73,18 +83,18 @@ func (b *Balancer) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 		// The store picks the least-loaded backend and bumps its count.
 		field, ok := b.serverConns.MinIncr(ctx, 0, 1)
 		if !ok {
-			return nil
+			return ctx.Emit()
 		}
-		var idx int
-		if _, err := fmt.Sscanf(field, "s%03d", &idx); err != nil {
-			return nil
+		idx, ok := serverIndex(field)
+		if !ok {
+			return ctx.Emit()
 		}
 		serverIdx = int64(idx)
 		b.connMap.Set(ctx, conn, serverIdx)
 	} else {
 		v, ok := b.connMap.Get(ctx, conn)
 		if !ok {
-			return []*packet.Packet{pkt}
+			return ctx.Emit(pkt)
 		}
 		serverIdx = v
 	}
@@ -97,9 +107,9 @@ func (b *Balancer) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 		b.connMap.Delete(ctx, conn)
 	}
 
-	out := pkt.Clone()
+	out := ctx.Clone(pkt)
 	if int(serverIdx) < len(b.Backends) {
 		out.DstIP = b.Backends[serverIdx]
 	}
-	return []*packet.Packet{out}
+	return ctx.Emit(out)
 }

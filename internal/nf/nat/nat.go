@@ -81,7 +81,7 @@ func (n *NAT) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 		p, ok := n.ports.Pop(ctx)
 		if !ok {
 			ctx.Alert(nf.Alert{NF: n.Name(), Kind: "port-exhausted", Host: pkt.SrcIP})
-			return nil // drop: no ports available
+			return ctx.Emit() // drop: no ports available
 		}
 		port = p
 		n.portMap.Set(ctx, conn, port)
@@ -89,7 +89,7 @@ func (n *NAT) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 		p, ok := n.portMap.Get(ctx, conn)
 		if !ok {
 			// Unknown connection (mid-stream packet): forward unmodified.
-			return []*packet.Packet{pkt}
+			return ctx.Emit(pkt)
 		}
 		port = p
 	}
@@ -101,7 +101,7 @@ func (n *NAT) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	}
 
 	// Rewrite: outbound traffic is sourced from the external IP/port.
-	out := pkt.Clone()
+	out := ctx.Clone(pkt)
 	if pkt.SrcIP&0xFF000000 == 0x0A000000 { // internal -> external
 		out.SrcIP = ExternalIP
 		out.SrcPort = uint16(port)
@@ -109,5 +109,5 @@ func (n *NAT) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 		out.DstIP = ExternalIP
 		out.DstPort = uint16(port)
 	}
-	return []*packet.Packet{out}
+	return ctx.Emit(out)
 }

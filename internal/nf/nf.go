@@ -41,7 +41,24 @@ type Ctx struct {
 	// scanning Updated per mutation.
 	updBits [updBitsWords]uint64
 	alert   func(Alert)
+	// Arena supplies Clone's buffers: the chain's packet arena inside an
+	// instance, nil (heap copies) elsewhere.
+	Arena *packet.Arena
+	// out backs Emit's result.
+	out []*packet.Packet
 }
+
+// Emit returns pkts as the packet's outputs, the value Process returns.
+// The slice is a buffer the Ctx owns: valid until the next Emit.
+func (c *Ctx) Emit(pkts ...*packet.Packet) []*packet.Packet {
+	c.out = append(c.out[:0], pkts...)
+	return c.out
+}
+
+// Clone returns a copy of pkt for the NF to rewrite and emit in its place,
+// drawn from c.Arena. The input stays untouched: the framework releases it
+// when the NF does not emit it.
+func (c *Ctx) Clone(pkt *packet.Packet) *packet.Packet { return c.Arena.Clone(pkt) }
 
 // ResetPacket prepares the context for the next packet.
 func (c *Ctx) ResetPacket(clock, seq uint64) {
@@ -114,8 +131,8 @@ func (c *Ctx) NonDet(obj uint16, sub uint64, kind store.NonDetKind) (int64, bool
 }
 
 // NF is a network function: state declarations plus per-packet processing.
-// Process returns the packets to forward downstream (nil/empty = drop or
-// consume; off-path NFs typically return nil).
+// Process returns the packets to forward downstream, conventionally as
+// ctx.Emit(...) (none = drop or consume; off-path NFs emit nothing).
 type NF interface {
 	Name() string
 	Decls() []store.ObjDecl

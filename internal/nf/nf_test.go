@@ -292,3 +292,55 @@ func TestAlertCarriesClock(t *testing.T) {
 		t.Fatalf("alert missing clock: %+v", h.alerts)
 	}
 }
+
+// TestMidFlowPacketAllocs runs an established flow's packet through nat,
+// portscan and lb the way an instance does — an arena-backed Ctx per NF,
+// the input released when the NF emits a rewritten copy instead — and
+// wants no allocation: the outputs live in the Ctx's Emit buffer and the
+// rewritten copies come from the arena.
+func TestMidFlowPacketAllocs(t *testing.T) {
+	arena := packet.NewArena(true)
+	natNF, lbNF := nat.New(), lb.New(8)
+	stages := []struct {
+		nf  nf.NF
+		ctx *nf.Ctx
+	}{{nf: natNF}, {nf: portscan.New()}, {nf: lbNF}}
+	for i := range stages {
+		ls := nf.NewLocalState(uint16(i+1), 1)
+		stages[i].ctx = nf.NewCtx(nil, ls, nil)
+		stages[i].ctx.Arena = arena
+	}
+	seed := func(ctx *nf.Ctx) nf.Seeder {
+		return func(r store.Request) { ctx.State.UpdateBlocking(ctx, r) }
+	}
+	natNF.SeedPorts(seed(stages[0].ctx))
+	lbNF.SeedServers(seed(stages[2].ctx))
+
+	var clock uint64
+	run := func(in *packet.Packet) {
+		pkt := arena.Clone(in)
+		for _, s := range stages {
+			clock++
+			s.ctx.ResetPacket(clock, clock)
+			outs := s.nf.Process(s.ctx, pkt)
+			if len(outs) != 1 {
+				t.Fatalf("%s emitted %d packets, want 1", s.nf.Name(), len(outs))
+			}
+			if outs[0] != pkt {
+				arena.Put(pkt)
+				pkt = outs[0]
+			}
+		}
+		arena.Put(pkt) // the sink's release
+	}
+	run(tcp(hostA, srv1, 30000, 80, packet.FlagSYN, 0))
+	data := tcp(hostA, srv1, 30000, 80, packet.FlagACK|packet.FlagPSH, 500)
+	run(data) // warm the arena and the Emit buffers
+	want := 0.0
+	if raceEnabled {
+		want = 1 // -race's sync.Pool drops a quarter of the Puts
+	}
+	if got := testing.AllocsPerRun(200, func() { run(data) }); got > want {
+		t.Fatalf("mid-flow packet through nat, portscan and lb: %.2f allocs, want at most %.0f", got, want)
+	}
+}

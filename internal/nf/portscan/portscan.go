@@ -80,7 +80,7 @@ func (d *Detector) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 			d.pending.Delete(ctx, conn)
 		}
 	}
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 // updateLikelihood applies the TRW step and raises an alert on threshold

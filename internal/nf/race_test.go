@@ -1,0 +1,7 @@
+//go:build race
+
+package nf_test
+
+// raceEnabled reports a -race build: its sync.Pool drops a quarter of Puts
+// at random, so pooled buffers reallocate at that rate.
+const raceEnabled = true

@@ -68,7 +68,7 @@ func (d *Detector) Detected(host uint32) bool { return d.detected[host] }
 // produces no output packets.
 func (d *Detector) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	if !pkt.IsSYN() {
-		return nil
+		return ctx.Emit()
 	}
 	var field string
 	switch packet.AppOf(pkt) {
@@ -79,7 +79,7 @@ func (d *Detector) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	case packet.AppIRC:
 		field = fieldIRC
 	default:
-		return nil
+		return ctx.Emit()
 	}
 	host := uint64(pkt.SrcIP)
 	order := ctx.Clock
@@ -91,7 +91,7 @@ func (d *Detector) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	d.arrivals.SetSync(ctx, host, field, int64(order))
 	m, ok := d.arrivals.Snapshot(ctx, host)
 	if !ok || m == nil {
-		return nil
+		return ctx.Emit()
 	}
 	ssh, okS := m[fieldSSH]
 	ftp, okF := m[fieldFTP]
@@ -102,5 +102,5 @@ func (d *Detector) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 			ctx.Alert(nf.Alert{NF: d.Name(), Kind: "trojan-detected", Host: uint32(host)})
 		}
 	}
-	return nil
+	return ctx.Emit()
 }

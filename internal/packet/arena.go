@@ -12,7 +12,7 @@ import (
 // duplicate-suppression decision, and the sink after accounting. Between
 // those points ownership is linear — every path that needs to retain a
 // packet past its release point (the root log, off-path taps, splitter
-// replication, failover replay) takes a Clone() deep copy first, so
+// replication, failover replay) takes a copy through Clone first, so
 // replay can never observe a recycled buffer.
 //
 // A disabled (or nil) arena degrades to plain allocation: Get returns a
@@ -36,6 +36,16 @@ func NewArena(enabled bool) *Arena {
 		return &Packet{}
 	}
 	return a
+}
+
+// Clone returns a copy of p in a buffer from the arena: the one way the
+// chain copies a packet it must retain or rewrite. A nil or disabled
+// arena allocates the copy.
+func (a *Arena) Clone(p *Packet) *Packet {
+	q := a.Get()
+	*q = *p
+	q.arenaState = arenaLive
+	return q
 }
 
 // Get returns a zeroed Packet, reusing a released one when possible.

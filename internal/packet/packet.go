@@ -126,11 +126,14 @@ func ClockCounter(clock uint64) uint64 { return clock & (1<<(64-RootIDBits) - 1)
 
 // Meta is the CHC shim header: framework metadata attached at the root and
 // updated along the chain.
+//
+// Field order packs it into 16 bytes (CloneID before Flags); the wire
+// order is Marshal's, not this one.
 type Meta struct {
 	Clock   uint64 // logical clock; high RootIDBits bits are the root ID
 	BitVec  uint32 // XOR of one mixed 32-bit (instanceID, objID) term per update awaiting its commit (Fig 6; runtime.fig6Term)
-	Flags   uint8
 	CloneID uint16 // for replayed packets: ID of the clone that must process them (§5.3)
+	Flags   uint8
 	// Class is the traffic-class index the root's fork classifier assigned:
 	// it selects which branch of the policy DAG the packet traverses at
 	// every fork. Linear chains have a single class, 0.
@@ -140,6 +143,9 @@ type Meta struct {
 // Packet is a parsed packet plus CHC metadata. Payload bytes are not
 // materialized in simulation (PayloadLen carries the size); trace files
 // store headers only, like a snap-length pcap.
+//
+// A Packet is 64 bytes, one allocator size class: a byte more costs every
+// retained trace packet and arena buffer 16 (TestPacketSize pins it).
 type Packet struct {
 	SrcIP, DstIP     uint32
 	SrcPort, DstPort uint16
@@ -147,17 +153,22 @@ type Packet struct {
 	TCPFlags         uint8  // valid when Proto == ProtoTCP
 	Seq              uint32 // TCP sequence number
 	PayloadLen       uint16
-	Meta             Meta
-
-	// IngressNs is the virtual time (ns) the packet entered the chain at
-	// the root. Simulation-local accounting only: never serialized.
-	IngressNs int64
 
 	// arenaState is Arena bookkeeping: arenaLive while the packet is
 	// owned by the chain, arenaPooled after release. Arena.Put flips it
 	// with a CAS so a duplicated delivery cannot double-free. Never
-	// serialized; Clone resets it on the copy.
+	// serialized; Arena.Clone resets it on the copy.
 	arenaState uint32
+
+	Meta Meta
+
+	// IngressNs is the virtual time (ns) the packet entered the chain at
+	// the root. Simulation-local accounting only: never serialized.
+	IngressNs int64
+	// SentNs is the time (ns) the previous hop sent the packet: the hop
+	// stamp a receiving instance measures its queue wait from. Every hop
+	// that sends a packet restamps it.
+	SentNs int64
 }
 
 // Arena ownership states for Packet.arenaState.
@@ -198,14 +209,6 @@ func (p *Packet) IsRST() bool { return p.Proto == ProtoTCP && p.TCPFlags&FlagRST
 
 // IsFIN reports a TCP FIN.
 func (p *Packet) IsFIN() bool { return p.Proto == ProtoTCP && p.TCPFlags&FlagFIN != 0 }
-
-// Clone returns a copy of the packet (used when the framework replicates
-// traffic to a straggler and its clone).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.arenaState = arenaLive
-	return &q
-}
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{%s len=%d clk=%d flags=%02x}", p.Key(), p.PayloadLen, p.Meta.Clock, p.TCPFlags)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFlowKeyReverse(t *testing.T) {
@@ -210,14 +211,33 @@ func TestUnmarshalBadProto(t *testing.T) {
 }
 
 func TestClonePreservesAndIsolates(t *testing.T) {
-	p := &Packet{SrcIP: 1, Meta: Meta{Clock: 7}}
-	q := p.Clone()
-	if *q != *p {
-		t.Fatal("clone differs")
+	for _, a := range []*Arena{nil, NewArena(false), NewArena(true)} {
+		p := &Packet{SrcIP: 1, Meta: Meta{Clock: 7}, SentNs: 3}
+		q := a.Clone(p)
+		if *q != *p {
+			t.Fatal("clone differs")
+		}
+		q.Meta.Clock = 9
+		if p.Meta.Clock != 7 {
+			t.Fatal("clone aliases original")
+		}
+		// A copy of a pooled buffer is live: its own Put must recycle it.
+		p.arenaState = arenaPooled
+		r := a.Clone(p)
+		if r.arenaState != arenaLive {
+			t.Fatalf("clone of a released packet has arenaState %d", r.arenaState)
+		}
 	}
-	q.Meta.Clock = 9
-	if p.Meta.Clock != 7 {
-		t.Fatal("clone aliases original")
+}
+
+// TestPacketSize pins the packet to the 64-byte allocator size class: the
+// retained trace and every arena buffer pay for any byte above it with 16.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 64 {
+		t.Fatalf("Packet is %d bytes, want at most 64", n)
+	}
+	if n := unsafe.Sizeof(Meta{}); n != 16 {
+		t.Fatalf("Meta is %d bytes, want 16", n)
 	}
 }
 

@@ -125,18 +125,26 @@ func TestLiveFailoverUnderBurst(t *testing.T) {
 }
 
 // TestLiveHotPathAllocs bounds the allocations of the live packet hot path
-// in isolation: arena Get, one SendBurst of PacketMsg over livenet, arena
-// Put at the receiver — the layer below the chain's bookkeeping (root log,
-// sink dedup map, store ops), so the count is stable in steady state. What
-// is left per packet is boxing PacketMsg into Message.Payload: about one
-// allocation at either burst width, a quarter more under -race (whose
-// sync.Pool drops some Puts).
+// in isolation: arena Get, one SendBurst of stamped packets over livenet,
+// arena Put at the receiver — the layer below the chain's bookkeeping (root
+// log, sink dedup map, store ops), so the count is stable in steady state.
+// A *packet.Packet payload boxes without allocating, so nothing is left per
+// packet: 0.001 to 0.02 allocations at either burst width (a boxed
+// PacketMsg cost one). Under -race the pool drops a quarter of the Puts,
+// and each dropped buffer is allocated again: 0.25 more.
 func TestLiveHotPathAllocs(t *testing.T) {
+	slack := 0.0
+	if raceEnabled {
+		slack = 0.25
+	}
 	for _, c := range []struct {
 		burst int
 		max   float64
-	}{{1, 3}, {32, 2}} {
-		if got := hotPathAllocs(c.burst, 400); got > c.max {
+	}{{1, 0.25}, {32, 0.25}} {
+		c.max += slack
+		got := hotPathAllocs(c.burst, 400)
+		t.Logf("burst=%d: %.3f allocs/pkt", c.burst, got)
+		if got > c.max {
 			t.Errorf("burst=%d: %.2f allocs/pkt, want at most %.1f", c.burst, got, c.max)
 		}
 	}
@@ -154,11 +162,11 @@ func hotPathAllocs(burst, rounds int) float64 {
 	ep := n.Endpoint("rx")
 	n.Spawn("rx", func(p transport.Proc) {
 		for {
-			pm, ok := ep.Recv(p).Payload.(PacketMsg)
+			pkt, ok := ep.Recv(p).Payload.(*packet.Packet)
 			if !ok {
 				return
 			}
-			arena.Put(pm.Pkt) // the final release point, as at the sink
+			arena.Put(pkt) // the final release point, as at the sink
 			consumed.Add(1)
 		}
 	})
@@ -175,8 +183,8 @@ func hotPathAllocs(burst, rounds int) float64 {
 			pkt.PayloadLen = 1394
 			clock++
 			pkt.Meta.Clock = clock
-			msgs[i] = transport.Message{From: "tx", To: "rx", Size: pkt.WireLen(),
-				Payload: PacketMsg{Pkt: pkt, SentAt: now, InjectedAt: now}}
+			pkt.SentNs = int64(now)
+			msgs[i] = transport.Message{From: "tx", To: "rx", Size: pkt.WireLen(), Payload: pkt}
 		}
 		transport.SendBurst(n, msgs)
 		sent += uint64(burst)

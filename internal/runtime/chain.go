@@ -524,21 +524,21 @@ func (c *Chain) burstSize() int {
 // drain is one wake of a packet-processing loop (the root's and every
 // instance worker's). It receives one message; while that is a packet it
 // keeps taking the packets already queued, up to bs, handing each to
-// packet. Any other message goes to other, after a flush, so outputs and
+// handle. Any other message goes to other, after a flush, so outputs and
 // side effects keep arrival order; the wake ends with a flush.
 func drain(p transport.Proc, ep transport.Endpoint, bs int,
-	packet func(PacketMsg), other func(transport.Message), flush func()) {
+	handle func(*packet.Packet), other func(transport.Message), flush func()) {
 	msg := ep.Recv(p)
-	pm, ok := msg.Payload.(PacketMsg)
+	pkt, ok := packetOf(msg.Payload)
 	if !ok {
 		other(msg)
 		return
 	}
-	packet(pm)
+	handle(pkt)
 	for n := 1; n < bs && ep.Len() > 0; {
 		msg = ep.Recv(p)
-		if pm, ok := msg.Payload.(PacketMsg); ok {
-			packet(pm)
+		if pkt, ok := packetOf(msg.Payload); ok {
+			handle(pkt)
 			n++
 			continue
 		}
@@ -546,6 +546,20 @@ func drain(p transport.Proc, ep transport.Endpoint, bs int,
 		other(msg)
 	}
 	flush()
+}
+
+// packetOf returns the packet a message carries. Chain components send the
+// packet itself, restamping SentNs at every hop; the PacketMsg ingress
+// envelope is unwrapped here, its SentAt becoming the hop stamp.
+func packetOf(payload any) (*packet.Packet, bool) {
+	switch m := payload.(type) {
+	case *packet.Packet:
+		return m, true
+	case PacketMsg:
+		m.Pkt.SentNs = int64(m.SentAt)
+		return m.Pkt, true
+	}
+	return nil, false
 }
 
 // Stop fail-stops every chain process and timer and waits for them to

@@ -42,7 +42,7 @@ func (c *ckptCountNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet 
 	h := pkt.Key().Canonical().Hash()
 	c.total.IncrAt(ctx, h%ckptStripes, 1)
 	c.seen.Set(ctx, h, int64(ctx.Clock))
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 func countVertex(instances int) VertexSpec {

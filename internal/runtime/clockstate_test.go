@@ -129,7 +129,7 @@ func (r recordNF) Name() string           { return "record" }
 func (r recordNF) Decls() []store.ObjDecl { return nil }
 func (r recordNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	*r.clocks = append(*r.clocks, pkt.Meta.Clock)
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 // TestReplayWalksLogInClockOrder: replay and the retransmission sweep

@@ -32,7 +32,7 @@ func (n *tallyNF) Name() string           { return "tally" }
 func (n *tallyNF) Decls() []store.ObjDecl { return n.decls.List() }
 func (n *tallyNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
 	n.total.Incr(ctx, 1)
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }
 
 func tallyVertex(name string, instances int) VertexSpec {

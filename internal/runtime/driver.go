@@ -72,16 +72,16 @@ func (c *Chain) runTraceLive(tr *trace.Trace, settle time.Duration) time.Duratio
 				flush()
 				p.Sleep(d)
 			}
-			pkt := c.arena.Get()
-			*pkt = *ev.Pkt
+			pkt := c.arena.Clone(ev.Pkt)
 			now := p.Now()
 			if len(msgs) == 0 {
 				burstStart = now
 			}
+			pkt.SentNs = int64(now)
 			msgs = append(msgs, transport.Message{
 				From:    "driver",
 				To:      c.Root.Endpoint,
-				Payload: PacketMsg{Pkt: pkt, SentAt: now, InjectedAt: now},
+				Payload: pkt,
 				Size:    pkt.WireLen(),
 			})
 			if len(msgs) >= bs || now.Sub(burstStart) > burstFlushDeadline {

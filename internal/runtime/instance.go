@@ -12,13 +12,16 @@ import (
 	"chc/internal/transport"
 )
 
-// PacketMsg carries a packet between chain components.
+// PacketMsg is the ingress envelope a packet can arrive at the root in,
+// kept for the benchmark harness (bench/), which builds it. Chain
+// components send the *packet.Packet itself, its hop stamp in SentNs;
+// packetOf unwraps the envelope.
 type PacketMsg struct {
 	Pkt *packet.Packet
-	// InjectedAt is when the packet entered the chain at the root
-	// (end-to-end latency accounting).
+	// InjectedAt is the sender's injection time, carried on the wire; the
+	// chain reads none of it: the root stamps Packet.IngressNs itself.
 	InjectedAt transport.Time
-	// SentAt is when the previous hop emitted it (queue-wait accounting).
+	// SentAt is when the sender emitted it; packetOf copies it to SentNs.
 	SentAt transport.Time
 }
 
@@ -122,7 +125,7 @@ type Instance struct {
 	// markersLeft counts the end-of-replay markers still expected — one
 	// per traffic class routed through this vertex — before the drain.
 	buffering   bool
-	parked      []PacketMsg
+	parked      []*packet.Packet
 	markersLeft int
 
 	// ExtraDelay, if set, adds per-packet delay to THIS instance
@@ -348,8 +351,9 @@ type fwdRun struct {
 func (i *Instance) run(p transport.Proc) {
 	ep := i.chain.tr.Endpoint(i.Endpoint)
 	ctx := nf.NewCtx(p, i.state, i.chain.Metrics.alertFn(i.vertex.Spec.Name))
+	ctx.Arena = i.chain.arena
 	bs := i.chain.burstSize()
-	handle := func(m PacketMsg) { i.handlePacket(p, ctx, m) }
+	handle := func(pkt *packet.Packet) { i.handlePacket(p, ctx, pkt) }
 	flush := func() { i.flushBurst(p) }
 	for {
 		drain(p, ep, bs, handle, i.dispatch, flush)
@@ -417,8 +421,7 @@ func (i *Instance) flushBurst(p transport.Proc) {
 	}
 }
 
-func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
-	pkt := m.Pkt
+func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 	clock := pkt.Meta.Clock
 	replay := pkt.Meta.Flags&packet.MetaReplay != 0
 
@@ -486,7 +489,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 	// the drain suppress live traffic that only ever arrived once —
 	// dropped packets during every mid-flight failover.
 	if i.buffering && !replay {
-		i.parked = append(i.parked, m)
+		i.parked = append(i.parked, pkt)
 		i.mu.Unlock()
 		return
 	}
@@ -503,10 +506,12 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 		i.mu.Unlock()
 	}()
 
-	// Capture the handover marks and flow hash BEFORE processing: process
-	// may release the packet to the arena (consume/NoOut paths), and a
+	// Capture the handover marks, the hop stamp and the flow hash BEFORE
+	// processing: process may release the packet to the arena
+	// (consume/NoOut paths) or hand it to a hop that restamps it, and a
 	// recycled buffer must not be read afterwards.
 	flags := pkt.Meta.Flags
+	sent := transport.Time(pkt.SentNs)
 	var sub uint64
 	if flags&(packet.MetaFirst|packet.MetaLast) != 0 {
 		sub = pkt.Key().Canonical().Hash()
@@ -535,7 +540,7 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, m PacketMsg) {
 	i.Processed++
 	i.mu.Unlock()
 	i.procTime.AddAt(done, done.Sub(start))
-	i.totalTime.AddAt(done, done.Sub(m.SentAt))
+	i.totalTime.AddAt(done, done.Sub(sent))
 
 	// Fig 4 handover, old-instance side: after processing the packet marked
 	// "last", flush cached state and release ownership.
@@ -613,7 +618,7 @@ func (i *Instance) process(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
 	v := i.vertex
 	for _, tap := range v.offPathTaps {
-		i.bufForward(tap, out.Clone())
+		i.bufForward(tap, i.chain.arena.Clone(out))
 	}
 	if nxt := v.nextFor(out); nxt != nil {
 		i.bufForward(nxt, out)
@@ -626,9 +631,10 @@ func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
 		return
 	}
 	i.sendDelete(p, out.Meta.Clock, out.Meta.BitVec)
+	out.SentNs = int64(p.Now())
 	i.sinkBuf = append(i.sinkBuf, transport.Message{
 		From: i.Endpoint, To: SinkEndpoint,
-		Payload: PacketMsg{Pkt: out, SentAt: p.Now()},
+		Payload: out,
 		Size:    out.WireLen(),
 	})
 }
@@ -680,11 +686,11 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 	parked := i.parked
 	i.parked = nil
 	i.mu.Unlock()
-	for _, m := range parked {
+	for _, pkt := range parked {
 		i.mu.Lock()
-		if i.seen.Has(m.Pkt.Meta.Clock) {
+		if i.seen.Has(pkt.Meta.Clock) {
 			i.DupSeen++
-			if m.Pkt.IsSYN() || m.Pkt.IsSYNACK() || m.Pkt.IsRST() {
+			if pkt.IsSYN() || pkt.IsSYNACK() || pkt.IsRST() {
 				i.DupStateEvents++
 			}
 			if i.chain.cfg.DupSuppress {
@@ -693,9 +699,9 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 				continue
 			}
 		}
-		i.seen.Add(m.Pkt.Meta.Clock)
+		i.seen.Add(pkt.Meta.Clock)
 		i.mu.Unlock()
-		i.process(p, ctx, m.Pkt)
+		i.process(p, ctx, pkt)
 		i.flushBurst(p)
 		i.mu.Lock()
 		i.Processed++

@@ -52,29 +52,28 @@ func (s *Sink) Start() {
 	ep := s.chain.tr.Endpoint(SinkEndpoint)
 	s.chain.tr.Spawn(SinkEndpoint, func(p transport.Proc) {
 		for {
-			msg := ep.Recv(p)
-			m, ok := msg.Payload.(PacketMsg)
+			pkt, ok := packetOf(ep.Recv(p).Payload)
 			if !ok {
 				continue
 			}
-			if s.seen.Has(m.Pkt.Meta.Clock) {
-				if m.Pkt.Meta.Flags&packet.MetaReplay != 0 {
+			if s.seen.Has(pkt.Meta.Clock) {
+				if pkt.Meta.Flags&packet.MetaReplay != 0 {
 					s.ReplayFiltered++
-					s.chain.arena.Put(m.Pkt)
+					s.chain.arena.Put(pkt)
 					continue
 				}
 				s.Duplicates++
 			}
 			s.Received++
-			s.Bytes += uint64(m.Pkt.WireLen())
-			s.ReceivedByClass[m.Pkt.Meta.Class]++
-			s.seen.Add(m.Pkt.Meta.Clock)
-			if m.Pkt.IngressNs > 0 {
-				s.latency.Add(p.Now().Sub(transport.Time(m.Pkt.IngressNs)))
+			s.Bytes += uint64(pkt.WireLen())
+			s.ReceivedByClass[pkt.Meta.Class]++
+			s.seen.Add(pkt.Meta.Clock)
+			if pkt.IngressNs > 0 {
+				s.latency.Add(p.Now().Sub(transport.Time(pkt.IngressNs)))
 			}
 			// Egress is the packet's final release point: all accounting
 			// above read the buffer, nothing retains it past here.
-			s.chain.arena.Put(m.Pkt)
+			s.chain.arena.Put(pkt)
 		}
 	})
 }

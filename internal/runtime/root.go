@@ -95,11 +95,12 @@ type Root struct {
 	offPathTaps []*Vertex
 	proc        transport.Handle
 	procTime    *Series // "proc.root", resolved once
-	// fwdBuf and runBuf are the forwarding buffers (root process only):
-	// the packets the next flushBurst sends, and the same packets grouped
-	// per traffic class.
+	// fwdBuf, runBuf and tapBuf are the forwarding buffers (root process
+	// only): the packets the next flushBurst sends, the same packets
+	// grouped per traffic class, and one off-path tap's copies of them.
 	fwdBuf []*packet.Packet
 	runBuf [][]*packet.Packet
+	tapBuf []*packet.Packet
 	// prunes collects the clocks deleted while one inbound message is
 	// handled (root process only); sendPrunes hands them to the shards in a
 	// slice cut from pruneSlab.
@@ -156,8 +157,8 @@ func (r *Root) Clock() uint64 { return r.ctr }
 func (r *Root) run(p transport.Proc) {
 	ep := r.chain.tr.Endpoint(r.Endpoint)
 	bs := r.chain.burstSize()
-	ingest := func(m PacketMsg) {
-		if pkt := r.ingestCore(p, m); pkt != nil {
+	ingest := func(pkt *packet.Packet) {
+		if r.ingestCore(p, pkt) {
 			r.fwdBuf = append(r.fwdBuf, pkt)
 		}
 	}
@@ -214,11 +215,13 @@ func (r *Root) flushBurst(now transport.Time) {
 	fwd := r.fwdBuf
 	for _, tap := range r.offPathTaps {
 		// Taps process copies; the originals continue down the chain.
-		cl := make([]*packet.Packet, len(fwd))
-		for i, pkt := range fwd {
-			cl[i] = pkt.Clone()
+		cl := r.tapBuf
+		for _, pkt := range fwd {
+			cl = append(cl, r.chain.arena.Clone(pkt))
 		}
 		tap.Splitter.RouteBurst(r.Endpoint, cl, now)
+		clear(cl)
+		r.tapBuf = cl[:0]
 	}
 	// Group per traffic class, preserving arrival order within each class;
 	// packets whose class has no successor end their path here.
@@ -248,24 +251,24 @@ func (r *Root) flushBurst(now transport.Time) {
 	r.fwdBuf = fwd[:0]
 }
 
-// ingestCore stamps, persists and logs one input packet, returning the
-// packet to forward (nil when the buffer-bloat guard dropped it).
-func (r *Root) ingestCore(p transport.Proc, m PacketMsg) *packet.Packet {
+// ingestCore stamps, persists and logs one input packet, reporting whether
+// to forward it (false when the buffer-bloat guard dropped it).
+func (r *Root) ingestCore(p transport.Proc, pkt *packet.Packet) bool {
 	cfg := r.chain.cfg
 	if cfg.RootLogLimit > 0 && r.log.Len() >= cfg.RootLogLimit {
 		// Buffer-bloat guard (§5): drop at the root. The dropped packet's
 		// ownership ends here — recycle it.
 		r.Dropped++
-		r.chain.arena.Put(m.Pkt)
-		return nil
+		r.chain.arena.Put(pkt)
+		return false
 	}
 	r.ctr++
 	clock := packet.MakeClock(r.ID, r.ctr)
-	class := r.chain.ClassOf(m.Pkt)
-	m.Pkt.Meta.Clock = clock
-	m.Pkt.Meta.BitVec = 0
-	m.Pkt.Meta.Class = class
-	m.Pkt.IngressNs = int64(p.Now())
+	class := r.chain.ClassOf(pkt)
+	pkt.Meta.Clock = clock
+	pkt.Meta.BitVec = 0
+	pkt.Meta.Class = class
+	pkt.IngressNs = int64(p.Now())
 	start := p.Now()
 
 	// Clock persistence every n packets (§7.2): a blocking store write to
@@ -281,7 +284,7 @@ func (r *Root) ingestCore(p transport.Proc, m PacketMsg) *packet.Packet {
 	// entries spread across shards with their clock-keyed partition.
 	if cfg.LogInStore {
 		key := store.Key{Vertex: rootVertexID, Obj: rootLogObj, Sub: clock}
-		req := &store.Request{Op: store.OpSet, Key: key, Arg: store.IntVal(int64(m.Pkt.WireLen()))} //chc:allow specmutation -- root in-store packet-log protocol (§7.2), framework-internal store access, not NF state
+		req := &store.Request{Op: store.OpSet, Key: key, Arg: store.IntVal(int64(pkt.WireLen()))} //chc:allow specmutation -- root in-store packet-log protocol (§7.2), framework-internal store access, not NF state
 		r.chain.tr.Call(p, r.Endpoint, r.chain.pmap.ShardFor(key), req, 64, 10*time.Millisecond)
 	} else {
 		// Root-local logging cost: modeled on the DES; negative disables the
@@ -301,16 +304,14 @@ func (r *Root) ingestCore(p transport.Proc, m PacketMsg) *packet.Packet {
 	// their Fig 6 checks permanently unbalanced. The clone comes from the
 	// arena (a recycled buffer when one is free) and is released back at
 	// the delete verdict in tryDelete.
-	cp := r.chain.arena.Get()
-	*cp = *m.Pkt
-	*r.log.Put(clock) = rootLogEntry{pkt: cp, class: class, sentAt: p.Now()}
+	*r.log.Put(clock) = rootLogEntry{pkt: r.chain.arena.Clone(pkt), class: class, sentAt: p.Now()}
 
 	r.Injected++
 	if int(class) < len(r.InjectedByClass) {
 		r.InjectedByClass[class]++
 	}
 	r.procTime.Add(p.Now().Sub(start))
-	return m.Pkt
+	return true
 }
 
 // forward sends one packet as a burst of its own (replay, retransmission).
@@ -417,7 +418,7 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		if clone != nil && !clone.vertex.OnClass(ent.class) {
 			return
 		}
-		cp := ent.pkt.Clone()
+		cp := r.chain.arena.Clone(ent.pkt)
 		cp.Meta.Flags |= packet.MetaReplay
 		cp.Meta.CloneID = cloneID
 		if ent.gotDelete {
@@ -474,7 +475,7 @@ func (r *Root) sweepRetransmit(p transport.Proc) {
 		if now.Sub(ent.sentAt) < rootRetransmitAge {
 			return
 		}
-		cp := ent.pkt.Clone()
+		cp := r.chain.arena.Clone(ent.pkt)
 		cp.Meta.Flags |= packet.MetaReplay
 		if ent.gotDelete {
 			cp.Meta.Flags |= packet.MetaNoOut
@@ -534,12 +535,14 @@ func (c *Chain) AwaitDrained(budget time.Duration) bool {
 	}
 }
 
-// Inject delivers an external packet to the root (workload drivers).
+// Inject delivers an external packet to the root (workload drivers),
+// stamped as sent at at.
 func (c *Chain) Inject(pkt *packet.Packet, at transport.Time) {
+	pkt.SentNs = int64(at)
 	c.tr.Send(transport.Message{
 		From:    "driver",
 		To:      c.Root.Endpoint,
-		Payload: PacketMsg{Pkt: pkt, SentAt: at, InjectedAt: at},
+		Payload: pkt,
 		Size:    pkt.WireLen(),
 	})
 }

@@ -396,10 +396,10 @@ func TestSplitterScopePartitioning(t *testing.T) {
 	// instead verify the partitioning function directly.
 	for _, e := range tr.Events {
 		a := sp.instanceFor(c.topo.Load(), partKey(e.Pkt, sp.Scope()))
-		rev := e.Pkt.Clone()
+		rev := *e.Pkt
 		rev.SrcIP, rev.DstIP = e.Pkt.DstIP, e.Pkt.SrcIP
 		rev.SrcPort, rev.DstPort = e.Pkt.DstPort, e.Pkt.SrcPort
-		b := sp.instanceFor(c.topo.Load(), partKey(rev, sp.Scope()))
+		b := sp.instanceFor(c.topo.Load(), partKey(&rev, sp.Scope()))
 		if a != b {
 			t.Fatalf("direction split across instances for %v", e.Pkt.Key())
 		}
@@ -522,5 +522,5 @@ type passNF struct{}
 func (passNF) Name() string           { return "pass" }
 func (passNF) Decls() []store.ObjDecl { return nil }
 func (passNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
-	return []*packet.Packet{pkt}
+	return ctx.Emit(pkt)
 }

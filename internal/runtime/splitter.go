@@ -299,7 +299,7 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 	if mv, ok := s.moves[flowKey]; ok {
 		if !mv.lastSent {
 			mv.lastSent = true
-			marked := pkt.Clone()
+			marked := s.chain.arena.Clone(pkt)
 			marked.Meta.Flags |= packet.MetaLast
 			s.deliver(from, t.serving[mv.from], marked, now)
 			// Subsequent packets go to the new instance.
@@ -309,7 +309,7 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 		target := t.serving[mv.to]
 		if !mv.firstSent {
 			mv.firstSent = true
-			marked := pkt.Clone()
+			marked := s.chain.arena.Clone(pkt)
 			marked.Meta.Flags |= packet.MetaFirst
 			s.deliver(from, target, marked, now)
 			delete(s.moves, flowKey)
@@ -335,19 +335,20 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 	}
 	s.deliver(from, target, pkt, now)
 	if clone := t.replica[target.ID]; clone != nil {
-		s.deliver(from, clone, pkt.Clone(), now)
+		s.deliver(from, clone, s.chain.arena.Clone(pkt), now)
 	}
 }
 
-// deliver queues one packet message on the pending buffer; flushLocked
-// ships the buffer. Queue-then-flush keeps send order identical to the
-// historical immediate Send (routing makes no RNG draws or sends between
-// deliver calls), so the DES schedule is unchanged.
+// deliver stamps one packet as sent at now and queues it on the pending
+// buffer; flushLocked ships the buffer. Queue-then-flush keeps send order
+// identical to the historical immediate Send (routing makes no RNG draws or
+// sends between deliver calls), so the DES schedule is unchanged.
 func (s *Splitter) deliver(from string, target *Instance, pkt *packet.Packet, now transport.Time) {
+	pkt.SentNs = int64(now)
 	s.pending = append(s.pending, transport.Message{
 		From:    from,
 		To:      target.Endpoint,
-		Payload: PacketMsg{Pkt: pkt, SentAt: now},
+		Payload: pkt,
 		Size:    pkt.WireLen(),
 	})
 }

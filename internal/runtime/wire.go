@@ -3,10 +3,11 @@ package runtime
 // Wire codecs for the chain-runtime payloads (transport.Wire registry,
 // tags 48–79; DESIGN.md §12 holds the allocation table). Canonical form:
 // fixed-width big-endian fields in declaration order, maps in sorted key
-// order. Two Packet fields are deliberately NOT serialized: IngressNs
-// (host-local wall-clock, meaningless across processes) and the arena
-// state word (decoded packets are ordinary heap allocations; Arena.Put on
-// a non-arena packet is a CAS no-op, so the live free path stays safe).
+// order. A chain packet travels as *packet.Packet (tag 57): encPacket's
+// fields plus the hop stamp SentNs. Two Packet fields are deliberately NOT
+// serialized: IngressNs (host-local wall-clock, meaningless across
+// processes) and the arena state word (decoded packets are ordinary heap
+// allocations, live, so the receiver's Put recycles them like any other).
 // DeleteMsg.Reply is an in-process Signal and cannot cross a socket: it
 // encodes as absent and decodes nil, which is the async-delete path —
 // synchronous deletes are a single-process optimization (§12).
@@ -65,6 +66,16 @@ func init() {
 				InjectedAt: transport.Time(d.I64()),
 				SentAt:     transport.Time(d.I64()),
 			}
+		})
+	transport.RegisterWire[*packet.Packet](57, "runtime.Packet",
+		func(e *transport.WireEnc, p *packet.Packet) {
+			encPacket(e, p)
+			e.I64(p.SentNs)
+		},
+		func(d *transport.WireDec) *packet.Packet {
+			p := decPacket(d)
+			p.SentNs = d.I64()
+			return p
 		})
 	// Tag 49 carried a single delete; DeleteMsg carries a slice under 56.
 	// Tags are append-only, so 49 stays unused.

@@ -30,6 +30,8 @@ func wireSamples() []wireSample {
 		Proto: 6, TCPFlags: 0x18, Seq: 1234567, PayloadLen: 512,
 		Meta: packet.Meta{Clock: 99, BitVec: 0xdead, Flags: packet.MetaFirst | packet.MetaReplay, CloneID: 3, Class: 1},
 	}
+	sentPkt := *samplePkt
+	sentPkt.SentNs = 1 << 40
 	req := &store.Request{
 		Op:  store.OpCAS,
 		Key: store.Key{Vertex: 2, Obj: 1, Sub: 0xfeedface},
@@ -76,6 +78,7 @@ func wireSamples() []wireSample {
 		{name: "store.PartitionQuery", in: store.PartitionQuery{}},
 		{name: "store.PartitionMap", in: pm},
 		{name: "runtime.PacketMsg", in: PacketMsg{Pkt: samplePkt, InjectedAt: 1000, SentAt: 2000}},
+		{name: "runtime.Packet", in: &sentPkt},
 		{name: "runtime.DeleteMsg",
 			in:   DeleteMsg{Dels: []Delete{{Clock: 5, Vec: 0xbeef}}, Reply: nil},
 			want: DeleteMsg{Dels: []Delete{{Clock: 5, Vec: 0xbeef}}}},
@@ -139,6 +142,7 @@ func TestWireRegistryComplete(t *testing.T) {
 		48: "runtime.PacketMsg", 50: "runtime.FlowTableQuery",
 		51: "runtime.FlowTable", 52: "runtime.ReplayCmd", 53: "runtime.RootStatsQuery",
 		54: "runtime.RootStats", 55: "runtime.SweepCmd", 56: "runtime.DeleteMsg",
+		57: "runtime.Packet",
 	}
 	entries := transport.WireEntries()
 	got := make(map[uint16]string, len(entries))
