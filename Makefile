@@ -26,11 +26,14 @@ test-race:
 # a window that narrow; 50 is (about 0.5 s per round without -race). With
 # them run the two-shard drain test and the {shards x mode x burst}
 # invariant table (-short: its live diagonal), whose failures are as rare per
-# packet. Every other TestLive*/TestNet* joins once the
+# packet, and TestRootTap, whose live row sends the root's tap copies
+# through the shared burst path (its DES row rides along: -run splits on
+# '/', so one pattern cannot pick a single row). Every other
+# TestLive*/TestNet* joins once the
 # replay fix lands: the FIN re-execution flake (ROADMAP) would turn a
 # blanket pattern red.
 test-stress:
-	$(GO) test -race -short -count=50 -run 'TestLive.*Failover|TestNet.*Failover|TestLiveTwoShardDrains|TestLiveInvariantTable' ./internal/runtime
+	$(GO) test -race -short -count=50 -run 'TestLive.*Failover|TestNet.*Failover|TestLiveTwoShardDrains|TestLiveInvariantTable|TestRootTap' ./internal/runtime
 
 # flake-census runs the four tests that share the known failover failure
 # signature (ROADMAP item 1) interleaved, N rounds, and writes each test's

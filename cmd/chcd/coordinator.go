@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"chc/internal/netnet"
 	"chc/internal/transport"
 )
 
@@ -121,7 +122,7 @@ watch:
 		if dead[n.Name] || n.Name == rootNode {
 			continue
 		}
-		var ns netStats
+		var ns netnet.NetStats
 		if err := getJSON(n.Admin, "/netstats", &ns); err != nil {
 			fmt.Fprintf(os.Stderr, "chcd coordinator: netstats from %s: %v\n", n.Name, err)
 			continue
@@ -144,13 +145,6 @@ watch:
 	fmt.Printf("coordinator: run complete: injected=%d deleted=%d residue=%d dups=%d remote_msgs=%d remote_calls=%d\n",
 		report.Injected, report.Deleted, report.LogResidue, report.SinkDups,
 		report.RemoteMsgs, report.RemoteCalls)
-}
-
-// netStats mirrors netnet.NetStats's JSON shape (the /netstats verb body).
-type netStats struct {
-	RemoteMsgs  uint64 `json:"remote_msgs"`
-	RemoteCalls uint64 `json:"remote_calls"`
-	RemoteBytes uint64 `json:"remote_bytes"`
 }
 
 // failoverNode broadcasts a failover verb for every instance endpoint the

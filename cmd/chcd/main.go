@@ -99,7 +99,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -431,7 +430,7 @@ func runMain(args []string) {
 		if !*live {
 			fatal(errors.New("-admin requires -live (the DES has no real-time event loop to serve HTTP against)"))
 		}
-		adminSrv = startAdmin(*admin, ctl)
+		adminSrv = startAdmin(*admin, ch)
 	}
 
 	tr := tt.load(ccfg.Seed)
@@ -599,70 +598,6 @@ func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string,
 		RemoteCalls:     ns.RemoteCalls,
 		RemoteBytes:     ns.RemoteBytes,
 	}
-}
-
-// startAdmin serves the controller admin API: the declarative mutation
-// path (POST /spec), the drain verb, and the observed spec/status reads.
-// It binds synchronously (so a bad address fails the run up front) and
-// serves in the background for the lifetime of the run.
-func startAdmin(addr string, ctl *runtime.Controller) *http.Server {
-	mux := http.NewServeMux()
-	controllerRoutes(mux, ctl)
-	srv, bound := serveAdmin(addr, mux)
-	fmt.Printf("admin: controller API on http://%s (GET /spec, GET /status, POST /spec, POST /drain/{vertex})\n", bound)
-	return srv
-}
-
-// controllerRoutes registers the controller API on mux, for `chcd run` and
-// `chcd worker` alike.
-func controllerRoutes(mux *http.ServeMux, ctl *runtime.Controller) {
-	mux.HandleFunc("GET /spec", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ctl.CurrentSpec())
-	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ctl.Status())
-	})
-	mux.HandleFunc("POST /spec", func(w http.ResponseWriter, r *http.Request) {
-		var spec runtime.DeploymentSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		actions, err := ctl.ApplySpec(spec)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"applied": true, "actions": actions})
-	})
-	mux.HandleFunc("POST /drain/{vertex}", func(w http.ResponseWriter, r *http.Request) {
-		actions, err := ctl.Drain(r.PathValue("vertex"))
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"drained": true, "actions": actions})
-	})
-}
-
-// serveAdmin binds addr synchronously and serves mux in the background,
-// returning the server and the bound address.
-func serveAdmin(addr string, mux *http.ServeMux) (*http.Server, net.Addr) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(fmt.Errorf("admin listen: %w", err))
-	}
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return srv, ln.Addr()
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 func fatal(err error) {

@@ -53,54 +53,10 @@ func workerMain(args []string) {
 	select {} // serve until killed (the coordinator or operator owns our lifetime)
 }
 
-// failoverReq is the admin failover verb: replace instance ID with a
-// fresh one. Rehome, when set, re-homes the REPLACEMENT's endpoint to the
-// named node before the failover runs, so the new instance spawns there —
-// the node-level recovery path after a worker dies. Every worker must
-// receive the same verb (SPMD); each computes the same replacement ID and
-// endpoint, so the re-homing and the splitter redirect agree everywhere
-// while only the new home starts the instance and requests root replay.
-type failoverReq struct {
-	Instance uint16 `json:"instance"`
-	Rehome   string `json:"rehome"`
-}
-
-// startWorkerAdmin serves the controller admin API plus the worker verbs:
-// GET /health, POST /run (root-owner node only), POST /failover.
+// startWorkerAdmin serves the admin API (adminMux) plus POST /run, which
+// only the root-owner node accepts.
 func startWorkerAdmin(addr string, ch *runtime.Chain, node string) {
-	ctl := ch.Controller()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"node": node, "ok": true})
-	})
-	controllerRoutes(mux, ctl)
-	mux.HandleFunc("GET /netstats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ch.NetStats())
-	})
-	mux.HandleFunc("POST /failover", func(w http.ResponseWriter, r *http.Request) {
-		var req failoverReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		v, inst := findInstance(ch, req.Instance)
-		if inst == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no instance %d", req.Instance)})
-			return
-		}
-		if req.Rehome != "" {
-			// The replacement's ID is the next global instance ID; every
-			// worker has executed the same mutation history, so they all
-			// compute the same one and install the same mapping.
-			nextEP := fmt.Sprintf("v%d.i%d", v.ID, maxInstanceID(ch)+1)
-			ch.NodeMap().Reassign(nextEP, req.Rehome)
-		}
-		nu := ctl.Failover(inst)
-		writeJSON(w, http.StatusOK, map[string]any{
-			"replaced": inst.ID, "replacement": nu.ID, "endpoint": nu.Endpoint,
-			"home": ch.NodeMap().NodeOf(nu.Endpoint),
-		})
-	})
+	mux := adminMux(ch, node)
 	mux.HandleFunc("POST /run", func(w http.ResponseWriter, r *http.Request) {
 		var req workerRunReq
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -164,29 +120,4 @@ func workerRun(ch *runtime.Chain, req workerRunReq) (*runReport, error) {
 	}
 	report := makeReport(ch, ch.Controller().Status(), "net", secs, tr.Len())
 	return &report, nil
-}
-
-// findInstance locates an instance (and its vertex) by global ID.
-func findInstance(ch *runtime.Chain, id uint16) (*runtime.Vertex, *runtime.Instance) {
-	for _, v := range ch.Vertices {
-		for _, in := range v.Instances {
-			if in.ID == id {
-				return v, in
-			}
-		}
-	}
-	return nil, nil
-}
-
-// maxInstanceID is the highest instance ID allocated so far.
-func maxInstanceID(ch *runtime.Chain) uint16 {
-	var max uint16
-	for _, v := range ch.Vertices {
-		for _, in := range v.Instances {
-			if in.ID > max {
-				max = in.ID
-			}
-		}
-	}
-	return max
 }

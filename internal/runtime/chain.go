@@ -289,6 +289,10 @@ type Chain struct {
 	classIdx   map[string]uint8
 	classPaths [][]*Vertex
 	classify   func(*packet.Packet) string
+	// entry is the root's successors: the first vertex of each class path
+	// and the root-attached taps. It is the chain's, not the root's, so a
+	// recovered root forwards through it unchanged.
+	entry successors
 }
 
 // topology is the deployment's routing state — which instance serves which
@@ -333,17 +337,14 @@ type Vertex struct {
 	// slice at every publish and never mutated in place.
 	Instances []*Instance
 	Splitter  *Splitter // routes traffic INTO this vertex's instances
-	Manager   *VertexManager
 	chain     *Chain
 
-	// Topology wiring (set by wireTopology): next maps traffic-class index
-	// -> successor vertex on that class's path (nil entry = this vertex is
-	// the class's tail); onClass marks class membership. Linear chains have
-	// exactly one class, so len(next) == 1 and next[0] is the historical
-	// downstream pointer.
-	next        []*Vertex
-	onClass     []bool
-	offPathTaps []*Vertex
+	// Topology wiring (set by wireTopology): the successors this vertex's
+	// instances forward to, and onClass, its traffic-class membership.
+	// Linear chains have exactly one class, so len(next) == 1 and next[0]
+	// is the downstream vertex.
+	successors
+	onClass []bool
 }
 
 // New builds (but does not start) a chain on the substrate selected by
@@ -421,7 +422,6 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 			}
 		})
 		v.Splitter = NewSplitter(c, v)
-		v.Manager = NewVertexManager(c, v)
 		for _, s := range c.Stores {
 			s.Declare(v.ID, mustDecls(vs))
 		}
@@ -592,8 +592,7 @@ func (c *Chain) sendControl(to string, payload any) {
 // Start spawns all component processes. On a SubstrateNet worker only the
 // components homed on this process's node spawn (everything is still
 // BUILT everywhere, so IDs, partition maps and topology agree across
-// processes); each vertex's manager runs with the root, on the root's
-// node, so failover decisions have a single authority.
+// processes).
 func (c *Chain) Start() {
 	for i, s := range c.Stores {
 		if c.onNode(ShardEndpoint(i)) {
@@ -622,9 +621,6 @@ func (c *Chain) Start() {
 	for _, v := range c.Vertices {
 		for _, inst := range c.topo.Load().slotsOf(v) {
 			inst.Start()
-		}
-		if c.onNode(c.Root.Endpoint) {
-			v.Manager.Start()
 		}
 	}
 	c.registerCustomOps()

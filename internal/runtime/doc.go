@@ -2,9 +2,9 @@
 // chain -> physical chain compiler, the root (logical clocks, packet log,
 // the delete/XOR protocol of Fig 6, replay, the authoritative shard
 // partition map), scope-aware splitters with the Fig 4 handover protocol,
-// per-instance message queues with duplicate suppression, vertex managers,
-// straggler cloning, and the failover paths for NF instances, roots and
-// datastore shards.
+// per-instance message queues with duplicate suppression, one forwarding
+// buffer shared by the root and every instance, straggler cloning, and
+// the failover paths for NF instances, roots and datastore shards.
 //
 // The topology is a directed acyclic policy graph (ChainConfig.Topology):
 // one ordered vertex path per traffic class, classified once at the root

@@ -97,7 +97,7 @@ type Instance struct {
 	procTime, totalTime *Series
 
 	// mu guards the per-instance mutable sets and counters shared between
-	// the worker process, the framework (manager polls, replay control)
+	// the worker process, the framework (scale-in polls, replay control)
 	// and — in live mode — concurrent upstream deliveries. Never held
 	// across blocking operations.
 	mu  sync.Mutex
@@ -133,7 +133,7 @@ type Instance struct {
 	// the sim's deterministic Int63n.
 	ExtraDelay func(intn func(int64) int64) time.Duration
 
-	// Burst output buffers, flushed by flushBurst: fwdBuf holds the
+	// Burst output buffers, flushed by flushBurst: out holds the
 	// per-successor-vertex packet runs (off-path taps included), delBuf the
 	// delete requests, sinkBuf the tail outputs. No blocking point lies
 	// between buffering a packet's outputs and the next flush (see run), so
@@ -141,7 +141,7 @@ type Instance struct {
 	// DES's coroutine workers share them, and live runs one worker per
 	// instance; they need no locking. delSlab cuts the slices DeleteMsgs
 	// carry.
-	fwdBuf  []fwdRun
+	out     fwdBuf
 	delBuf  []Delete
 	sinkBuf []transport.Message
 	delSlab transport.Slab[Delete]
@@ -334,14 +334,6 @@ func (i *Instance) applyExclusivityDefaults() {
 	}
 }
 
-// fwdRun is one successor vertex's buffered packet run. Entries persist
-// across flushes (v stays bound, pkts truncates) so steady-state bursts
-// reuse the slices instead of reallocating them.
-type fwdRun struct {
-	v    *Vertex
-	pkts []*packet.Packet
-}
-
 // run is one worker loop: each drained burst's outputs are buffered and
 // leave together (flushBurst). Besides the end of a burst, the worker
 // flushes before each blocking point it can reach with outputs in hand: a
@@ -374,17 +366,6 @@ func (i *Instance) dispatch(msg transport.Message) {
 	}
 }
 
-// bufForward queues an output for v on its per-vertex run.
-func (i *Instance) bufForward(v *Vertex, pkt *packet.Packet) {
-	for idx := range i.fwdBuf {
-		if i.fwdBuf[idx].v == v {
-			i.fwdBuf[idx].pkts = append(i.fwdBuf[idx].pkts, pkt)
-			return
-		}
-	}
-	i.fwdBuf = append(i.fwdBuf, fwdRun{v: v, pkts: []*packet.Packet{pkt}})
-}
-
 // flushBurst ships the buffered outputs: the per-vertex forward runs in
 // first-use order, then the deletes as one DeleteMsg, then the sink
 // outputs (§5.4 delete-before-output holds per packet because the sink goes
@@ -393,17 +374,7 @@ func (i *Instance) bufForward(v *Vertex, pkt *packet.Packet) {
 // references are zeroed as the buffers truncate so the arena can recycle
 // the buffers once their new owners release them.
 func (i *Instance) flushBurst(p transport.Proc) {
-	for idx := range i.fwdBuf {
-		run := &i.fwdBuf[idx]
-		if len(run.pkts) == 0 {
-			continue
-		}
-		run.v.Splitter.RouteBurst(i.Endpoint, run.pkts, p.Now())
-		for j := range run.pkts {
-			run.pkts[j] = nil
-		}
-		run.pkts = run.pkts[:0]
-	}
+	i.out.flush(i.Endpoint, p.Now())
 	if n := len(i.delBuf); n > 0 {
 		i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint,
 			Payload: DeleteMsg{Dels: i.delSlab.Cut(i.delBuf...)}, Size: 4 + 12*n})
@@ -444,10 +415,9 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packe
 				i.endReplay(p, ctx)
 			}
 		} else if nxt := i.vertex.nextFor(pkt); nxt != nil {
-			// The marker must stay BEHIND the replayed traffic: flush any
-			// buffered forwards before routing it.
-			i.flushBurst(p)
-			nxt.Splitter.Route(i.Endpoint, pkt, p.Now())
+			// Queued behind the replayed traffic already buffered for nxt,
+			// so the marker cannot overtake it. Taps get no copy.
+			i.out.add(nxt, pkt)
 		}
 		return
 	}
@@ -469,16 +439,9 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packe
 			dup = false
 		}
 	}
-	if dup {
-		i.DupSeen++
-		if pkt.IsSYN() || pkt.IsSYNACK() || pkt.IsRST() {
-			i.DupStateEvents++
-		}
-		if i.chain.cfg.DupSuppress {
-			i.Suppressed++
-			i.mu.Unlock()
-			return
-		}
+	if dup && i.suppressDup(pkt) {
+		i.mu.Unlock()
+		return
 	}
 
 	// §5.3: while a clone processes replayed traffic, replicated live
@@ -550,6 +513,22 @@ func (i *Instance) handlePacket(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packe
 	}
 }
 
+// suppressDup is R5's admission verdict on a packet whose clock this
+// instance already accepted: it counts the duplicate (DupSeen, and
+// DupStateEvents for a connection event) and reports whether suppression
+// drops it, counting Suppressed when it does. Expects i.mu held.
+func (i *Instance) suppressDup(pkt *packet.Packet) bool {
+	i.DupSeen++
+	if pkt.IsSYN() || pkt.IsSYNACK() || pkt.IsRST() {
+		i.DupStateEvents++
+	}
+	if !i.chain.cfg.DupSuppress {
+		return false
+	}
+	i.Suppressed++
+	return true
+}
+
 // process runs the NF and forwards outputs.
 func (i *Instance) process(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 	i.mu.Lock()
@@ -616,12 +595,7 @@ func (i *Instance) process(p transport.Proc, ctx *nf.Ctx, pkt *packet.Packet) {
 // hop is the packet's class-path successor; the tail of the class's path
 // performs the delete protocol and emits to the sink.
 func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
-	v := i.vertex
-	for _, tap := range v.offPathTaps {
-		i.bufForward(tap, i.chain.arena.Clone(out))
-	}
-	if nxt := v.nextFor(out); nxt != nil {
-		i.bufForward(nxt, out)
+	if i.out.forward(&i.vertex.successors, i.chain.arena, out) {
 		return
 	}
 	// Tail of this packet's path: the receiver already has this packet if
@@ -688,16 +662,9 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 	i.mu.Unlock()
 	for _, pkt := range parked {
 		i.mu.Lock()
-		if i.seen.Has(pkt.Meta.Clock) {
-			i.DupSeen++
-			if pkt.IsSYN() || pkt.IsSYNACK() || pkt.IsRST() {
-				i.DupStateEvents++
-			}
-			if i.chain.cfg.DupSuppress {
-				i.Suppressed++
-				i.mu.Unlock()
-				continue
-			}
+		if i.seen.Has(pkt.Meta.Clock) && i.suppressDup(pkt) {
+			i.mu.Unlock()
+			continue
 		}
 		i.seen.Add(pkt.Meta.Clock)
 		i.mu.Unlock()

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -9,61 +8,8 @@ import (
 	"chc/internal/transport"
 )
 
-// VertexManager collects per-instance statistics and runs operator-supplied
-// scaling/straggler logic (§3). The logic itself is policy — the paper's
-// contribution is correct state management during the resulting actions —
-// so the manager exposes hooks and the experiments trigger actions directly.
-type VertexManager struct {
-	chain  *Chain
-	vertex *Vertex
-	// Interval between stat collections.
-	Interval time.Duration
-	// OnStats, if set, receives periodic instance stats.
-	OnStats func(stats []InstanceStats)
-	proc    transport.Handle
-}
-
-// InstanceStats is one instance's periodic report.
-type InstanceStats struct {
-	ID        uint16
-	Processed uint64
-	QueueLen  int
-	Dead      bool
-}
-
-// NewVertexManager builds a manager.
-func NewVertexManager(c *Chain, v *Vertex) *VertexManager {
-	return &VertexManager{chain: c, vertex: v, Interval: 10 * time.Millisecond}
-}
-
-// Start spawns the collection loop (no-op without an OnStats hook).
-func (m *VertexManager) Start() {
-	if m.OnStats == nil {
-		return
-	}
-	m.proc = m.chain.tr.Spawn(fmt.Sprintf("vmgr-v%d", m.vertex.ID), func(p transport.Proc) {
-		for {
-			p.Sleep(m.Interval)
-			m.OnStats(m.Snapshot())
-		}
-	})
-}
-
-// Snapshot gathers current stats.
-func (m *VertexManager) Snapshot() []InstanceStats {
-	var out []InstanceStats
-	for _, in := range m.chain.topo.Load().slotsOf(m.vertex) {
-		out = append(out, InstanceStats{
-			ID:        in.ID,
-			Processed: in.ProcessedCount(),
-			QueueLen:  m.chain.tr.Endpoint(in.Endpoint).Len(),
-			Dead:      in.isDead(),
-		})
-	}
-	return out
-}
-
-// --- Dynamic actions ---------------------------------------------------------
+// Dynamic actions: the routing-state verbs the Controller drives, and store
+// failover.
 
 // publish is the one way routing state changes: it hands edit a private
 // copy of the current topology and then installs the result for every

@@ -90,17 +90,12 @@ type Root struct {
 	// log holds the in-flight packets by clock. The root stamps clocks in
 	// ascending order, so walking it in clock order (replay, the sweep) is
 	// walking it in insertion order.
-	log         clockset.Table[rootLogEntry]
-	next        []*Vertex // successor per traffic class (see topology.go)
-	offPathTaps []*Vertex
-	proc        transport.Handle
-	procTime    *Series // "proc.root", resolved once
-	// fwdBuf, runBuf and tapBuf are the forwarding buffers (root process
-	// only): the packets the next flushBurst sends, the same packets
-	// grouped per traffic class, and one off-path tap's copies of them.
-	fwdBuf []*packet.Packet
-	runBuf [][]*packet.Packet
-	tapBuf []*packet.Packet
+	log      clockset.Table[rootLogEntry]
+	proc     transport.Handle
+	procTime *Series // "proc.root", resolved once
+	// out is the root's forwarding buffer (root process only), toward the
+	// chain's entry successors.
+	out fwdBuf
 	// prunes collects the clocks deleted while one inbound message is
 	// handled (root process only); sendPrunes hands them to the shards in a
 	// slice cut from pruneSlab.
@@ -112,8 +107,8 @@ type Root struct {
 	Deleted  uint64
 	Dropped  uint64
 	Replayed uint64
-	// Bursts counts ingest flushes that forwarded at least one packet: one
-	// per drained burst, so one per packet on the DES.
+	// Bursts counts the flushes of drained bursts that ingested at least
+	// one packet, so one per packet on the DES.
 	Bursts uint64
 	// Per-class chain clocks (indexed by traffic-class index): how many
 	// packets of each class were stamped and how many finished the Fig 6
@@ -153,21 +148,24 @@ func (r *Root) LogSize() int { return r.log.Len() }
 func (r *Root) Clock() uint64 { return r.ctr }
 
 // run stamps, persists and logs each packet of a drained burst, then
-// forwards the burst as one RouteBurst per successor (flushBurst).
+// forwards the burst as one RouteBurst per successor vertex.
 func (r *Root) run(p transport.Proc) {
 	ep := r.chain.tr.Endpoint(r.Endpoint)
 	bs := r.chain.burstSize()
+	ingested := false
 	ingest := func(pkt *packet.Packet) {
 		if r.ingestCore(p, pkt) {
-			r.fwdBuf = append(r.fwdBuf, pkt)
+			ingested = true
+			r.forward(pkt)
 		}
 	}
 	other := func(msg transport.Message) { r.dispatch(p, msg) }
 	flush := func() {
-		if len(r.fwdBuf) > 0 {
+		if ingested {
 			r.Bursts++
-			r.flushBurst(p.Now())
+			ingested = false
 		}
+		r.out.flush(r.Endpoint, p.Now())
 	}
 	for {
 		drain(p, ep, bs, ingest, other, flush)
@@ -207,48 +205,6 @@ func (r *Root) dispatch(p transport.Proc, msg transport.Message) {
 			m.Reply(r.statsSnapshot(), 64)
 		}
 	}
-}
-
-// flushBurst forwards the buffered packets as one burst per successor
-// vertex, the off-path taps' copies first.
-func (r *Root) flushBurst(now transport.Time) {
-	fwd := r.fwdBuf
-	for _, tap := range r.offPathTaps {
-		// Taps process copies; the originals continue down the chain.
-		cl := r.tapBuf
-		for _, pkt := range fwd {
-			cl = append(cl, r.chain.arena.Clone(pkt))
-		}
-		tap.Splitter.RouteBurst(r.Endpoint, cl, now)
-		clear(cl)
-		r.tapBuf = cl[:0]
-	}
-	// Group per traffic class, preserving arrival order within each class;
-	// packets whose class has no successor end their path here.
-	// Every packet's fate is decided BEFORE any is routed: once RouteBurst
-	// hands a packet downstream the sink may Put it and the injector reuse
-	// it, so a forwarded packet must never be read again.
-	if len(r.runBuf) < len(r.next) {
-		r.runBuf = make([][]*packet.Packet, len(r.next))
-	}
-	for _, pkt := range fwd {
-		ci := int(pkt.Meta.Class)
-		if ci >= len(r.next) || r.next[ci] == nil {
-			r.chain.arena.Put(pkt)
-			continue
-		}
-		r.runBuf[ci] = append(r.runBuf[ci], pkt)
-	}
-	for ci, run := range r.runBuf {
-		if len(run) == 0 {
-			continue
-		}
-		r.next[ci].Splitter.RouteBurst(r.Endpoint, run, now)
-		clear(run)
-		r.runBuf[ci] = run[:0]
-	}
-	clear(fwd)
-	r.fwdBuf = fwd[:0]
 }
 
 // ingestCore stamps, persists and logs one input packet, reporting whether
@@ -314,11 +270,21 @@ func (r *Root) ingestCore(p transport.Proc, pkt *packet.Packet) bool {
 	return true
 }
 
-// forward sends one packet as a burst of its own (replay, retransmission).
-// It runs between drained bursts, when fwdBuf is empty.
-func (r *Root) forward(pkt *packet.Packet, now transport.Time) {
-	r.fwdBuf = append(r.fwdBuf, pkt)
-	r.flushBurst(now)
+// forward queues one packet on the root's forwarding buffer: the taps'
+// copies, then the packet for the first vertex of its class path. A
+// packet whose class path is empty ends here.
+func (r *Root) forward(pkt *packet.Packet) {
+	if !r.out.forward(&r.chain.entry, r.chain.arena, pkt) {
+		r.chain.arena.Put(pkt)
+	}
+}
+
+// resend forwards one packet as a flush of its own (replay, retransmission,
+// end-of-replay markers). It runs between drained bursts, when the buffer
+// is empty.
+func (r *Root) resend(pkt *packet.Packet, now transport.Time) {
+	r.forward(pkt)
+	r.out.flush(r.Endpoint, now)
 }
 
 // handleDelete runs Fig 6 step 4: match the final vector against the
@@ -428,7 +394,7 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		}
 		ent.sentAt = now
 		r.Replayed++
-		r.forward(cp, now)
+		r.resend(cp, now)
 	})
 	// End-of-replay markers: dedicated control packets (Proto 0) that flow
 	// through the chain BEHIND the replayed packets (FIFO links); each
@@ -443,7 +409,7 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 		marker.Meta.Flags = packet.MetaReplay | packet.MetaLastRp
 		marker.Meta.CloneID = cloneID
 		marker.Meta.Class = class
-		r.forward(marker, now)
+		r.resend(marker, now)
 	}
 	sent := false
 	if clone != nil {
@@ -482,7 +448,7 @@ func (r *Root) sweepRetransmit(p transport.Proc) {
 		}
 		ent.sentAt = now
 		r.Replayed++
-		r.forward(cp, now)
+		r.resend(cp, now)
 	})
 }
 
@@ -554,8 +520,6 @@ func (c *Chain) RecoverRoot() (newRoot *Root, took time.Duration) {
 	old := c.Root
 	old.Crash()
 	nr := NewRoot(c, old.ID, old.Endpoint)
-	nr.next = old.next
-	nr.offPathTaps = old.offPathTaps
 	nr.InjectedByClass = make([]uint64, len(old.InjectedByClass))
 	nr.DeletedByClass = make([]uint64, len(old.DeletedByClass))
 

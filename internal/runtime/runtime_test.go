@@ -12,6 +12,7 @@ import (
 	"chc/internal/packet"
 	"chc/internal/store"
 	"chc/internal/trace"
+	"chc/internal/transport"
 )
 
 // testConfig is a fast deterministic config for correctness tests: single
@@ -448,25 +449,46 @@ func TestGrantsExclusive(t *testing.T) {
 	}
 }
 
-func TestVertexManagerStats(t *testing.T) {
-	cfg := testConfig()
-	c := New(cfg, natVertex(2, BackendCHC, store.ModeEOCNA))
-	var got [][]InstanceStats
-	c.Vertices[0].Manager.OnStats = func(s []InstanceStats) { got = append(got, s) }
+// TestReplayDrainAdmitsParkedPackets reaches endReplay's drain on the DES:
+// a replay target parks a fresh live packet and a live copy of a clock it
+// then processes as replay traffic. After the end-of-replay marker the
+// fresh packet is processed and the copy is suppressed and counted.
+func TestReplayDrainAdmitsParkedPackets(t *testing.T) {
+	c := New(testConfig(), VertexSpec{Name: "pass", Make: func() nf.NF { return passNF{} },
+		Backend: BackendTraditional})
 	c.Start()
-	seedNAT(c, c.Vertices[0])
-	tr := smallTrace(20)
-	c.RunTrace(tr, 50*time.Millisecond)
-	if len(got) == 0 {
-		t.Fatal("vertex manager produced no stats")
+	in := c.Vertices[0].Instances[0]
+	in.StartReplayTarget()
+	send := func(clock uint64, flags uint8) {
+		pkt := &packet.Packet{SrcIP: 0x0A000001, DstIP: 0x08080808, SrcPort: 4000, DstPort: 80,
+			Proto: packet.ProtoTCP, TCPFlags: packet.FlagSYN}
+		pkt.Meta.Clock = packet.MakeClock(0, clock)
+		pkt.Meta.Flags = flags
+		pkt.Meta.CloneID = in.ID
+		if flags&packet.MetaLastRp != 0 {
+			pkt = &packet.Packet{Meta: pkt.Meta}
+		}
+		c.Net().Send(transport.Message{From: "driver", To: in.Endpoint, Payload: pkt, Size: pkt.WireLen()})
 	}
-	last := got[len(got)-1]
-	var total uint64
-	for _, s := range last {
-		total += s.Processed
+	send(1, 0)                 // fresh: parked
+	send(2, 0)                 // live copy of clock 2: parked
+	send(2, packet.MetaReplay) // replayed clock 2: processed at once
+	c.RunFor(time.Millisecond)
+	if in.Processed != 1 || len(in.parked) != 2 {
+		t.Fatalf("before the marker: processed=%d parked=%d, want 1 and 2", in.Processed, len(in.parked))
 	}
-	if total == 0 {
-		t.Fatal("stats show no processing")
+	send(0, packet.MetaReplay|packet.MetaLastRp)
+	c.RunFor(time.Millisecond)
+	if in.holdsParked() {
+		t.Fatal("the last marker did not end the replay")
+	}
+	if in.Processed != 2 || in.Suppressed != 1 || in.DupSeen != 1 || in.DupStateEvents != 1 {
+		t.Fatalf("after the drain: processed=%d suppressed=%d dupSeen=%d dupStateEvents=%d, want 2 1 1 1",
+			in.Processed, in.Suppressed, in.DupSeen, in.DupStateEvents)
+	}
+	if c.Sink.Received != 2 || c.Sink.Duplicates != 0 {
+		t.Fatalf("sink received %d (duplicates %d), want clocks 1 and 2 once each",
+			c.Sink.Received, c.Sink.Duplicates)
 	}
 }
 

@@ -59,13 +59,11 @@ type Splitter struct {
 	IdxFn func(*packet.Packet) int
 
 	// pending buffers this route call's outgoing packet messages so one
-	// Route (or RouteBurst) turns into one transport.SendBurst. The buffer
+	// RouteBurst turns into one transport.SendBurst. The buffer
 	// is only ever filled and drained under mu within a single call, so its
 	// reuse across calls is race-free; entries are zeroed on flush to drop
 	// packet references.
 	pending []transport.Message
-
-	Routed uint64
 }
 
 type moveState struct {
@@ -116,8 +114,9 @@ func (s *Splitter) Scope() store.Scope {
 	return s.scopes[s.scopeIdx]
 }
 
-// Refine moves to the next finer scope (the framework does this when the
-// vertex manager reports uneven load, §4.1). Returns false at the finest.
+// Refine moves to the next finer scope (the framework does this when an
+// operator's load policy reports uneven load, §4.1). Returns false at the
+// finest.
 func (s *Splitter) Refine() bool {
 	s.mu.Lock()
 	if s.scopeIdx+1 >= len(s.scopes) {
@@ -249,21 +248,13 @@ func (s *Splitter) rehashLive(t *topology, key uint64) *Instance {
 	return t.serving[live[idx].ID]
 }
 
-// Route delivers pkt to the owning instance, applying handover marks,
-// host-split routing and straggler replication.
-func (s *Splitter) Route(from string, pkt *packet.Packet, now transport.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.routeOne(s.chain.topo.Load(), from, pkt, now)
-	s.flushLocked()
-}
-
-// RouteBurst routes a batch of packets and flushes them to the transport
-// as one burst: on the live substrate the destination mailbox is locked
-// and notified once per run of same-target packets instead of once per
-// packet. Routing decisions are made per packet, identically to Route —
-// the DES (bursts of one, so a RouteBurst is a Route) and the live
-// substrate therefore produce the same per-packet placements — and the
+// RouteBurst delivers each packet to its owning instance, applying
+// handover marks, host-split routing and straggler replication, and
+// flushes the deliveries to the transport as one burst: on the live
+// substrate the destination mailbox is locked and notified once per run of
+// same-target packets instead of once per packet. Routing decisions are
+// made per packet (routeOne), so the DES's bursts of one and the live
+// substrate's longer ones produce the same per-packet placements; the
 // whole burst routes under one topology snapshot.
 func (s *Splitter) RouteBurst(from string, pkts []*packet.Packet, now transport.Time) {
 	s.mu.Lock()
@@ -279,8 +270,6 @@ func (s *Splitter) RouteBurst(from string, pkts []*packet.Packet, now transport.
 // snapshot t, queueing its deliveries on s.pending. Expects s.mu held; the
 // caller flushes.
 func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now transport.Time) {
-	s.Routed++
-
 	// End-of-replay marker: deliver straight to the clone when it lives in
 	// this vertex; otherwise push it through an instance toward the next
 	// vertex, behind the replayed traffic.

@@ -80,15 +80,6 @@ func (c *Chain) VertexByName(name string) *Vertex {
 	return nil
 }
 
-// nextFor returns the vertex's successor for pkt's class (nil = this
-// vertex is the tail of that class's path).
-func (v *Vertex) nextFor(pkt *packet.Packet) *Vertex {
-	if int(pkt.Meta.Class) < len(v.next) {
-		return v.next[pkt.Meta.Class]
-	}
-	return nil
-}
-
 // OnClass reports whether the vertex lies on the class's path. Off-path
 // vertices inherit their tap host's membership (they see copies of
 // whatever traffic passes the host).
@@ -126,27 +117,11 @@ func (c *Chain) downstreamOf(ci uint8, a, b *Vertex) bool {
 	return ai >= 0 && bi > ai
 }
 
-// wireTopology connects root -> vertices -> sink according to the
-// configured policy DAG (or the declaration order when no TopologySpec is
-// given) and attaches off-path vertices to the preceding on-path vertex.
+// wireTopology wires every component's successors (the root's in
+// Chain.entry, each vertex's in its own) according to the configured
+// policy DAG, or the declaration order when no TopologySpec is given, and
+// attaches off-path vertices to the preceding on-path vertex.
 func (c *Chain) wireTopology() {
-	// Off-path taps attach by declaration order regardless of topology:
-	// a tap observes whatever traffic passes its host.
-	var prevOn *Vertex
-	tapHost := make(map[*Vertex]*Vertex) // tap -> host (nil host = root)
-	for _, v := range c.Vertices {
-		if v.Spec.OffPath {
-			if prevOn != nil {
-				prevOn.offPathTaps = append(prevOn.offPathTaps, v)
-			} else {
-				c.Root.offPathTaps = append(c.Root.offPathTaps, v)
-			}
-			tapHost[v] = prevOn
-			continue
-		}
-		prevOn = v
-	}
-
 	if t := c.cfg.Topology; t == nil {
 		c.classNames = []string{"all"}
 		c.classIdx = map[string]uint8{"all": 0}
@@ -157,7 +132,7 @@ func (c *Chain) wireTopology() {
 	}
 
 	nclass := len(c.classPaths)
-	c.Root.next = make([]*Vertex, nclass)
+	c.entry.next = make([]*Vertex, nclass)
 	c.Root.InjectedByClass = make([]uint64, nclass)
 	c.Root.DeletedByClass = make([]uint64, nclass)
 	for _, v := range c.Vertices {
@@ -168,7 +143,7 @@ func (c *Chain) wireTopology() {
 		if len(path) == 0 {
 			continue
 		}
-		c.Root.next[ci] = path[0]
+		c.entry.next[ci] = path[0]
 		for i, v := range path {
 			v.onClass[ci] = true
 			if i+1 < len(path) {
@@ -176,11 +151,19 @@ func (c *Chain) wireTopology() {
 			}
 		}
 	}
-	// Off-path membership follows the tap host (root-attached taps see all
-	// classes).
-	for tap, host := range tapHost {
-		for ci := range tap.onClass {
-			tap.onClass[ci] = host == nil || host.onClass[ci]
+	// Off-path taps attach by declaration order regardless of topology: a
+	// tap observes whatever traffic passes its host, so its class
+	// membership is the host's (a root-attached tap sees every class).
+	host := &c.entry
+	var hostOn []bool
+	for _, v := range c.Vertices {
+		if !v.Spec.OffPath {
+			host, hostOn = &v.successors, v.onClass
+			continue
+		}
+		host.taps = append(host.taps, v)
+		for ci := range v.onClass {
+			v.onClass[ci] = hostOn == nil || hostOn[ci]
 		}
 	}
 }
