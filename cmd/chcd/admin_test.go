@@ -15,7 +15,7 @@ import (
 // bad request, and draining a vertex the chain does not have is refused.
 func TestAdminMux(t *testing.T) {
 	ch := runtime.New(runtime.DefaultChainConfig(),
-		runtime.VertexSpec{Name: "pass", Make: func() nf.NF { return passNF{} }})
+		runtime.VertexSpec{Name: "pass", Make: func() nf.NF { return nf.Pass{} }})
 	srv := httptest.NewServer(adminMux(ch, "a"))
 	defer srv.Close()
 	for _, tc := range []struct {

@@ -15,29 +15,37 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"chc/internal/netnet"
 	"chc/internal/transport"
 )
 
-func coordinatorMain(args []string) {
-	fs := flag.NewFlagSet("chcd coordinator", flag.ExitOnError)
-	cfgPath := fs.String("config", "", "chain config JSON with a \"nodes\" section (required)")
-	specPath := fs.String("spec", "", "DeploymentSpec JSON to broadcast to every worker before the run")
-	flows := fs.Int("flows", 300, "generated trace connections")
-	gbps := fs.Int64("gbps", 2, "offered load in Gbps")
-	udpFrac := fs.Float64("udp-frac", 0, "fraction of generated flows as UDP")
-	settleMs := fs.Int("settle-ms", 200, "post-trace settle time (ms) on the root owner")
-	drainSec := fs.Int("drain-sec", 30, "drain budget (s) on the root owner")
-	upTimeout := fs.Duration("up-timeout", 30*time.Second, "how long to wait for all workers' /health")
-	jsonPath := fs.String("json", "", "write the run report to this path (- for stdout)")
-	fs.Parse(args)
+// coordinatorCmd holds the coordinator role's flags.
+type coordinatorCmd struct {
+	config, spec, jsonPath string
+	offer                  offer
+	upTimeout              time.Duration
+}
 
-	cfg := loadConfig(*cfgPath)
+func (c *coordinatorCmd) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("chcd coordinator", flag.ExitOnError)
+	fs.StringVar(&c.config, "config", "", "chain config JSON with a \"nodes\" section (required)")
+	fs.StringVar(&c.spec, "spec", "", "DeploymentSpec JSON to broadcast to every worker before the run")
+	c.offer.register(fs)
+	fs.DurationVar(&c.upTimeout, "up-timeout", 30*time.Second, "how long to wait for all workers' /health")
+	fs.StringVar(&c.jsonPath, "json", "-", "write the run report to this path (- for stdout)")
+	return fs
+}
+
+func coordinatorMain(args []string) {
+	c := &coordinatorCmd{}
+	c.flags().Parse(args)
+
+	cfg := loadConfig(c.config)
 	if len(cfg.Nodes) == 0 {
 		fatal(fmt.Errorf("config has no nodes section (coordinator mode needs one)"))
 	}
@@ -48,13 +56,13 @@ func coordinatorMain(args []string) {
 	}
 
 	// Phase 1: wait for every worker.
-	deadline := time.Now().Add(*upTimeout)
+	deadline := time.Now().Add(c.upTimeout)
 	for _, n := range cfg.Nodes {
 		for {
 			if err := getJSON(n.Admin, "/health", nil); err == nil {
 				break
 			} else if time.Now().After(deadline) {
-				fatal(fmt.Errorf("worker %s (%s) not healthy within %v: %v", n.Name, n.Admin, *upTimeout, err))
+				fatal(fmt.Errorf("worker %s (%s) not healthy within %v: %v", n.Name, n.Admin, c.upTimeout, err))
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -64,13 +72,13 @@ func coordinatorMain(args []string) {
 	// Phase 2: reconcile the declared spec on every worker (SPMD: each
 	// applies the same mutations; node-gated effectors keep side effects
 	// exactly-once cluster-wide).
-	if *specPath != "" {
-		raw, err := os.ReadFile(*specPath)
+	if c.spec != "" {
+		raw, err := os.ReadFile(c.spec)
 		if err != nil {
 			fatal(err)
 		}
 		for _, n := range cfg.Nodes {
-			if err := postJSONRaw(n.Admin, "/spec", raw, nil); err != nil {
+			if err := postJSON(n.Admin, "/spec", json.RawMessage(raw), nil); err != nil {
 				fatal(fmt.Errorf("apply spec on %s: %w", n.Name, err))
 			}
 		}
@@ -78,13 +86,11 @@ func coordinatorMain(args []string) {
 	}
 
 	// Phase 3: run on the root owner while watching everyone's health.
-	runReq := workerRunReq{Flows: *flows, Gbps: *gbps, UDPFrac: *udpFrac,
-		SettleMs: *settleMs, DrainSec: *drainSec}
 	reportCh := make(chan *runReport, 1)
 	errCh := make(chan error, 1)
 	go func() {
 		var rep runReport
-		if err := postJSON(cfg.adminOf(rootNode), "/run", runReq, &rep); err != nil {
+		if err := postJSON(cfg.adminOf(rootNode), "/run", c.offer, &rep); err != nil {
 			errCh <- err
 			return
 		}
@@ -132,16 +138,7 @@ watch:
 		report.RemoteBytes += ns.RemoteBytes
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if *jsonPath == "-" || *jsonPath == "" {
-		os.Stdout.Write(buf)
-	} else if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-		fatal(err)
-	}
+	writeReport(c.jsonPath, *report)
 	fmt.Printf("coordinator: run complete: injected=%d deleted=%d residue=%d dups=%d remote_msgs=%d remote_calls=%d\n",
 		report.Injected, report.Deleted, report.LogResidue, report.SinkDups,
 		report.RemoteMsgs, report.RemoteCalls)
@@ -151,7 +148,7 @@ watch:
 // dead node declared (entries of the form "vV.iI") to all surviving
 // workers, re-homing each replacement onto rehome. Every survivor must
 // see every verb in the same order (SPMD mutation history).
-func failoverNode(cfg configJSON, deadNode nodeJSON, rehome string, dead map[string]bool) {
+func failoverNode(cfg *config, deadNode nodeJSON, rehome string, dead map[string]bool) {
 	for _, ep := range deadNode.Endpoints {
 		var v, i int
 		if n, _ := fmt.Sscanf(ep, "v%d.i%d", &v, &i); n != 2 {
@@ -193,27 +190,17 @@ func postJSON(host, path string, body any, out any) error {
 	if err != nil {
 		return err
 	}
-	return postJSONRaw(host, path, raw, out)
-}
-
-func postJSONRaw(host, path string, raw []byte, out any) error {
 	resp, err := adminClient.Post("http://"+host+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := readAllLimited(resp)
-		return fmt.Errorf("%s%s: %s: %s", host, path, resp.Status, strings.TrimSpace(msg))
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("%s%s: %s: %s", host, path, resp.Status, bytes.TrimSpace(msg))
 	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func readAllLimited(resp *http.Response) (string, error) {
-	buf := make([]byte, 4096)
-	n, err := resp.Body.Read(buf)
-	return string(buf[:n]), err
 }

@@ -30,11 +30,11 @@
 //
 // Usage:
 //
-//	chcd -config chain.json -trace trace.chct
-//	chcd -config chain.json -flows 500 -gbps 2
-//	chcd -config chain.json -shards 4          # 4-shard datastore tier
-//	chcd -config dag.json -udp-frac 0.4        # mixed-class traffic for a fork
-//	chcd -config dag.json -live -json out.json # real goroutines + wall clock
+//	chcd run -config chain.json -trace trace.chct
+//	chcd run -config chain.json -flows 500 -gbps 2
+//	chcd run -config chain.json -shards 4          # 4-shard datastore tier
+//	chcd run -config dag.json -udp-frac 0.4        # mixed-class traffic for a fork
+//	chcd run -config dag.json -live -json out.json # real goroutines + wall clock
 //
 // Live mode (-live) runs the same chain on internal/livenet: real
 // goroutines, channels and wall-clock time. The run reports achieved
@@ -88,20 +88,21 @@
 // verbs for the dead node's instances to the survivors, exercising the
 // §5.4 story across real process boundaries.
 //
-// The first positional argument selects the mode: "run" (the single
-// process behavior above), "worker", or "coordinator". A first argument
-// beginning with '-' dispatches to "run" for compatibility with existing
-// flat-flag invocations.
+// The first argument selects the role: "run" (the single-process
+// behavior above, run.go), "worker" (worker.go) or "coordinator"
+// (coordinator.go). Each role owns its flag set; run and coordinator share
+// the offered-load flags -flows, -gbps, -udp-frac and -settle (offer), and
+// a config file is checked whole, with unknown fields, duplicate or empty
+// vertex names and malformed paths reported before anything is built.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"chc/internal/nf"
@@ -109,12 +110,30 @@ import (
 	nfnat "chc/internal/nf/nat"
 	nfps "chc/internal/nf/portscan"
 	nftrojan "chc/internal/nf/trojan"
-	"chc/internal/packet"
 	"chc/internal/runtime"
 	"chc/internal/store"
 	"chc/internal/trace"
 	"chc/internal/transport"
 )
+
+func main() {
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, "usage: chcd run|worker|coordinator -config FILE [flags]")
+		os.Exit(2)
+	}
+	args := os.Args[2:]
+	switch os.Args[1] {
+	case "run":
+		runMain(args)
+	case "worker":
+		workerMain(args)
+	case "coordinator":
+		coordinatorMain(args)
+	default:
+		fmt.Fprintf(os.Stderr, "chcd: unknown command %q (want run, worker or coordinator)\n", os.Args[1])
+		os.Exit(2)
+	}
+}
 
 // vertexJSON is one chain vertex in the config file.
 type vertexJSON struct {
@@ -127,24 +146,18 @@ type vertexJSON struct {
 	Backends  int    `json:"backends"` // for lb
 }
 
-// pathJSON is one traffic class's branch through the policy DAG.
-type pathJSON struct {
-	Class    string   `json:"class"` // tcp | udp | other
-	Vertices []string `json:"vertices"`
-}
-
-// nodeJSON is one node of a multi-process deployment: a netnet dial
-// address, the admin API address its worker serves, and the endpoints it
-// hosts (prefix matching applies, so "v1" homes every v1 instance not
-// claimed elsewhere — including failover replacements minted later).
+// nodeJSON is one node of a multi-process deployment: its netnet
+// placement (prefix matching applies, so "v1" homes every v1 instance not
+// claimed elsewhere, including failover replacements minted later) and
+// the admin API address its worker serves.
 type nodeJSON struct {
-	Name      string   `json:"name"`
-	Addr      string   `json:"addr"`
-	Admin     string   `json:"admin"`
-	Endpoints []string `json:"endpoints"`
+	transport.NodeSpec
+	Admin string `json:"admin"`
 }
 
-type configJSON struct {
+// config is a chain config file, checked and compiled into the runtime's
+// vertex specs by parseConfig.
+type config struct {
 	Vertices []vertexJSON `json:"vertices"`
 	Seed     int64        `json:"seed"`
 	// Shards sizes the datastore tier (consistent-hash key partitioning);
@@ -153,32 +166,50 @@ type configJSON struct {
 	// Paths, when present, generalize the chain into a policy DAG: one
 	// ordered vertex path per traffic class, with the root classifying
 	// packets by IP protocol. Empty keeps the linear declaration order.
-	Paths []pathJSON `json:"paths"`
+	Paths []runtime.PathSpec `json:"paths"`
 	// Nodes, when present, declare the multi-process deployment's nodes
-	// (chcd worker / coordinator modes). Ignored by plain "chcd run".
+	// (worker and coordinator). Ignored by run.
 	Nodes []nodeJSON `json:"nodes"`
+
+	specs   []runtime.VertexSpec
+	seeders []func(*runtime.Vertex)
 }
 
-// nodeSpecs converts the config's node section to transport placement.
-func (c configJSON) nodeSpecs() []transport.NodeSpec {
-	var out []transport.NodeSpec
-	for _, n := range c.Nodes {
-		out = append(out, transport.NodeSpec{Name: n.Name, Addr: n.Addr, Endpoints: n.Endpoints})
+// parseConfig decodes a config file and checks it whole: no unknown
+// field, at least one vertex, every vertex named once and built from a
+// known NF, backend and mode, and paths that runtime.New accepts.
+func parseConfig(raw []byte) (*config, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	cfg := &config{}
+	if err := dec.Decode(cfg); err != nil {
+		return nil, fmt.Errorf("parse config: %w", err)
 	}
-	return out
-}
-
-// adminOf returns the admin address of the named node.
-func (c configJSON) adminOf(node string) string {
-	for _, n := range c.Nodes {
-		if n.Name == node {
-			return n.Admin
+	if len(cfg.Vertices) == 0 {
+		return nil, errors.New("config has no vertices")
+	}
+	names := make(map[string]bool, len(cfg.Vertices))
+	for _, v := range cfg.Vertices {
+		if v.Name == "" || names[v.Name] {
+			return nil, fmt.Errorf("config: vertex name %q is empty or repeated", v.Name)
+		}
+		names[v.Name] = true
+		spec, seeder, err := compileVertex(v)
+		if err != nil {
+			return nil, fmt.Errorf("config: vertex %q: %w", v.Name, err)
+		}
+		cfg.specs = append(cfg.specs, spec)
+		cfg.seeders = append(cfg.seeders, seeder)
+	}
+	if len(cfg.Paths) > 0 {
+		if err := (&runtime.TopologySpec{Paths: cfg.Paths}).Validate(cfg.specs); err != nil {
+			return nil, fmt.Errorf("config: %w", err)
 		}
 	}
-	return ""
+	return cfg, nil
 }
 
-func loadConfig(path string) configJSON {
+func loadConfig(path string) *config {
 	if path == "" {
 		fmt.Fprintln(os.Stderr, "chcd: -config is required")
 		os.Exit(2)
@@ -187,351 +218,151 @@ func loadConfig(path string) configJSON {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg configJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		fatal(fmt.Errorf("parse config: %w", err))
-	}
-	if len(cfg.Vertices) == 0 {
-		fatal(fmt.Errorf("config has no vertices"))
+	cfg, err := parseConfig(raw)
+	if err != nil {
+		fatal(err)
 	}
 	return cfg
 }
 
-// passNF forwards packets unchanged.
-type passNF struct{}
-
-func (passNF) Name() string           { return "pass" }
-func (passNF) Decls() []store.ObjDecl { return nil }
-func (passNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
-	return ctx.Emit(pkt)
+// adminOf returns the admin address of the named node.
+func (c *config) adminOf(node string) string {
+	for _, n := range c.Nodes {
+		if n.Name == node {
+			return n.Admin
+		}
+	}
+	return ""
 }
 
-func makeNF(v vertexJSON) (func() nf.NF, func(*runtime.Vertex), error) {
-	noSeed := func(*runtime.Vertex) {}
+// nodeSpecs returns the nodes' transport placement.
+func (c *config) nodeSpecs() []transport.NodeSpec {
+	out := make([]transport.NodeSpec, len(c.Nodes))
+	for i, n := range c.Nodes {
+		out[i] = n.NodeSpec
+	}
+	return out
+}
+
+// compileVertex turns one config vertex into its runtime spec and the
+// seeder that preloads its NF's store state once the chain has started.
+func compileVertex(v vertexJSON) (runtime.VertexSpec, func(*runtime.Vertex), error) {
+	spec := runtime.VertexSpec{Name: v.Name, Instances: v.Instances,
+		Backend: runtime.BackendCHC, Mode: store.ModeEOCNA, OffPath: v.OffPath}
+	seeder := func(*runtime.Vertex) {}
 	switch v.NF {
 	case "nat":
-		return func() nf.NF { return nfnat.New() }, func(vx *runtime.Vertex) {
+		spec.Make = func() nf.NF { return nfnat.New() }
+		seeder = func(vx *runtime.Vertex) {
 			vx.Seed(func(apply func(store.Request)) { nfnat.New().SeedPorts(apply) })
-		}, nil
+		}
 	case "portscan":
-		return func() nf.NF { return nfps.New() }, noSeed, nil
+		spec.Make = func() nf.NF { return nfps.New() }
 	case "trojan":
-		return func() nf.NF { return nftrojan.New() }, noSeed, nil
+		spec.Make = func() nf.NF { return nftrojan.New() }
 	case "lb":
 		n := v.Backends
 		if n == 0 {
 			n = 8
 		}
-		return func() nf.NF { return nflb.New(n) }, func(vx *runtime.Vertex) {
+		spec.Make = func() nf.NF { return nflb.New(n) }
+		seeder = func(vx *runtime.Vertex) {
 			vx.Seed(func(apply func(store.Request)) { nflb.New(n).SeedServers(apply) })
-		}, nil
-	case "pass", "":
-		return func() nf.NF { return passNF{} }, noSeed, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown nf %q", v.NF)
-	}
-}
-
-func parseBackend(s string) (runtime.BackendKind, error) {
-	switch s {
-	case "chc", "":
-		return runtime.BackendCHC, nil
-	case "traditional":
-		return runtime.BackendTraditional, nil
-	case "locking":
-		return runtime.BackendLocking, nil
-	default:
-		return 0, fmt.Errorf("unknown backend %q", s)
-	}
-}
-
-func parseMode(s string) (store.Mode, error) {
-	switch s {
-	case "eo":
-		return store.ModeEO, nil
-	case "eoc":
-		return store.ModeEOC, nil
-	case "eocna", "":
-		return store.ModeEOCNA, nil
-	default:
-		return store.Mode{}, fmt.Errorf("unknown mode %q", s)
-	}
-}
-
-func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, rest := args[0], args[1:]
-		switch cmd {
-		case "run":
-			runMain(rest)
-		case "worker":
-			workerMain(rest)
-		case "coordinator":
-			coordinatorMain(rest)
-		default:
-			fmt.Fprintf(os.Stderr, "chcd: unknown command %q (want run, worker or coordinator)\n", cmd)
-			os.Exit(2)
 		}
-		return
+	case "pass", "":
+		spec.Make = func() nf.NF { return nf.Pass{} }
+	default:
+		return spec, nil, fmt.Errorf("unknown nf %q", v.NF)
 	}
-	// Flat-flag compatibility: a first argument starting with '-' (or no
-	// arguments at all) is the historical single-process CLI, dispatched
-	// to "chcd run" unchanged.
-	runMain(args)
+	switch v.Backend {
+	case "chc", "":
+	case "traditional":
+		spec.Backend = runtime.BackendTraditional
+	case "locking":
+		spec.Backend = runtime.BackendLocking
+	default:
+		return spec, nil, fmt.Errorf("unknown backend %q", v.Backend)
+	}
+	if v.Mode != "" {
+		var err error
+		if spec.Mode, err = store.ParseMode(v.Mode); err != nil {
+			return spec, nil, err
+		}
+	}
+	return spec, seeder, nil
 }
 
-// chainTuning is the flag group shared by every mode that builds a chain.
+// chainTuning is the flag group shared by every role that builds a chain.
 type chainTuning struct {
-	shards       *int
-	ckptInterval *time.Duration
-	ckptRetain   *int
+	shards, ckptRetain int
+	ckptInterval       time.Duration
 }
 
-func addChainTuning(fs *flag.FlagSet) chainTuning {
-	return chainTuning{
-		shards:       fs.Int("shards", 0, "datastore shard servers (overrides config; 0 keeps config/default)"),
-		ckptInterval: fs.Duration("ckpt-interval", 0, "periodic durable store checkpoints + WAL truncation (0 disables)"),
-		ckptRetain:   fs.Int("ckpt-retain", 0, "committed checkpoints each shard retains (0 keeps the default of 2)"),
-	}
+func (ct *chainTuning) register(fs *flag.FlagSet) {
+	fs.IntVar(&ct.shards, "shards", 0, "datastore shard servers (overrides config; 0 keeps config/default)")
+	fs.DurationVar(&ct.ckptInterval, "ckpt-interval", 0, "periodic durable store checkpoints + WAL truncation (0 disables)")
+	fs.IntVar(&ct.ckptRetain, "ckpt-retain", 0, "committed checkpoints each shard retains (0 keeps the default of 2)")
 }
 
-func (ct chainTuning) apply(cfg configJSON, ccfg *runtime.ChainConfig) {
+// buildChain deploys cfg on ccfg's substrate with ct applied: topology,
+// vertex specs, Start, then the NF seeders (which self-gate to the seeding
+// instance's home node on SubstrateNet).
+func buildChain(cfg *config, ct chainTuning, ccfg runtime.ChainConfig) *runtime.Chain {
 	if cfg.Seed != 0 {
 		ccfg.Seed = cfg.Seed
 	}
 	ccfg.StoreShards = cfg.Shards
-	if *ct.shards > 0 {
-		ccfg.StoreShards = *ct.shards
+	if ct.shards > 0 {
+		ccfg.StoreShards = ct.shards
 	}
-	ccfg.CheckpointEvery = *ct.ckptInterval
-	ccfg.CheckpointRetain = *ct.ckptRetain
-}
-
-// traceTuning is the flag group shared by every mode that offers traffic.
-type traceTuning struct {
-	tracePath *string
-	flows     *int
-	gbps      *int64
-	udpFrac   *float64
-	settle    *time.Duration
-}
-
-func addTraceTuning(fs *flag.FlagSet) traceTuning {
-	return traceTuning{
-		tracePath: fs.String("trace", "", "trace file (from tracegen); empty generates one"),
-		flows:     fs.Int("flows", 500, "generated trace connections"),
-		gbps:      fs.Int64("gbps", 2, "offered load in Gbps"),
-		udpFrac:   fs.Float64("udp-frac", 0, "fraction of generated flows as UDP (drives DAG fork classes)"),
-		settle:    fs.Duration("settle", 500*time.Millisecond, "post-trace settle time (virtual)"),
-	}
-}
-
-func (tt traceTuning) load(seed int64) *trace.Trace {
-	if *tt.tracePath != "" {
-		f, err := os.Open(*tt.tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		return tr
-	}
-	tr := trace.Generate(trace.Config{Seed: seed, Flows: *tt.flows,
-		PktsPerFlowMean: 16, PayloadMedian: 1394, Hosts: 32, Servers: 16,
-		UDPFrac: *tt.udpFrac})
-	tr.Pace(*tt.gbps * 1_000_000_000)
-	return tr
-}
-
-// buildChain compiles the config into a deployed chain on ccfg's
-// substrate: topology, vertex specs, Start, then the NF seeders (which
-// self-gate to the seeding instance's home node on SubstrateNet).
-func buildChain(cfg configJSON, ccfg runtime.ChainConfig) *runtime.Chain {
+	ccfg.CheckpointEvery = ct.ckptInterval
+	ccfg.CheckpointRetain = ct.ckptRetain
 	if len(cfg.Paths) > 0 {
-		topo := &runtime.TopologySpec{}
-		for _, p := range cfg.Paths {
-			topo.Paths = append(topo.Paths, runtime.PathSpec{Class: p.Class, Vertices: p.Vertices})
-		}
-		ccfg.Topology = topo
+		ccfg.Topology = &runtime.TopologySpec{Paths: cfg.Paths}
 	}
-	var specs []runtime.VertexSpec
-	var seeders []func(*runtime.Vertex)
-	for _, v := range cfg.Vertices {
-		mk, seeder, err := makeNF(v)
-		if err != nil {
-			fatal(err)
-		}
-		backend, err := parseBackend(v.Backend)
-		if err != nil {
-			fatal(err)
-		}
-		mode, err := parseMode(v.Mode)
-		if err != nil {
-			fatal(err)
-		}
-		specs = append(specs, runtime.VertexSpec{
-			Name: v.Name, Make: mk, Instances: v.Instances,
-			Backend: backend, Mode: mode, OffPath: v.OffPath,
-		})
-		seeders = append(seeders, seeder)
-	}
-	ch := runtime.New(ccfg, specs...)
+	ch := runtime.New(ccfg, cfg.specs...)
 	ch.Start()
-	for i, seeder := range seeders {
+	for i, seeder := range cfg.seeders {
 		seeder(ch.Vertices[i])
 	}
 	return ch
 }
 
-// runMain is the single-process mode: deploy, run one trace, report.
-func runMain(args []string) {
-	fs := flag.NewFlagSet("chcd run", flag.ExitOnError)
-	cfgPath := fs.String("config", "", "chain config JSON (required)")
-	tt := addTraceTuning(fs)
-	ct := addChainTuning(fs)
-	live := fs.Bool("live", false, "run on real goroutines and wall-clock time (livenet)")
-	jsonPath := fs.String("json", "", "write a machine-readable run report to this path (- for stdout)")
-	admin := fs.String("admin", "", "serve the controller admin API (HTTP JSON) on this address while the run is active (live mode only)")
-	autoscale := fs.String("autoscale", "", "start the metrics-driven autoscaler on this vertex")
-	asLow := fs.Float64("as-low", 3_000, "autoscaler low band edge (pkts/s per instance)")
-	asHigh := fs.Float64("as-high", 20_000, "autoscaler high band edge (pkts/s per instance)")
-	asMin := fs.Int("as-min", 1, "autoscaler minimum replicas")
-	asMax := fs.Int("as-max", 4, "autoscaler maximum replicas")
-	fs.Parse(args)
+// drainBudget bounds how long a real-time run waits for the chain to
+// drain after its trace.
+const drainBudget = 30 * time.Second
 
-	cfg := loadConfig(*cfgPath)
-	ccfg := runtime.DefaultChainConfig()
-	ccfg.DefaultServiceTime = 2 * time.Microsecond
-	ccfg.DefaultThreads = 2
-	if *live {
-		ccfg = runtime.LiveChainConfig()
-	}
-	ct.apply(cfg, &ccfg)
-	ch := buildChain(cfg, ccfg)
-	ctl := ch.Controller()
-	if *autoscale != "" {
-		interval := 50 * time.Millisecond
-		if !*live {
-			interval = 2 * time.Millisecond // DES: virtual-time sampling
-		}
-		if _, err := ctl.StartAutoscaler(runtime.AutoscalerConfig{
-			Vertex: *autoscale, Min: *asMin, Max: *asMax,
-			LowPPS: *asLow, HighPPS: *asHigh, Interval: interval,
-		}); err != nil {
-			fatal(err)
-		}
-	}
-	var adminSrv *http.Server
-	if *admin != "" {
-		if !*live {
-			fatal(errors.New("-admin requires -live (the DES has no real-time event loop to serve HTTP against)"))
-		}
-		adminSrv = startAdmin(*admin, ch)
-	}
+// offer is the load a run puts on the chain: a generated trace of Flows
+// connections (UDPFrac of them UDP) paced at Gbps, then Settle of quiet.
+// run and coordinator register it as flags; it is also the POST /run
+// body, which the worker decodes over the same defaults.
+type offer struct {
+	Flows   int           `json:"flows"`
+	Gbps    int64         `json:"gbps"`
+	UDPFrac float64       `json:"udp_frac"`
+	Settle  time.Duration `json:"settle"`
+}
 
-	tr := tt.load(ccfg.Seed)
+func defaultOffer() offer {
+	return offer{Flows: 500, Gbps: 2, Settle: 500 * time.Millisecond}
+}
 
-	mode := "sim"
-	if *live {
-		mode = "live"
-	}
-	fmt.Printf("chain: %d vertices (%s), trace: %d packets (%v)\n",
-		len(ch.Vertices), mode, tr.Len(), tr.Duration())
-	if len(cfg.Paths) > 0 {
-		for ci, name := range ch.Classes() {
-			var hops []string
-			for _, v := range ch.PathFor(uint8(ci)) {
-				hops = append(hops, v.Spec.Name)
-			}
-			fmt.Printf("path %-6s root -> %s -> sink\n", name, strings.Join(hops, " -> "))
-		}
-	}
-	elapsed := ch.RunTrace(tr, *tt.settle)
-	if *live {
-		if !ch.AwaitDrained(30 * time.Second) {
-			fmt.Fprintln(os.Stderr, "chcd: warning: chain did not fully drain")
-		}
-		if adminSrv != nil {
-			adminSrv.Close() // the run is over; stop admin mutations before teardown
-		}
-		ch.Stop()
-	}
+// register resets o to the defaults and binds its fields to flags on fs.
+func (o *offer) register(fs *flag.FlagSet) {
+	*o = defaultOffer()
+	fs.IntVar(&o.Flows, "flows", o.Flows, "generated trace connections")
+	fs.Int64Var(&o.Gbps, "gbps", o.Gbps, "offered load in Gbps")
+	fs.Float64Var(&o.UDPFrac, "udp-frac", o.UDPFrac, "fraction of generated flows as UDP (drives DAG fork classes)")
+	fs.DurationVar(&o.Settle, "settle", o.Settle, "post-trace settle time")
+}
 
-	fmt.Printf("\nroot:  injected=%d deleted=%d dropped=%d log=%d\n",
-		ch.Root.Injected, ch.Root.Deleted, ch.Root.Dropped, ch.Root.LogSize())
-	for _, s := range ch.Stores {
-		fmt.Printf("%-12s ops=%-8d async=%-6d keys=%d\n",
-			s.Name, s.OpsServed, s.AsyncServed, s.Engine().Len())
-	}
-	for _, v := range ch.Vertices {
-		for _, in := range v.Instances {
-			fmt.Printf("%-12s processed=%-8d suppressed=%-6d bytes=%d\n",
-				v.Spec.Name, in.Processed, in.Suppressed, in.BytesProcessed)
-		}
-		s := ch.Metrics.Get("proc." + v.Spec.Name)
-		fmt.Printf("%-12s proc p50=%v p95=%v\n", v.Spec.Name, s.Percentile(50), s.Percentile(95))
-	}
-	fmt.Printf("sink:  received=%d duplicates=%d\n", ch.Sink.Received, ch.Sink.Duplicates)
-	if len(cfg.Paths) > 0 {
-		for ci, name := range ch.Classes() {
-			fmt.Printf("class %-6s injected=%-8d deleted=%-8d sink=%d\n", name,
-				ch.Root.InjectedByClass[ci], ch.Root.DeletedByClass[ci],
-				ch.Sink.ReceivedByClass[uint8(ci)])
-		}
-	}
-	e2e := ch.Metrics.Get("total.chain")
-	fmt.Printf("chain: e2e p50=%v p95=%v\n", e2e.Percentile(50), e2e.Percentile(95))
-	if n := e2e.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "chcd: warning: the latency series dropped %d samples past its cap; its percentiles describe the first %d packets only\n",
-			n, e2e.N())
-	}
-	status := ctl.Status()
-	for _, cs := range status.Checkpoints {
-		fmt.Printf("ckpt:  %-8s taken=%d retained=%d torn=%d rejected=%d last=%.12s…\n",
-			cs.Shard, cs.Taken, cs.Retained, cs.Torn, cs.Rejected, cs.LastID)
-	}
-	fmt.Printf("ctrl:  specs=%d actions=%d autoscaler evals=%d actions=%d\n",
-		status.SpecsApplied, status.TotalActions, status.AutoscalerEvals, status.AutoscalerActions)
-	if status.AutoscalerLast != "" {
-		fmt.Printf("ctrl:  last autoscaler decision: %s\n", status.AutoscalerLast)
-	}
-	if n := ch.Metrics.AlertCount("scanner-detected"); n > 0 {
-		fmt.Printf("alerts: %d scanners detected\n", n)
-	}
-	if n := ch.Metrics.AlertCount("trojan-detected"); n > 0 {
-		fmt.Printf("alerts: %d trojans detected\n", n)
-	}
-
-	secs := elapsed.Seconds()
-	if secs <= 0 {
-		secs = 1
-	}
-	pps := float64(ch.Root.Injected) / secs
-	goodputBps := float64(ch.Sink.Bytes) * 8 / secs
-	fmt.Printf("rate:  %.0f pkts/s ingest, %.2f Gbps goodput over %.2fs (%s clock)\n",
-		pps, goodputBps/1e9, secs, mode)
-	if *live {
-		fmt.Printf("burst: root bursts=%d arena reuse=%d store burst rpcs=%d\n",
-			ch.Root.Bursts, ch.Metrics.Counter("arena.reuse"), ch.Metrics.Counter("client.burst_rpcs"))
-	}
-
-	if *jsonPath != "" {
-		report := makeReport(ch, status, mode, secs, tr.Len())
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		buf = append(buf, '\n')
-		if *jsonPath == "-" {
-			os.Stdout.Write(buf)
-		} else if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fatal(err)
-		}
-	}
+// trace generates and paces the offered trace.
+func (o offer) trace(seed int64) *trace.Trace {
+	tr := trace.Generate(trace.Config{Seed: seed, Flows: o.Flows,
+		PktsPerFlowMean: 16, PayloadMedian: 1394, Hosts: 32, Servers: 16,
+		UDPFrac: o.UDPFrac})
+	tr.Pace(o.Gbps * 1_000_000_000)
+	return tr
 }
 
 // runReport is the -json output: the live-mode perf artifact CI records.
@@ -571,8 +402,12 @@ type runReport struct {
 }
 
 // makeReport assembles the machine-readable run report from a finished
-// (or drained) chain.
-func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string, secs float64, offered int) runReport {
+// (or drained) chain; a zero elapsed time counts as one second.
+func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string, elapsed time.Duration, offered int) runReport {
+	secs := elapsed.Seconds()
+	if secs <= 0 {
+		secs = 1
+	}
 	e2e := ch.Metrics.Get("total.chain")
 	ns := ch.NetStats()
 	return runReport{
@@ -597,6 +432,21 @@ func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string,
 		RemoteMsgs:      ns.RemoteMsgs,
 		RemoteCalls:     ns.RemoteCalls,
 		RemoteBytes:     ns.RemoteBytes,
+	}
+}
+
+// writeReport writes the report as indented JSON to path, or to stdout
+// for "-".
+func writeReport(path string, report runReport) {
+	buf, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	buf = append(buf, '\n')
+	if path == "-" {
+		os.Stdout.Write(buf)
+	} else if err := os.WriteFile(path, buf, 0o644); err != nil {
+		fatal(err)
 	}
 }
 

@@ -13,43 +13,52 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"time"
 
 	"chc/internal/runtime"
 )
 
-func workerMain(args []string) {
-	fs := flag.NewFlagSet("chcd worker", flag.ExitOnError)
-	cfgPath := fs.String("config", "", "chain config JSON with a \"nodes\" section (required)")
-	node := fs.String("node", "", "node name this process hosts (required)")
-	adminAddr := fs.String("admin", "", "admin API address (overrides the node's \"admin\" in the config)")
-	ct := addChainTuning(fs)
-	fs.Parse(args)
+// workerCmd holds the worker role's flags.
+type workerCmd struct {
+	config, node, admin string
+	chain               chainTuning
+}
 
-	cfg := loadConfig(*cfgPath)
+func (c *workerCmd) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("chcd worker", flag.ExitOnError)
+	fs.StringVar(&c.config, "config", "", "chain config JSON with a \"nodes\" section (required)")
+	fs.StringVar(&c.node, "node", "", "node name this process hosts (required)")
+	fs.StringVar(&c.admin, "admin", "", "admin API address (overrides the node's \"admin\" in the config)")
+	c.chain.register(fs)
+	return fs
+}
+
+func workerMain(args []string) {
+	c := &workerCmd{}
+	c.flags().Parse(args)
+
+	cfg := loadConfig(c.config)
 	if len(cfg.Nodes) == 0 {
 		fatal(fmt.Errorf("config has no nodes section (worker mode needs one)"))
 	}
-	if *node == "" {
+	if c.node == "" {
 		fatal(fmt.Errorf("-node is required"))
 	}
-	admin := *adminAddr
+	admin := c.admin
 	if admin == "" {
-		admin = cfg.adminOf(*node)
+		admin = cfg.adminOf(c.node)
 	}
 	if admin == "" {
-		fatal(fmt.Errorf("node %q has no admin address (set \"admin\" in the config or pass -admin)", *node))
+		fatal(fmt.Errorf("node %q has no admin address (set \"admin\" in the config or pass -admin)", c.node))
 	}
 
-	ccfg := runtime.NetChainConfig(cfg.nodeSpecs(), *node)
-	ct.apply(cfg, &ccfg)
-	ch := buildChain(cfg, ccfg)
+	ch := buildChain(cfg, c.chain, runtime.NetChainConfig(cfg.nodeSpecs(), c.node))
 	fmt.Printf("worker %s: chain up (%d vertices, %d shards), netnet listening, admin on %s\n",
-		*node, len(ch.Vertices), len(ch.Stores), admin)
+		c.node, len(ch.Vertices), len(ch.Stores), admin)
 
-	startWorkerAdmin(admin, ch, *node)
+	startWorkerAdmin(admin, ch, c.node)
 	select {} // serve until killed (the coordinator or operator owns our lifetime)
 }
 
@@ -58,12 +67,12 @@ func workerMain(args []string) {
 func startWorkerAdmin(addr string, ch *runtime.Chain, node string) {
 	mux := adminMux(ch, node)
 	mux.HandleFunc("POST /run", func(w http.ResponseWriter, r *http.Request) {
-		var req workerRunReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		o, err := decodeOffer(r.Body)
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		report, err := workerRun(ch, req)
+		report, err := workerRun(ch, o)
 		if err != nil {
 			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
 			return
@@ -73,51 +82,29 @@ func startWorkerAdmin(addr string, ch *runtime.Chain, node string) {
 	serveAdmin(addr, mux)
 }
 
-// workerRunReq parameterizes the trace a /run verb offers to the chain.
-type workerRunReq struct {
-	Flows    int     `json:"flows"`
-	Gbps     int64   `json:"gbps"`
-	UDPFrac  float64 `json:"udp_frac"`
-	SettleMs int     `json:"settle_ms"`
-	DrainSec int     `json:"drain_sec"`
+// decodeOffer reads a POST /run body over the offer defaults, so a field
+// the body leaves out keeps its default.
+func decodeOffer(r io.Reader) (offer, error) {
+	o := defaultOffer()
+	err := json.NewDecoder(r).Decode(&o)
+	return o, err
 }
 
-// workerRun paces a generated trace through the chain and reports. Only
+// workerRun paces the offered trace through the chain and reports. Only
 // the node hosting the root can inject (the pacer feeds the root
 // directly), so other nodes reject the verb — the coordinator sends it to
 // the root owner. Single-shot: the chain is stopped after the run so the
 // report's counters are stable.
-func workerRun(ch *runtime.Chain, req workerRunReq) (*runReport, error) {
+func workerRun(ch *runtime.Chain, o offer) (*runReport, error) {
 	if !ch.OwnsEndpoint(ch.Root.Endpoint) {
 		return nil, fmt.Errorf("this node does not host the root; send /run to its owner")
 	}
-	if req.Flows <= 0 {
-		req.Flows = 300
-	}
-	if req.Gbps <= 0 {
-		req.Gbps = 2
-	}
-	if req.SettleMs <= 0 {
-		req.SettleMs = 200
-	}
-	if req.DrainSec <= 0 {
-		req.DrainSec = 30
-	}
-	tt := traceTuning{
-		tracePath: new(string), flows: &req.Flows, gbps: &req.Gbps,
-		udpFrac: &req.UDPFrac, settle: new(time.Duration),
-	}
-	tr := tt.load(ch.Config().Seed)
-	elapsed := ch.RunTrace(tr, time.Duration(req.SettleMs)*time.Millisecond)
-	drained := ch.AwaitDrained(time.Duration(req.DrainSec) * time.Second)
-	if !drained {
+	tr := o.trace(ch.Config().Seed)
+	elapsed := ch.RunTrace(tr, o.Settle)
+	if !ch.AwaitDrained(drainBudget) {
 		fmt.Fprintln(os.Stderr, "chcd worker: warning: chain did not fully drain")
 	}
 	ch.Stop()
-	secs := elapsed.Seconds()
-	if secs <= 0 {
-		secs = 1
-	}
-	report := makeReport(ch, ch.Controller().Status(), "net", secs, tr.Len())
+	report := makeReport(ch, ch.Controller().Status(), "net", elapsed, tr.Len())
 	return &report, nil
 }

@@ -206,8 +206,8 @@ func runTrojan(o Opts, slowed int, useClocks bool, sigs int) (detected, falsePos
 		return nftrojan.NewArrivalOrder()
 	}
 	ch := runtime.New(cfg,
-		runtime.VertexSpec{Name: "firewall", Make: func() nf.NF { return passthroughNF{} }, Backend: runtime.BackendTraditional},
-		runtime.VertexSpec{Name: "scrubber", Make: func() nf.NF { return passthroughNF{} }, Instances: 3, Backend: runtime.BackendTraditional},
+		runtime.VertexSpec{Name: "firewall", Make: func() nf.NF { return nf.Pass{} }, Backend: runtime.BackendTraditional},
+		runtime.VertexSpec{Name: "scrubber", Make: func() nf.NF { return nf.Pass{} }, Instances: 3, Backend: runtime.BackendTraditional},
 		runtime.VertexSpec{Name: "trojan", Make: mkDet, Backend: runtime.BackendCHC, Mode: store.ModeEOCNA, OffPath: true},
 	)
 	// Partition scrubbers by application: SSH/FTP/IRC flows each at their
@@ -251,20 +251,6 @@ func runTrojan(o Opts, slowed int, useClocks bool, sigs int) (detected, falsePos
 		}
 	}
 	return detected, falsePos
-}
-
-// passthroughNF is a stateless forwarding NF (firewall/scrubber stand-in).
-type passthroughNF struct{}
-
-// Name implements nf.NF.
-func (passthroughNF) Name() string { return "pass" }
-
-// Decls implements nf.NF.
-func (passthroughNF) Decls() []store.ObjDecl { return nil }
-
-// Process implements nf.NF.
-func (passthroughNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
-	return ctx.Emit(pkt)
 }
 
 // Table5 reproduces Table 5: duplicates at a portscan detector downstream of

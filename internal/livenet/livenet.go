@@ -521,12 +521,6 @@ func (n *Net) SetLink(from, to string, cfg transport.LinkConfig) {
 	n.mu.Unlock()
 }
 
-// SetLinkBoth configures both directions with the same config.
-func (n *Net) SetLinkBoth(a, b string, cfg transport.LinkConfig) {
-	n.SetLink(a, b, cfg)
-	n.SetLink(b, a, cfg)
-}
-
 // SetLinkUp raises or cuts the directed link from -> to.
 func (n *Net) SetLinkUp(from, to string, up bool) {
 	n.mu.Lock()

@@ -1,8 +1,6 @@
 package nf
 
 import (
-	"sort"
-
 	"chc/internal/packet"
 	"chc/internal/store"
 	"chc/internal/transport"
@@ -145,20 +143,14 @@ type CustomOpProvider interface {
 	CustomOps() map[string]store.CustomOp
 }
 
-// ScopesOf returns the NF's state scopes ordered from most to least
-// fine-grained — the paper's .scope() used by scope-aware partitioning
-// (§4.1).
-func ScopesOf(n NF) []store.Scope {
-	seen := make(map[store.Scope]bool)
-	var out []store.Scope
-	for _, d := range n.Decls() {
-		if !seen[d.Scope] {
-			seen[d.Scope] = true
-			out = append(out, d.Scope)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Pass is the pass-through NF: it holds no state and forwards every packet
+// unchanged.
+type Pass struct{}
+
+func (Pass) Name() string           { return "pass" }
+func (Pass) Decls() []store.ObjDecl { return nil }
+func (Pass) Process(ctx *Ctx, pkt *packet.Packet) []*packet.Packet {
+	return ctx.Emit(pkt)
 }
 
 // State is the per-packet state access surface. Backends route each call

@@ -48,13 +48,6 @@ const (
 	srv1  = uint32(0xC6336401)
 )
 
-func TestScopesOfOrdering(t *testing.T) {
-	scopes := nf.ScopesOf(nat.New())
-	if len(scopes) != 2 || scopes[0] != store.ScopeFlow || scopes[1] != store.ScopeGlobal {
-		t.Fatalf("scopes = %v, want [flow global]", scopes)
-	}
-}
-
 func TestNATAllocatesAndRewrites(t *testing.T) {
 	h := newHarness(1)
 	n := nat.New()

@@ -89,8 +89,6 @@ type ChainConfig struct {
 	// LinkLatency is the one-way latency between any two components
 	// (instances, store, root). The paper's store RTTs dominate latency.
 	LinkLatency time.Duration
-	// LineRateBps models the NIC rate on inter-NF packet links.
-	LineRateBps int64
 	// DefaultServiceTime is the per-packet NF CPU cost when the vertex does
 	// not override it.
 	DefaultServiceTime time.Duration
@@ -190,13 +188,12 @@ type ChainConfig struct {
 }
 
 // DefaultChainConfig matches the calibration in DESIGN.md: 15µs one-way
-// link latency (30µs store RTT), 10G links, multi-threaded NFs whose
-// aggregate service rate saturates just under line rate for 1434B packets.
+// link latency (30µs store RTT) and multi-threaded NFs whose aggregate
+// service rate saturates just under a 10 Gbps rate for 1434B packets.
 func DefaultChainConfig() ChainConfig {
 	return ChainConfig{
 		Seed:               1,
 		LinkLatency:        15 * time.Microsecond,
-		LineRateBps:        10_000_000_000,
 		DefaultServiceTime: 9 * time.Microsecond,
 		DefaultThreads:     8,
 		ClockPersistEvery:  100,
@@ -216,7 +213,6 @@ func LiveChainConfig() ChainConfig {
 	cfg := DefaultChainConfig()
 	cfg.Substrate = SubstrateLive
 	cfg.LinkLatency = 0
-	cfg.LineRateBps = 0
 	cfg.DefaultServiceTime = 0
 	cfg.DefaultThreads = 1
 	cfg.StoreOpService = -1 // negative: no modeled per-op sleep
@@ -458,9 +454,6 @@ func (c *Chain) Net() transport.Transport { return c.tr }
 
 // Now returns the substrate's current time (virtual or since-start).
 func (c *Chain) Now() transport.Time { return c.tr.Now() }
-
-// Live reports whether the chain runs in real time (livenet or netnet).
-func (c *Chain) Live() bool { return c.live() }
 
 // live is the internal spelling of "real-time substrate": code paths branch
 // on this rather than on one substrate, so livenet behavior extends

@@ -106,18 +106,6 @@ func newController(c *Chain) *Controller {
 // Controller returns the chain's control plane.
 func (c *Chain) Controller() *Controller { return c.ctl }
 
-// modeName renders a store.Mode as its config-file name.
-func modeName(m store.Mode) string {
-	switch m {
-	case store.ModeEOCNA:
-		return "eocna"
-	case store.ModeEOC:
-		return "eoc"
-	default:
-		return "eo"
-	}
-}
-
 // liveReplicas counts the vertex's serving instances: alive and not
 // draining (a draining instance is already on its way out and must not
 // satisfy a desired replica).
@@ -141,7 +129,7 @@ func (ctl *Controller) CurrentSpec() DeploymentSpec {
 		spec.Vertices = append(spec.Vertices, VertexDesire{
 			Name:     v.Spec.Name,
 			Replicas: c.liveReplicas(v),
-			Mode:     modeName(v.Spec.Mode),
+			Mode:     v.Spec.Mode.Name(),
 		})
 	}
 	if t := c.cfg.Topology; t != nil {
@@ -212,9 +200,9 @@ func (ctl *Controller) validateSpec(spec DeploymentSpec) ([]*Vertex, error) {
 			return nil, fmt.Errorf("controller: vertex %q wants %d replicas (floor is 1; remove the vertex by redeploying, not by scaling to zero)",
 				d.Name, d.Replicas)
 		}
-		if d.Mode != "" && d.Mode != modeName(v.Spec.Mode) {
+		if d.Mode != "" && d.Mode != v.Spec.Mode.Name() {
 			return nil, fmt.Errorf("controller: vertex %q runs mode %s; spec wants %s (mode is fixed at construction)",
-				d.Name, modeName(v.Spec.Mode), d.Mode)
+				d.Name, v.Spec.Mode.Name(), d.Mode)
 		}
 		verts = append(verts, v)
 	}

@@ -28,7 +28,7 @@ func TestRootTap(t *testing.T) {
 			cfg := row.cfg()
 			cfg.Seed = 7
 			c := New(cfg,
-				VertexSpec{Name: "tap", Make: func() nf.NF { return passNF{} },
+				VertexSpec{Name: "tap", Make: func() nf.NF { return nf.Pass{} },
 					Instances: 2, Backend: BackendTraditional, OffPath: true},
 				natVertex(2, BackendCHC, store.ModeEOCNA))
 			defer c.Stop()

@@ -454,7 +454,7 @@ func TestGrantsExclusive(t *testing.T) {
 // then processes as replay traffic. After the end-of-replay marker the
 // fresh packet is processed and the copy is suppressed and counted.
 func TestReplayDrainAdmitsParkedPackets(t *testing.T) {
-	c := New(testConfig(), VertexSpec{Name: "pass", Make: func() nf.NF { return passNF{} },
+	c := New(testConfig(), VertexSpec{Name: "pass", Make: func() nf.NF { return nf.Pass{} },
 		Backend: BackendTraditional})
 	c.Start()
 	in := c.Vertices[0].Instances[0]
@@ -516,7 +516,7 @@ func TestTrojanChainOrderingUnderSlowScrubber(t *testing.T) {
 	// Trojan detector (clock-ordered) must still detect implanted
 	// signatures.
 	cfg := testConfig()
-	passThrough := VertexSpec{Name: "scrubber", Make: func() nf.NF { return passNF{} },
+	passThrough := VertexSpec{Name: "scrubber", Make: func() nf.NF { return nf.Pass{} },
 		Instances: 1, Backend: BackendTraditional}
 	c := New(cfg,
 		passThrough,
@@ -536,13 +536,4 @@ func TestTrojanChainOrderingUnderSlowScrubber(t *testing.T) {
 	if got := c.Metrics.AlertCount("trojan-detected"); got != len(sigs) {
 		t.Fatalf("detected %d of %d signatures", got, len(sigs))
 	}
-}
-
-// passNF forwards everything unchanged (scrubber stand-in).
-type passNF struct{}
-
-func (passNF) Name() string           { return "pass" }
-func (passNF) Decls() []store.ObjDecl { return nil }
-func (passNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet {
-	return ctx.Emit(pkt)
 }

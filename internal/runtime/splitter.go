@@ -51,9 +51,6 @@ type Splitter struct {
 	// splitObjs remembers which objects were de-exclusified for splitHosts
 	// so a revert can restore their cache permissions.
 	splitObjs []uint16
-	// KeyFn, when set, overrides scope-based partitioning entirely
-	// (e.g. the R4 experiment partitions scrubbers by application).
-	KeyFn func(*packet.Packet) uint64
 	// IdxFn, when set, selects the instance index directly (strongest
 	// override; modulo the instance count).
 	IdxFn func(*packet.Packet) int
@@ -221,9 +218,10 @@ func (s *Splitter) instanceFor(t *topology, key uint64) *Instance {
 		// A retired instance keeps its draining flag, so post-drain traffic
 		// also lands here (crashed-but-not-drained instances are the
 		// failover path's business, via the serving table).
-		if alt := s.rehashLive(t, key); alt != nil {
+		if alt := rehash(key, s.liveSlots(t, 0)); alt != nil {
 			// Pin the re-placement so later packets skip the slow path (and
 			// keep this key stable if the instance set changes again).
+			alt = t.serving[alt.ID]
 			s.overrides[key] = alt.ID
 			return alt
 		}
@@ -231,21 +229,26 @@ func (s *Splitter) instanceFor(t *topology, key uint64) *Instance {
 	return in
 }
 
-// rehashLive deterministically re-hashes a key over the non-draining, live
-// instances (second-level hash so the distribution differs from the primary
-// placement).
-func (s *Splitter) rehashLive(t *topology, key uint64) *Instance {
+// liveSlots lists the vertex's live, non-draining slots other than
+// instance skip (0 skips none).
+func (s *Splitter) liveSlots(t *topology, skip uint16) []*Instance {
 	var live []*Instance
 	for _, in := range t.slotsOf(s.vertex) {
-		if !in.isDead() && !in.isDraining() {
+		if !in.isDead() && !in.isDraining() && in.ID != skip {
 			live = append(live, in)
 		}
 	}
+	return live
+}
+
+// rehash deterministically places a key on one of live with a second-level
+// hash, so the distribution differs from the primary placement; nil when
+// live is empty.
+func rehash(key uint64, live []*Instance) *Instance {
 	if len(live) == 0 {
 		return nil
 	}
-	idx := int(mix(mix(key)^0x9e3779b97f4a7c15) % uint64(len(live)))
-	return t.serving[live[idx].ID]
+	return live[mix(mix(key)^0x9e3779b97f4a7c15)%uint64(len(live))]
 }
 
 // RouteBurst delivers each packet to its owning instance, applying
@@ -312,8 +315,6 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 	switch {
 	case s.IdxFn != nil:
 		target = t.pick(s.vertex, uint64(s.IdxFn(pkt)))
-	case s.KeyFn != nil:
-		target = s.instanceFor(t, s.KeyFn(pkt))
 	case len(s.splitHosts) > 0 && s.splitHosts[insideHost(pkt)]:
 		// Shared-set hosts: flow-granularity spray across instances.
 		target = t.pick(s.vertex, mix(flowKey))
@@ -463,12 +464,7 @@ func (s *Splitter) planScaleIn(drainID uint16) map[uint64]uint16 {
 		return targets
 	}
 	t := s.chain.topo.Load()
-	var live []*Instance
-	for _, in := range t.slotsOf(s.vertex) {
-		if !in.isDead() && !in.isDraining() && in.ID != drainID {
-			live = append(live, in)
-		}
-	}
+	live := s.liveSlots(t, drainID)
 	if len(live) == 0 {
 		return targets
 	}
@@ -479,8 +475,7 @@ func (s *Splitter) planScaleIn(drainID uint16) map[uint64]uint16 {
 		if s.instanceFor(t, k).ID != drainID {
 			continue
 		}
-		idx := int(mix(mix(k)^0x9e3779b97f4a7c15) % uint64(len(live)))
-		targets[k] = live[idx].ID
+		targets[k] = rehash(k, live).ID
 	}
 	return targets
 }
@@ -509,8 +504,9 @@ func (s *Splitter) RetireInstance(id uint16) {
 		case mv.to == id && !mv.lastSent:
 			delete(s.moves, k)
 		case mv.to == id:
-			if in := s.rehashLive(s.chain.topo.Load(), k); in != nil {
-				s.overrides[k] = in.ID
+			t := s.chain.topo.Load()
+			if in := rehash(k, s.liveSlots(t, 0)); in != nil {
+				s.overrides[k] = t.serving[in.ID].ID
 			} else {
 				delete(s.overrides, k)
 			}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 
 	"chc/internal/packet"
@@ -168,10 +169,100 @@ func (c *Chain) wireTopology() {
 	}
 }
 
-// buildDAG validates a TopologySpec and materializes the per-class paths.
-func (c *Chain) buildDAG(t *TopologySpec) {
+// Validate checks the policy DAG against the chain's vertex specs: one to
+// 256 paths with distinct classes, each path non-empty and naming known
+// on-path vertices at most once, every on-path vertex on some path (a
+// vertex in no path receives nothing, and a failover on it would wait for
+// replay traffic that can never arrive), and no cycle across the paths'
+// union edge set (class A ordering v1 before v2 while class B orders v2
+// before v1: duplicate suppression and replay assume one global partial
+// order over vertices). A name resolves to its first vertex, as
+// VertexByName does.
+func (t *TopologySpec) Validate(vertices []VertexSpec) error {
 	if len(t.Paths) == 0 {
-		panic("runtime: TopologySpec needs at least one path")
+		return errors.New("runtime: TopologySpec needs at least one path")
+	}
+	if len(t.Paths) > 256 {
+		return errors.New("runtime: more than 256 traffic classes")
+	}
+	first := make(map[string]int, len(vertices))
+	for i := len(vertices) - 1; i >= 0; i-- {
+		first[vertices[i].Name] = i
+	}
+	classes := make(map[string]bool, len(t.Paths))
+	// onPath[i] is 1 + the index of the last path through vertex i.
+	onPath := make([]int, len(vertices))
+	succ := make([][]int, len(vertices))
+	for pi, ps := range t.Paths {
+		if classes[ps.Class] {
+			return fmt.Errorf("runtime: duplicate class %q in topology", ps.Class)
+		}
+		classes[ps.Class] = true
+		if len(ps.Vertices) == 0 {
+			return fmt.Errorf("runtime: class %q has an empty path", ps.Class)
+		}
+		prev := -1
+		for _, name := range ps.Vertices {
+			i, ok := first[name]
+			switch {
+			case !ok:
+				return fmt.Errorf("runtime: class %q names unknown vertex %q", ps.Class, name)
+			case vertices[i].OffPath:
+				return fmt.Errorf("runtime: class %q routes through off-path vertex %q", ps.Class, name)
+			case onPath[i] == pi+1:
+				return fmt.Errorf("runtime: class %q visits vertex %q twice", ps.Class, name)
+			}
+			onPath[i] = pi + 1
+			if prev >= 0 {
+				succ[prev] = append(succ[prev], i)
+			}
+			prev = i
+		}
+	}
+	for i, v := range vertices {
+		if !v.OffPath && onPath[i] == 0 {
+			return fmt.Errorf("runtime: vertex %q is on-path but appears in no topology path", v.Name)
+		}
+	}
+	const (
+		visiting = 1
+		done     = 2
+	)
+	state := make([]int, len(vertices))
+	var visit func(i int) error
+	visit = func(i int) error {
+		switch state[i] {
+		case visiting:
+			return fmt.Errorf("runtime: topology cycle through vertex %q", vertices[i].Name)
+		case done:
+			return nil
+		}
+		state[i] = visiting
+		for _, n := range succ[i] {
+			if err := visit(n); err != nil {
+				return err
+			}
+		}
+		state[i] = done
+		return nil
+	}
+	for i := range vertices {
+		if err := visit(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// buildDAG materializes the per-class paths of a TopologySpec, panicking
+// on one that Validate rejects.
+func (c *Chain) buildDAG(t *TopologySpec) {
+	specs := make([]VertexSpec, len(c.Vertices))
+	for i, v := range c.Vertices {
+		specs[i] = v.Spec
+	}
+	if err := t.Validate(specs); err != nil {
+		panic(err)
 	}
 	c.classify = t.Classify
 	if c.classify == nil {
@@ -181,86 +272,12 @@ func (c *Chain) buildDAG(t *TopologySpec) {
 	c.classNames = nil
 	c.classPaths = nil
 	for _, ps := range t.Paths {
-		if _, dup := c.classIdx[ps.Class]; dup {
-			panic(fmt.Sprintf("runtime: duplicate class %q in topology", ps.Class))
-		}
-		if len(ps.Vertices) == 0 {
-			panic(fmt.Sprintf("runtime: class %q has an empty path", ps.Class))
-		}
 		var path []*Vertex
-		seen := map[*Vertex]bool{}
 		for _, name := range ps.Vertices {
-			v := c.VertexByName(name)
-			if v == nil {
-				panic(fmt.Sprintf("runtime: class %q names unknown vertex %q", ps.Class, name))
-			}
-			if v.Spec.OffPath {
-				panic(fmt.Sprintf("runtime: class %q routes through off-path vertex %q", ps.Class, name))
-			}
-			if seen[v] {
-				panic(fmt.Sprintf("runtime: class %q visits vertex %q twice", ps.Class, name))
-			}
-			seen[v] = true
-			path = append(path, v)
+			path = append(path, c.VertexByName(name))
 		}
 		c.classIdx[ps.Class] = uint8(len(c.classNames))
 		c.classNames = append(c.classNames, ps.Class)
 		c.classPaths = append(c.classPaths, path)
-	}
-	if len(c.classNames) > 256 {
-		panic("runtime: more than 256 traffic classes")
-	}
-	// Every on-path vertex must be reachable by some class: a vertex in no
-	// path silently receives nothing, and a failover/clone on it would wait
-	// for replay traffic that can never arrive.
-	covered := make(map[*Vertex]bool)
-	for _, path := range c.classPaths {
-		for _, v := range path {
-			covered[v] = true
-		}
-	}
-	for _, v := range c.Vertices {
-		if !v.Spec.OffPath && !covered[v] {
-			panic(fmt.Sprintf("runtime: vertex %q is on-path but appears in no topology path", v.Spec.Name))
-		}
-	}
-	c.checkAcyclic()
-}
-
-// checkAcyclic rejects topologies whose union edge set contains a cycle
-// (e.g. class A orders v1 before v2 while class B orders v2 before v1):
-// the per-class paths would each be fine, but duplicate-suppression and
-// replay assume one global partial order over vertices.
-func (c *Chain) checkAcyclic() {
-	succ := make(map[*Vertex]map[*Vertex]bool)
-	for _, path := range c.classPaths {
-		for i := 0; i+1 < len(path); i++ {
-			if succ[path[i]] == nil {
-				succ[path[i]] = make(map[*Vertex]bool)
-			}
-			succ[path[i]][path[i+1]] = true
-		}
-	}
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := make(map[*Vertex]int)
-	var visit func(v *Vertex)
-	visit = func(v *Vertex) {
-		switch state[v] {
-		case visiting:
-			panic(fmt.Sprintf("runtime: topology cycle through vertex %q", v.Spec.Name))
-		case done:
-			return
-		}
-		state[v] = visiting
-		for n := range succ[v] {
-			visit(n)
-		}
-		state[v] = done
-	}
-	for v := range succ {
-		visit(v)
 	}
 }

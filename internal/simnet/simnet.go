@@ -80,12 +80,6 @@ func (n *Network) SetLink(from, to string, cfg LinkConfig) {
 	n.links[[2]string{from, to}] = &link{cfg: cfg, up: true}
 }
 
-// SetLinkBoth configures both directions with the same config.
-func (n *Network) SetLinkBoth(a, b string, cfg LinkConfig) {
-	n.SetLink(a, b, cfg)
-	n.SetLink(b, a, cfg)
-}
-
 func (n *Network) linkFor(from, to string) *link {
 	key := [2]string{from, to}
 	if l, ok := n.links[key]; ok {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"maps"
 	"sort"
 	"sync"
@@ -25,6 +26,33 @@ var (
 	ModeEOC   = Mode{Cache: true}                  // + caching
 	ModeEOCNA = Mode{Cache: true, NoAckWait: true} // + no ACK wait
 )
+
+// modeNames is the one table of the modes' config-file names.
+var modeNames = [...]struct {
+	name string
+	mode Mode
+}{{"eo", ModeEO}, {"eoc", ModeEOC}, {"eocna", ModeEOCNA}}
+
+// Name returns the mode's config-file name ("eo", "eoc" or "eocna"), or ""
+// for a mode outside the three.
+func (m Mode) Name() string {
+	for _, e := range modeNames {
+		if e.mode == m {
+			return e.name
+		}
+	}
+	return ""
+}
+
+// ParseMode resolves a config-file mode name.
+func ParseMode(name string) (Mode, error) {
+	for _, e := range modeNames {
+		if e.name == name {
+			return e.mode, nil
+		}
+	}
+	return Mode{}, fmt.Errorf("unknown mode %q", name)
+}
 
 // ClientConfig configures a client-side datastore library instance (§6:
 // "NFs are implemented using our CHC library that provides ... client side

@@ -349,3 +349,15 @@ func TestWALTruncationOnCheckpoint(t *testing.T) {
 		t.Fatal("no checkpoint taken")
 	}
 }
+
+// TestModeNamesRoundTrip: each mode's config-file name parses back to it.
+func TestModeNamesRoundTrip(t *testing.T) {
+	for _, m := range []Mode{ModeEO, ModeEOC, ModeEOCNA} {
+		if got, err := ParseMode(m.Name()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %+v, %v; want %+v", m.Name(), got, err, m)
+		}
+	}
+	if _, err := ParseMode("eoca"); err == nil {
+		t.Error("ParseMode accepted an unknown name")
+	}
+}

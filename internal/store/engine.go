@@ -387,6 +387,17 @@ func (e *Engine) DupLogPages() (logPages, prunedDir, prunedPages int) {
 	return e.updLog.Pages(), e.pruned.DirLen(), e.pruned.Pages()
 }
 
+// countEmulated records n duplicate-suppressed ops of the vertex.
+func (e *Engine) countEmulated(vertex uint16, n uint64) {
+	e.emulMu.Lock()
+	e.Emulated += n
+	if e.EmulatedByVertex == nil {
+		e.EmulatedByVertex = make(map[uint16]uint64)
+	}
+	e.EmulatedByVertex[vertex] += n
+	e.emulMu.Unlock()
+}
+
 // Apply executes one request. It is safe for concurrent use.
 func (e *Engine) Apply(req *Request) Reply {
 	if len(req.Batch) > 0 && (req.Op == OpIncr || req.Op == OpMapIncr) {
@@ -401,13 +412,7 @@ func (e *Engine) Apply(req *Request) Reply {
 	// memoized the same way (Appendix A).
 	if req.Clock != 0 && (req.Op.Mutates() || req.Op == OpNonDet) {
 		if v, ok, seen := e.lookupDup(req.Clock, req.Key); seen {
-			e.emulMu.Lock()
-			e.Emulated++
-			if e.EmulatedByVertex == nil {
-				e.EmulatedByVertex = make(map[uint16]uint64)
-			}
-			e.EmulatedByVertex[req.Key.Vertex]++
-			e.emulMu.Unlock()
+			e.countEmulated(req.Key.Vertex, 1)
 			sh.mu.Unlock()
 			return Reply{Val: v, OK: ok, Emulated: true}
 		}
@@ -593,13 +598,7 @@ func (e *Engine) applyBatch(req *Request) Reply {
 		delta += b.Delta
 	}
 	if dups > 0 {
-		e.emulMu.Lock()
-		e.Emulated += uint64(dups)
-		if e.EmulatedByVertex == nil {
-			e.EmulatedByVertex = make(map[uint16]uint64)
-		}
-		e.EmulatedByVertex[req.Key.Vertex] += uint64(dups)
-		e.emulMu.Unlock()
+		e.countEmulated(req.Key.Vertex, uint64(dups))
 	}
 	if len(fresh) == 0 {
 		// The whole batch was already applied: emulate with the logged

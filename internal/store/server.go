@@ -185,8 +185,22 @@ type Server struct {
 // failover: the recovered engine from RecoverEngine becomes the new
 // instance's state).
 func NewServerWithEngine(net transport.Transport, name string, cfg ServerConfig, eng *Engine) *Server {
-	s := NewServer(net, name, cfg)
-	s.engine = eng
+	if cfg.OpService == 0 {
+		cfg.OpService = DefaultServerConfig().OpService
+	}
+	s := &Server{
+		Name:        name,
+		net:         net,
+		engine:      eng,
+		cfg:         cfg,
+		decls:       make(map[uint16]map[uint16]ObjDecl),
+		callbacks:   make(map[Key]map[uint16]string),
+		ownWatch:    make(map[Key]map[uint16]string),
+		appliedSeqs: make(map[string]*clockset.Set),
+		clients:     make(map[string]bool),
+		pos:         make(map[uint16]uint64),
+		stable:      &Stable{},
+	}
 	eng.SetNowFn(func() int64 { return int64(net.Now()) })
 	eng.SetHooks(Hooks{
 		OnCommit:      s.onCommit,
@@ -199,30 +213,7 @@ func NewServerWithEngine(net transport.Transport, name string, cfg ServerConfig,
 
 // NewServer creates a store server attached to endpoint name.
 func NewServer(net transport.Transport, name string, cfg ServerConfig) *Server {
-	if cfg.OpService == 0 {
-		cfg.OpService = DefaultServerConfig().OpService
-	}
-	s := &Server{
-		Name:        name,
-		net:         net,
-		engine:      NewEngine(16),
-		cfg:         cfg,
-		decls:       make(map[uint16]map[uint16]ObjDecl),
-		callbacks:   make(map[Key]map[uint16]string),
-		ownWatch:    make(map[Key]map[uint16]string),
-		appliedSeqs: make(map[string]*clockset.Set),
-		clients:     make(map[string]bool),
-		pos:         make(map[uint16]uint64),
-		stable:      &Stable{},
-	}
-	s.engine.SetNowFn(func() int64 { return int64(net.Now()) })
-	s.engine.SetHooks(Hooks{
-		OnCommit:      s.onCommit,
-		OnUpdate:      s.onUpdate,
-		Listening:     s.hasCallback,
-		OnOwnerChange: s.onOwnerChange,
-	})
-	return s
+	return NewServerWithEngine(net, name, cfg, NewEngine(16))
 }
 
 // Engine exposes the underlying engine (recovery, tests).

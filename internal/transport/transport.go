@@ -137,7 +137,6 @@ type Transport interface {
 	// Link configuration and statistics (latency/loss/dup injection,
 	// partitions).
 	SetLink(from, to string, cfg LinkConfig)
-	SetLinkBoth(a, b string, cfg LinkConfig)
 	SetLinkUp(from, to string, up bool)
 	LinkStats(from, to string) (sent, delivered, dropped uint64)
 
