@@ -294,14 +294,13 @@ func compileVertex(v vertexJSON) (runtime.VertexSpec, func(*runtime.Vertex), err
 
 // chainTuning is the flag group shared by every role that builds a chain.
 type chainTuning struct {
-	shards, ckptRetain int
-	ckptInterval       time.Duration
+	shards       int
+	ckptInterval time.Duration
 }
 
 func (ct *chainTuning) register(fs *flag.FlagSet) {
 	fs.IntVar(&ct.shards, "shards", 0, "datastore shard servers (overrides config; 0 keeps config/default)")
 	fs.DurationVar(&ct.ckptInterval, "ckpt-interval", 0, "periodic durable store checkpoints + WAL truncation (0 disables)")
-	fs.IntVar(&ct.ckptRetain, "ckpt-retain", 0, "committed checkpoints each shard retains (0 keeps the default of 2)")
 }
 
 // buildChain deploys cfg on ccfg's substrate with ct applied: topology,
@@ -316,7 +315,6 @@ func buildChain(cfg *config, ct chainTuning, ccfg runtime.ChainConfig) *runtime.
 		ccfg.StoreShards = ct.shards
 	}
 	ccfg.CheckpointEvery = ct.ckptInterval
-	ccfg.CheckpointRetain = ct.ckptRetain
 	if len(cfg.Paths) > 0 {
 		ccfg.Topology = &runtime.TopologySpec{Paths: cfg.Paths}
 	}

@@ -33,7 +33,6 @@ type rtoResult struct {
 func rtoRun(o Opts, histMult int, interval time.Duration) rtoResult {
 	cfg := latencyConfig(o.Seed)
 	cfg.CheckpointEvery = interval
-	cfg.CheckpointRetain = 2
 	c := nfCases()[0] // NAT: per-flow mappings + shared port pool
 	ch := singleNFChain(cfg, c, modelCase{"EO+C+NA", runtime.BackendCHC, store.ModeEOCNA}, 3)
 	for i := 0; i < histMult; i++ {

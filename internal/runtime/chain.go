@@ -128,9 +128,6 @@ type ChainConfig struct {
 	// Zero disables checkpointing — recovery then replays the full WAL,
 	// byte-identical to pre-checkpoint behavior.
 	CheckpointEvery time.Duration
-	// CheckpointRetain is how many committed checkpoints each shard keeps
-	// (newest + fallbacks for torn/corrupt rejection); <=0 keeps 2.
-	CheckpointRetain int
 	// CheckpointWriteCost models the durable-write latency of one
 	// checkpoint: a crash inside the window leaves a torn checkpoint that
 	// recovery skips. Zero commits atomically.
@@ -438,7 +435,6 @@ func (cfg ChainConfig) storeServerConfig(rootEndpoint string) store.ServerConfig
 	return store.ServerConfig{
 		OpService:           cfg.StoreOpService,
 		CheckpointEvery:     cfg.CheckpointEvery,
-		CheckpointRetain:    cfg.CheckpointRetain,
 		CheckpointWriteCost: cfg.CheckpointWriteCost,
 		RootEndpoint:        rootEndpoint,
 	}

@@ -342,7 +342,7 @@ func (i *Instance) applyExclusivityDefaults() {
 // sends exactly what it sent when each output left as it was made.
 func (i *Instance) run(p transport.Proc) {
 	ep := i.chain.tr.Endpoint(i.Endpoint)
-	ctx := nf.NewCtx(p, i.state, i.chain.Metrics.alertFn(i.vertex.Spec.Name))
+	ctx := nf.NewCtx(p, i.state, i.chain.Metrics.alert)
 	ctx.Arena = i.chain.arena
 	bs := i.chain.burstSize()
 	handle := func(pkt *packet.Packet) { i.handlePacket(p, ctx, pkt) }

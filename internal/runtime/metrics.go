@@ -392,13 +392,11 @@ func (m *Metrics) get(name string, exact bool) *Series {
 	return s
 }
 
-// alertFn returns the alert recorder passed to NF contexts.
-func (m *Metrics) alertFn(vertex string) func(nf.Alert) {
-	return func(a nf.Alert) {
-		m.mu.Lock()
-		m.Alerts = append(m.Alerts, a)
-		m.mu.Unlock()
-	}
+// alert records an alert an NF raised: the recorder NF contexts get.
+func (m *Metrics) alert(a nf.Alert) {
+	m.mu.Lock()
+	m.Alerts = append(m.Alerts, a)
+	m.mu.Unlock()
 }
 
 // AlertCount counts alerts of the given kind.

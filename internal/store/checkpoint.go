@@ -23,8 +23,8 @@ import (
 // wire codec's Key and Value encodings (wire.go, DESIGN.md §12).
 const snapshotMagic = "CHCK2"
 
-// defaultCheckpointRetain is how many committed checkpoints a shard keeps
-// when the config does not say: the newest plus one fallback.
+// defaultCheckpointRetain is how many committed checkpoints a shard keeps:
+// the newest plus one fallback for a torn or corrupt newest.
 const defaultCheckpointRetain = 2
 
 // Least encoded sizes of a Key and of a Value (every field zero or empty),
@@ -169,18 +169,16 @@ func (st *Stable) begin(ck *StoredCheckpoint) {
 }
 
 // commit marks a begun checkpoint durable and prunes the area to the last
-// retain committed checkpoints (torn leftovers from older incarnations are
-// dropped too — a newer committed checkpoint always supersedes them).
-func (st *Stable) commit(ck *StoredCheckpoint, retain int) {
-	if retain <= 0 {
-		retain = defaultCheckpointRetain
-	}
+// defaultCheckpointRetain committed checkpoints (torn leftovers from older
+// incarnations are dropped too — a newer committed checkpoint always
+// supersedes them).
+func (st *Stable) commit(ck *StoredCheckpoint) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	ck.Committed = true
 	st.taken++
-	kept := make([]*StoredCheckpoint, 0, retain)
-	for i := len(st.ckpts) - 1; i >= 0 && len(kept) < retain; i-- {
+	kept := make([]*StoredCheckpoint, 0, defaultCheckpointRetain)
+	for i := len(st.ckpts) - 1; i >= 0 && len(kept) < defaultCheckpointRetain; i-- {
 		if st.ckpts[i].Committed {
 			kept = append(kept, st.ckpts[i])
 		}

@@ -183,7 +183,7 @@ func TestStableTornCheckpointSkipped(t *testing.T) {
 		Owners: map[Key]uint16{}, TS: map[uint16]uint64{1: 3}})
 	ck1 := &StoredCheckpoint{ID: Identify(good), Data: good}
 	st.begin(ck1)
-	st.commit(ck1, 2)
+	st.commit(ck1)
 	// Crash mid-write: begun, never committed.
 	torn := &StoredCheckpoint{ID: Identify([]byte("partial")), Data: []byte("part")}
 	st.begin(torn)
@@ -208,7 +208,7 @@ func TestStableCorruptCheckpointFallsBack(t *testing.T) {
 			Owners: map[Key]uint16{}, TS: map[uint16]uint64{1: uint64(val)}})
 		ck := &StoredCheckpoint{ID: Identify(data), Data: data}
 		st.begin(ck)
-		st.commit(ck, 2)
+		st.commit(ck)
 		return ck
 	}
 	mk(1)
@@ -236,7 +236,7 @@ func TestStableRetention(t *testing.T) {
 			Owners: map[Key]uint16{}, TS: map[uint16]uint64{}})
 		ck := &StoredCheckpoint{ID: Identify(data), Data: data}
 		st.begin(ck)
-		st.commit(ck, 2)
+		st.commit(ck)
 		last = ck
 	}
 	cs := st.Stats()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -241,6 +242,138 @@ func TestEngineBatchMapIncr(t *testing.T) {
 	if v, _ := e.Get(k); v.Map["s001"] != 1 {
 		t.Fatalf("map field = %d, want 1", v.Map["s001"])
 	}
+}
+
+// TestEngineBatchRetransmitAfterOwnerChange: a retransmitted request whose
+// every clock already applied is emulated even after another instance took
+// the key, coalesced or not. Answered Conflict, the client would get no ack
+// and retransmit it forever.
+func TestEngineBatchRetransmitAfterOwnerChange(t *testing.T) {
+	k := Key{Vertex: 1, Obj: 1}
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"single", Request{Op: OpIncr, Key: k, Arg: IntVal(2), Clock: 1, Instance: 1}},
+		{"coalesced", Request{Op: OpIncr, Key: k, Arg: IntVal(2), Clock: 1, Instance: 1,
+			Batch: []BatchEntry{{Clock: 2, Delta: 3}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(4)
+			commits := 0
+			e.SetHooks(Hooks{OnCommit: func(uint64, uint16, Key) { commits++ }})
+			e.Apply(&tc.req)
+			before, _ := e.Get(k)
+			beforeCommits := commits
+			if rep := e.Apply(&Request{Op: OpAssociate, Key: k, Instance: 2}); !rep.OK {
+				t.Fatalf("associate = %+v", rep)
+			}
+			rep := e.Apply(&tc.req)
+			if !rep.Emulated || rep.Conflict {
+				t.Fatalf("retransmission = %+v, want emulated", rep)
+			}
+			if v, _ := e.Get(k); !v.Equal(before) {
+				t.Fatalf("value = %v, want %v unchanged", v, before)
+			}
+			if commits != beforeCommits {
+				t.Fatalf("%d commits after the retransmission, want %d", commits, beforeCommits)
+			}
+		})
+	}
+}
+
+// FuzzCoalescedApply: a coalesced increment means what its entries mean
+// applied one by one. The input gives the op, a history of single
+// increments already applied, then the request's entries as (clock, delta)
+// pairs; clocks come from a small range, so they repeat within the request
+// and against the history. One engine gets the request coalesced, another
+// gets each entry as a single request, and both then see the same again
+// (a retransmission). Both must end on the same value, commit the same
+// clocks as often and count the same emulated ops; the coalesced reply is
+// emulated exactly when every single one was. A first pass emulated whole
+// carries the last single's value; a retransmission's need not, since each
+// entry of a coalesced request logs the merged result.
+func FuzzCoalescedApply(f *testing.F) {
+	// The engine cases above: (op, history, entries...).
+	f.Add([]byte{0, 1, 5, 1, 4, 1, 5, 1, 6, 1})          // TestEngineBatchPerClockDedup
+	f.Add([]byte{0, 0, 10, 1, 11, 1, 12, 1})             // TestEngineBatchCommitsPerClock
+	f.Add([]byte{0, 0, 1, 2, 2, 3})                      // TestEngineBatchFullyDuplicate
+	f.Add([]byte{1, 0, 1, 1, 2, 1, 3, 0xff})             // TestEngineBatchMapIncr
+	f.Add([]byte{0, 0, 7, 1, 8, 1, 7, 1, 9, 1})          // TestBatchIntraBatchClockDedup
+	f.Add([]byte{0, 2, 3, 1, 0, 1, 3, 1, 0, 2, 3, 4, 0}) // unclocked entries
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		op := OpIncr
+		if data[0]&1 == 1 {
+			op = OpMapIncr
+		}
+		k := Key{Vertex: 1, Obj: 1}
+		req := func(b BatchEntry) Request {
+			return Request{Op: op, Key: k, Field: "f", Arg: IntVal(b.Delta), Clock: b.Clock, Instance: 1}
+		}
+		var entries []BatchEntry
+		for i := 2; i+1 < len(data) && len(entries) < 2*coalesceMax; i += 2 {
+			entries = append(entries, BatchEntry{Clock: uint64(data[i] % 16), Delta: int64(int8(data[i+1]))})
+		}
+		nHist := min(int(data[1]%8), len(entries))
+		hist, entries := entries[:nHist], entries[nHist:]
+		if len(entries) == 0 {
+			return
+		}
+		type run struct {
+			e       *Engine
+			commits map[uint64]int
+		}
+		newRun := func() *run {
+			r := &run{e: NewEngine(4), commits: map[uint64]int{}}
+			r.e.SetHooks(Hooks{OnCommit: func(clock uint64, _ uint16, _ Key) { r.commits[clock]++ }})
+			for _, b := range hist {
+				h := req(b)
+				r.e.Apply(&h)
+			}
+			return r
+		}
+		value := func(e *Engine) int64 {
+			v, _ := e.Get(k)
+			if op == OpMapIncr {
+				return v.Map["f"]
+			}
+			return v.Int
+		}
+		coal, single := newRun(), newRun()
+		coalesced := req(entries[0])
+		coalesced.Batch = entries[1:]
+		for pass := 0; pass < 2; pass++ {
+			rep := coal.e.Apply(&coalesced)
+			var last Reply
+			allEmulated := true
+			for _, b := range entries {
+				r := req(b)
+				last = single.e.Apply(&r)
+				allEmulated = allEmulated && last.Emulated
+			}
+			if rep.Emulated != allEmulated {
+				t.Fatalf("pass %d: coalesced reply %+v, single replies all emulated: %v", pass, rep, allEmulated)
+			}
+			if pass == 0 && rep.Emulated && !rep.Val.Equal(last.Val) {
+				t.Fatalf("pass %d: emulated coalesced reply %v, last single reply %v", pass, rep.Val, last.Val)
+			}
+			if !rep.Emulated && rep.Val.Int != value(coal.e) {
+				t.Fatalf("pass %d: coalesced reply %v, value %d", pass, rep.Val, value(coal.e))
+			}
+			if a, b := value(coal.e), value(single.e); a != b {
+				t.Fatalf("pass %d: coalesced value %d, singles %d", pass, a, b)
+			}
+			if coal.e.Emulated != single.e.Emulated {
+				t.Fatalf("pass %d: coalesced emulated %d ops, singles %d", pass, coal.e.Emulated, single.e.Emulated)
+			}
+			if !reflect.DeepEqual(coal.commits, single.commits) {
+				t.Fatalf("pass %d: coalesced commits %v, singles %v", pass, coal.commits, single.commits)
+			}
+		}
+	})
 }
 
 // newRigCfg builds a single-client rig with a config override.

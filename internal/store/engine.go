@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"chc/internal/clockset"
@@ -399,23 +400,67 @@ func (e *Engine) countEmulated(vertex uint16, n uint64) {
 }
 
 // Apply executes one request. It is safe for concurrent use.
+//
+// A request is its clocked entries: a coalesced increment (OpIncr or
+// OpMapIncr with Batch entries) is its head {Clock, Arg.Int} followed by
+// the Batch, in issue order; any other request is its one entry. Every
+// request takes the same steps: per-entry duplicate suppression, the
+// ownership check, one mutation, and after the shard lock is released one
+// duplicate-log entry and one commit signal per fresh clocked entry,
+// exactly as if each absorbed op had arrived on its own. That keeps replay
+// from double-applying a partially replayed batch and keeps the root's
+// Fig 6 XOR/delete check balanced for every inducing packet.
 func (e *Engine) Apply(req *Request) Reply {
-	if len(req.Batch) > 0 && (req.Op == OpIncr || req.Op == OpMapIncr) {
-		return e.applyBatch(req)
+	n := 1
+	if req.Op == OpIncr || req.Op == OpMapIncr {
+		n += len(req.Batch)
 	}
 	sh := e.shardFor(req.Key)
 	sh.mu.Lock()
 
-	// Duplicate suppression: a mutating op whose (clock,key) was already
-	// applied is emulated — return the logged result, failed or not,
-	// without re-applying or committing again (Fig 5b). NonDet values are
-	// memoized the same way (Appendix A).
-	if req.Clock != 0 && (req.Op.Mutates() || req.Op == OpNonDet) {
-		if v, ok, seen := e.lookupDup(req.Clock, req.Key); seen {
-			e.countEmulated(req.Key.Vertex, 1)
-			sh.mu.Unlock()
-			return Reply{Val: v, OK: ok, Emulated: true}
+	// Duplicate suppression: a mutating entry whose (clock,key) was already
+	// applied is emulated — not re-applied or committed again (Fig 5b).
+	// NonDet values are memoized the same way (Appendix A). The check
+	// covers clocks repeated inside the request too: a replayed packet
+	// re-executed at an instance can re-issue an op whose first-pass twin
+	// is still unflushed in the same coalesce buffer, and applying both
+	// would double the counter and fire a second commit, which XOR-cancels
+	// the first at the root and wedges the packet.
+	logged := req.Op.Mutates() || req.Op == OpNonDet
+	var freshBuf [coalesceMax]uint64
+	// Clocks of the fresh entries that get logged: a request a client
+	// built (at most coalesceMax entries) keeps them on the stack.
+	fresh := freshBuf[:0]
+	var delta int64 // the fresh entries' summed increment
+	var last uint64 // clock of the last fresh entry
+	dups := 0
+	var b BatchEntry
+	for i := range n {
+		b = BatchEntry{Clock: req.Clock, Delta: req.Arg.Int}
+		if i > 0 {
+			b = req.Batch[i-1]
 		}
+		if logged && b.Clock != 0 {
+			if slices.Contains(fresh, b.Clock) {
+				dups++
+				continue
+			}
+			if _, _, seen := e.lookupDup(b.Clock, req.Key); seen {
+				dups++
+				continue
+			}
+			fresh = append(fresh, b.Clock)
+		}
+		delta += b.Delta
+		last = b.Clock
+	}
+	if dups == n {
+		// Every entry already applied: reply with the logged result of the
+		// last one, failed or not.
+		e.countEmulated(req.Key.Vertex, uint64(dups))
+		v, ok, _ := e.lookupDup(b.Clock, req.Key)
+		sh.mu.Unlock()
+		return Reply{Val: v, OK: ok, Emulated: true}
 	}
 
 	ent, exists := sh.data[req.Key]
@@ -430,6 +475,9 @@ func (e *Engine) Apply(req *Request) Reply {
 			sh.mu.Unlock()
 			return Reply{Conflict: true}
 		}
+	}
+	if dups > 0 {
+		e.countEmulated(req.Key.Vertex, uint64(dups))
 	}
 
 	var rep Reply
@@ -493,12 +541,17 @@ func (e *Engine) Apply(req *Request) Reply {
 		}
 	default:
 		// A value op on an absent key runs on the zero Value and creates
-		// the key unless it failed; CAS creates it either way.
+		// the key unless it failed; CAS creates it either way. A coalesced
+		// increment applies the sum of its fresh entries once.
+		op := req
+		if n > 1 {
+			op = &Request{Op: req.Op, Field: req.Field, Arg: IntVal(delta)}
+		}
 		if exists {
-			rep = ApplyToValue(&ent.val, req)
+			rep = ApplyToValue(&ent.val, op)
 		} else {
 			var v Value
-			if rep = ApplyToValue(&v, req); rep.OK || req.Op == OpCAS {
+			if rep = ApplyToValue(&v, op); rep.OK || req.Op == OpCAS {
 				ent = &entry{val: v}
 				sh.data[req.Key] = ent
 			}
@@ -508,12 +561,13 @@ func (e *Engine) Apply(req *Request) Reply {
 	mutated := rep.OK && req.Op.Mutates()
 
 	// Track TS: the clock of the last UPDATE operation executed on behalf
-	// of each instance (Fig 7 metadata). The clock is a position marker in
-	// the instance's issue-ordered WAL, so it is overwritten (not maxed):
-	// cache flushes can legitimately deliver older clocks later.
-	if mutated && req.Clock != 0 && req.Instance != 0 {
+	// of each instance (Fig 7 metadata), for a coalesced increment its last
+	// fresh entry's. The clock is a position marker in the instance's
+	// issue-ordered WAL, so it is overwritten (not maxed): cache flushes
+	// can legitimately deliver older clocks later.
+	if mutated && last != 0 && req.Instance != 0 {
 		e.tsMu.Lock()
-		e.ts[req.Instance] = req.Clock
+		e.ts[req.Instance] = last
 		e.tsMu.Unlock()
 	}
 
@@ -527,122 +581,26 @@ func (e *Engine) Apply(req *Request) Reply {
 	}
 	sh.mu.Unlock()
 
-	// Log for duplicate suppression after releasing the shard lock: every
-	// op that commits below, failed or not, so a replayed or retransmitted
-	// copy is emulated with the same result and never commits twice (the
-	// root XORs commits, and a second one would cancel the first).
-	if req.Clock != 0 && !rep.Conflict && (req.Op.Mutates() || req.Op == OpNonDet) {
-		e.logDup(req.Clock, req.Key, rep.Val, rep.OK)
-	}
-
-	// A mutating op the NF signed commits whether or not it changed the
-	// value (a Delete of a key already gone, a Pop of an empty pool): the
-	// packet's XOR vector counts it on issue. Only an ownership conflict
-	// does not commit: an async op is re-offered until it applies, and
-	// the NF does not sign a blocking one.
-	if e.hooks.OnCommit != nil && req.Clock != 0 && req.Op.Mutates() && !rep.Conflict {
-		e.hooks.OnCommit(req.Clock, req.Instance, req.Key)
+	// Log each fresh entry for duplicate suppression after releasing the
+	// shard lock: every op that commits below, failed or not, so a
+	// replayed or retransmitted copy is emulated with the same result and
+	// never commits twice (the root XORs commits, and a second one would
+	// cancel the first). A mutating op the NF signed commits whether or
+	// not it changed the value (a Delete of a key already gone, a Pop of
+	// an empty pool): the packet's XOR vector counts it on issue. Only an
+	// ownership conflict does not commit: an async op is re-offered until
+	// it applies, and the NF does not sign a blocking one.
+	for _, clock := range fresh {
+		e.logDup(clock, req.Key, rep.Val, rep.OK)
+		if e.hooks.OnCommit != nil && req.Op.Mutates() {
+			e.hooks.OnCommit(clock, req.Instance, req.Key)
+		}
 	}
 	if notify {
 		e.hooks.OnUpdate(req.Key, updVal, req.Instance)
 	}
 	if ownerChanged && e.hooks.OnOwnerChange != nil {
 		e.hooks.OnOwnerChange(req.Key, newOwner)
-	}
-	return rep
-}
-
-// applyBatch executes a coalesced increment (OpIncr/OpMapIncr with Batch
-// entries): one merged mutation, but per-clock duplicate suppression,
-// duplicate-log entries and commit signals, exactly as if each absorbed op
-// had arrived on its own. This keeps replay after a failure from
-// double-applying partially-replayed batches and keeps the root's XOR
-// delete check balanced for every inducing packet.
-func (e *Engine) applyBatch(req *Request) Reply {
-	sh := e.shardFor(req.Key)
-	sh.mu.Lock()
-
-	ent, exists := sh.data[req.Key]
-	if exists && ent.owner != 0 && req.Instance != 0 && ent.owner != req.Instance {
-		sh.mu.Unlock()
-		return Reply{Conflict: true}
-	}
-
-	// Split entries into fresh and already-applied (duplicate-suppressed).
-	// Dedup also WITHIN the batch: a replayed packet re-executed at an
-	// instance can re-issue an op whose first-pass twin is still sitting
-	// unflushed in the same coalesce buffer — the two same-clock entries
-	// arrive in one batch, invisible to the flushed-op log, and applying
-	// both would double the counter and double-fire the commit signal
-	// (which XOR-cancels at the root, wedging the packet's Fig 6 check).
-	all := make([]BatchEntry, 0, len(req.Batch)+1)
-	all = append(all, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
-	all = append(all, req.Batch...)
-	fresh := make([]BatchEntry, 0, len(all))
-	inBatch := make(map[uint64]bool, len(all))
-	var delta int64
-	dups := 0
-	for _, b := range all {
-		if b.Clock != 0 {
-			if inBatch[b.Clock] {
-				dups++
-				continue
-			}
-			if _, _, seen := e.lookupDup(b.Clock, req.Key); seen {
-				dups++
-				continue
-			}
-			inBatch[b.Clock] = true
-		}
-		fresh = append(fresh, b)
-		delta += b.Delta
-	}
-	if dups > 0 {
-		e.countEmulated(req.Key.Vertex, uint64(dups))
-	}
-	if len(fresh) == 0 {
-		// The whole batch was already applied: emulate with the logged
-		// result of its last entry (Fig 5b).
-		v, ok, _ := e.lookupDup(all[len(all)-1].Clock, req.Key)
-		sh.mu.Unlock()
-		return Reply{Val: v, OK: ok, Emulated: true}
-	}
-
-	if !exists {
-		ent = &entry{}
-		sh.data[req.Key] = ent
-	}
-	rep := ApplyToValue(&ent.val, &Request{Op: req.Op, Field: req.Field, Arg: IntVal(delta)})
-
-	// TS position marker: the clock the engine would have ended on had the
-	// fresh entries arrived individually (last fresh op in issue order).
-	last := fresh[len(fresh)-1].Clock
-	if last != 0 && req.Instance != 0 {
-		e.tsMu.Lock()
-		e.ts[req.Instance] = last
-		e.tsMu.Unlock()
-	}
-	if req.WantTS {
-		rep.TS = e.TS()
-	}
-	notify := e.listening(req.Key)
-	var updVal Value
-	if notify {
-		updVal = ent.val.Copy()
-	}
-	sh.mu.Unlock()
-
-	for _, b := range fresh {
-		if b.Clock == 0 {
-			continue
-		}
-		e.logDup(b.Clock, req.Key, rep.Val, rep.OK)
-		if e.hooks.OnCommit != nil {
-			e.hooks.OnCommit(b.Clock, req.Instance, req.Key)
-		}
-	}
-	if notify {
-		e.hooks.OnUpdate(req.Key, updVal, req.Instance)
 	}
 	return rep
 }

@@ -185,3 +185,66 @@ func TestRecoverEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecoverCoalescedGroups: logOp logs a coalesced increment as its head,
+// Batch included, followed by each clocked entry on its own. Recovery
+// replays both; replaying the head must log every entry's clock, so that
+// the single copies are emulated, never applied a second time. Full
+// replay, and replay from a checkpoint cut at a group's WalPos (the
+// client's WAL whole, or truncated there), restore every counter exactly.
+func TestRecoverCoalescedGroups(t *testing.T) {
+	keys := []Key{{Vertex: 1, Obj: 1, Sub: 1}, {Vertex: 1, Obj: 1, Sub: 2}, {Vertex: 1, Obj: 2, Sub: 1}}
+	for seed := int64(0); seed < 25; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa"})
+		victim := NewEngine(4)
+		groups := 10 + r.Intn(20)
+		cut := r.Intn(groups)
+		var ckpt *Snapshot
+		var clock uint64
+		entries := 0 // clocked Batch entries: each is also logged on its own
+		for g := 0; g < groups; g++ {
+			key := keys[r.Intn(len(keys))]
+			clock++
+			req := Request{Op: OpIncr, Key: key, Arg: IntVal(1 + r.Int63n(9)), Clock: clock, Instance: 1}
+			if key.Obj == 2 {
+				req.Op, req.Field = OpMapIncr, "f"
+			}
+			for range r.Intn(5) {
+				clock++
+				req.Batch = append(req.Batch, BatchEntry{Clock: clock, Delta: r.Int63n(19) - 9})
+				entries++
+			}
+			c.logOp(&req)
+			victim.Apply(&req)
+			if g == cut {
+				ckpt = victim.Snapshot(nil)
+				ckpt.Pos = map[uint16]uint64{1: req.WalPos}
+			}
+		}
+		want := digestNoTS(victim)
+		wal := c.WAL()
+		if len(wal) != groups+entries {
+			t.Fatalf("seed %d: WAL holds %d entries, want %d heads and %d entries", seed, len(wal), groups, entries)
+		}
+
+		full, _ := RecoverEngine(RecoverInput{Clients: []ClientState{{Instance: 1, WAL: wal}}})
+		if got := digestNoTS(full); got != want {
+			t.Fatalf("seed %d: full replay diverges:\n  want %s\n  got  %s", seed, want, got)
+		}
+		if full.Emulated != uint64(entries) {
+			t.Fatalf("seed %d: full replay emulated %d ops, want the %d single copies", seed, full.Emulated, entries)
+		}
+		pos := ckpt.Pos[1]
+		for _, cs := range []ClientState{
+			{Instance: 1, WAL: wal},
+			{Instance: 1, WAL: wal[pos:], Dropped: pos},
+		} {
+			e, _ := RecoverEngine(RecoverInput{Checkpoint: ckpt, Clients: []ClientState{cs}})
+			if got := digestNoTS(e); got != want {
+				t.Fatalf("seed %d: replay from the checkpoint at WAL position %d (%d dropped) diverges:\n  want %s\n  got  %s",
+					seed, pos, cs.Dropped, want, got)
+			}
+		}
+	}
+}

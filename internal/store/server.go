@@ -106,9 +106,6 @@ type ServerConfig struct {
 	// CheckpointEvery enables periodic shared-state checkpoints (§5.4).
 	// Zero disables checkpointing.
 	CheckpointEvery time.Duration
-	// CheckpointRetain is how many committed checkpoints the Stable area
-	// keeps (newest + fallbacks); <=0 means defaultCheckpointRetain.
-	CheckpointRetain int
 	// CheckpointWriteCost models the durable-write latency of one
 	// checkpoint: the window between begin and commit during which a crash
 	// leaves a torn checkpoint. Zero commits atomically.
@@ -426,7 +423,7 @@ func (s *Server) checkpoint(p transport.Proc) {
 	if s.cfg.CheckpointWriteCost > 0 && p != nil {
 		p.Sleep(s.cfg.CheckpointWriteCost)
 	}
-	s.stable.commit(ck, s.cfg.CheckpointRetain)
+	s.stable.commit(ck)
 
 	s.regMu.Lock()
 	eps := make(map[string]bool)

@@ -399,10 +399,3 @@ func insertInterleaved(tr *Trace, pkts []*packet.Packet, at, stride int) {
 	}
 	tr.Events = out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -177,9 +177,6 @@ func (s *Sim) Kill(p *Proc) {
 	}
 }
 
-// Killed reports whether the process has been killed.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Exited reports whether the process function has returned.
 func (p *Proc) Exited() bool { return p.exited }
 

@@ -112,50 +112,10 @@ func TestMailboxRecvBeforeSend(t *testing.T) {
 		got = mb.Recv(p)
 		at = p.Now()
 	})
-	mb.SendAfter(7*time.Millisecond, "hello")
+	s.Schedule(7*time.Millisecond, func() { mb.Send("hello") })
 	s.Run()
 	if got != "hello" || at != Time(7*time.Millisecond) {
 		t.Fatalf("got %q at %v", got, at)
-	}
-}
-
-func TestMailboxRecvTimeout(t *testing.T) {
-	s := NewSim(1)
-	mb := NewMailbox[int](s, "mb")
-	var ok1, ok2 bool
-	var v2 int
-	s.Spawn("c", func(p *Proc) {
-		_, ok1 = mb.RecvTimeout(p, time.Millisecond)
-		v2, ok2 = mb.RecvTimeout(p, 10*time.Millisecond)
-	})
-	mb.SendAfter(5*time.Millisecond, 42)
-	s.Run()
-	if ok1 {
-		t.Fatal("first recv should have timed out")
-	}
-	if !ok2 || v2 != 42 {
-		t.Fatalf("second recv = %d,%v want 42,true", v2, ok2)
-	}
-}
-
-func TestMailboxFilter(t *testing.T) {
-	s := NewSim(1)
-	mb := NewMailbox[int](s, "mb")
-	for i := 0; i < 10; i++ {
-		mb.Send(i)
-	}
-	removed := mb.Filter(func(v int) bool { return v%2 == 0 })
-	if removed != 5 {
-		t.Fatalf("removed = %d, want 5", removed)
-	}
-	if mb.Len() != 5 {
-		t.Fatalf("len = %d, want 5", mb.Len())
-	}
-	got := mb.Drain()
-	for i, v := range got {
-		if v != i*2 {
-			t.Fatalf("drained %v", got)
-		}
 	}
 }
 
@@ -168,7 +128,7 @@ func TestFuture(t *testing.T) {
 		got = f.Wait(p)
 		at = p.Now()
 	})
-	f.ResolveAfter(3*time.Millisecond, "done")
+	s.Schedule(3*time.Millisecond, func() { f.Resolve("done") })
 	s.Run()
 	if got != "done" || at != Time(3*time.Millisecond) {
 		t.Fatalf("got %q at %v", got, at)
@@ -182,7 +142,7 @@ func TestFutureWaitTimeout(t *testing.T) {
 	s.Spawn("w", func(p *Proc) {
 		_, ok = f.WaitTimeout(p, time.Millisecond)
 	})
-	f.ResolveAfter(5*time.Millisecond, 1)
+	s.Schedule(5*time.Millisecond, func() { f.Resolve(1) })
 	s.Run()
 	if ok {
 		t.Fatal("wait should have timed out")
@@ -200,7 +160,7 @@ func TestFutureMultipleWaiters(t *testing.T) {
 			}
 		})
 	}
-	f.ResolveAfter(time.Millisecond, 9)
+	s.Schedule(time.Millisecond, func() { f.Resolve(9) })
 	s.Run()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -256,23 +216,6 @@ func TestRunUntilHorizon(t *testing.T) {
 	s.Run()
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
-func TestCondBroadcast(t *testing.T) {
-	s := NewSim(1)
-	c := NewCond(s)
-	woke := 0
-	for i := 0; i < 3; i++ {
-		s.Spawn("w", func(p *Proc) {
-			c.Wait(p)
-			woke++
-		})
-	}
-	s.Schedule(time.Millisecond, func() { c.Broadcast() })
-	s.Run()
-	if woke != 3 {
-		t.Fatalf("woke = %d, want 3", woke)
 	}
 }
 
