@@ -15,8 +15,10 @@ import (
 
 // TestDESRunsBurstPath: the DES runs the root's and the instances' burst
 // path, with bursts of one, so every packet the root forwards is one ingest
-// flush; and its packet arena stays off (recycling has nothing to amortize
-// there, and the golden outputs must not depend on pool behavior).
+// flush; its store clients hold async ops for the flush as live ones do,
+// so some store messages carry several ops; and its packet arena stays off
+// (recycling has nothing to amortize there, and the golden outputs must not
+// depend on pool behavior).
 func TestDESRunsBurstPath(t *testing.T) {
 	c := New(testConfig(), natVertex(2, BackendCHC, store.ModeEOCNA))
 	c.Start()
@@ -28,6 +30,9 @@ func TestDESRunsBurstPath(t *testing.T) {
 	if c.Root.Bursts != c.Root.Injected {
 		t.Fatalf("root flushed %d bursts for %d packets; the DES bursts are of one",
 			c.Root.Bursts, c.Root.Injected)
+	}
+	if n := c.Metrics.Counter("client.burst_rpcs"); n == 0 {
+		t.Fatal("no multi-op store message on the DES; async ops left one per message")
 	}
 	if c.Arena().Reuses() != 0 || c.Arena().Puts() != 0 {
 		t.Fatalf("DES arena recycled (reuses=%d puts=%d); the arena must be disabled off-live",

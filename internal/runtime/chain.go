@@ -103,7 +103,7 @@ type ChainConfig struct {
 	LogInStore bool
 	// RootLogCost is the per-packet cost of root-local logging (§7.2: ~1µs
 	// with one root; lower values model the paper's R parallel root
-	// instances splitting input traffic). Zero uses 1µs.
+	// instances splitting input traffic). Zero models no cost.
 	RootLogCost time.Duration
 	// SyncDelete makes the last on-path NF await delete-request delivery
 	// before emitting output (§5.4); async risks duplicates at the receiver.
@@ -122,7 +122,8 @@ type ChainConfig struct {
 	// the single-server tier, whose behavior is byte-identical to the
 	// pre-sharding deployment.
 	StoreShards int
-	// StoreOpService is the per-op service time at store servers.
+	// StoreOpService is the per-op service time at store servers. Zero
+	// models no cost.
 	StoreOpService time.Duration
 	// CheckpointEvery enables periodic durable store checkpoints (§5.4).
 	// Zero disables checkpointing — recovery then replays the full WAL,
@@ -198,6 +199,7 @@ func DefaultChainConfig() ChainConfig {
 		XORCheck:           true,
 		DupSuppress:        true,
 		RootLogLimit:       1 << 20,
+		RootLogCost:        time.Microsecond,
 		StoreOpService:     200 * time.Nanosecond,
 		FlushEvery:         time.Millisecond,
 	}
@@ -212,8 +214,8 @@ func LiveChainConfig() ChainConfig {
 	cfg.LinkLatency = 0
 	cfg.DefaultServiceTime = 0
 	cfg.DefaultThreads = 1
-	cfg.StoreOpService = -1 // negative: no modeled per-op sleep
-	cfg.RootLogCost = -1    // negative: no modeled log delay
+	cfg.StoreOpService = 0
+	cfg.RootLogCost = 0
 	// Real-time protocol timers. The RPC timeout is generous: on a loaded
 	// machine a backlogged store can hold a blocking op well past the
 	// DES's calibrated 10ms, and a timed-out-but-applied op would be

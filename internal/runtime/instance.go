@@ -215,10 +215,6 @@ func (c *Chain) newClient(v *Vertex, id uint16, ep string, mode store.Mode) *sto
 		CoalesceWindow: c.cfg.CoalesceWindow,
 		AckTimeout:     c.cfg.AckTimeout,
 		RPCTimeout:     c.cfg.RPCTimeout,
-		// The client holds its async ops for the end of the instance's
-		// packet burst (flushBurst) on live; on the DES each op leaves as it
-		// is issued, in one-entry store messages.
-		BurstRPC: c.live(),
 	})
 }
 

@@ -240,9 +240,8 @@ func TestLiveTwoShardDrains(t *testing.T) {
 // one packet, about 0.04 delete and 0.1 commit messages on one shard (the
 // parent of that change: one packet, one delete and 3.5 commits). With
 // more shards a capped merged increment often leaves alone in its shard's
-// message, and a lone op's clocks are answered one commit each, as on the
-// DES: about 2.9 there (parent 5.5). EO and EO+C commit blocking calls one
-// op at a time, so no batch exists to answer at once.
+// message: at most about 2.9 there (parent 5.5). EO and EO+C commit
+// blocking calls one op at a time, so no batch exists to answer at once.
 func TestLiveInvariantTable(t *testing.T) {
 	flows := 600 // about 11 k packets
 	if testing.Short() {

@@ -188,15 +188,7 @@ func (s *Series) Percentile(q float64) time.Duration {
 	if s.hist != nil {
 		return s.hist.percentile(q)
 	}
-	s.mu.Lock()
-	sorted := append([]time.Duration(nil), s.vals...)
-	s.mu.Unlock()
-	if len(sorted) == 0 {
-		return 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q / 100 * float64(len(sorted)-1))
-	return sorted[idx]
+	return PercentileOf(s.Values(), q)
 }
 
 // Mean returns the average sample (exact in both forms).

@@ -12,10 +12,9 @@ import (
 
 // Clock persistence key: roots store their clock under vertex 0.
 const (
-	rootVertexID  uint16 = 0
-	rootClockObj  uint16 = 1
-	rootLogObj    uint16 = 2
-	localLogDelay        = 1 * time.Microsecond // §7.2: local logging ≈ 1µs/pkt
+	rootVertexID uint16 = 0
+	rootClockObj uint16 = 1
+	rootLogObj   uint16 = 2
 )
 
 // ReplayCmd asks the root to replay its logged packets toward a recovering
@@ -243,14 +242,10 @@ func (r *Root) ingestCore(p transport.Proc, pkt *packet.Packet) bool {
 		req := &store.Request{Op: store.OpSet, Key: key, Arg: store.IntVal(int64(pkt.WireLen()))} //chc:allow specmutation -- root in-store packet-log protocol (§7.2), framework-internal store access, not NF state
 		r.chain.tr.Call(p, r.Endpoint, r.chain.pmap.ShardFor(key), req, 64, 10*time.Millisecond)
 	} else {
-		// Root-local logging cost: modeled on the DES; negative disables the
-		// sleep (live mode — the real log append IS the cost).
-		cost := cfg.RootLogCost
-		if cost == 0 {
-			cost = localLogDelay
-		}
-		if cost > 0 {
-			p.Sleep(cost)
+		// Root-local logging cost: modeled on the DES; zero on live,
+		// where the real log append IS the cost.
+		if cfg.RootLogCost > 0 {
+			p.Sleep(cfg.RootLogCost)
 		}
 	}
 	// Log a CLONE, not the forwarded packet: NFs that forward a packet
@@ -380,21 +375,8 @@ func (r *Root) sendPrunes() {
 func (r *Root) replay(p transport.Proc, cloneID uint16) {
 	clone := r.chain.instanceByID(cloneID)
 	now := p.Now()
-	r.log.Each(func(_ uint64, ent *rootLogEntry) {
-		if clone != nil && !clone.vertex.OnClass(ent.class) {
-			return
-		}
-		cp := r.chain.arena.Clone(ent.pkt)
-		cp.Meta.Flags |= packet.MetaReplay
-		cp.Meta.CloneID = cloneID
-		if ent.gotDelete {
-			// Output already reached the receiver; replay only to rebuild
-			// state (suppressing tail output).
-			cp.Meta.Flags |= packet.MetaNoOut
-		}
-		ent.sentAt = now
-		r.Replayed++
-		r.resend(cp, now)
+	r.resendLogged(now, cloneID, func(ent *rootLogEntry) bool {
+		return clone == nil || clone.vertex.OnClass(ent.class)
 	})
 	// End-of-replay markers: dedicated control packets (Proto 0) that flow
 	// through the chain BEHIND the replayed packets (FIFO links); each
@@ -437,12 +419,23 @@ func (r *Root) replay(p transport.Proc, cloneID uint16) {
 // output suppressed — they only need their Fig 6 commit balance rebuilt.
 func (r *Root) sweepRetransmit(p transport.Proc) {
 	now := p.Now()
+	r.resendLogged(now, 0, func(ent *rootLogEntry) bool {
+		return now.Sub(ent.sentAt) >= rootRetransmitAge
+	})
+}
+
+// resendLogged resends a replay-flagged copy of every logged packet sel
+// selects, in clock order, stamped for cloneID (0: for no clone). A packet
+// whose delete already arrived has had its output reach the receiver, so
+// its copy only rebuilds state, with the tail output suppressed.
+func (r *Root) resendLogged(now transport.Time, cloneID uint16, sel func(*rootLogEntry) bool) {
 	r.log.Each(func(_ uint64, ent *rootLogEntry) {
-		if now.Sub(ent.sentAt) < rootRetransmitAge {
+		if !sel(ent) {
 			return
 		}
 		cp := r.chain.arena.Clone(ent.pkt)
 		cp.Meta.Flags |= packet.MetaReplay
+		cp.Meta.CloneID = cloneID
 		if ent.gotDelete {
 			cp.Meta.Flags |= packet.MetaNoOut
 		}

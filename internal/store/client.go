@@ -81,14 +81,10 @@ type ClientConfig struct {
 	// other trigger has. Zero selects the default; negative also turns off
 	// the merging of non-blocking increments (+NA mode).
 	CoalesceWindow time.Duration
-	// BurstRPC holds async ops on the outbound list until a flush trigger
-	// (FlushBurst, a blocking call, FlushAll, the window timer) and ships
-	// them as one AsyncBatchMsg per shard; without it every op leaves when
-	// it is issued, a message of its own. Acks, retransmission, WalPos
-	// stamping and checkpoint positions are per op either way — only the
-	// message count differs. The runtime sets this on the live substrates
-	// only; the DES never does, so the golden message schedules are
-	// untouched.
+	// BurstRPC is ignored: every client holds async ops on the outbound
+	// list until a flush trigger (FlushBurst, a blocking call, FlushAll,
+	// the window timer) and ships them as one AsyncBatchMsg per shard.
+	// The field stays only for callers that still set it.
 	BurstRPC bool
 }
 
@@ -512,13 +508,10 @@ func (c *Client) merge(req *Request) bool {
 	return true
 }
 
-// issued ends every path that put ops on the list outside a flush. Without
-// BurstRPC the sealed ones leave now; with it they wait for a trigger. What
-// stays is covered by the window timer: an idle instance holds no op long.
+// issued ends every path that put ops on the list outside a flush. The ops
+// wait for a flush trigger; the window timer covers them, so an idle
+// instance holds no op long.
 func (c *Client) issued() {
-	if !c.cfg.BurstRPC {
-		c.flushOut(false)
-	}
 	if len(c.out) == 0 || c.outTimer {
 		return
 	}
@@ -541,9 +534,8 @@ func (c *Client) issued() {
 // otherwise the sealed ops only, the open heads staying for later
 // increments to merge into. Each op is WAL-logged here, at send time (the
 // positions a checkpoint records assume that the WAL mirrors the order in
-// which ops reach the wire, per shard). With BurstRPC the ops of one shard
-// travel as one message, shards in first-use order; without it each op is
-// its own message. Expects c.mu held.
+// which ops reach the wire, per shard). The ops of one shard travel as one
+// message, shards in first-use order. Expects c.mu held.
 func (c *Client) flushOut(sealOpen bool) {
 	if len(c.out) == 0 {
 		return // the usual case under a blocking call; open is empty too
@@ -565,10 +557,6 @@ func (c *Client) flushOut(sealOpen bool) {
 		c.seq++
 		op := AsyncOp{Req: req, Seq: c.seq, From: c.cfg.Endpoint}
 		c.pending[op.Seq] = op
-		if !c.cfg.BurstRPC {
-			c.send(shard, []AsyncOp{op})
-			continue
-		}
 		g := 0
 		for g < len(c.groups) && c.groups[g].shard != shard {
 			g++

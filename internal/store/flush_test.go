@@ -60,11 +60,11 @@ func sortedWalk(c *Client, keep func(Key, *cacheEntry) bool) []Request {
 }
 
 // TestFlushOrderMatchesSortedWalk drives a client through random verb
-// sequences and checks, after every verb, that the async ops it put on the
-// wire are exactly the ones a sorted walk over the whole cache would have
-// flushed, in that order; at the end, that every op issued was sent once
-// and only once (or was discarded by InvalidateAll, which drops the cache
-// with whatever it holds).
+// sequences and checks, after every verb and the FlushBurst behind it,
+// that the async ops it put on the wire are exactly the ones a sorted walk
+// over the whole cache would have flushed, in that order; at the end, that
+// every op issued was sent once and only once (or was discarded by
+// InvalidateAll, which drops the cache with whatever it holds).
 func TestFlushOrderMatchesSortedWalk(t *testing.T) {
 	decls := []ObjDecl{
 		{ID: 2, Name: "flow", Scope: ScopeFlow, Pattern: WriteReadOften},
@@ -132,6 +132,7 @@ func TestFlushOrderMatchesSortedWalk(t *testing.T) {
 					c.InvalidateAll()
 				}
 			}
+			c.FlushBurst() // the instance's flush point: held ops leave here
 			got := net.asyncReqs()
 			for i := range got {
 				got[i].WalPos = 0 // stamped at send time; the pending copy has none

@@ -67,40 +67,32 @@ func BenchmarkClientLogWal(b *testing.B) {
 // BenchmarkClientOutbound: the +NA outbound path per async op, driven the
 // way an instance drives it: 32 non-blocking ops (28 increments over eight
 // counters, every eighth op a Set, which seals the open heads), FlushBurst,
-// then every op acked. "des" sends each op as it is issued; "burst32"
-// holds them for the FlushBurst. Clock 0 keeps the ops out of the WAL
+// then every op acked. Clock 0 keeps the ops out of the WAL
 // (BenchmarkClientLogWal has that cost).
 func BenchmarkClientOutbound(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		hold bool
-	}{{"des", false}, {"burst32", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa", Store: "store0",
-				Mode: ModeEOCNA, Decls: counterDecl, BurstRPC: bc.hold})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				req := Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1, Sub: uint64(i % 8)}, Arg: IntVal(1)}
-				if i%8 == 7 {
-					req.Op = OpSet
-				}
-				c.Update(nil, req)
-				if i%32 == 31 {
-					c.FlushBurst()
-					clear(c.pending) // nobody acks on the stub transport
-				}
-			}
-		})
+	c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa", Store: "store0",
+		Mode: ModeEOCNA, Decls: counterDecl})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		req := Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1, Sub: uint64(i % 8)}, Arg: IntVal(1)}
+		if i%8 == 7 {
+			req.Op = OpSet
+		}
+		c.Update(nil, req)
+		if i%32 == 31 {
+			c.FlushBurst()
+			clear(c.pending) // nobody acks on the stub transport
+		}
 	}
 }
 
 // BenchmarkServerAsyncBatch: one server on livenet applying async increments
 // (eight counters, every op its own clock) that arrive in messages of `ops`
-// ops, the way a burst-32 instance's client sends them, and "ops=1", the
-// way the DES does. The benchmark's process drains the acks at the client
-// endpoint and the commits at the root endpoint, and prunes the clocks, every
-// window of 1024 ops behind a blocking call the server answers in FIFO
-// order. Reported per op.
+// ops, the way a burst-32 instance's client sends them, and "ops=1", a
+// flush that had one op for the shard. The benchmark's process drains the
+// acks at the client endpoint and the commits at the root endpoint, and
+// prunes the clocks, every window of 1024 ops behind a blocking call the
+// server answers in FIFO order. Reported per op.
 func BenchmarkServerAsyncBatch(b *testing.B) {
 	for _, ops := range []int{1, 32} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {

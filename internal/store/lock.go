@@ -66,6 +66,7 @@ func (s *Server) handleLockGet(p transport.Proc, cm transport.Call, req LockGetR
 func (s *Server) handleSetUnlock(p transport.Proc, cm transport.Call, req SetUnlockReq) {
 	p.Sleep(s.cfg.OpService)
 	rep := s.engine.Apply(&Request{Op: OpSet, Key: req.Key, Arg: req.Val, Instance: req.Instance, Clock: req.Clock})
+	s.sendCommits()
 	ls := s.lockStateFor(req.Key)
 	ls.held = false
 	ls.holder = 0

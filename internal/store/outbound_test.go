@@ -8,20 +8,25 @@ import (
 	"time"
 )
 
-// outModel is the reference for the client's outbound path: which unsent
-// increments are open for merging, and, when ops leave at issue (the DES
-// mode), the exact sequence of sends, calls and timers each verb produces.
+// outModel is the reference for the client's outbound list: which unsent
+// ops are held, in issue order, which of them are increments still open for
+// merging, and the exact sequence of sends, calls and timers each verb
+// produces.
 type outModel struct {
-	heads  []*modelHead // open heads, oldest first
-	armed  bool         // the window timer is scheduled and has not fired
-	events []string     // the verb's expected stubNet events (DES mode)
+	out    []*modelOp // held ops, in issue order
+	armed  bool       // the window timer is scheduled and has not fired
+	events []string   // the verb's expected stubNet events
+	shard  func(Key) string
 }
 
-type modelHead struct {
+// modelOp is one held op; open marks an increment later increments of its
+// stream may still merge into.
+type modelOp struct {
 	key    Key
 	field  string
 	op     Op
 	clocks []uint64
+	open   bool
 }
 
 func sendEvent(k Key, field string, clocks []uint64) string {
@@ -30,72 +35,103 @@ func sendEvent(k Key, field string, clocks []uint64) string {
 
 func callEvent(k Key, clock uint64) string { return fmt.Sprintf("call %v %d", k, clock) }
 
-// send expects one op on the wire and its retransmit timer after it.
-func (m *outModel) send(k Key, field string, clocks ...uint64) {
-	m.events = append(m.events, sendEvent(k, field, clocks), "ack")
+// hold puts one sealed op on the list.
+func (m *outModel) hold(k Key, field string, clocks ...uint64) {
+	m.out = append(m.out, &modelOp{key: k, field: field, clocks: clocks})
 }
 
-// seal expects every open head on the wire, oldest first.
+// seal closes every open head; the heads keep their places on the list.
 func (m *outModel) seal() {
-	for _, h := range m.heads {
-		m.send(h.key, h.field, h.clocks...)
+	for _, o := range m.out {
+		o.open = false
 	}
-	m.heads = nil
 }
 
 // incr is a mergeable increment: it joins its stream's open head, or
-// opens one — after a head at the cap, or of the other op kind, has left
-// alone.
+// opens one behind everything held, sealing a head at the cap, or of the
+// other op kind, in its place.
 func (m *outModel) incr(k Key, field string, op Op, clock uint64) {
-	for i, h := range m.heads {
-		if h.key != k || h.field != field {
+	for _, o := range m.out {
+		if !o.open || o.key != k || o.field != field {
 			continue
 		}
-		if h.op == op && len(h.clocks) < coalesceMax {
-			h.clocks = append(h.clocks, clock)
+		if o.op == op && len(o.clocks) < coalesceMax {
+			o.clocks = append(o.clocks, clock)
 			return
 		}
-		m.send(h.key, h.field, h.clocks...)
-		m.heads = append(m.heads[:i], m.heads[i+1:]...)
+		o.open = false
 		break
 	}
-	m.heads = append(m.heads, &modelHead{k, field, op, []uint64{clock}})
-	if !m.armed {
+	m.out = append(m.out, &modelOp{key: k, field: field, op: op, clocks: []uint64{clock}, open: true})
+}
+
+// issued arms the window timer if ops are held and it is not armed.
+func (m *outModel) issued() {
+	if len(m.out) > 0 && !m.armed {
 		m.armed = true
 		m.events = append(m.events, "window")
 	}
 }
 
+// flush expects the held ops on the wire (all of them, or the sealed ones
+// only, the open heads staying): one message per shard, shards in
+// first-use order, each op in list order, each message followed by its
+// retransmit timer.
+func (m *outModel) flush(all bool) {
+	var shards []string
+	byShard := map[string][]*modelOp{}
+	kept := m.out[:0]
+	for _, o := range m.out {
+		if o.open && !all {
+			kept = append(kept, o)
+			continue
+		}
+		sh := m.shard(o.key)
+		if byShard[sh] == nil {
+			shards = append(shards, sh)
+		}
+		byShard[sh] = append(byShard[sh], o)
+	}
+	m.out = kept
+	for _, sh := range shards {
+		for _, o := range byShard[sh] {
+			m.events = append(m.events, sendEvent(o.key, o.field, o.clocks))
+		}
+		m.events = append(m.events, "ack")
+	}
+}
+
 func (m *outModel) held() (n int) {
-	for _, h := range m.heads {
-		n += len(h.clocks)
+	for _, o := range m.out {
+		n += len(o.clocks)
 	}
 	return n
 }
 
 // TestOutboundOrderModel drives a +NA client over two shards through
-// random verbs, in both outbound modes (ops leave at issue, as on the DES;
-// ops are held for FlushBurst, as on live), and checks after every verb:
-// per key, ops reach the wire in issue order (except that increments of
-// different fields of one map, which commute, may pass each other); per
-// shard, they are a prefix of the WAL (all of it once nothing is held) and
-// each op's WalPos is the count logged up to it; Seq is assigned in send
-// order; a blocking call finds nothing held. At the end every clock issued
-// has been on the wire exactly once, merged entries counted. At issue, the
-// sends, calls and Schedule calls are exactly the model's — a head at the
-// cap leaves alone, FlushObject and SetExclusive leave the open heads —
-// and held, one flush sends at most one message per shard.
+// random verbs and checks after every verb: the sends, calls and Schedule
+// calls are exactly the model's (async ops leave only at a flush trigger,
+// one message per shard; the window timer is armed once ops are held; a
+// head at the cap is sealed in place and leaves with the next FlushBurst
+// while its successor stays open; FlushObject, ReleaseFlow and
+// SetExclusive hold the flushed cache ops behind the list); per key, ops
+// reach the wire in issue order (except that increments of different
+// fields of one map, which commute, may pass each other); per shard, they
+// are a prefix of the WAL (all of it once nothing is held), each op's
+// WalPos is the count logged up to it, and Seq grows; a blocking call
+// finds nothing held. At the end every clock issued has been on the wire
+// exactly once, merged entries counted. Under -short a few seeds run.
 func TestOutboundOrderModel(t *testing.T) {
-	for _, hold := range []bool{false, true} {
-		t.Run(fmt.Sprintf("hold=%v", hold), func(t *testing.T) {
-			for seed := int64(0); seed < 30; seed++ {
-				outboundModelRun(t, seed, hold)
-			}
-		})
+	seeds := int64(30)
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		outboundModelRun(t, seed)
 	}
 }
 
-func outboundModelRun(t *testing.T, seed int64, hold bool) {
+func outboundModelRun(t *testing.T, seed int64) {
 	const window, ackTimeout = 50 * time.Microsecond, time.Millisecond
 	decls := []ObjDecl{
 		{ID: 1, Name: "ctr", Scope: ScopeGlobal, Pattern: WriteMostly},
@@ -108,10 +144,10 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 	net := &stubNet{keep: true}
 	c := NewClient(net, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa",
 		Shards: []string{"store0", "store1"}, Mode: ModeEOCNA, Decls: decls,
-		CoalesceWindow: window, AckTimeout: ackTimeout, BurstRPC: hold})
+		CoalesceWindow: window, AckTimeout: ackTimeout})
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d hold=%v: %s", seed, hold, fmt.Sprintf(format, args...))
+		t.Fatalf("seed %d: %s", seed, fmt.Sprintf(format, args...))
 	}
 	net.onCall = func(*Request) {
 		if n := c.OutPending(); n != 0 {
@@ -120,7 +156,7 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 	}
 
 	var (
-		m        outModel
+		m        = outModel{shard: c.shardFor}
 		clock    uint64
 		issued   = map[Key][]*issuedOp{} // per key, in issue order
 		walNext  = map[string]int{}      // per shard: WAL entries matched to the wire so far
@@ -128,7 +164,6 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 		asyncOps = map[uint64][]uint64{} // seq -> clocks, every async op sent
 		sentMark int
 		tmrMark  int
-		seqMark  uint64
 	)
 	cacheable := func(k Key) bool {
 		e := c.cache[k]
@@ -140,7 +175,7 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 	valid := func(k Key) bool { e := c.cache[k]; return e != nil && e.valid }
 	pendingOf := func(sel func(Key, *cacheEntry) bool) {
 		for _, q := range sortedWalk(c, sel) {
-			m.send(q.Key, q.Field, q.Clock)
+			m.hold(q.Key, q.Field, q.Clock)
 		}
 	}
 	// issue runs one Update or UpdateBlocking and tells the model.
@@ -153,18 +188,20 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 		switch {
 		case cacheable(k):
 			if !valid(k) && req.Op != OpSet {
-				m.seal()
+				m.flush(true)
 				m.events = append(m.events, callEvent(k, 0))
 			}
 		case blocking:
-			m.seal()
+			m.flush(true)
 			m.events = append(m.events, callEvent(k, clock))
 		case req.Op == OpIncr || req.Op == OpMapIncr:
 			op.field, op.commutes = req.Field, true
 			m.incr(k, req.Field, req.Op, clock)
+			m.issued()
 		default:
 			m.seal()
-			m.send(k, req.Field, clock)
+			m.hold(k, req.Field, clock)
+			m.issued()
 		}
 		if blocking {
 			c.UpdateBlocking(nil, req)
@@ -174,12 +211,11 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 	}
 
 	// check compares what the verb put on the stub with the model and the
-	// invariants; oneFlush marks verbs that flush exactly once.
-	check := func(step int, verb string, oneFlush bool) {
+	// invariants.
+	check := func(step int, verb string) {
 		var events []string
 		wals := walByShard(c)
 		timers := net.timers[tmrMark:]
-		perShardMsgs := map[string]int{}
 		for i := sentMark; i <= len(net.sent); i++ {
 			for len(timers) > 0 && timers[0].sent == i {
 				switch timers[0].d {
@@ -204,10 +240,10 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 				if async {
 					events = append(events, sendEvent(q.Key, q.Field, clocks))
 					asyncOps[seq] = clocks
-					if seq <= lastSeq[msg.To] || (!hold && seq != seqMark+1) {
-						fail("step %d %s: seq %d sent after %d on %s (last anywhere %d)", step, verb, seq, lastSeq[msg.To], msg.To, seqMark)
+					if seq <= lastSeq[msg.To] {
+						fail("step %d %s: seq %d sent after %d on %s", step, verb, seq, lastSeq[msg.To], msg.To)
 					}
-					lastSeq[msg.To], seqMark = seq, max(seqMark, seq)
+					lastSeq[msg.To] = seq
 				} else {
 					events = append(events, callEvent(q.Key, q.Clock))
 				}
@@ -237,9 +273,8 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 			case *Request:
 				note(pl, false, 0)
 			case AsyncBatchMsg:
-				perShardMsgs[msg.To]++
-				if len(pl.Ops) == 0 || (!hold && len(pl.Ops) != 1) {
-					fail("step %d %s: message of %d ops", step, verb, len(pl.Ops))
+				if len(pl.Ops) == 0 {
+					fail("step %d %s: message of no ops", step, verb)
 				}
 				for _, op := range pl.Ops {
 					note(op.Req, true, op.Seq)
@@ -249,16 +284,12 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 			}
 		}
 		sentMark, tmrMark = len(net.sent), len(net.timers)
-		if !hold && !reflect.DeepEqual(events, m.events) {
+		if !reflect.DeepEqual(events, m.events) {
 			fail("step %d %s:\n got  %q\n want %q", step, verb, events, m.events)
 		}
 		m.events = nil
-		if hold && oneFlush {
-			for shard, n := range perShardMsgs {
-				if n > 1 {
-					fail("step %d %s: one flush sent %d messages to %s", step, verb, n, shard)
-				}
-			}
+		if n := c.OutPending(); n != m.held() {
+			fail("step %d %s: %d ops held, the model holds %d", step, verb, n, m.held())
 		}
 		if c.OutPending() == 0 {
 			for _, shard := range c.pmap.Shards {
@@ -271,7 +302,7 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 
 	for step := 0; step < 400; step++ {
 		sub := uint64(r.Intn(4))
-		verb, oneFlush := "", false
+		verb := ""
 		switch v := r.Intn(24); {
 		case v < 8:
 			verb = "incr"
@@ -295,7 +326,7 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 				issue(Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 2, Sub: sub % 2}, Field: "f0", Arg: IntVal(1)}, false)
 			}
 		case v < 12:
-			verb, oneFlush = "blocking", true
+			verb = "blocking"
 			issue(Request{Op: OpPopList, Key: Key{Vertex: 1, Obj: 1, Sub: sub}}, true)
 		case v < 16:
 			verb = "cached"
@@ -305,13 +336,15 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 			verb = "FlushObject"
 			k := Key{Vertex: 1, Obj: []uint16{3, 4, 5}[r.Intn(3)], Sub: sub}
 			pendingOf(func(k2 Key, _ *cacheEntry) bool { return k2 == k })
+			m.issued()
 			c.FlushObject(k.Obj, k.Sub)
 		case v == 17:
 			verb = "ReleaseFlow"
 			for _, obj := range []uint16{3, 5} {
 				k := Key{Vertex: 1, Obj: obj, Sub: sub}
 				pendingOf(func(k2 Key, _ *cacheEntry) bool { return k2 == k })
-				m.seal()
+				m.issued()
+				m.flush(true)
 				m.events = append(m.events, callEvent(k, 0))
 			}
 			c.ReleaseFlow(nil, sub)
@@ -321,43 +354,32 @@ func outboundModelRun(t *testing.T, seed int64, hold bool) {
 			excl := r.Intn(2) == 0
 			if cacheable(k) && !excl {
 				pendingOf(func(k2 Key, _ *cacheEntry) bool { return k2 == k })
+				m.issued()
 			}
 			c.SetExclusive(4, sub, excl)
 		case v == 20:
-			verb, oneFlush = "FlushAll", true
-			m.seal()
+			verb = "FlushAll"
 			pendingOf(func(Key, *cacheEntry) bool { return true })
+			m.flush(true)
 			c.FlushAll()
 		case v < 23:
-			verb, oneFlush = "FlushBurst", true
+			verb = "FlushBurst"
+			m.flush(false)
 			c.FlushBurst()
 		default:
-			verb, oneFlush = "timer", true
+			verb = "timer"
 			if net.fire(window) > 0 {
 				m.armed = false
-				m.seal()
+				m.flush(true)
 			}
 		}
-		check(step, verb, oneFlush)
-		switch verb {
-		case "blocking", "FlushAll", "timer":
-			if n := c.OutPending(); n != 0 {
-				fail("step %d: %d ops held after %s", step, n, verb)
-			}
-		case "FlushBurst":
-			if n := c.OutPending(); n != m.held() {
-				fail("step %d: %d ops held after FlushBurst, %d open for merging", step, n, m.held())
-			}
-		}
-		if !hold && c.OutPending() != m.held() {
-			fail("step %d %s: %d ops held, %d open for merging", step, verb, c.OutPending(), m.held())
-		}
+		check(step, verb)
 	}
 
-	m.seal()
 	pendingOf(func(Key, *cacheEntry) bool { return true })
+	m.flush(true)
 	c.FlushAll()
-	check(-1, "final FlushAll", true)
+	check(-1, "final FlushAll")
 	if n := c.OutPending(); n != 0 {
 		fail("%d ops held after the final FlushAll", n)
 	}

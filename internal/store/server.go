@@ -28,8 +28,8 @@ type AsyncOp struct {
 type AckMsg struct{ Seqs []uint64 }
 
 // AsyncBatchMsg is the one message async ops travel in: the ops a client
-// flush had for one shard (see Client.flushOut), a single op when the
-// client sends at issue. The server applies the ops in slice order — the
+// flush had for one shard (see Client.flushOut), on every substrate. The
+// server applies the ops in slice order — the
 // client's issue order for that shard, so WalPos accounting and checkpoint
 // positions do not depend on how ops were grouped into messages. All ops of
 // one message come from the same client (Ops[0].From).
@@ -72,7 +72,8 @@ type Commit struct {
 }
 
 // CommitMsg carries commit signals from the store to the root: the commits
-// one multi-op AsyncBatchMsg raised, in apply order, or a single commit.
+// one served message (an AsyncBatchMsg or a blocking call) raised, in
+// apply order.
 type CommitMsg struct{ Commits []Commit }
 
 // PruneMsg tells the store packets finished chain processing: their
@@ -102,6 +103,7 @@ type TruncateMsg struct {
 type ServerConfig struct {
 	// OpService is the per-operation service time. The paper's store does
 	// ~5.1M ops/s across 4 threads (§7.1), i.e. ~0.78µs per op per thread.
+	// Zero (or negative) models no cost.
 	OpService time.Duration
 	// CheckpointEvery enables periodic shared-state checkpoints (§5.4).
 	// Zero disables checkpointing.
@@ -163,11 +165,10 @@ type Server struct {
 	ckpProc transport.Handle
 	locks   *lockTable // naive-baseline lock manager (lock.go)
 
-	// While a multi-op AsyncBatchMsg is applied (holding), the Fig 6
-	// commits it raises collect in commits and its acks in acks; otherwise
-	// each commit leaves as it is raised. The slabs cut the slices the
+	// The Fig 6 commits the message being served raises collect in
+	// commits, and an AsyncBatchMsg's acks in acks; sendCommits ships them
+	// before the message's reply or ack. The slabs cut the slices the
 	// signals carry. Touched by the serving process only.
-	holding    bool
 	commits    []Commit
 	acks       []uint64
 	commitSlab transport.Slab[Commit]
@@ -182,9 +183,6 @@ type Server struct {
 // failover: the recovered engine from RecoverEngine becomes the new
 // instance's state).
 func NewServerWithEngine(net transport.Transport, name string, cfg ServerConfig, eng *Engine) *Server {
-	if cfg.OpService == 0 {
-		cfg.OpService = DefaultServerConfig().OpService
-	}
 	s := &Server{
 		Name:        name,
 		net:         net,
@@ -313,6 +311,7 @@ func (s *Server) run(p transport.Proc) {
 				s.registerOwnerWatch(req.Key, req.Instance, pl.From())
 			}
 			rep := s.apply(req)
+			s.sendCommits()
 			pl.Reply(rep, 16+rep.Val.wireSize())
 		case AsyncBatchMsg:
 			s.serveAsync(p, pl.Ops)
@@ -332,12 +331,11 @@ func (s *Server) run(p transport.Proc) {
 // wire-order invariant that WalPos accounting and checkpoint positions rely
 // on — with per-client sequence dedup and the conflict-stays-silent rule.
 //
-// A message of several ops holds its signals: the commits its ops raise go
-// to the root as one CommitMsg, then every op applied now or before is
-// acknowledged in one AckMsg. The message's modeled service time is charged
-// before the first op is applied, so no blocking point falls between an
-// applied op and its held signal. A single op (every message on the DES) is
-// answered signal by signal: each commit as it is raised, then its ack.
+// The commits the message's ops raise go to the root as one CommitMsg,
+// then every op applied now or before is acknowledged in one AckMsg. The
+// message's modeled service time is charged before the first op is
+// applied, so no blocking point falls between an applied op and its held
+// signal.
 func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
 	if len(ops) == 0 {
 		return // a malformed peer's empty batch: nothing to apply or ack
@@ -351,7 +349,6 @@ func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
 		seen = new(clockset.Set)
 		s.appliedSeqs[from] = seen
 	}
-	s.holding = len(ops) > 1
 	for _, op := range ops {
 		if !seen.Has(op.Seq) {
 			rep := s.apply(op.Req)
@@ -370,24 +367,22 @@ func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
 			}
 			seen.Add(op.Seq)
 		}
-		if s.holding {
-			s.acks = append(s.acks, op.Seq)
-		} else {
-			s.net.Send(transport.Message{From: s.Name, To: from, Payload: AckMsg{Seqs: s.seqSlab.Cut(op.Seq)}, Size: 12})
-		}
+		s.acks = append(s.acks, op.Seq)
 	}
-	if !s.holding {
-		return
+	s.sendCommits()
+	if n := len(s.acks); n > 0 {
+		s.net.Send(transport.Message{From: s.Name, To: from, Payload: AckMsg{Seqs: s.seqSlab.Cut(s.acks...)}, Size: 4 + 8*n})
+		s.acks = s.acks[:0]
 	}
-	s.holding = false
+}
+
+// sendCommits ships the commits the message being served raised as one
+// CommitMsg to the root, ahead of the message's reply or ack.
+func (s *Server) sendCommits() {
 	if n := len(s.commits); n > 0 {
 		s.net.Send(transport.Message{From: s.Name, To: s.cfg.RootEndpoint,
 			Payload: CommitMsg{Commits: s.commitSlab.Cut(s.commits...)}, Size: 4 + 16*n})
 		s.commits = s.commits[:0]
-	}
-	if n := len(s.acks); n > 0 {
-		s.net.Send(transport.Message{From: s.Name, To: from, Payload: AckMsg{Seqs: s.seqSlab.Cut(s.acks...)}, Size: 4 + 8*n})
-		s.acks = s.acks[:0]
 	}
 }
 
@@ -522,22 +517,13 @@ func (s *Server) registerOwnerWatch(k Key, inst uint16, ep string) {
 }
 
 // onCommit implements Fig 6 step 2: signal the root that the update induced
-// by Clock committed, carrying instance‖object for the XOR check. While a
-// multi-op message is being applied the signal is held (serveAsync).
+// by Clock committed, carrying instance‖object for the XOR check. The
+// signal is held until the message that raised it is answered
+// (sendCommits).
 func (s *Server) onCommit(clock uint64, instance uint16, key Key) {
-	if s.cfg.RootEndpoint == "" {
-		return
+	if s.cfg.RootEndpoint != "" {
+		s.commits = append(s.commits, Commit{Clock: clock, Instance: instance, Key: key})
 	}
-	c := Commit{Clock: clock, Instance: instance, Key: key}
-	if s.holding {
-		s.commits = append(s.commits, c)
-		return
-	}
-	s.net.Send(transport.Message{
-		From: s.Name, To: s.cfg.RootEndpoint,
-		Payload: CommitMsg{Commits: s.commitSlab.Cut(c)},
-		Size:    20,
-	})
 }
 
 // hasCallback reports whether any instance registered for updates of key

@@ -15,11 +15,11 @@ func (stubProc) Name() string        { return "store0" }
 func (stubProc) Now() transport.Time { return 0 }
 func (stubProc) Sleep(time.Duration) {}
 
-// TestServerHoldsSignalsPerBatch: a multi-op AsyncBatchMsg is answered with
-// one CommitMsg to the root, listing the fresh clocks in apply order, then
-// one AckMsg to the sender, listing every op applied now or before; a
-// conflicted op gets neither. A single op is answered signal by signal, as
-// on the DES: a merged op's k clocks as k one-entry commits, then its ack.
+// TestServerHoldsSignalsPerBatch: an AsyncBatchMsg is answered with one
+// CommitMsg to the root, listing the fresh clocks in apply order, then one
+// AckMsg to the sender, listing every op applied now or before; a
+// conflicted op gets neither. A lone op is answered the same way: a merged
+// op's k clocks as one k-entry commit, then its ack.
 func TestServerHoldsSignalsPerBatch(t *testing.T) {
 	net := &stubNet{keep: true}
 	srv := NewServer(net, "store0", ServerConfig{RootEndpoint: "root"})
@@ -62,9 +62,8 @@ func TestServerHoldsSignalsPerBatch(t *testing.T) {
 
 	srv.serveAsync(stubProc{}, []AsyncOp{op(5, merged(20))})
 	want("a lone merged op",
-		transport.Message{From: "store0", To: "root", Size: 20, Payload: CommitMsg{Commits: []Commit{commit(20, counter)}}},
-		transport.Message{From: "store0", To: "root", Size: 20, Payload: CommitMsg{Commits: []Commit{commit(21, counter)}}},
-		transport.Message{From: "store0", To: "root", Size: 20, Payload: CommitMsg{Commits: []Commit{commit(22, counter)}}},
+		transport.Message{From: "store0", To: "root", Size: 4 + 16*3, Payload: CommitMsg{Commits: []Commit{
+			commit(20, counter), commit(21, counter), commit(22, counter)}}},
 		transport.Message{From: "store0", To: "nfa", Size: 12, Payload: AckMsg{Seqs: []uint64{5}}})
 
 	srv.serveAsync(stubProc{}, nil)
