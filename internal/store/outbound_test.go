@@ -126,9 +126,13 @@ func TestOutboundOrderModel(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	for seed := int64(0); seed < seeds; seed++ {
-		outboundModelRun(t, seed)
-	}
+	// Every client holds its async ops for a flush trigger; the subtest is
+	// named for that held mode.
+	t.Run("hold=true", func(t *testing.T) {
+		for seed := int64(0); seed < seeds; seed++ {
+			outboundModelRun(t, seed)
+		}
+	})
 }
 
 func outboundModelRun(t *testing.T, seed int64) {
