@@ -9,8 +9,9 @@
 //
 //   - endpoints are named unbounded FIFO inboxes; delivery order per link
 //     is send order (plus injected reorder delay);
-//   - links model latency/jitter/bandwidth and loss/duplication
-//     probabilistically from a seeded source;
+//   - links model latency/jitter/bandwidth, loss, reordering and
+//     duplication from a seeded source, through the same
+//     transport.Link.Plan as the DES, on both legs of every call;
 //   - Crash fail-stops an endpoint (traffic dropped, inbox cleared);
 //   - Kill fail-stops a process at its next blocking point (recv, sleep,
 //     call wait), exactly like the DES's kill-unwind.
@@ -33,19 +34,10 @@ type killSentinel struct{ name string }
 
 // Config tunes a live network.
 type Config struct {
-	// Seed drives loss/duplication/jitter draws and Intn.
+	// Seed drives the links' loss/duplication/jitter draws and Intn.
 	Seed int64
 	// DefaultLink applies to links without an explicit SetLink.
 	DefaultLink transport.LinkConfig
-}
-
-// link is the state for one directed endpoint pair.
-type link struct {
-	cfg    transport.LinkConfig
-	txFree transport.Time // when the link's transmitter is next idle
-	up     bool
-
-	sent, delivered, dropped, duplicated uint64
 }
 
 // mailbox is an unbounded FIFO with a wake channel. Lost-wakeup safety:
@@ -325,31 +317,9 @@ func (c *callMsg) From() string { return c.from }
 // Body returns the request payload.
 func (c *callMsg) Body() any { return c.payload }
 
-// Reply resolves the caller after the return link's model. Duplicate and
-// late replies are no-ops (the slot's generation and first-wins rule). A
-// zero-delay reply is counted and resolved under the one network-lock
-// section that plans it; the slot lock nests inside n.mu.
+// Reply resolves the caller when the reply lands (Net.Reply).
 func (c *callMsg) Reply(v any, replySize int) {
-	n := c.net
-	n.mu.Lock()
-	_, l, delay, ok, _ := n.planLocked(c.to, c.from, replySize)
-	if ok && delay <= 0 {
-		l.delivered++
-		c.caller.ResolveCall(c.gen, v)
-	}
-	n.mu.Unlock()
-	if !ok || delay <= 0 {
-		return
-	}
-	n.scheduleDelivery(delay, func() {
-		n.mu.Lock()
-		down := n.endpointLocked(c.from).down || n.stopped
-		if !down {
-			n.linkLocked(c.to, c.from).delivered++
-			c.caller.ResolveCall(c.gen, v)
-		}
-		n.mu.Unlock()
-	})
+	c.net.Reply(c.caller, c.gen, c.from, c.to, v, replySize)
 }
 
 // Net is a live network: endpoints, links, timers and processes.
@@ -357,8 +327,7 @@ type Net struct {
 	mu        sync.Mutex
 	start     time.Time
 	endpoints map[string]*Endpoint
-	links     map[[2]string]*link
-	def       transport.LinkConfig
+	links     *transport.Links // guarded by mu
 	procs     map[*Proc]struct{}
 	timers    map[*time.Timer]struct{}
 	stopped   bool
@@ -375,8 +344,7 @@ type Net struct {
 	drunning bool
 	dstopped bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand // guarded by mu
 }
 
 // New creates a live network.
@@ -384,8 +352,7 @@ func New(cfg Config) *Net {
 	return &Net{
 		start:     time.Now(),
 		endpoints: make(map[string]*Endpoint),
-		links:     make(map[[2]string]*link),
-		def:       cfg.DefaultLink,
+		links:     transport.NewLinks(cfg.DefaultLink),
 		procs:     make(map[*Proc]struct{}),
 		timers:    make(map[*time.Timer]struct{}),
 		dkick:     make(chan struct{}, 1),
@@ -475,17 +442,11 @@ func (n *Net) dispatchLoop() {
 // Now returns nanoseconds since the transport started.
 func (n *Net) Now() transport.Time { return transport.Time(time.Since(n.start)) }
 
-// Intn draws from the seeded (locked) random source.
+// Intn draws from the seeded source the links draw from.
 func (n *Net) Intn(v int64) int64 {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.rng.Int63n(v)
-}
-
-func (n *Net) float64() float64 {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng.Float64()
 }
 
 // Endpoint returns (creating on first use) the named endpoint.
@@ -504,27 +465,17 @@ func (n *Net) endpointLocked(name string) *Endpoint {
 	return e
 }
 
-func (n *Net) linkLocked(from, to string) *link {
-	key := [2]string{from, to}
-	if l, ok := n.links[key]; ok {
-		return l
-	}
-	l := &link{cfg: n.def, up: true}
-	n.links[key] = l
-	return l
-}
-
 // SetLink configures the directed link from -> to.
 func (n *Net) SetLink(from, to string, cfg transport.LinkConfig) {
 	n.mu.Lock()
-	n.links[[2]string{from, to}] = &link{cfg: cfg, up: true}
+	n.links.Set(from, to, cfg)
 	n.mu.Unlock()
 }
 
 // SetLinkUp raises or cuts the directed link from -> to.
 func (n *Net) SetLinkUp(from, to string, up bool) {
 	n.mu.Lock()
-	n.linkLocked(from, to).up = up
+	n.links.SetUp(from, to, up)
 	n.mu.Unlock()
 }
 
@@ -532,8 +483,7 @@ func (n *Net) SetLinkUp(from, to string, up bool) {
 func (n *Net) LinkStats(from, to string) (sent, delivered, dropped uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l := n.linkLocked(from, to)
-	return l.sent, l.delivered, l.dropped
+	return n.links.Stats(from, to)
 }
 
 // Crash marks an endpoint down and clears its inbox. The drain happens
@@ -556,65 +506,27 @@ func (n *Net) Restart(name string) {
 	n.mu.Unlock()
 }
 
-// planLocked applies the directed link's model to one transmission: it
-// counts the send, draws loss, duplication and delay, and returns the
-// destination, the link and the delivery delay. ok is false when the
-// message is dropped (endpoint down, link cut, network shut down, loss
-// draw); dup reports an injected duplicate. Expects n.mu held; rngMu nests
-// inside it, and no caller takes n.mu while holding rngMu.
-func (n *Net) planLocked(from, to string, size int) (dst *Endpoint, l *link, delay time.Duration, ok, dup bool) {
-	src := n.endpointLocked(from)
-	dst = n.endpointLocked(to)
-	l = n.linkLocked(from, to)
-	l.sent++
-	if src.down || dst.down || !l.up || n.stopped {
-		l.dropped++
-		return dst, l, 0, false, false
-	}
-	cfg := l.cfg
-	if cfg.BandwidthBps > 0 && size > 0 {
-		tx := time.Duration(int64(size) * 8 * int64(time.Second) / cfg.BandwidthBps)
-		now := n.Now()
-		start := now
-		if l.txFree > start {
-			start = l.txFree
-		}
-		l.txFree = start.Add(tx)
-		delay = l.txFree.Sub(now)
-	}
-	if cfg.LossProb > 0 && n.float64() < cfg.LossProb {
-		l.dropped++
-		return dst, l, 0, false, false
-	}
-	delay += cfg.Latency
-	if cfg.Jitter > 0 {
-		delay += time.Duration(n.Intn(int64(cfg.Jitter)))
-	}
-	if cfg.ReorderProb > 0 && n.float64() < cfg.ReorderProb {
-		delay += cfg.ReorderDelay
-	}
-	if cfg.DupProb > 0 && n.float64() < cfg.DupProb {
-		dup = true
-		l.duplicated++
-	}
-	return dst, l, delay, true, dup
+// endsUpLocked reports whether a message from src to dst may travel:
+// both ends up and the network running. Expects n.mu held.
+func (n *Net) endsUpLocked(src string, dst *Endpoint) bool {
+	return !n.endpointLocked(src).down && !dst.down && !n.stopped
 }
 
-// deliverNow lands one delayed message: liveness re-check, stats and the
-// mailbox push all happen under the network lock, so a concurrent Crash
-// (which drains under the same lock) can never be interleaved between the
-// down-check and the push.
-func (n *Net) deliverNow(msg transport.Message) {
-	n.mu.Lock()
-	dst := n.endpointLocked(msg.To)
-	if dst.down || n.stopped {
-		n.linkLocked(msg.From, msg.To).dropped++
+// landLater lands copies of one message after delay, in dispatcher order.
+// Each copy is counted, and delivered if dst is still up, under the
+// network lock, so a concurrent Crash (which drains under the same lock)
+// can never fall between the check and the delivery.
+func (n *Net) landLater(delay time.Duration, copies int, l *transport.Link, dst *Endpoint, deliver func()) {
+	arrive := func() {
+		n.mu.Lock()
+		if l.Land(!dst.down && !n.stopped) {
+			deliver()
+		}
 		n.mu.Unlock()
-		return
 	}
-	n.linkLocked(msg.From, msg.To).delivered++
-	dst.box.push(msg)
-	n.mu.Unlock()
+	for range copies {
+		n.scheduleDelivery(delay, arrive)
+	}
 }
 
 // Send transmits msg, applying the link model: a burst of one. It never
@@ -646,31 +558,47 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 		}
 	}
 	for _, msg := range msgs {
-		dst, l, delay, ok, dup := n.planLocked(msg.From, msg.To, msg.Size)
-		if !ok {
-			continue
-		}
+		dst := n.endpointLocked(msg.To)
+		l := n.links.Get(msg.From, msg.To)
+		delay, copies := l.Plan(n, msg.Size, n.endsUpLocked(msg.From, dst), n.rng)
 		if delay > 0 {
-			m := msg
-			n.scheduleDelivery(delay, func() { n.deliverNow(m) })
-			if dup {
-				n.scheduleDelivery(delay, func() { n.deliverNow(m) })
-			}
+			n.landLater(delay, copies, l, dst, func() { dst.box.push(msg) })
 			continue
 		}
-		if curBox != dst.box {
-			flush()
-			curBox = dst.box
-			curBox.mu.Lock()
-		}
-		l.delivered++
-		curBox.appendLocked(msg)
-		if dup {
-			l.delivered++
+		for range copies {
+			if curBox != dst.box {
+				flush()
+				curBox = dst.box
+				curBox.mu.Lock()
+			}
+			l.Land(true)
 			curBox.appendLocked(msg)
 		}
 	}
 	flush()
+	n.mu.Unlock()
+}
+
+// Reply carries v, the reply to the call from -> to that p armed as
+// generation gen, back over the link to -> from, and resolves that call
+// when a copy lands (first reply wins; a late one resolves nothing). It is
+// every reply's way into this core: a local callee's Call.Reply, and a
+// reply frame from a remote callee on netnet. A zero-delay reply is
+// counted and resolved under the one network-lock section that plans it;
+// the slot lock nests inside n.mu.
+func (n *Net) Reply(p *Proc, gen uint64, from, to string, v any, size int) {
+	n.mu.Lock()
+	dst := n.endpointLocked(from)
+	l := n.links.Get(to, from)
+	delay, copies := l.Plan(n, size, n.endsUpLocked(to, dst), n.rng)
+	if delay > 0 {
+		n.landLater(delay, copies, l, dst, func() { p.ResolveCall(gen, v) })
+	} else {
+		for range copies {
+			l.Land(true)
+			p.ResolveCall(gen, v)
+		}
+	}
 	n.mu.Unlock()
 }
 

@@ -12,10 +12,10 @@
 // (identical to livenet, zero copies); remote endpoints are encoded with
 // the transport.Wire registry, framed, and written to the destination
 // node's TCP connection. The receiving node decodes and dispatches into
-// ITS core, which applies the link model once (loss, latency, duplication
-// are modeled at the receiving node; TCP itself is reliable), with
-// Message.Size derived from the encoded length so bandwidth accounting
-// reflects bytes that actually crossed the wire.
+// ITS core, which applies the link model once (transport.Link.Plan: loss,
+// latency, duplication are modeled at the receiving node; TCP itself is
+// reliable), with Message.Size derived from the encoded length so
+// bandwidth accounting reflects bytes that actually crossed the wire.
 //
 // Ordering: frames to one peer are written under a per-connection lock in
 // send order, TCP preserves byte order, and each connection has a single
@@ -26,9 +26,11 @@
 // per-process slot), registers the slot and its generation under a fresh
 // call ID, ships the encoded body, and blocks on the slot. The callee
 // receives an ordinary transport.Call whose Reply encodes the response and
-// routes it back to the calling node, where the reply frame resolves the
-// registered (slot, generation). Reply legs ride TCP reliability; the link
-// model is applied to the request leg only.
+// routes it back to the calling node. There the reply frame enters the
+// core's reply path (livenet.Net.Reply) with the registered slot,
+// generation and endpoints: the calling node applies the link callee ->
+// caller to the reply leg, as the callee's node applied caller -> callee
+// to the request leg, so both legs meet the link model once, as on livenet.
 //
 // Crash/Restart flush in-flight frames first (a ping/pong barrier over
 // every open connection), so fail-stop is atomic with respect to traffic
@@ -73,6 +75,11 @@ const maxFrame = 64 << 20
 // dialRetryFor is how long connTo keeps retrying a peer that is not up
 // yet (worker bring-up order is unconstrained).
 const dialRetryFor = 15 * time.Second
+
+// writeTimeout bounds one frame write: a peer that stops reading costs
+// its senders this long, then its connection is closed and the peer is
+// marked down, like any other write failure (loss).
+const writeTimeout = 2 * time.Second
 
 // flushTimeout bounds the Crash/Restart barrier when a peer is dead.
 const flushTimeout = time.Second
@@ -288,7 +295,7 @@ func (n *Net) serveConn(c net.Conn) {
 			pc, ok := n.calls[id]
 			n.callsMu.Unlock()
 			if ok {
-				pc.caller.ResolveCall(pc.gen, payload)
+				n.Net.Reply(pc.caller, pc.gen, pc.from, pc.to, payload, len(enc))
 			}
 		case framePing:
 			seq, fromNode := d.U64(), d.Str()
@@ -337,7 +344,9 @@ func (n *Net) markDown(node string) {
 // node, retrying while the peer is still coming up. A peer already marked
 // down gets ONE fast dial attempt per send instead of the startup retry
 // loop: after a peer process dies, every queued message to it must fail
-// as fast as a dropped packet, not stall the sender for dialRetryFor.
+// as fast as a dropped packet, not stall the sender for dialRetryFor. A
+// node with no address (one the NodeMap does not declare, named by a
+// frame) fails at once: no bring-up will ever give it one.
 func (n *Net) connTo(node string) (*wconn, error) {
 	n.mu.Lock()
 	if wc, ok := n.conns[node]; ok {
@@ -350,17 +359,16 @@ func (n *Net) connTo(node string) (*wconn, error) {
 	}
 	wasDown := n.down[node]
 	n.mu.Unlock()
+	addr := n.nodes.Addr(node)
+	if addr == "" {
+		return nil, fmt.Errorf("netnet: no address for node %q", node)
+	}
 
 	var c net.Conn
 	var err error
 	deadline := time.Now().Add(dialRetryFor)
 	for {
-		addr := n.nodes.Addr(node)
-		if addr == "" {
-			err = fmt.Errorf("netnet: no address for node %q", node)
-		} else {
-			c, err = net.DialTimeout("tcp", addr, time.Second)
-		}
+		c, err = net.DialTimeout("tcp", addr, time.Second)
 		if err == nil || wasDown || time.Now().After(deadline) {
 			break
 		}
@@ -415,7 +423,10 @@ func (n *Net) writeOn(wc *wconn, node string, kind uint8, body []byte) error {
 	buf[4] = byte(len(body))
 	copy(buf[5:], body)
 	wc.mu.Lock()
-	_, err := wc.c.Write(buf)
+	err := wc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err == nil {
+		_, err = wc.c.Write(buf)
+	}
 	wc.mu.Unlock()
 	if err != nil {
 		wc.c.Close()
@@ -489,10 +500,12 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 }
 
 // pendingCall is a cross-node call awaiting its reply frame: the caller's
-// slot and the generation the call armed.
+// slot, the generation the call armed, and the call's endpoints (the reply
+// travels the link to -> from).
 type pendingCall struct {
-	caller *livenet.Proc
-	gen    uint64
+	caller   *livenet.Proc
+	gen      uint64
+	from, to string
 }
 
 // Call performs an RPC. Local callees use the core's call path; remote
@@ -510,7 +523,7 @@ func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, tim
 	lp := p.(*livenet.Proc)
 	id := n.callSeq.Add(1)
 	n.callsMu.Lock()
-	n.calls[id] = pendingCall{caller: lp, gen: lp.ArmCall()}
+	n.calls[id] = pendingCall{caller: lp, gen: lp.ArmCall(), from: from, to: to}
 	n.callsMu.Unlock()
 	defer func() {
 		n.callsMu.Lock()
@@ -537,8 +550,6 @@ type remoteCall struct {
 	id   uint64
 	from string
 	body any
-
-	replied atomic.Bool
 }
 
 // From returns the calling endpoint's name.
@@ -547,12 +558,11 @@ func (c *remoteCall) From() string { return c.from }
 // Body returns the request payload.
 func (c *remoteCall) Body() any { return c.body }
 
-// Reply ships the response back to the calling node. Duplicate replies
-// are no-ops; the reply leg rides TCP (no modeled loss).
+// Reply ships the response back to the calling node, whose core applies
+// the reply leg's link model when the frame arrives. Every reply ships, as
+// every reply on livenet meets the link; the caller's slot keeps the
+// first one that lands.
 func (c *remoteCall) Reply(v any, size int) {
-	if c.replied.Swap(true) {
-		return
-	}
 	enc, err := transport.EncodePayload(v)
 	if err != nil {
 		panic(err)

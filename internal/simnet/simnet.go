@@ -15,20 +15,9 @@ type Message = transport.Message
 // model).
 type LinkConfig = transport.LinkConfig
 
-// link is the runtime state for one directed endpoint pair.
-type link struct {
-	cfg    LinkConfig
-	txFree vtime.Time // when the link's transmitter is next idle
-	up     bool
-
-	// Stats
-	Sent, Delivered, Dropped, Duplicated, Reordered uint64
-}
-
 // Endpoint is a named attachment point with an inbox of messages.
 type Endpoint struct {
 	name  string
-	net   *Network
 	Inbox *vtime.Mailbox[Message]
 	down  bool
 }
@@ -44,19 +33,17 @@ func (e *Endpoint) Len() int { return e.Inbox.Len() }
 
 // Network is a set of endpoints and directed links.
 type Network struct {
-	sim        *vtime.Sim
-	endpoints  map[string]*Endpoint
-	links      map[[2]string]*link
-	defaultCfg LinkConfig
+	sim       *vtime.Sim
+	endpoints map[string]*Endpoint
+	links     *transport.Links
 }
 
 // New creates a network whose unspecified links use def.
 func New(sim *vtime.Sim, def LinkConfig) *Network {
 	return &Network{
-		sim:        sim,
-		endpoints:  make(map[string]*Endpoint),
-		links:      make(map[[2]string]*link),
-		defaultCfg: def,
+		sim:       sim,
+		endpoints: make(map[string]*Endpoint),
+		links:     transport.NewLinks(def),
 	}
 }
 
@@ -70,30 +57,16 @@ func (n *Network) endpoint(name string) *Endpoint {
 	if e, ok := n.endpoints[name]; ok {
 		return e
 	}
-	e := &Endpoint{name: name, net: n, Inbox: vtime.NewMailbox[Message](n.sim, name+".inbox")}
+	e := &Endpoint{name: name, Inbox: vtime.NewMailbox[Message](n.sim, name+".inbox")}
 	n.endpoints[name] = e
 	return e
 }
 
 // SetLink configures the directed link from -> to.
-func (n *Network) SetLink(from, to string, cfg LinkConfig) {
-	n.links[[2]string{from, to}] = &link{cfg: cfg, up: true}
-}
-
-func (n *Network) linkFor(from, to string) *link {
-	key := [2]string{from, to}
-	if l, ok := n.links[key]; ok {
-		return l
-	}
-	l := &link{cfg: n.defaultCfg, up: true}
-	n.links[key] = l
-	return l
-}
+func (n *Network) SetLink(from, to string, cfg LinkConfig) { n.links.Set(from, to, cfg) }
 
 // SetLinkUp raises or cuts the directed link from -> to (partition control).
-func (n *Network) SetLinkUp(from, to string, up bool) {
-	n.linkFor(from, to).up = up
-}
+func (n *Network) SetLinkUp(from, to string, up bool) { n.links.SetUp(from, to, up) }
 
 // Crash marks an endpoint down: all traffic to or from it is dropped and its
 // inbox is cleared. Used for fail-stop failure injection.
@@ -113,60 +86,28 @@ func (n *Network) Restart(name string) {
 
 // LinkStats returns delivery statistics for the directed link.
 func (n *Network) LinkStats(from, to string) (sent, delivered, dropped uint64) {
-	l := n.linkFor(from, to)
-	return l.Sent, l.Delivered, l.Dropped
+	return n.links.Stats(from, to)
 }
 
 // Send transmits msg from msg.From to msg.To, applying the link model.
 // It never blocks; delivery (if any) is scheduled on the destination inbox.
 func (n *Network) Send(msg Message) {
-	src := n.endpoint(msg.From)
-	dst := n.endpoint(msg.To)
-	l := n.linkFor(msg.From, msg.To)
-	l.Sent++
-	if src.down || dst.down || !l.up {
-		l.Dropped++
-		return
-	}
-	rng := n.sim.Rand()
-	if l.cfg.LossProb > 0 && rng.Float64() < l.cfg.LossProb {
-		l.Dropped++
-		return
-	}
-	delay := l.cfg.Latency
-	if l.cfg.Jitter > 0 {
-		delay += time.Duration(rng.Int63n(int64(l.cfg.Jitter)))
-	}
-	// Serialization: the transmitter is busy for size*8/bandwidth; messages
-	// queue behind each other (NIC queueing).
-	if l.cfg.BandwidthBps > 0 && msg.Size > 0 {
-		tx := time.Duration(int64(msg.Size) * 8 * int64(time.Second) / l.cfg.BandwidthBps)
-		start := n.sim.Now()
-		if l.txFree > start {
-			start = l.txFree
+	n.transmit(msg.From, msg.To, msg.Size, func(dst *Endpoint) { dst.Inbox.Send(msg) })
+}
+
+// transmit plans one message of size bytes on the link from -> to and
+// runs land for each copy that reaches the destination while it is up.
+func (n *Network) transmit(from, to string, size int, land func(dst *Endpoint)) {
+	src, dst := n.endpoint(from), n.endpoint(to)
+	l := n.links.Get(from, to)
+	delay, copies := l.Plan(n.sim, size, !src.down && !dst.down, n.sim.Rand())
+	arrive := func() {
+		if l.Land(!dst.down) {
+			land(dst)
 		}
-		l.txFree = start.Add(tx)
-		delay += l.txFree.Sub(n.sim.Now())
 	}
-	if l.cfg.ReorderProb > 0 && rng.Float64() < l.cfg.ReorderProb {
-		delay += l.cfg.ReorderDelay
-		l.Reordered++
-	}
-	deliver := func(m Message) {
-		n.sim.Schedule(delay, func() {
-			// Re-check destination liveness at delivery time.
-			if dst.down {
-				l.Dropped++
-				return
-			}
-			l.Delivered++
-			dst.Inbox.Send(m)
-		})
-	}
-	deliver(msg)
-	if l.cfg.DupProb > 0 && rng.Float64() < l.cfg.DupProb {
-		l.Duplicated++
-		deliver(msg)
+	for range copies {
+		n.sim.Schedule(delay, arrive)
 	}
 }
 
@@ -196,43 +137,12 @@ func (c *CallMsg) From() string { return c.from }
 // Body implements transport.Call.
 func (c *CallMsg) Body() any { return c.Payload }
 
-// Reply resolves the caller's future after the return path latency of the
-// link to->from. replySize models the reply message size.
+// Reply resolves the caller's future when the reply lands over the link
+// to -> from. replySize models the reply message size.
 func (c *CallMsg) Reply(v any, replySize int) {
-	l := c.net.linkFor(c.to, c.from)
-	src := c.net.endpoint(c.to)
-	dst := c.net.endpoint(c.from)
-	l.Sent++
-	if src.down || dst.down || !l.up {
-		l.Dropped++
-		return
-	}
-	rng := c.net.sim.Rand()
-	if l.cfg.LossProb > 0 && rng.Float64() < l.cfg.LossProb {
-		l.Dropped++
-		return
-	}
-	delay := l.cfg.Latency
-	if l.cfg.Jitter > 0 {
-		delay += time.Duration(rng.Int63n(int64(l.cfg.Jitter)))
-	}
-	if l.cfg.BandwidthBps > 0 && replySize > 0 {
-		tx := time.Duration(int64(replySize) * 8 * int64(time.Second) / l.cfg.BandwidthBps)
-		start := c.net.sim.Now()
-		if l.txFree > start {
-			start = l.txFree
-		}
-		l.txFree = start.Add(tx)
-		delay += l.txFree.Sub(c.net.sim.Now())
-	}
-	l.Delivered++
-	fut := c.fut
-	c.net.sim.Schedule(delay, func() {
-		if dst.down {
-			return
-		}
-		if !fut.Resolved() {
-			fut.Resolve(v)
+	c.net.transmit(c.to, c.from, replySize, func(*Endpoint) {
+		if !c.fut.Resolved() {
+			c.fut.Resolve(v)
 		}
 	})
 }

@@ -32,18 +32,6 @@ type Message struct {
 	Size    int // wire bytes; used for bandwidth/serialization modeling
 }
 
-// LinkConfig describes one direction of a link: propagation latency,
-// jitter, serialization bandwidth, and loss/duplication/reorder injection.
-type LinkConfig struct {
-	Latency      time.Duration // propagation, one-way
-	Jitter       time.Duration // uniform in [0, Jitter)
-	BandwidthBps int64         // 0 means infinite (no serialization delay)
-	LossProb     float64
-	DupProb      float64
-	ReorderProb  float64 // probability a message gets ReorderDelay extra
-	ReorderDelay time.Duration
-}
-
 // Proc is the execution context handed to spawned processes: a simulated
 // process (vtime.Proc) or a live goroutine wrapper. Blocking methods must
 // only be called from the process's own goroutine.

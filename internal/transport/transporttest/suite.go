@@ -1,8 +1,9 @@
 // Package transporttest is a conformance suite run against every
-// transport.Transport implementation (the DES-backed simnet and the
-// goroutine-backed livenet). It pins the substrate contract the chain
-// runtime depends on: per-link FIFO ordering, loss/duplication injection,
-// crash fail-stop semantics, RPC round trips and timeouts, kill-unwind of
+// transport.Transport implementation (the DES-backed simnet, the
+// goroutine-backed livenet and the socket-backed netnet). It pins the
+// substrate contract the chain runtime depends on: per-link FIFO
+// ordering, loss/duplication injection on both legs of a call, crash
+// fail-stop semantics, RPC round trips and timeouts, kill-unwind of
 // blocked processes, and timer delivery.
 //
 // The call cases pin what a substrate may reuse between one process's
@@ -34,6 +35,7 @@ func Run(t *testing.T, mk func() transport.Transport) {
 	t.Run("RestartCleanInbox", func(t *testing.T) { testRestart(t, mk()) })
 	t.Run("CallRoundtrip", func(t *testing.T) { testCall(t, mk()) })
 	t.Run("CallTimeout", func(t *testing.T) { testCallTimeout(t, mk()) })
+	t.Run("ReplyLoss", func(t *testing.T) { testReplyLoss(t, mk()) })
 	t.Run("KillMidCall", func(t *testing.T) { testKillMidCall(t, mk()) })
 	t.Run("LateReplyAfterTimeout", func(t *testing.T) { testLateReply(t, mk()) })
 	t.Run("DupCallResolvesOnce", func(t *testing.T) { testDupCall(t, mk()) })
@@ -218,6 +220,28 @@ func testCallTimeout(t *testing.T, tr transport.Transport) {
 	}
 	if ok {
 		t.Fatal("call to crashed endpoint succeeded")
+	}
+}
+
+// testReplyLoss: the reply leg meets the link model too. Over a return
+// link that loses everything the call times out, and the return link
+// counts the reply as sent and dropped.
+func testReplyLoss(t *testing.T, tr transport.Transport) {
+	tr.SetLink("srv", "cli", transport.LinkConfig{LossProb: 1.0})
+	tr.Spawn("server", func(p transport.Proc) {
+		ep := tr.Endpoint("srv")
+		for {
+			if cm, ok := ep.Recv(p).Payload.(transport.Call); ok {
+				cm.Reply(cm.Body().(int)*2, 8)
+			}
+		}
+	})
+	if v, ok := callOnce(t, tr, 21); ok {
+		t.Fatalf("call over a lossy return link returned %v", v)
+	}
+	sent, delivered, dropped := tr.LinkStats("srv", "cli")
+	if sent != 1 || delivered != 0 || dropped != 1 {
+		t.Fatalf("return link stats sent=%d delivered=%d dropped=%d, want 1/0/1", sent, delivered, dropped)
 	}
 }
 
