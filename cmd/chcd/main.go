@@ -295,12 +295,27 @@ func compileVertex(v vertexJSON) (runtime.VertexSpec, func(*runtime.Vertex), err
 // chainTuning is the flag group shared by every role that builds a chain.
 type chainTuning struct {
 	shards       int
-	ckptInterval time.Duration
+	ckptInterval *time.Duration // nil: the substrate's default
 }
 
 func (ct *chainTuning) register(fs *flag.FlagSet) {
 	fs.IntVar(&ct.shards, "shards", 0, "datastore shard servers (overrides config; 0 keeps config/default)")
-	fs.DurationVar(&ct.ckptInterval, "ckpt-interval", 0, "periodic durable store checkpoints + WAL truncation (0 disables)")
+	fs.Func("ckpt-interval", "periodic durable store checkpoints + WAL truncation (default 100ms on -live and net, off on the DES; 0 disables)",
+		func(v string) error {
+			d, err := time.ParseDuration(v)
+			ct.ckptInterval = &d
+			return err
+		})
+}
+
+// apply overrides ccfg with the tuning flags that were given.
+func (ct chainTuning) apply(ccfg *runtime.ChainConfig) {
+	if ct.shards > 0 {
+		ccfg.StoreShards = ct.shards
+	}
+	if ct.ckptInterval != nil {
+		ccfg.CheckpointEvery = *ct.ckptInterval
+	}
 }
 
 // buildChain deploys cfg on ccfg's substrate with ct applied: topology,
@@ -311,10 +326,7 @@ func buildChain(cfg *config, ct chainTuning, ccfg runtime.ChainConfig) *runtime.
 		ccfg.Seed = cfg.Seed
 	}
 	ccfg.StoreShards = cfg.Shards
-	if ct.shards > 0 {
-		ccfg.StoreShards = ct.shards
-	}
-	ccfg.CheckpointEvery = ct.ckptInterval
+	ct.apply(&ccfg)
 	if len(cfg.Paths) > 0 {
 		ccfg.Topology = &runtime.TopologySpec{Paths: cfg.Paths}
 	}

@@ -72,3 +72,30 @@ func TestOfferFlagsShared(t *testing.T) {
 		}
 	}
 }
+
+// TestCkptIntervalOnlyWhenGiven: without -ckpt-interval the substrate's
+// default checkpoint period stands (live and net checkpoint, the DES does
+// not); a given value, 0 included, overrides it.
+func TestCkptIntervalOnlyWhenGiven(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want time.Duration
+	}{
+		{nil, runtime.LiveChainConfig().CheckpointEvery},
+		{[]string{"-ckpt-interval", "0"}, 0},
+		{[]string{"-ckpt-interval", "5ms"}, 5 * time.Millisecond},
+	} {
+		c := &runCmd{}
+		if err := c.flags().Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		ccfg := runtime.LiveChainConfig()
+		c.chain.apply(&ccfg)
+		if ccfg.CheckpointEvery != tc.want {
+			t.Errorf("%q: CheckpointEvery %v, want %v", tc.args, ccfg.CheckpointEvery, tc.want)
+		}
+	}
+	if runtime.LiveChainConfig().CheckpointEvery == 0 {
+		t.Error("live chains do not checkpoint by default")
+	}
+}

@@ -1,7 +1,11 @@
 package netnet
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,6 +68,32 @@ func TestUndeclaredNodeFailsAtOnce(t *testing.T) {
 	(&remoteCall{n: n, node: "ghost", id: 1, from: "cli"}).Reply(1, 8)
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("a reply to an undeclared node took %v", d)
+	}
+}
+
+// TestFrameHeaderAloneAllocatesLittle: a header that declares a maxFrame
+// body and is followed by EOF is an error, and the reader allocated what
+// arrived, not the 64 MiB the header claimed. A body that does arrive
+// past frameAllocOnce is read whole.
+func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
+	hdr := frame(frameMsg, nil)
+	binary.BigEndian.PutUint32(hdr[1:], maxFrame)
+	br := bufio.NewReader(bytes.NewReader(hdr))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(br)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no body read as a frame")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("a bare header cost %d bytes of allocation, want < 1 MiB", n)
+	}
+
+	body := bytes.Repeat([]byte{7}, 3*frameAllocOnce+5)
+	kind, got, err := readFrame(bufio.NewReader(bytes.NewReader(frame(frameMsg, body))))
+	if err != nil || kind != frameMsg || !bytes.Equal(got, body) {
+		t.Fatalf("a %d-byte frame read back as kind %d, %d bytes, err %v", len(body), kind, len(got), err)
 	}
 }
 

@@ -72,6 +72,10 @@ const (
 // maxFrame bounds one frame body (a corrupt peer cannot OOM the reader).
 const maxFrame = 64 << 20
 
+// frameAllocOnce is the largest frame body readFrame allocates whole
+// before it arrives.
+const frameAllocOnce = 64 << 10
+
 // dialRetryFor is how long connTo keeps retrying a peer that is not up
 // yet (worker bring-up order is unconstrained).
 const dialRetryFor = 15 * time.Second
@@ -326,8 +330,20 @@ func readFrame(br *bufio.Reader) (uint8, []byte, error) {
 	if size > maxFrame {
 		return 0, nil, fmt.Errorf("netnet: frame of %d bytes exceeds limit", size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(br, body); err != nil {
+	if size <= frameAllocOnce {
+		body := make([]byte, size)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return 0, nil, err
+		}
+		return hdr[0], body, nil
+	}
+	// A header alone must not cost the declared size: a larger body grows
+	// only as its bytes arrive.
+	body, err := io.ReadAll(io.LimitReader(br, int64(size)))
+	if err == nil && len(body) < size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, nil, err
 	}
 	return hdr[0], body, nil

@@ -125,9 +125,12 @@ type ChainConfig struct {
 	// StoreOpService is the per-op service time at store servers. Zero
 	// models no cost.
 	StoreOpService time.Duration
-	// CheckpointEvery enables periodic durable store checkpoints (§5.4).
-	// Zero disables checkpointing — recovery then replays the full WAL,
-	// byte-identical to pre-checkpoint behavior.
+	// CheckpointEvery enables periodic durable store checkpoints (§5.4),
+	// each of which truncates the client WALs behind the oldest checkpoint
+	// a shard keeps. Zero disables checkpointing: recovery then replays
+	// the full WAL, and the WAL holds every op logged since the start. The
+	// DES default is zero (the goldens); live and net default to
+	// liveCheckpointEvery.
 	CheckpointEvery time.Duration
 	// CheckpointWriteCost models the durable-write latency of one
 	// checkpoint: a crash inside the window leaves a torn checkpoint that
@@ -207,7 +210,8 @@ func DefaultChainConfig() ChainConfig {
 
 // LiveChainConfig returns the calibration for live execution: no modeled
 // latencies or service costs (real execution is the cost), protocol
-// timers kept, single run-to-completion worker per instance.
+// timers kept, single run-to-completion worker per instance, and periodic
+// store checkpoints that bound the client WALs.
 func LiveChainConfig() ChainConfig {
 	cfg := DefaultChainConfig()
 	cfg.Substrate = SubstrateLive
@@ -226,8 +230,14 @@ func LiveChainConfig() ChainConfig {
 	cfg.AckTimeout = 100 * time.Millisecond
 	cfg.CoalesceWindow = time.Millisecond
 	cfg.HandoverTimeout = 2 * time.Second
+	cfg.CheckpointEvery = liveCheckpointEvery
 	return cfg
 }
+
+// liveCheckpointEvery is the live and net checkpoint period: the client
+// WAL holds about two periods of ops (truncation lags to the older of
+// the two checkpoints a shard keeps), not everything since the start.
+const liveCheckpointEvery = 100 * time.Millisecond
 
 // NetChainConfig returns the live calibration retargeted at real TCP
 // sockets: nodes declares endpoint placement, node names the node THIS
@@ -417,17 +427,10 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 			}
 		})
 		v.Splitter = NewSplitter(c, v)
-		for _, s := range c.Stores {
-			s.Declare(v.ID, mustDecls(vs))
-		}
 	}
 	c.wireTopology()
 	c.ctl = newController(c)
 	return c
-}
-
-func mustDecls(vs VertexSpec) []store.ObjDecl {
-	return vs.Make().Decls()
 }
 
 // storeServerConfig derives the shard-server configuration from the chain
@@ -705,7 +708,7 @@ func (c *Chain) StoreSnapshot() *store.Snapshot {
 		TS:      make(map[uint16]uint64),
 	}
 	for _, s := range c.Stores {
-		snap := s.Engine().Snapshot(nil)
+		snap := s.Engine().Snapshot()
 		for k, v := range snap.Entries {
 			out.Entries[k] = v
 		}

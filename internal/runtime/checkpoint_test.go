@@ -45,9 +45,9 @@ func (c *ckptCountNF) Process(ctx *nf.Ctx, pkt *packet.Packet) []*packet.Packet 
 	return ctx.Emit(pkt)
 }
 
-func countVertex(instances int) VertexSpec {
+func countVertex(instances int, mode store.Mode) VertexSpec {
 	return VertexSpec{Name: "count", Make: func() nf.NF { return newCkptCountNF() },
-		Instances: instances, Backend: BackendCHC, Mode: store.ModeEOCNA}
+		Instances: instances, Backend: BackendCHC, Mode: mode}
 }
 
 // nfEntriesDigest is the recovery-equivalence comparison digest: the
@@ -58,7 +58,12 @@ func countVertex(instances int) VertexSpec {
 // differs between replay orders, and recovery re-associates per-flow
 // owners from caches.
 func nfEntriesDigest(eng *store.Engine) string {
-	snap := eng.Snapshot(func(k store.Key) bool { return k.Vertex != 0 })
+	snap := eng.Snapshot()
+	for k := range snap.Entries {
+		if k.Vertex == 0 {
+			delete(snap.Entries, k)
+		}
+	}
 	snap.TS = map[uint16]uint64{}
 	snap.Owners = map[store.Key]uint16{}
 	return store.Identify(store.EncodeSnapshot(snap))
@@ -87,42 +92,48 @@ func drainRootLog(t *testing.T, c *Chain) {
 }
 
 // TestCheckpointRecoveryEquivalence is the chain-level differential
-// (shard counts × checkpoint intervals): at quiescence the recovered
-// shard's NF state must be byte-identical to the state the crash
-// destroyed, whether recovery replayed the full WAL (interval off) or
-// loaded a checkpoint and replayed only the truncated tail.
+// (shard counts × checkpoint intervals × modes): at quiescence the
+// recovered shard's NF state must be byte-identical to the state the
+// crash destroyed, whether recovery replayed the full WAL (interval off)
+// or loaded a checkpoint and replayed only the truncated tail. Under
+// ModeEO no cache holds the per-flow gauge, so only the checkpoint can:
+// truncation dropped its WAL entries.
 func TestCheckpointRecoveryEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, interval := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
 			t.Run(fmt.Sprintf("shards=%d interval=%s", shards, interval), func(t *testing.T) {
-				cfg := testConfig()
-				cfg.StoreShards = shards
-				cfg.CheckpointEvery = interval
-				c := New(cfg, countVertex(2))
-				c.Start()
-				tr := smallTrace(40)
-				c.RunTrace(tr, 50*time.Millisecond)
-				drainRootLog(t, c)
+				for _, mode := range []store.Mode{store.ModeEO, store.ModeEOC, store.ModeEOCNA} {
+					t.Run("mode="+mode.Name(), func(t *testing.T) {
+						cfg := testConfig()
+						cfg.StoreShards = shards
+						cfg.CheckpointEvery = interval
+						c := New(cfg, countVertex(2, mode))
+						c.Start()
+						tr := smallTrace(40)
+						c.RunTrace(tr, 50*time.Millisecond)
+						drainRootLog(t, c)
 
-				idx := 0
-				if shards > 1 {
-					idx = 1
-				}
-				if interval > 0 && c.Stores[idx].CheckpointStats().Taken == 0 {
-					t.Fatal("vacuous: no checkpoint was ever taken")
-				}
-				before := nfEntriesDigest(c.Stores[idx].Engine())
-				_, reexec := c.RecoverStoreShard(idx, DefaultStoreRecoveryConfig())
-				after := nfEntriesDigest(c.Stores[idx].Engine())
-				if before != after {
-					t.Fatalf("recovered state diverges from pre-crash state:\n  before %s\n  after  %s",
-						before, after)
-				}
-				if interval == 0 && reexec == 0 {
-					t.Fatal("vacuous: full-replay control re-executed nothing")
-				}
-				if total := conservedTotal(c); total != int64(tr.Len()) {
-					t.Fatalf("conservation violated after recovery: %d of %d", total, tr.Len())
+						idx := 0
+						if shards > 1 {
+							idx = 1
+						}
+						if interval > 0 && c.Stores[idx].CheckpointStats().Taken == 0 {
+							t.Fatal("vacuous: no checkpoint was ever taken")
+						}
+						before := nfEntriesDigest(c.Stores[idx].Engine())
+						_, reexec := c.RecoverStoreShard(idx, DefaultStoreRecoveryConfig())
+						after := nfEntriesDigest(c.Stores[idx].Engine())
+						if before != after {
+							t.Fatalf("recovered state diverges from pre-crash state:\n  before %s\n  after  %s",
+								before, after)
+						}
+						if interval == 0 && reexec == 0 {
+							t.Fatal("vacuous: full-replay control re-executed nothing")
+						}
+						if total := conservedTotal(c); total != int64(tr.Len()) {
+							t.Fatalf("conservation violated after recovery: %d of %d", total, tr.Len())
+						}
+					})
 				}
 			})
 		}
@@ -156,7 +167,7 @@ func TestMidCheckpointCrashFallsBack(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointEvery = 10 * time.Millisecond
 	cfg.CheckpointWriteCost = time.Millisecond
-	c := New(cfg, countVertex(2))
+	c := New(cfg, countVertex(2, store.ModeEOCNA))
 	c.Start()
 	tr := smallTrace(400)
 	half := tr.Len() / 2
@@ -205,7 +216,7 @@ func TestMidCheckpointCrashFallsBack(t *testing.T) {
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointEvery = 10 * time.Millisecond
-	c := New(cfg, countVertex(2))
+	c := New(cfg, countVertex(2, store.ModeEOCNA))
 	c.Start()
 	tr := smallTrace(400)
 	half := tr.Len() / 2
@@ -261,7 +272,7 @@ func TestLiveCheckpointRecovery(t *testing.T) {
 		cfg := LiveChainConfig()
 		cfg.Seed = int64(300 + round)
 		cfg.CheckpointEvery = 20 * time.Millisecond
-		c := New(cfg, countVertex(2))
+		c := New(cfg, countVertex(2, store.ModeEOCNA))
 		c.Start()
 		tr := liveTrace(cfg.Seed, 80)
 		c.RunTrace(tr, 100*time.Millisecond)
@@ -323,5 +334,45 @@ func TestLiveCheckpointRecovery(t *testing.T) {
 			t.Fatalf("round %d: counter conservation violated: %d of %d",
 				round, total, tr.Len()+tr2.Len())
 		}
+	}
+}
+
+// TestLiveDefaultBoundsWAL: a live chain checkpoints without being asked
+// to, so once it drains its client WALs empty. Without checkpoints a WAL
+// holds every op logged since the start.
+func TestLiveDefaultBoundsWAL(t *testing.T) {
+	cfg := LiveChainConfig()
+	cfg.Seed = 401
+	c := New(cfg, countVertex(2, store.ModeEOCNA))
+	c.Start()
+	defer c.Stop()
+	tr := liveTrace(cfg.Seed, 80)
+	c.RunTrace(tr, 100*time.Millisecond)
+	if !c.AwaitDrained(15 * time.Second) {
+		t.Fatalf("chain did not drain (log=%d)", c.Root.LogSize())
+	}
+	walLen := func() int {
+		n := 0
+		for _, in := range c.Vertices[0].Instances {
+			n += in.Client().WALLen()
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for walLen() > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if cs := c.Stores[0].CheckpointStats(); cs.Taken == 0 {
+		t.Fatal("the live default took no checkpoint")
+	}
+	if n := walLen(); n > 0 {
+		t.Fatalf("%d WAL ops held after the chain drained", n)
+	}
+	var dropped uint64
+	for _, in := range c.Vertices[0].Instances {
+		dropped += in.Client().RecoveryState(c.Stores[0].Name).Dropped
+	}
+	if dropped == 0 {
+		t.Fatal("vacuous: no WAL entry was ever logged")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // accumulator used to be a map beside the log, and such a commit re-created
 // an entry in it that nothing ever deleted.
 func TestRootLateCommitHoldsNothing(t *testing.T) {
-	c := New(testConfig(), countVertex(1))
+	c := New(testConfig(), countVertex(1, store.ModeEOCNA))
 	c.Start()
 	c.RunTrace(smallTrace(20), 100*time.Millisecond)
 	n := c.Root.Injected
@@ -83,7 +83,7 @@ func TestPerClockStateIsWindowed(t *testing.T) {
 			if testing.Short() {
 				tr = gen(sub.short)
 			}
-			c := New(sub.cfg, countVertex(1))
+			c := New(sub.cfg, countVertex(1, store.ModeEOCNA))
 			c.Start()
 			if !runInDrainedLaps(c, tr) {
 				t.Fatalf("chain did not drain: injected=%d deleted=%d", c.Root.Injected, c.Root.Deleted)

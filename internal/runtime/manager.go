@@ -271,12 +271,12 @@ func (c *Chain) RecoverStore(rcfg StoreRecoveryConfig) (took time.Duration, reex
 	return c.RecoverStoreShard(0, rcfg)
 }
 
-// RecoverStoreShard fail-stops shard idx and rebuilds it per §5.4: per-flow
-// state from client caches, shared state from the shard's last checkpoint
-// plus WAL re-execution with TS selection. Client recovery inputs are
-// filtered through the partition map so only the failed shard's keys are
-// replayed — surviving shards are untouched. Returns the recovery duration
-// and the number of re-executed operations.
+// RecoverStoreShard fail-stops shard idx and rebuilds it per §5.4: cached
+// per-flow state from client caches, every other key from the shard's
+// last checkpoint plus WAL re-execution with TS selection. Each client
+// hands over only its view of the failed shard (Client.RecoveryState), so
+// only that shard's keys are replayed — surviving shards are untouched.
+// Returns the recovery duration and the number of re-executed operations.
 func (c *Chain) RecoverStoreShard(idx int, rcfg StoreRecoveryConfig) (took time.Duration, reexec int) {
 	old := c.Stores[idx]
 	shard := old.Name
@@ -295,14 +295,7 @@ func (c *Chain) RecoverStoreShard(idx int, rcfg StoreRecoveryConfig) (took time.
 					continue
 				}
 				p.Sleep(time.Duration(rcfg.PerClientRTTs) * rtt)
-				cs := store.ClientState{
-					Instance: in.ID,
-					WAL:      in.client.WAL(),
-					ReadLog:  in.client.ReadLog(),
-					PerFlow:  in.client.CachedPerFlow(),
-					Dropped:  in.client.WALDropped()[shard],
-				}
-				clients = append(clients, cs.FilterForShard(c.pmap, shard))
+				clients = append(clients, in.client.RecoveryState(shard))
 			}
 		}
 		// Newest checkpoint that passes content-hash verification and
@@ -331,9 +324,6 @@ func (c *Chain) RecoverStoreShard(idx int, rcfg StoreRecoveryConfig) (took time.
 			seedPos[cs.Instance] = cs.Dropped + uint64(len(cs.WAL))
 		}
 		ns.SeedPositions(seedPos)
-		for _, v := range c.Vertices {
-			ns.Declare(v.ID, v.Spec.Make().Decls())
-		}
 		ns.Start()
 		c.Stores[idx] = ns
 		c.registerCustomOps()

@@ -151,7 +151,7 @@ func TestNetRecoveryEquivalence(t *testing.T) {
 	}, "")
 	cfg.Seed = 301
 	cfg.CheckpointEvery = 20 * time.Millisecond
-	c := New(cfg, countVertex(2))
+	c := New(cfg, countVertex(2, store.ModeEOCNA))
 	c.Start()
 	tr := liveTrace(cfg.Seed, 80)
 	c.RunTrace(tr, 100*time.Millisecond)

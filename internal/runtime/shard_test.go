@@ -62,11 +62,11 @@ func TestShardCrashRecoveryReplaysOnlyShardKeys(t *testing.T) {
 	pm := c.Partition()
 	crashIdx := 1
 	shardWal, otherWal := 0, 0
-	for _, w := range inst.Client().WAL() {
-		if pm.ShardFor(w.Req.Key) == c.Stores[crashIdx].Name {
-			shardWal++
+	for _, shard := range pm.Shards {
+		if shard == c.Stores[crashIdx].Name {
+			shardWal += len(inst.Client().WAL(shard))
 		} else {
-			otherWal++
+			otherWal += len(inst.Client().WAL(shard))
 		}
 	}
 	if shardWal == 0 || otherWal == 0 {

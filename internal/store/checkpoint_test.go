@@ -14,7 +14,7 @@ import (
 // replay (per-key replay order leaves a different "last mutation" per
 // instance) while the recovered data must not.
 func digestNoTS(e *Engine) string {
-	snap := e.Snapshot(nil)
+	snap := e.Snapshot()
 	snap.TS = map[uint16]uint64{}
 	return Identify(EncodeSnapshot(snap))
 }
@@ -324,7 +324,7 @@ func TestRecoverEquivalenceCheckpointTail(t *testing.T) {
 			if i == ckptAt {
 				// The checkpoint covers exactly the applied prefix; the
 				// client-side truncation that follows it drops that prefix.
-				ckpt = victim.Snapshot(nil)
+				ckpt = victim.Snapshot()
 				for in2, n := range applied {
 					tailFrom[in2] = n
 				}
@@ -380,7 +380,7 @@ func TestRecoverPositionalCutoff(t *testing.T) {
 
 	victim := NewEngine(4)
 	victim.Apply(&wal[0].Req)
-	snap := victim.Snapshot(nil) // TS = {1:7}, contains only wal[0]
+	snap := victim.Snapshot() // TS = {1:7}, contains only wal[0]
 	for i := 1; i < len(wal); i++ {
 		victim.Apply(&wal[i].Req)
 	}

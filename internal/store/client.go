@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -171,15 +171,12 @@ type Client struct {
 	seq     uint64
 	pending map[uint64]AsyncOp
 
-	// Recovery metadata. walCount counts WAL entries ever logged per
-	// shard (the position piggybacked on outgoing ops); walDropped counts
-	// entries already truncated per shard, so absolute positions in
-	// checkpoints map onto the retained WAL.
-	wal        walLog
-	walCount   map[string]uint64
-	walDropped map[string]uint64
-	readLog    []ReadRecord
-	flushProc  transport.Handle
+	// Recovery metadata. wal holds one log per shard, in pmap.Shards
+	// order: a shard's checkpoint covers a prefix of its log, and its
+	// recovery reads that log alone.
+	wal       []walLog
+	readLog   []ReadRecord
+	flushProc transport.Handle
 
 	// Handover waits: per-flow keys whose release we are waiting on.
 	ownerWait map[Key]transport.Signal
@@ -235,17 +232,16 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 		shards = []string{cfg.Store}
 	}
 	c := &Client{
-		cfg:        cfg,
-		pmap:       NewPartitionMap(shards),
-		net:        net,
-		decls:      make(map[uint16]ObjDecl),
-		cache:      make(map[Key]*cacheEntry),
-		open:       make(map[outKey]*Request),
-		pending:    make(map[uint64]AsyncOp),
-		walCount:   make(map[string]uint64),
-		walDropped: make(map[string]uint64),
-		ownerWait:  make(map[Key]transport.Signal),
-		objExcl:    make(map[uint16]bool),
+		cfg:       cfg,
+		pmap:      NewPartitionMap(shards),
+		net:       net,
+		decls:     make(map[uint16]ObjDecl),
+		cache:     make(map[Key]*cacheEntry),
+		open:      make(map[outKey]*Request),
+		pending:   make(map[uint64]AsyncOp),
+		wal:       make([]walLog, len(shards)),
+		ownerWait: make(map[Key]transport.Signal),
+		objExcl:   make(map[uint16]bool),
 	}
 	for _, d := range cfg.Decls {
 		c.decls[d.ID] = d
@@ -260,30 +256,65 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 // Config returns the client configuration.
 func (c *Client) Config() ClientConfig { return c.cfg }
 
-// WAL decodes the client-side write-ahead log (store recovery input).
-// Values come back in the wire codec's canonical form: an empty Bytes,
-// List or Map is nil, as on a request that crossed a socket.
-func (c *Client) WAL() []WalOp {
+// WAL decodes the client-side write-ahead log of one store shard, in
+// issue order (nil for a shard the client does not know). Values come
+// back in the wire codec's canonical form: an empty Bytes, List or Map is
+// nil, as on a request that crossed a socket.
+func (c *Client) WAL(shard string) []WalOp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wal.flat()
+	if l := c.walOf(shard); l != nil {
+		return l.flat()
+	}
+	return nil
 }
 
-// WALLen returns how many entries the WAL holds, without decoding them.
+// WALLen returns how many entries the WAL holds over every shard, without
+// decoding them.
 func (c *Client) WALLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wal.n
+	n := 0
+	for i := range c.wal {
+		n += c.wal[i].n
+	}
+	return n
 }
 
-// WALDropped returns, per shard, how many of this client's WAL entries
-// checkpoints have already truncated: positions stamped in checkpoints are
-// absolute counts, and recovery subtracts this base to index the retained
-// WAL.
-func (c *Client) WALDropped() map[string]uint64 {
+// walOf returns shard's log, or nil for a shard the client does not know.
+func (c *Client) walOf(shard string) *walLog {
+	if i := slices.Index(c.pmap.Shards, shard); i >= 0 {
+		return &c.wal[i]
+	}
+	return nil
+}
+
+// RecoveryState is this client's recovery input for the failed store
+// shard (§5.4): the shard's retained WAL and how many of its entries
+// checkpoints already truncated (checkpoint positions are absolute counts;
+// recovery subtracts this base to index the retained WAL), the logged
+// reads of its keys and the cached per-flow values of its keys ("query
+// the last updated value of the cached per-flow state from all NF
+// instances"). Recovery replays only that shard's operations and never
+// perturbs surviving shards.
+func (c *Client) RecoveryState(shard string) ClientState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return maps.Clone(c.walDropped)
+	cs := ClientState{Instance: c.cfg.Instance, PerFlow: make(map[Key]Value)}
+	if l := c.walOf(shard); l != nil {
+		cs.WAL, cs.Dropped = l.flat(), l.dropped()
+	}
+	for _, r := range c.readLog {
+		if c.shardFor(r.Key) == shard {
+			cs.ReadLog = append(cs.ReadLog, r)
+		}
+	}
+	for k, e := range c.cache {
+		if e.valid && c.decl(k.Obj).Scope == ScopeFlow && c.shardFor(k) == shard {
+			cs.PerFlow[k] = e.val.Copy()
+		}
+	}
+	return cs
 }
 
 // PendingAcks reports async operations not yet acknowledged.
@@ -303,13 +334,6 @@ func (c *Client) Shutdown() {
 	c.pending = make(map[uint64]AsyncOp)
 	c.out = nil
 	clear(c.open)
-}
-
-// ReadLog returns a copy of the logged shared reads with their TS vectors.
-func (c *Client) ReadLog() []ReadRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]ReadRecord(nil), c.readLog...)
 }
 
 // StartFlusher spawns the periodic cache flusher if configured.
@@ -670,23 +694,21 @@ func (c *Client) HandleMessage(payload any) bool {
 
 // truncate drops the WAL prefix covered by one shard's checkpoint. The one
 // WAL marker is the positional vector pos: the checkpoint covers the first
-// pos[instance] of this client's ops OWNED BY THAT SHARD (in issue order),
-// counted from the client's birth; c.walDropped maps that absolute count
-// onto the retained log. The TS clocks are no WAL marker (one packet's ops
-// can sit at several WAL positions), so a message without positions drops
-// no WAL entry: over-retention is the safe direction. Entries for other
-// shards are never touched — their checkpoints cover them separately. An
-// empty shard name (single-server tier, tests) covers every key.
+// pos[instance] entries of this client's log for that shard (in issue
+// order), counted from the client's birth; what the log already dropped
+// maps that absolute count onto the retained entries. The TS clocks are no
+// WAL marker (one packet's ops can sit at several WAL positions), so a
+// message without positions drops no WAL entry: over-retention is the safe
+// direction. Other shards' logs are never touched — their checkpoints
+// cover them separately — and a shard the client does not know truncates
+// nothing.
 func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
-	owns := func(k Key) bool { return shard == "" || c.shardFor(k) == shard }
-	if drop := int64(pos[c.cfg.Instance]) - int64(c.walDropped[shard]); drop > 0 {
-		c.walDropped[shard] += uint64(c.wal.filter(func(k Key) bool {
-			if drop == 0 || !owns(k) {
-				return false
-			}
-			drop--
-			return true
-		}))
+	l := c.walOf(shard)
+	if l == nil {
+		return
+	}
+	if drop := int64(pos[c.cfg.Instance]) - int64(l.dropped()); drop > 0 {
+		l.dropPrefix(int(drop))
 	}
 	upto := ts[c.cfg.Instance]
 	if upto == 0 {
@@ -697,7 +719,7 @@ func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 	// (over-retention is safe, so the comparison errs toward keeping).
 	keptR := c.readLog[:0]
 	for _, r := range c.readLog {
-		if owns(r.Key) && r.Clock <= upto {
+		if c.shardFor(r.Key) == shard && r.Clock <= upto {
 			continue
 		}
 		keptR = append(keptR, r)
@@ -706,27 +728,27 @@ func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 }
 
 // logOp appends req — and, for a merged request, each increment merged into
-// it — to the client WAL, then stamps req with the resulting WAL position
-// of its shard, which it returns: the store learns from the stamp exactly
-// how much of this client's WAL stream the op's arrival covers (FIFO
-// links: every earlier entry has been delivered by then). Ops without a
-// packet clock are not shared-state mutations and are not logged.
+// it — to its shard's WAL, then stamps req with the resulting WAL position
+// of that shard, whose name it returns: the store learns from the stamp
+// exactly how much of this client's WAL stream the op's arrival covers
+// (FIFO links: every earlier entry has been delivered by then). Ops
+// without a packet clock are not shared-state mutations and are not
+// logged.
 func (c *Client) logOp(req *Request) (shard string) {
-	shard = c.shardFor(req.Key)
+	i := c.pmap.Index(req.Key)
+	l := &c.wal[i]
 	if req.Clock != 0 {
-		c.wal.append(req)
-		c.walCount[shard]++
+		l.append(req)
 	}
 	for _, b := range req.Batch {
 		if b.Clock != 0 {
 			r := *req
 			r.Clock, r.Arg, r.Batch = b.Clock, IntVal(b.Delta), nil
-			c.wal.append(&r)
-			c.walCount[shard]++
+			l.append(&r)
 		}
 	}
-	req.WalPos = c.walCount[shard]
-	return shard
+	req.WalPos = l.total
+	return c.pmap.Shards[i]
 }
 
 // --- State operations used by NF code ---------------------------------------
@@ -1004,22 +1026,6 @@ func (c *Client) seedCache(k Key, v Value) {
 	e := c.entry(k)
 	e.val = v
 	e.valid = !v.IsNil()
-}
-
-// CachedPerFlow returns this client's cached per-flow entries; the recovery
-// manager reads these when a store instance fails (§5.4: "query the last
-// updated value of the cached per-flow state from all NF instances").
-func (c *Client) CachedPerFlow() map[Key]Value {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[Key]Value)
-	for k, e := range c.cache {
-		d := c.decl(k.Obj)
-		if d.Scope == ScopeFlow && e.valid {
-			out[k] = e.val.Copy()
-		}
-	}
-	return out
 }
 
 // InvalidateAll clears the cache (used by tests and failover bring-up).

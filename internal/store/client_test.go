@@ -24,7 +24,6 @@ func newRig(t *testing.T, n int, mode Mode, decls []ObjDecl) *testRig {
 	sim := vtime.NewSim(1)
 	net := simnet.New(sim, simnet.LinkConfig{Latency: testLat})
 	srv := NewServer(net, "store0", DefaultServerConfig())
-	srv.Declare(1, decls)
 	srv.Start()
 	r := &testRig{sim: sim, net: net, server: srv}
 	for i := 0; i < n; i++ {
@@ -324,7 +323,6 @@ func TestWALTruncationOnCheckpoint(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CheckpointEvery = 300 * time.Microsecond
 	srv := NewServer(net, "store0", cfg)
-	srv.Declare(1, readHeavyDecl)
 	srv.Start()
 	c := NewClient(net, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa", Store: "store0", Mode: ModeEOC, Decls: readHeavyDecl})
 	ep := net.Endpoint("nfa")
@@ -342,8 +340,8 @@ func TestWALTruncationOnCheckpoint(t *testing.T) {
 		}
 	})
 	sim.RunFor(2 * time.Millisecond)
-	if len(c.WAL()) != 0 {
-		t.Fatalf("WAL has %d entries after checkpoint truncation", len(c.WAL()))
+	if len(c.WAL("store0")) != 0 {
+		t.Fatalf("WAL has %d entries after checkpoint truncation", len(c.WAL("store0")))
 	}
 	if snap, _, _ := srv.StableState().LatestVerified(); snap == nil {
 		t.Fatal("no checkpoint taken")

@@ -125,7 +125,7 @@ func TestCoalesceReflushedKeyKeepsSendOrder(t *testing.T) {
 	})
 	// WAL order must mirror send order: A's first batch, then B, then A's
 	// second head.
-	wal := c.WAL()
+	wal := c.WAL("store0")
 	if len(wal) != last {
 		t.Fatalf("WAL holds %d entries, want %d", len(wal), last)
 	}

@@ -13,9 +13,9 @@
 //     checkpointing, callback/ownership registries and at-most-once
 //     async-op execution.
 //   - PartitionMap assigns every Key to a shard by rendezvous hashing;
-//     Client routes each operation to its key's shard and keeps a
-//     write-ahead log whose per-shard slices (FilterForShard) drive
-//     single-shard crash recovery (RecoverEngine).
+//     Client routes each operation to its key's shard and keeps one
+//     write-ahead log per shard, which drives single-shard crash recovery
+//     (Client.RecoveryState, RecoverEngine).
 //   - Client also implements the Table 1 caching strategies, the one
 //     outbound list every async op leaves through (merging of increments
 //     under the +NA model, one message per shard per flush, retransmission

@@ -675,8 +675,8 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// Snapshot captures entries matching filter (nil = all), with ownership and
-// the TS vector — the periodic checkpoint of §5.4.
+// Snapshot captures every entry, with ownership and the TS vector — the
+// periodic checkpoint of §5.4.
 type Snapshot struct {
 	Entries map[Key]Value
 	Owners  map[Key]uint16
@@ -690,8 +690,8 @@ type Snapshot struct {
 	Pos map[uint16]uint64
 }
 
-// Snapshot deep-copies matching state.
-func (e *Engine) Snapshot(filter func(Key) bool) *Snapshot {
+// Snapshot deep-copies the engine's state.
+func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Entries: make(map[Key]Value),
 		Owners:  make(map[Key]uint16),
@@ -701,9 +701,6 @@ func (e *Engine) Snapshot(filter func(Key) bool) *Snapshot {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		for k, ent := range sh.data {
-			if filter != nil && !filter(k) {
-				continue
-			}
 			s.Entries[k] = ent.val.Copy()
 			if ent.owner != 0 {
 				s.Owners[k] = ent.owner

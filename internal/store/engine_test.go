@@ -297,7 +297,7 @@ func TestSnapshotRestore(t *testing.T) {
 	e.Apply(&Request{Op: OpIncr, Key: k(1, 1, 0), Arg: IntVal(7), Clock: 3, Instance: 1})
 	e.Apply(&Request{Op: OpSet, Key: k(1, 2, 5), Arg: StringVal("x"), Instance: 2})
 	e.Apply(&Request{Op: OpAssociate, Key: k(1, 2, 5), Instance: 2})
-	snap := e.Snapshot(nil)
+	snap := e.Snapshot()
 
 	f := NewEngine(4)
 	f.Restore(snap)
@@ -318,13 +318,15 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestSnapshotFilter(t *testing.T) {
+// TestSnapshotHoldsEveryKey: a snapshot (a checkpoint's content) holds
+// every vertex's keys, framework ones included, whatever their scope.
+func TestSnapshotHoldsEveryKey(t *testing.T) {
 	e := NewEngine(4)
-	e.Apply(&Request{Op: OpSet, Key: k(1, 1, 0), Arg: IntVal(1)})
-	e.Apply(&Request{Op: OpSet, Key: k(2, 1, 0), Arg: IntVal(2)})
-	snap := e.Snapshot(func(key Key) bool { return key.Vertex == 1 })
-	if len(snap.Entries) != 1 {
-		t.Fatalf("filtered snapshot has %d entries", len(snap.Entries))
+	e.Apply(&Request{Op: OpSet, Key: k(0, 1, 0), Arg: IntVal(1)})
+	e.Apply(&Request{Op: OpSet, Key: k(1, 1, 0), Arg: IntVal(2)})
+	e.Apply(&Request{Op: OpSet, Key: k(2, 1, 9), Arg: IntVal(3)})
+	if snap := e.Snapshot(); len(snap.Entries) != 3 {
+		t.Fatalf("snapshot has %d entries, want 3", len(snap.Entries))
 	}
 }
 

@@ -99,7 +99,6 @@ func BenchmarkServerAsyncBatch(b *testing.B) {
 			net := livenet.New(livenet.Config{Seed: 1})
 			defer net.Shutdown()
 			srv := NewServer(net, "store0", ServerConfig{OpService: -1, RootEndpoint: "root"})
-			srv.Declare(1, counterDecl)
 			srv.Start()
 			acks, root := net.Endpoint("nfa"), net.Endpoint("root")
 			done := make(chan struct{})

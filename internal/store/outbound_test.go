@@ -479,9 +479,10 @@ func arrive(ops []*issuedOp, clock uint64) (earlier uint64) {
 // walByShard returns, per shard, the clocks of c's WAL entries in log order.
 func walByShard(c *Client) map[string][]uint64 {
 	out := map[string][]uint64{}
-	for _, w := range c.WAL() {
-		shard := c.shardFor(w.Req.Key)
-		out[shard] = append(out[shard], w.Clock)
+	for _, shard := range c.pmap.Shards {
+		for _, w := range c.WAL(shard) {
+			out[shard] = append(out[shard], w.Clock)
+		}
 	}
 	return out
 }

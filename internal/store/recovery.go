@@ -6,12 +6,15 @@ import "sort"
 //
 //   - Per-flow state is re-read from the NF instances' caches, which are
 //     authoritative (each per-flow object has exactly one writer).
-//   - Shared (cross-flow) state is rebuilt from the last checkpoint plus
-//     re-execution of client-side write-ahead logs. If any client read
-//     shared state after the checkpoint, re-execution must start from the
-//     TS vector of the most recent read so the recovered value is
-//     consistent with what instances observed; the paper's reverse-log
-//     traversal selects that TS.
+//   - Every other key is rebuilt from the last checkpoint, which holds
+//     every key of the shard, plus re-execution of client-side write-ahead
+//     logs. If any client read shared state after the checkpoint,
+//     re-execution must start from the TS vector of the most recent read
+//     so the recovered value is consistent with what instances observed;
+//     the paper's reverse-log traversal selects that TS. Per-flow keys no
+//     surviving cache holds (ModeEO caches nothing) take this path too:
+//     truncation dropped their WAL entries behind the checkpoint, so the
+//     checkpoint must hold them.
 
 // TSCandidate is a potential recovery starting point for one shared key:
 // either the checkpoint (Val = checkpointed value) or a logged read
@@ -107,7 +110,8 @@ func SelectTS(instLogs map[uint16][]uint64, cands []TSCandidate) int {
 	return best
 }
 
-// ClientState is a recovery view of one NF instance's client library.
+// ClientState is a recovery view of one NF instance's client library for
+// one shard (Client.RecoveryState).
 type ClientState struct {
 	Instance uint16
 	WAL      []WalOp
@@ -116,33 +120,8 @@ type ClientState struct {
 	// Dropped is how many of this instance's WAL entries for the failed
 	// shard were already truncated by checkpoints: checkpoint position
 	// vectors are absolute counts, and Dropped maps them onto the
-	// retained (filtered) WAL slice.
+	// retained WAL.
 	Dropped uint64
-}
-
-// FilterForShard restricts a client's recovery view to the keys the
-// partition map assigns to shard: a crashed shard is rebuilt from exactly
-// that shard's slice of each client WAL/read-log/cache, so recovery replays
-// only the failed shard's operations and never perturbs surviving shards.
-func (cs ClientState) FilterForShard(pm *PartitionMap, shard string) ClientState {
-	out := ClientState{Instance: cs.Instance, Dropped: cs.Dropped}
-	for _, w := range cs.WAL {
-		if pm.ShardFor(w.Req.Key) == shard {
-			out.WAL = append(out.WAL, w)
-		}
-	}
-	for _, r := range cs.ReadLog {
-		if pm.ShardFor(r.Key) == shard {
-			out.ReadLog = append(out.ReadLog, r)
-		}
-	}
-	out.PerFlow = make(map[Key]Value)
-	for k, v := range cs.PerFlow {
-		if pm.ShardFor(k) == shard {
-			out.PerFlow[k] = v
-		}
-	}
-	return out
 }
 
 // RecoverInput bundles everything the recovery manager gathered.
@@ -161,11 +140,10 @@ func RecoverEngine(in RecoverInput) (*Engine, int) {
 	}
 
 	// 1) Per-flow state straight from NF caches (Theorem B.5.1). Cache-held
-	// keys are authoritative: their WAL entries are flush echoes of cache
-	// state, so step 2 must not roll them back — and when such a key is
-	// covered by a checkpoint's TS, the checkpoint (which deliberately
-	// excludes per-flow state) must not delete it either. WAL replay
-	// remains the fallback for per-flow keys no surviving cache holds.
+	// keys are authoritative: their values override the checkpoint's, and
+	// their WAL entries are flush echoes of cache state, so step 2 must
+	// not roll them back. Per-flow keys no surviving cache holds are
+	// recovered as shared ones are, from the checkpoint plus WAL replay.
 	cacheOwned := make(map[Key]bool)
 	for _, cl := range in.Clients {
 		for k, v := range cl.PerFlow {

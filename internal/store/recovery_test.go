@@ -163,7 +163,7 @@ func TestRecoverEquivalenceProperty(t *testing.T) {
 			wals[op.inst] = append(wals[op.inst], WalOp{Clock: op.clock,
 				Req: Request{Op: OpIncr, Key: key, Arg: IntVal(op.delta), Clock: op.clock, Instance: op.inst}})
 			if i == ckptAt {
-				ckpt = victim.Snapshot(nil)
+				ckpt = victim.Snapshot()
 			}
 			if r.Intn(4) == 0 {
 				inst := uint16(r.Intn(nInst) + 1)
@@ -218,12 +218,12 @@ func TestRecoverCoalescedGroups(t *testing.T) {
 			c.logOp(&req)
 			victim.Apply(&req)
 			if g == cut {
-				ckpt = victim.Snapshot(nil)
+				ckpt = victim.Snapshot()
 				ckpt.Pos = map[uint16]uint64{1: req.WalPos}
 			}
 		}
 		want := digestNoTS(victim)
-		wal := c.WAL()
+		wal := c.WAL("")
 		if len(wal) != groups+entries {
 			t.Fatalf("seed %d: WAL holds %d entries, want %d heads and %d entries", seed, len(wal), groups, entries)
 		}

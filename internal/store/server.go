@@ -105,7 +105,7 @@ type ServerConfig struct {
 	// ~5.1M ops/s across 4 threads (§7.1), i.e. ~0.78µs per op per thread.
 	// Zero (or negative) models no cost.
 	OpService time.Duration
-	// CheckpointEvery enables periodic shared-state checkpoints (§5.4).
+	// CheckpointEvery enables periodic checkpoints of every key (§5.4).
 	// Zero disables checkpointing.
 	CheckpointEvery time.Duration
 	// CheckpointWriteCost models the durable-write latency of one
@@ -129,7 +129,6 @@ type Server struct {
 	net    transport.Transport
 	engine *Engine
 	cfg    ServerConfig
-	decls  map[uint16]map[uint16]ObjDecl // vertex -> obj -> decl
 
 	// regMu guards the registries shared between the serving process and
 	// the checkpointer process (live mode runs them concurrently).
@@ -188,7 +187,6 @@ func NewServerWithEngine(net transport.Transport, name string, cfg ServerConfig,
 		net:         net,
 		engine:      eng,
 		cfg:         cfg,
-		decls:       make(map[uint16]map[uint16]ObjDecl),
 		callbacks:   make(map[Key]map[uint16]string),
 		ownWatch:    make(map[Key]map[uint16]string),
 		appliedSeqs: make(map[string]*clockset.Set),
@@ -229,36 +227,10 @@ func (s *Server) AdoptStable(st *Stable) {
 // CheckpointStats reports the checkpoint area's counters (admin status).
 func (s *Server) CheckpointStats() CheckpointStats { return s.stable.Stats() }
 
-// Declare registers a vertex's state objects so the server can tell shared
-// from per-flow state (checkpoint filtering) and strategy from pattern.
-func (s *Server) Declare(vertex uint16, decls []ObjDecl) {
-	m := s.decls[vertex]
-	if m == nil {
-		m = make(map[uint16]ObjDecl)
-		s.decls[vertex] = m
-	}
-	for _, d := range decls {
-		m[d.ID] = d
-	}
-}
-
-func (s *Server) declOf(k Key) (ObjDecl, bool) {
-	m, ok := s.decls[k.Vertex]
-	if !ok {
-		return ObjDecl{}, false
-	}
-	d, ok := m[k.Obj]
-	return d, ok
-}
-
-// isShared reports whether k holds cross-flow state (checkpointed) as
-// opposed to per-flow state (recovered from NF caches).
-func (s *Server) isShared(k Key) bool {
-	if d, ok := s.declOf(k); ok {
-		return d.Scope != ScopeFlow
-	}
-	return true
-}
+// Declare is ignored: a checkpoint snapshots every key, so the server
+// needs no object declarations. The method stays only for callers that
+// still make it.
+func (s *Server) Declare(vertex uint16, decls []ObjDecl) {}
 
 // RegisterCustom forwards to the engine.
 func (s *Server) RegisterCustom(name string, fn CustomOp) { s.engine.RegisterCustom(name, fn) }
@@ -393,7 +365,7 @@ func (s *Server) runCheckpointer(p transport.Proc) {
 	}
 }
 
-// checkpoint snapshots shared state + TS into stable storage as a
+// checkpoint snapshots every key + TS into stable storage as a
 // content-addressed checkpoint, then tells clients to truncate their WALs.
 // The durable write is two-phase: begin records the in-progress checkpoint,
 // the (optional) write-cost sleep models the flush, commit makes it
@@ -406,7 +378,7 @@ func (s *Server) checkpoint(p transport.Proc) {
 	// applies (applyMu): Pos asserts exactly which WAL prefix the snapshot
 	// contains.
 	s.applyMu.Lock()
-	snap := s.engine.Snapshot(s.isShared)
+	snap := s.engine.Snapshot()
 	snap.Pos = make(map[uint16]uint64, len(s.pos))
 	for inst, n := range s.pos {
 		snap.Pos[inst] = n

@@ -9,37 +9,43 @@ import (
 	"chc/internal/transport"
 )
 
-// flatWal is the reference model for truncation: the WAL as one flat slice
-// and the positional truncation rule written against it (per shard, the
-// first covered entries the shard owns, counted from the client's birth).
-type flatWal struct {
-	wal     []WalOp
+// walModel is the reference model for truncation: each shard's WAL as a
+// flat slice, which is what that shard's recovery reads, and the
+// positional truncation rule written against it (a checkpoint covers the
+// first entries of the shard's log, counted from the client's birth).
+type walModel struct {
+	wal     map[string][]WalOp
 	dropped map[string]uint64
 }
 
-func (m *flatWal) truncate(owns func(Key) bool, shard string, covered uint64) {
+func newWalModel() *walModel {
+	return &walModel{wal: map[string][]WalOp{}, dropped: map[string]uint64{}}
+}
+
+// log appends what logOp logs for req to the model, on c's shard for it.
+func (m *walModel) log(c *Client, req Request) {
+	for _, w := range walOpsOf(req) {
+		shard := c.shardFor(w.Req.Key)
+		m.wal[shard] = append(m.wal[shard], w)
+	}
+}
+
+func (m *walModel) truncate(shard string, covered uint64) {
 	drop := int64(covered) - int64(m.dropped[shard])
 	if drop <= 0 {
 		return
 	}
-	var kept []WalOp
-	var dropped int64
-	for _, w := range m.wal {
-		if dropped < drop && owns(w.Req.Key) {
-			dropped++
-			continue
-		}
-		kept = append(kept, w)
-	}
-	m.wal = kept
-	m.dropped[shard] += uint64(dropped)
+	n := min(int(drop), len(m.wal[shard]))
+	m.wal[shard] = m.wal[shard][n:]
+	m.dropped[shard] += uint64(n)
 }
 
 // TestTruncateAcrossSegments: positional truncation keeps its exact
-// semantics and walDropped accounting when the WAL spans several segments
-// and two shards' entries interleave in it, through repeated truncations
-// with appends in between. A message carrying only TS clocks drops no WAL
-// entry, even when the clock is one the WAL holds.
+// semantics and dropped-entry accounting when each shard's WAL spans
+// several segments, through repeated truncations with appends in between.
+// A message carrying only TS clocks drops no WAL entry, even when the
+// clock is one the WAL holds, and one naming a shard the client does not
+// know drops nothing. A step on shard "" truncates every shard.
 func TestTruncateAcrossSegments(t *testing.T) {
 	type step struct {
 		shard      string
@@ -60,13 +66,14 @@ func TestTruncateAcrossSegments(t *testing.T) {
 			{"s0", false, seg + 37, 0},
 			{"s1", false, seg, 0},
 			{"s1", false, 2 * seg, 300},
+			{"s9", false, 1 << 20, 0}, // a shard the client does not know
 			{"s0", false, 1 << 20, 0}, // claims more than was ever logged
 		}},
 		{"TS clock", []step{
 			{"s0", true, 90, 0},
 			{"s1", true, 90, 0},
 			{"s0", true, seg, 500},
-			{"", true, 2 * seg, 0},
+			{"s1", true, 2 * seg, 0},
 		}},
 		{"paths mixed, then the whole tier at once", []step{
 			{"s1", false, 333, 0},
@@ -79,7 +86,7 @@ func TestTruncateAcrossSegments(t *testing.T) {
 			r := rand.New(rand.NewSource(1))
 			c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 3, Endpoint: "nfa",
 				Shards: []string{"s0", "s1"}})
-			m := &flatWal{dropped: map[string]uint64{}}
+			m := newWalModel()
 			var clock uint64
 			log := func(n int) {
 				for i := 0; i < n; i++ {
@@ -92,37 +99,96 @@ func TestTruncateAcrossSegments(t *testing.T) {
 						Arg: IntVal(int64(i)), Clock: clock + 1, Instance: 3}
 					logged := req // logOp stamps its argument after logging it
 					c.logOp(&logged)
-					m.wal = append(m.wal, WalOp{Clock: req.Clock, Req: req})
+					m.log(c, req)
 				}
 			}
-			log(3*int(seg) + 17)
-			if n := len(c.wal.segs); n < 4 {
-				t.Fatalf("WAL spans %d segments, want >= 4", n)
+			log(5*int(seg) + 17)
+			for i := range c.wal {
+				if n := len(c.wal[i].segs); n < 3 {
+					t.Fatalf("shard %d's WAL spans %d segments, want >= 3", i, n)
+				}
 			}
 			for i, s := range tc.steps {
-				shard := s.shard
-				owns := func(k Key) bool { return shard == "" || c.shardFor(k) == shard }
-				before := len(m.wal)
-				if s.tsOnly {
-					n := s.n
-					for _, w := range m.wal {
-						if owns(w.Req.Key) {
-							if n == 0 {
-								c.truncate(shard, map[uint16]uint64{3: w.Clock}, nil)
-								break
-							}
-							n--
-						}
-					}
-				} else {
-					c.truncate(shard, nil, map[uint16]uint64{3: s.n})
-					m.truncate(owns, shard, s.n)
+				shards := []string{s.shard}
+				if s.shard == "" {
+					shards = c.pmap.Shards
 				}
-				t.Logf("step %d: %d of %d entries dropped", i, before-len(m.wal), before)
+				before := c.WALLen()
+				for _, shard := range shards {
+					if s.tsOnly {
+						if n := s.n; n < uint64(len(m.wal[shard])) {
+							c.truncate(shard, map[uint16]uint64{3: m.wal[shard][n].Clock}, nil)
+						}
+						continue
+					}
+					c.truncate(shard, nil, map[uint16]uint64{3: s.n})
+					m.truncate(shard, s.n)
+				}
+				t.Logf("step %d: %d of %d entries dropped", i, before-c.WALLen(), before)
 				log(s.appendMore)
 				checkWAL(t, c, m)
 			}
 		})
+	}
+}
+
+// TestDropPrefixOverLargeEntry: a truncation that ends before, on and past
+// an entry larger than a segment keeps exactly the entries after it, and
+// releases every segment it emptied.
+func TestDropPrefixOverLargeEntry(t *testing.T) {
+	var l walLog
+	var want []WalOp
+	add := func(r Request) {
+		l.append(&r)
+		want = append(want, WalOp{Clock: r.Clock, Req: r})
+	}
+	small := func(clock uint64) Request {
+		return Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1, Sub: clock}, Arg: IntVal(1), Clock: clock, Instance: 1}
+	}
+	for cl := uint64(1); cl <= 10; cl++ {
+		add(small(cl))
+	}
+	add(Request{Op: OpSet, Key: Key{Vertex: 1, Obj: 2}, Arg: BytesVal(bytes.Repeat([]byte{9}, walSegBytes+100)),
+		Clock: 11, Instance: 1})
+	for cl := uint64(12); cl <= 20; cl++ {
+		add(small(cl))
+	}
+	if len(l.segs) != 3 {
+		t.Fatalf("%d segments, want 3: the small entries, the large one, the rest", len(l.segs))
+	}
+	for _, k := range []int{4, 6, 1, 3, 6} { // to before the large entry, up to it, past it, to the end
+		l.dropPrefix(k)
+		want = want[min(k, len(want)):]
+		if got := l.flat(); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("after dropping %d: %d entries held, want %d:\n got %+v\nwant %+v", k, len(got), len(want), got, want)
+		}
+		if l.n != len(want) || l.dropped() != 20-uint64(len(want)) {
+			t.Fatalf("after dropping %d: n=%d dropped=%d, want %d and %d", k, l.n, l.dropped(), len(want), 20-len(want))
+		}
+		held := 0
+		for _, seg := range l.segs {
+			if len(seg) >= walSegBytes {
+				held++
+			}
+		}
+		if len(want) <= 9 && held != 0 {
+			t.Fatalf("after dropping %d: the large entry's segment is still held", k)
+		}
+	}
+	if len(l.segs) != 0 {
+		t.Fatalf("an empty log holds %d segments", len(l.segs))
+	}
+	// A large entry into an empty log replaces the empty segment made for
+	// it (no segment is ever empty).
+	add(Request{Op: OpSet, Key: Key{Vertex: 1, Obj: 2}, Arg: BytesVal(bytes.Repeat([]byte{8}, walSegBytes+1)),
+		Clock: 21, Instance: 1})
+	add(small(22))
+	l.dropPrefix(1)
+	if got := l.flat(); len(got) != 1 || got[0].Clock != 22 || l.total != 22 {
+		t.Fatalf("after dropping the large first entry: %+v, total %d", got, l.total)
+	}
+	if l.dropPrefix(1); len(l.segs) != 0 {
+		t.Fatalf("an empty log holds %d segments", len(l.segs))
 	}
 }
 
@@ -150,42 +216,46 @@ func walOpsOf(req Request) []WalOp {
 	return out
 }
 
-// checkWAL fails unless c's WAL, its length and its truncation counts
-// match the model.
-func checkWAL(t *testing.T, c *Client, m *flatWal) {
+// checkWAL fails unless each shard's WAL, as its recovery reads it, the
+// entries held and the truncation counts match the model.
+func checkWAL(t *testing.T, c *Client, m *walModel) {
 	t.Helper()
-	got := c.WAL()
-	if c.WALLen() != len(m.wal) || len(got) != len(m.wal) {
-		t.Fatalf("WAL() has %d entries, WALLen() %d, model %d", len(got), c.WALLen(), len(m.wal))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], m.wal[i]) {
-			t.Fatalf("entry %d:\n got %+v\nwant %+v", i, got[i], m.wal[i])
+	total := 0
+	for _, shard := range c.pmap.Shards {
+		got, want := c.WAL(shard), m.wal[shard]
+		total += len(want)
+		if len(got) != len(want) {
+			t.Fatalf("WAL(%q) has %d entries, model %d", shard, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s entry %d:\n got %+v\nwant %+v", shard, i, got[i], want[i])
+			}
+		}
+		if cs := c.RecoveryState(shard); cs.Dropped != m.dropped[shard] || !reflect.DeepEqual(cs.WAL, got) {
+			t.Fatalf("RecoveryState(%q): %d entries, %d dropped; model %d dropped", shard, len(cs.WAL), cs.Dropped, m.dropped[shard])
 		}
 	}
-	dropped := c.WALDropped()
-	for _, sh := range []string{"", "s0", "s1"} {
-		if dropped[sh] != m.dropped[sh] {
-			t.Fatalf("WALDropped()[%q] = %d, model %d", sh, dropped[sh], m.dropped[sh])
-		}
+	if c.WALLen() != total {
+		t.Fatalf("WALLen() = %d, model %d", c.WALLen(), total)
 	}
 }
 
-// TestWALRoundTrip: WAL() gives back exactly the entries logOp logged,
+// TestWALRoundTrip: WAL gives back exactly the entries logOp logged,
 // for every op kind with every Value kind and every Request field set,
 // +NA heads with their Batch and the increments merged into them, entries
 // that do not fit the room a segment has left and one larger than a
-// segment; and again after a truncation moved the kept ones.
+// segment; and again after a truncation.
 func TestWALRoundTrip(t *testing.T) {
 	vals := []Value{{}, IntVal(-7), FloatVal(2.5), BytesVal([]byte("ab\x00c")),
 		ListVal(3, -1, 9), MapVal(map[string]int64{"x": 1, "y": -2})}
 	c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 3, Endpoint: "nfa",
 		Shards: []string{"s0", "s1"}})
-	m := &flatWal{dropped: map[string]uint64{}}
+	m := newWalModel()
 	log := func(req Request) {
 		logged := req // logOp stamps its argument after logging it
 		c.logOp(&logged)
-		m.wal = append(m.wal, walOpsOf(req)...)
+		m.log(c, req)
 	}
 	var clock uint64
 	for round := 0; round < 40; round++ {
@@ -224,15 +294,16 @@ func TestWALRoundTrip(t *testing.T) {
 		log(Request{Op: OpSet, Key: Key{Vertex: 1, Obj: 20, Sub: uint64(round)},
 			Arg: BytesVal(append(big, byte(round))), Clock: clock, Instance: 3})
 	}
-	if n := len(c.wal.segs); n < 4 {
-		t.Fatalf("WAL spans %d segments, want >= 4", n)
+	for i := range c.wal {
+		if n := len(c.wal[i].segs); n < 4 {
+			t.Fatalf("shard %d's WAL spans %d segments, want >= 4", i, n)
+		}
 	}
 	checkWAL(t, c, m)
 	for _, shard := range []string{"s0", "s1"} {
-		owns := func(k Key) bool { return c.shardFor(k) == shard }
-		covered := uint64(len(m.wal) / 3)
+		covered := uint64(len(m.wal[shard]) / 3)
 		c.truncate(shard, nil, map[uint16]uint64{3: covered})
-		m.truncate(owns, shard, covered)
+		m.truncate(shard, covered)
 		checkWAL(t, c, m)
 	}
 }
@@ -252,7 +323,7 @@ func TestWALBytesPerEntry(t *testing.T) {
 		t.Fatalf("the smallest entry takes %d bytes, walMinEntry is %d", n, walMinEntry)
 	}
 	held := 0
-	for _, seg := range c.wal.segs {
+	for _, seg := range c.wal[0].segs {
 		held += cap(seg)
 	}
 	if per := held / n; per > 128 {
@@ -322,7 +393,8 @@ func fuzzRequest(next func() byte) Request {
 }
 
 // FuzzWALRoundTrip logs fuzzed requests and truncates at fuzzed positions
-// over two shards; WAL() and WALDropped() must match the flat-slice model.
+// over two shards; each shard's WAL and its dropped count must match the
+// per-shard model.
 func FuzzWALRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 1, 2, 1, 3, 7, 4, 1, 1, 9, 2, 2, 7, 0, 1, 5, 3, 2, 1,
 		8, 1, 2, 2, 9, 7, 1, 10, 2, 0, 0, 0, 3, 1, 7, 2, 0, 1, 3})
@@ -338,20 +410,19 @@ func FuzzWALRoundTrip(f *testing.F) {
 		}
 		c := NewClient(&stubNet{}, ClientConfig{Vertex: 1, Instance: 3, Endpoint: "nfa",
 			Shards: []string{"s0", "s1"}})
-		m := &flatWal{dropped: map[string]uint64{}}
+		m := newWalModel()
 		for len(data) > 0 {
 			if next()%8 == 0 {
-				shard := []string{"", "s0", "s1"}[next()%3]
-				owns := func(k Key) bool { return shard == "" || c.shardFor(k) == shard }
+				shard := []string{"s9", "s0", "s1"}[next()%3] // s9: unknown, drops nothing
 				covered := uint64(next())
 				c.truncate(shard, nil, map[uint16]uint64{3: covered})
-				m.truncate(owns, shard, covered)
+				m.truncate(shard, covered)
 				continue
 			}
 			req := fuzzRequest(next)
 			logged := req
 			c.logOp(&logged)
-			m.wal = append(m.wal, walOpsOf(req)...)
+			m.log(c, req)
 		}
 		checkWAL(t, c, m)
 	})
