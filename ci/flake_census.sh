@@ -8,11 +8,14 @@
 # TestMultiProcessFailoverReplay, which take about six times as long. N=120
 # gives 120, 120, 20 and 20 runs.
 #
-# A failed run's signatures are its logStuckClocks lines with the clock
+# A failed run's signatures are its stuck-clock lines with the clock
 # numbers and the flow part of each commit key dropped (the instance,
 # vertex and object of every commit stay), or, when it logged none, its
 # first test log line (usually the failing assertion) with every number
-# replaced by N. Comparing a parent's census with a change's, run side by
+# replaced by N. The runtime tests log those lines through
+# logStuckClocks; TestMultiProcessFailoverReplay logs the chcd report's
+# "stuck" array in the same form (runtime.StuckClock), so MultiProc
+# failures group by the clocks they left, not by their residue count. Comparing a parent's census with a change's, run side by
 # side, is how a PR shows it did not raise a flake's rate.
 set -euo pipefail
 n="${1:?usage: flake_census.sh N OUT}"

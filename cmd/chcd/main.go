@@ -381,19 +381,23 @@ type runReport struct {
 	// Controller is the control-plane status block: current spec, the
 	// recent reconcile actions, and the autoscaler decision counters the
 	// live-soak CI gate asserts on.
-	Controller   runtime.ControllerStatus `json:"controller"`
-	ElapsedSec   float64                  `json:"elapsed_sec"`
-	Offered      int                      `json:"offered_pkts"`
-	Injected     uint64                   `json:"injected"`
-	Deleted      uint64                   `json:"deleted"`
-	LogResidue   int                      `json:"log_residue"`
-	SinkReceived uint64                   `json:"sink_received"`
-	SinkDups     uint64                   `json:"sink_duplicates"`
-	PktsPerSec   float64                  `json:"pkts_per_sec"`
-	GoodputGbps  float64                  `json:"goodput_gbps"`
-	P50us        float64                  `json:"latency_p50_us"`
-	P95us        float64                  `json:"latency_p95_us"`
-	P99us        float64                  `json:"latency_p99_us"`
+	Controller runtime.ControllerStatus `json:"controller"`
+	ElapsedSec float64                  `json:"elapsed_sec"`
+	Offered    int                      `json:"offered_pkts"`
+	Injected   uint64                   `json:"injected"`
+	Deleted    uint64                   `json:"deleted"`
+	LogResidue int                      `json:"log_residue"`
+	// Stuck names the first maxStuck clocks of that residue: what each
+	// still waits on, so a run that did not drain says which family its
+	// clocks belong to.
+	Stuck        []runtime.StuckClock `json:"stuck"`
+	SinkReceived uint64               `json:"sink_received"`
+	SinkDups     uint64               `json:"sink_duplicates"`
+	PktsPerSec   float64              `json:"pkts_per_sec"`
+	GoodputGbps  float64              `json:"goodput_gbps"`
+	P50us        float64              `json:"latency_p50_us"`
+	P95us        float64              `json:"latency_p95_us"`
+	P99us        float64              `json:"latency_p99_us"`
 	// LatencyDropped counts the packets the latency series dropped past
 	// its sample cap; the percentiles above leave them out.
 	LatencyDropped int `json:"latency_dropped"`
@@ -410,6 +414,9 @@ type runReport struct {
 	RemoteCalls uint64 `json:"remote_calls"`
 	RemoteBytes uint64 `json:"remote_bytes"`
 }
+
+// maxStuck caps the stuck clocks a report lists.
+const maxStuck = 64
 
 // makeReport assembles the machine-readable run report from a finished
 // (or drained) chain; a zero elapsed time counts as one second.
@@ -428,6 +435,7 @@ func makeReport(ch *runtime.Chain, status runtime.ControllerStatus, mode string,
 		Injected:        ch.Root.Injected,
 		Deleted:         ch.Root.Deleted,
 		LogResidue:      ch.Root.LogSize(),
+		Stuck:           ch.Root.StuckClocks(maxStuck),
 		SinkReceived:    ch.Sink.Received,
 		SinkDups:        ch.Sink.Duplicates,
 		PktsPerSec:      float64(ch.Root.Injected) / secs,

@@ -17,6 +17,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"chc/internal/runtime"
 )
 
 // freePorts reserves n distinct loopback ports by listening and closing.
@@ -149,12 +151,13 @@ func TestMultiProcessFailoverReplay(t *testing.T) {
 		t.Fatalf("report: %v", err)
 	}
 	var rep struct {
-		Injected    uint64 `json:"injected"`
-		Deleted     uint64 `json:"deleted"`
-		LogResidue  uint64 `json:"log_residue"`
-		SinkDups    uint64 `json:"sink_duplicates"`
-		RemoteMsgs  uint64 `json:"remote_msgs"`
-		RemoteBytes uint64 `json:"remote_bytes"`
+		Injected    uint64               `json:"injected"`
+		Deleted     uint64               `json:"deleted"`
+		LogResidue  uint64               `json:"log_residue"`
+		Stuck       []runtime.StuckClock `json:"stuck"`
+		SinkDups    uint64               `json:"sink_duplicates"`
+		RemoteMsgs  uint64               `json:"remote_msgs"`
+		RemoteBytes uint64               `json:"remote_bytes"`
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("parse report: %v\n%s", err, raw)
@@ -163,6 +166,9 @@ func TestMultiProcessFailoverReplay(t *testing.T) {
 		t.Fatal("no packets injected")
 	}
 	if rep.Deleted != rep.Injected || rep.LogResidue != 0 {
+		for _, s := range rep.Stuck {
+			t.Logf("stuck %v", s)
+		}
 		t.Errorf("conservation violated after node failover: injected=%d deleted=%d residue=%d",
 			rep.Injected, rep.Deleted, rep.LogResidue)
 	}

@@ -151,6 +151,7 @@ func (e *Endpoint) Recv(p transport.Proc) transport.Message {
 // takes a new generation; a reply resolves the slot only while its
 // generation is current, so a late reply to a call that timed out, or a
 // second reply to a duplicated request, can never resolve a later call.
+// The call envelopes are cut from the process's own slab (calls).
 type Proc struct {
 	net    *Net
 	name   string
@@ -168,6 +169,8 @@ type Proc struct {
 	gen      uint64
 	resolved bool
 	reply    any
+
+	calls transport.Slab[callMsg] // used by the process's goroutine only
 }
 
 // Name returns the process name given at Spawn.
@@ -298,10 +301,10 @@ func (s *signal) WaitTimeout(p transport.Proc, d time.Duration) (any, bool) {
 }
 
 // callMsg is the payload wrapper for live RPCs. It names the caller's
-// slot and the call's generation. It stays one allocation per call rather
-// than living in the slot: the callee, or a duplicated delivery of the
-// request, may still hold it after the caller has moved on to its next
-// call, and its Reply must then resolve nothing.
+// slot and the call's generation. Each call gets its own, cut from the
+// caller's slab, rather than one living in the slot: the callee, or a
+// duplicated delivery of the request, may still hold it after the caller
+// has moved on to its next call, and its Reply must then resolve nothing.
 type callMsg struct {
 	net     *Net
 	from    string
@@ -606,7 +609,7 @@ func (n *Net) Reply(p *Proc, gen uint64, from, to string, v any, size int) {
 // replies; the caller blocks on its slot up to timeout.
 func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, timeout time.Duration) (any, bool) {
 	lp := p.(*Proc)
-	cm := &callMsg{net: n, from: from, to: to, payload: payload, caller: lp, gen: lp.ArmCall()}
+	cm := lp.calls.New(callMsg{net: n, from: from, to: to, payload: payload, caller: lp, gen: lp.ArmCall()})
 	n.Send(transport.Message{From: from, To: to, Payload: cm, Size: size})
 	return lp.AwaitCall(timeout)
 }

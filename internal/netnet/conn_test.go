@@ -74,14 +74,16 @@ func TestUndeclaredNodeFailsAtOnce(t *testing.T) {
 // TestFrameHeaderAloneAllocatesLittle: a header that declares a maxFrame
 // body and is followed by EOF is an error, and the reader allocated what
 // arrived, not the 64 MiB the header claimed. A body that does arrive
-// past frameAllocOnce is read whole.
+// past frameAllocOnce is read whole, and smaller ones share the
+// connection's buffer.
 func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
 	hdr := frame(frameMsg, nil)
 	binary.BigEndian.PutUint32(hdr[1:], maxFrame)
 	br := bufio.NewReader(bytes.NewReader(hdr))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(br)
+	var buf []byte
+	_, _, err := readFrame(br, &buf)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a header with no body read as a frame")
@@ -91,9 +93,17 @@ func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
 	}
 
 	body := bytes.Repeat([]byte{7}, 3*frameAllocOnce+5)
-	kind, got, err := readFrame(bufio.NewReader(bytes.NewReader(frame(frameMsg, body))))
+	kind, got, err := readFrame(bufio.NewReader(bytes.NewReader(frame(frameMsg, body))), &buf)
 	if err != nil || kind != frameMsg || !bytes.Equal(got, body) {
 		t.Fatalf("a %d-byte frame read back as kind %d, %d bytes, err %v", len(body), kind, len(got), err)
+	}
+
+	small := bytes.NewReader(append(frame(frameMsg, []byte("first")), frame(framePing, []byte("2nd"))...))
+	br = bufio.NewReader(small)
+	_, first, err1 := readFrame(br, &buf)
+	_, second, err2 := readFrame(br, &buf)
+	if err1 != nil || err2 != nil || string(second) != "2nd" || &first[0] != &second[0] {
+		t.Fatalf("two small frames: %q then %q (errors %v, %v), want both in the one buffer", first, second, err1, err2)
 	}
 }
 

@@ -72,8 +72,8 @@ const (
 // maxFrame bounds one frame body (a corrupt peer cannot OOM the reader).
 const maxFrame = 64 << 20
 
-// frameAllocOnce is the largest frame body readFrame allocates whole
-// before it arrives.
+// frameAllocOnce is the largest frame body readFrame reads whole into the
+// connection's buffer before it arrives.
 const frameAllocOnce = 64 << 10
 
 // dialRetryFor is how long connTo keeps retrying a peer that is not up
@@ -230,7 +230,11 @@ func (n *Net) acceptLoop() {
 }
 
 // serveConn is the single reader for one inbound connection: it dispatches
-// frames sequentially, which is what preserves cross-node FIFO.
+// frames sequentially, which is what preserves cross-node FIFO. A frame is
+// read into the connection's one buffer (readFrame) and every payload in
+// it is decoded from a view of that buffer, by the connection's one
+// payload decoder; decoded values share no memory with their encoding, so
+// the next frame may overwrite it.
 func (n *Net) serveConn(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -241,24 +245,28 @@ func (n *Net) serveConn(c net.Conn) {
 	}()
 	br := bufio.NewReader(c)
 	peer := ""
+	var (
+		buf   []byte
+		d, pd transport.WireDec // the frame's decoder, and its payloads'
+	)
 	for {
-		kind, body, err := readFrame(br)
+		kind, body, err := readFrame(br, &buf)
 		if err != nil {
 			if peer != "" {
 				n.markDown(peer)
 			}
 			return
 		}
-		d := transport.NewWireDec(body)
+		d.Reset(body)
 		switch kind {
 		case frameHello:
 			peer = d.Str()
 		case frameMsg:
-			from, to, enc := d.Str(), d.Str(), d.Blob()
+			from, to, enc := d.Str(), d.Str(), d.View()
 			if d.Err() != nil {
 				continue
 			}
-			payload, err := transport.DecodePayload(enc)
+			payload, err := pd.DecodePayload(enc)
 			if err != nil {
 				continue
 			}
@@ -267,8 +275,8 @@ func (n *Net) serveConn(c net.Conn) {
 			cnt := d.Len(8)
 			msgs := make([]transport.Message, 0, cnt)
 			for i := 0; i < cnt && d.Err() == nil; i++ {
-				from, to, enc := d.Str(), d.Str(), d.Blob()
-				payload, err := transport.DecodePayload(enc)
+				from, to, enc := d.Str(), d.Str(), d.View()
+				payload, err := pd.DecodePayload(enc)
 				if err != nil {
 					continue
 				}
@@ -276,22 +284,22 @@ func (n *Net) serveConn(c net.Conn) {
 			}
 			n.Net.SendBurst(msgs)
 		case frameCall:
-			id, callerNode, from, to, enc := d.U64(), d.Str(), d.Str(), d.Str(), d.Blob()
+			id, callerNode, from, to, enc := d.U64(), d.Str(), d.Str(), d.Str(), d.View()
 			if d.Err() != nil {
 				continue
 			}
-			payload, err := transport.DecodePayload(enc)
+			payload, err := pd.DecodePayload(enc)
 			if err != nil {
 				continue
 			}
 			rc := &remoteCall{n: n, node: callerNode, id: id, from: from, body: payload}
 			n.Net.Send(transport.Message{From: from, To: to, Payload: rc, Size: len(enc)})
 		case frameReply:
-			id, enc := d.U64(), d.Blob()
+			id, enc := d.U64(), d.View()
 			if d.Err() != nil {
 				continue
 			}
-			payload, err := transport.DecodePayload(enc)
+			payload, err := pd.DecodePayload(enc)
 			if err != nil {
 				continue
 			}
@@ -321,7 +329,10 @@ func (n *Net) serveConn(c net.Conn) {
 	}
 }
 
-func readFrame(br *bufio.Reader) (uint8, []byte, error) {
+// readFrame reads one frame. A body of up to frameAllocOnce bytes lands
+// in *buf, grown as needed and valid until the next call; a larger one
+// gets its own memory.
+func readFrame(br *bufio.Reader, buf *[]byte) (uint8, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
@@ -331,7 +342,10 @@ func readFrame(br *bufio.Reader) (uint8, []byte, error) {
 		return 0, nil, fmt.Errorf("netnet: frame of %d bytes exceeds limit", size)
 	}
 	if size <= frameAllocOnce {
-		body := make([]byte, size)
+		if cap(*buf) < size {
+			*buf = make([]byte, min(frameAllocOnce, max(size, 2*cap(*buf))))
+		}
+		body := (*buf)[:size]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return 0, nil, err
 		}

@@ -33,7 +33,7 @@ func TestRootLateCommitHoldsNothing(t *testing.T) {
 		inst := c.Vertices[0].Instances[0]
 		for ctr := uint64(1); ctr <= n; ctr++ {
 			c.Net().Send(transport.Message{From: StoreEndpoint, To: c.Root.Endpoint, Size: 16,
-				Payload: store.CommitMsg{Commits: []store.Commit{{Clock: packet.MakeClock(c.Root.ID, ctr), Instance: inst.ID,
+				Payload: &store.CommitMsg{Commits: []store.Commit{{Clock: packet.MakeClock(c.Root.ID, ctr), Instance: inst.ID,
 					Key: store.Key{Vertex: 1, Obj: ckptObjTotal}}}}})
 		}
 		c.RunFor(10 * time.Millisecond)

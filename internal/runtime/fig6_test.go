@@ -108,7 +108,7 @@ func TestRootDeleteWaitsForEveryCommit(t *testing.T) {
 				n, len(signed), c.Root.LogSize(), c.Root.Deleted, prunes()-before)
 		}
 		c.Net().Send(transport.Message{From: shard, To: c.Root.Endpoint, Size: 20,
-			Payload: store.CommitMsg{Commits: []store.Commit{{Clock: clock, Instance: s.in.ID, Key: store.Key{Vertex: s.in.vertex.ID, Obj: s.obj}}}}})
+			Payload: &store.CommitMsg{Commits: []store.Commit{{Clock: clock, Instance: s.in.ID, Key: store.Key{Vertex: s.in.vertex.ID, Obj: s.obj}}}}})
 		c.RunFor(time.Millisecond)
 	}
 	if c.Root.LogSize() != 0 || c.Root.Deleted != 1 || prunes() != before+1 {
@@ -190,7 +190,7 @@ func TestRootPrunesPerInboundBatch(t *testing.T) {
 	if c.Root.LogSize() != 4 || len(got[c.Stores[0].Name]) != 0 {
 		t.Fatalf("before any commit: log=%d prunes=%d, want 4 logged and none pruned", c.Root.LogSize(), len(got[c.Stores[0].Name]))
 	}
-	send(store.CommitMsg{Commits: []store.Commit{
+	send(&store.CommitMsg{Commits: []store.Commit{
 		commit(clocks[3], 1), commit(clocks[0], 1), commit(clocks[1], 1), commit(clocks[2], 1)}}, 4+16*4)
 	wantPrunes("one commit message completing three checks", clocks[:3])
 	if c.Root.LogSize() != 1 || c.Root.log.Get(clocks[3]) == nil || c.Root.Deleted != 3 {
@@ -199,12 +199,12 @@ func TestRootPrunesPerInboundBatch(t *testing.T) {
 
 	// A one-entry delete whose commit came first prunes as it always did.
 	fifth := inject(1)[0]
-	send(store.CommitMsg{Commits: []store.Commit{commit(fifth, 1)}}, 20)
+	send(&store.CommitMsg{Commits: []store.Commit{commit(fifth, 1)}}, 20)
 	send(DeleteMsg{Dels: []Delete{{Clock: fifth, Vec: o1}}}, 16)
 	wantPrunes("a one-entry delete", []uint64{fifth})
 
 	// Empty batches are no-ops.
 	send(DeleteMsg{}, 4)
-	send(store.CommitMsg{}, 4)
+	send(&store.CommitMsg{}, 4)
 	wantPrunes("empty batches", nil)
 }

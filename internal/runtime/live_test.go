@@ -124,15 +124,14 @@ func liveFailoverReplay(t *testing.T, rounds int) {
 	}
 }
 
-// logStuckClocks prints, for every clock the stopped chain's root still
-// logs, the delete verdict it is waiting on and the commit signals it got
-// (recorded when Root.traceCommits was set before the run).
+// logStuckClocks prints, for the first 64 clocks the stopped chain's root
+// still logs, the delete verdict it is waiting on and the commit signals
+// it got (recorded when Root.traceCommits was set before the run).
 func logStuckClocks(t *testing.T, ch *Chain) {
 	t.Helper()
-	ch.Root.log.Each(func(clk uint64, ent *rootLogEntry) {
-		t.Logf("stuck clock=%d gotDelete=%v finalVec=%08x commitXor=%08x proto=%d flags=%02x commits=%v",
-			clk, ent.gotDelete, ent.finalVec, ent.commitXor, ent.pkt.Proto, ent.pkt.TCPFlags, ch.Root.traceCommits[clk])
-	})
+	for _, s := range ch.Root.StuckClocks(64) {
+		t.Logf("stuck %v", s)
+	}
 }
 
 // runInDrainedLaps offers tr in laps of 4096 packets and lets the chain

@@ -146,6 +146,38 @@ func (r *Root) LogSize() int { return r.log.Len() }
 // Clock returns the current counter (tests).
 func (r *Root) Clock() uint64 { return r.ctr }
 
+// StuckClock is one clock still in the root log: the Fig 6 verdict it
+// waits on, what the packet was, and the commit signals it got when the
+// root was tracing them (tests set traceCommits; otherwise none).
+type StuckClock struct {
+	Clock     uint64         `json:"clock"`
+	GotDelete bool           `json:"got_delete"`
+	FinalVec  uint32         `json:"final_vec"`
+	CommitXor uint32         `json:"commit_xor"`
+	Proto     uint8          `json:"proto"`
+	Flags     uint8          `json:"flags"`
+	Commits   []store.Commit `json:"commits"`
+}
+
+// String is the one line form every report of a stuck clock uses.
+func (s StuckClock) String() string {
+	return fmt.Sprintf("clock=%d gotDelete=%v finalVec=%08x commitXor=%08x proto=%d flags=%02x commits=%v",
+		s.Clock, s.GotDelete, s.FinalVec, s.CommitXor, s.Proto, s.Flags, s.Commits)
+}
+
+// StuckClocks returns the first limit clocks, in clock order, that the
+// root log still holds. Read it after the run, once the root has stopped.
+func (r *Root) StuckClocks(limit int) []StuckClock {
+	var out []StuckClock
+	r.log.Each(func(clk uint64, ent *rootLogEntry) {
+		if len(out) < limit {
+			out = append(out, StuckClock{Clock: clk, GotDelete: ent.gotDelete, FinalVec: ent.finalVec,
+				CommitXor: ent.commitXor, Proto: ent.pkt.Proto, Flags: ent.pkt.TCPFlags, Commits: r.traceCommits[clk]})
+		}
+	})
+	return out
+}
+
 // run stamps, persists and logs each packet of a drained burst, then
 // forwards the burst as one RouteBurst per successor vertex.
 func (r *Root) run(p transport.Proc) {
@@ -185,7 +217,7 @@ func (r *Root) dispatch(p transport.Proc, msg transport.Message) {
 		if m.Reply != nil && !m.Reply.Resolved() {
 			m.Reply.Resolve(struct{}{})
 		}
-	case store.CommitMsg:
+	case *store.CommitMsg:
 		for _, c := range m.Commits {
 			r.handleCommit(c)
 		}
@@ -526,7 +558,7 @@ func (c *Chain) RecoverRoot() (newRoot *Root, took time.Duration) {
 		res, ok := c.tr.Call(p, nr.Endpoint, c.pmap.ShardFor(key), req, 32, 10*time.Millisecond)
 		last := uint64(0)
 		if ok {
-			if rep, k := res.(store.Reply); k && rep.OK {
+			if rep, k := res.(*store.Reply); k && rep.OK {
 				last = uint64(rep.Val.Int)
 			}
 		}

@@ -47,7 +47,7 @@ func wireSamples() []wireSample {
 		{name: "int", in: int(-12345)},
 		{name: "string", in: "endpoint.name"},
 		{name: "store.Request", in: req},
-		{name: "store.Reply", in: store.Reply{
+		{name: "store.Reply", in: &store.Reply{
 			Val: store.Value{Kind: store.KindMap, Map: map[string]int64{"a": 1, "b": 2}},
 			OK:  true, Emulated: true, Conflict: true,
 			TS: map[uint16]uint64{0: 5, 3: 9},
@@ -56,14 +56,14 @@ func wireSamples() []wireSample {
 			{Req: req, Seq: 1, From: "v0.i0"},
 			{Req: req, Seq: 2, From: "v0.i0"},
 		}}},
-		{name: "store.AckMsg", in: store.AckMsg{Seqs: []uint64{31337}}},
+		{name: "store.AckMsg", in: &store.AckMsg{Seqs: []uint64{31337}}},
 		{name: "store.CallbackMsg", in: store.CallbackMsg{
 			Key: store.Key{Vertex: 1, Obj: 2, Sub: 3},
 			Val: store.Value{Kind: store.KindList, List: []int64{5, 6, 7}},
 		}},
 		{name: "store.OwnerMsg", in: store.OwnerMsg{Key: store.Key{Vertex: 1}, Owner: 2}},
 		{name: "store.OwnerSeedMsg", in: store.OwnerSeedMsg{Key: store.Key{Sub: 0xffffffffffffffff}, Instance: 1}},
-		{name: "store.CommitMsg", in: store.CommitMsg{Commits: []store.Commit{{Clock: 11, Instance: 2, Key: store.Key{Obj: 7}}}}},
+		{name: "store.CommitMsg", in: &store.CommitMsg{Commits: []store.Commit{{Clock: 11, Instance: 2, Key: store.Key{Obj: 7}}}}},
 		{name: "store.PruneMsg", in: store.PruneMsg{Clocks: []uint64{1 << 40}}},
 		{name: "store.TruncateMsg", in: store.TruncateMsg{
 			TS:    map[uint16]uint64{1: 100, 2: 200},
@@ -104,8 +104,7 @@ func wireSamples() []wireSample {
 func controlBatchSamples() []wireSample {
 	var out []wireSample
 	for _, n := range []int{0, 32} {
-		var acks store.AckMsg
-		var commits store.CommitMsg
+		acks, commits := new(store.AckMsg), new(store.CommitMsg)
 		var prunes store.PruneMsg
 		var dels DeleteMsg
 		for i := 0; i < n; i++ {
@@ -192,6 +191,35 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatalf("re-encode not byte-stable:\n first  %x\n second %x", b1, b2)
 			}
 		})
+	}
+}
+
+// TestDecodeDoesNotAlias: a decoded value shares no memory with its
+// encoding. netnet decodes every payload from a view of its connection's
+// frame buffer and reads the next frame over it, so each sample is decoded
+// the way it does (one reused decoder), the input is overwritten, and the
+// value must still equal a fresh decode.
+func TestDecodeDoesNotAlias(t *testing.T) {
+	var d transport.WireDec
+	for _, s := range wireSamples() {
+		b, err := transport.EncodePayload(s.in)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", s.name, err)
+		}
+		held, err := d.DecodePayload(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", s.name, err)
+		}
+		fresh, err := transport.DecodePayload(slices.Clone(b))
+		if err != nil {
+			t.Fatalf("%s: fresh decode: %v", s.name, err)
+		}
+		for i := range b {
+			b[i] = 0xa5
+		}
+		if !reflect.DeepEqual(held, fresh) {
+			t.Fatalf("%s: overwriting the encoding changed the decoded value:\n got  %#v\n want %#v", s.name, held, fresh)
+		}
 	}
 }
 

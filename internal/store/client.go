@@ -123,7 +123,7 @@ type cacheEntry struct {
 	valid      bool
 	exclusive  bool      // split-aware objects: may cache while exclusive
 	exclSet    bool      // exclusive was set per-sub (overrides the per-obj default)
-	pending    []Request // locally applied, unflushed ops (per-flow cache)
+	pending    []Request // locally applied, unflushed ops (per-flow cache); see pendFree
 	dirty      bool      // key is on Client.dirty (see markDirty)
 	registered bool      // update callback registered with the store
 }
@@ -157,19 +157,41 @@ type Client struct {
 	dirty []Key
 
 	// out is the outbound list: every async op issued and not yet sent, in
-	// issue order. open indexes the increments in it that a later increment
-	// of the same stream may still merge into (the stream's open head); an
-	// op not in open is sealed. flushOut is the only way off the list, and
-	// it is where an op gets its WAL entries, WalPos, Seq and pending slot,
-	// so all four follow wire order. groups is flushOut's per-shard scratch.
-	out      []*Request
-	open     map[outKey]*Request
+	// issue order. open holds the index in out of each increment that a
+	// later increment of the same stream may still merge into (the stream's
+	// open head); an op not in open is sealed. flushOut is the only way off
+	// the list, and it is where an op gets its WAL entries, WalPos, Seq and
+	// pending slot, so all four follow wire order. The list is reused: a
+	// slot keeps its Batch array for the next head it holds, and flushOut
+	// copies what it sends into memory the message owns. groups is
+	// flushOut's per-shard scratch.
+	out      []Request
+	open     map[outKey]int
 	outTimer bool // the window timer is scheduled and has not fired
 	groups   []outGroup
 
 	// Async ops sent and not yet acknowledged, by Seq.
 	seq     uint64
 	pending map[uint64]AsyncOp
+
+	// retx holds the sends awaiting their ack deadlines, retx[retxHead:]
+	// in send order, which is deadline order; a send leaves it at its
+	// deadline or, all its ops acked, at an ack (dropAcked). One timer,
+	// armed while the queue is not empty, fires at the head's deadline
+	// (retransmit). retxFn and windowFn are the two timers' callbacks, made
+	// once.
+	retx      []retxEntry
+	retxHead  int
+	retxArmed bool
+	retxFn    func()
+	windowFn  func()
+
+	// pendFree holds emptied pending slices of cache entries for reuse:
+	// flushEntry copies an entry's ops onto the outbound list, so its slice
+	// is free again at once. reqSlab cuts the Request a blocking call sends,
+	// which the callee may hold past the call.
+	pendFree [][]Request
+	reqSlab  transport.Slab[Request]
 
 	// Recovery metadata. wal holds one log per shard, in pmap.Shards
 	// order: a shard's checkpoint covers a prefix of its log, and its
@@ -213,11 +235,32 @@ type outKey struct {
 	field string
 }
 
-// outGroup is the ops one flush sends to one shard.
+// outGroup is what one flush sends to one shard, by index in pmap.Shards:
+// n ops carrying nb Batch entries, copied into reqs and batch, memory the
+// message owns.
 type outGroup struct {
+	shard int
+	n, nb int
+	ops   []AsyncOp
+	reqs  []Request
+	batch []BatchEntry
+}
+
+// retxEntry is one send awaiting its ack deadline.
+type retxEntry struct {
+	at    transport.Time
 	shard string
 	ops   []AsyncOp
 }
+
+// A client keeps for reuse up to pendFreeMax emptied pending slices of at
+// most pendFreeCap ops each, and an outbound list of at most outKeepCap
+// slots: what a burst of flushes grew beyond that is let go, not held.
+const (
+	pendFreeMax = 16
+	pendFreeCap = 4
+	outKeepCap  = 128
+)
 
 // NewClient builds a client library instance.
 func NewClient(net transport.Transport, cfg ClientConfig) *Client {
@@ -237,12 +280,13 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 		net:       net,
 		decls:     make(map[uint16]ObjDecl),
 		cache:     make(map[Key]*cacheEntry),
-		open:      make(map[outKey]*Request),
+		open:      make(map[outKey]int),
 		pending:   make(map[uint64]AsyncOp),
 		wal:       make([]walLog, len(shards)),
 		ownerWait: make(map[Key]transport.Signal),
 		objExcl:   make(map[uint16]bool),
 	}
+	c.retxFn, c.windowFn = c.retransmit, c.windowFlush
 	for _, d := range cfg.Decls {
 		c.decls[d.ID] = d
 	}
@@ -334,6 +378,7 @@ func (c *Client) Shutdown() {
 	c.pending = make(map[uint64]AsyncOp)
 	c.out = nil
 	clear(c.open)
+	c.retx, c.retxHead = nil, 0
 }
 
 // StartFlusher spawns the periodic cache flusher if configured.
@@ -437,7 +482,15 @@ func (c *Client) flushDirty(sel func(Key, *cacheEntry) bool) int {
 	if len(c.dirty) == 0 {
 		return 0
 	}
-	sort.Slice(c.dirty, func(i, j int) bool { return c.dirty[i].Less(c.dirty[j]) })
+	slices.SortFunc(c.dirty, func(a, b Key) int { // keys are distinct: any sort gives one order
+		if a.Less(b) {
+			return -1
+		}
+		if b.Less(a) {
+			return 1
+		}
+		return 0
+	})
 	n := 0
 	kept := c.dirty[:0]
 	for _, k := range c.dirty {
@@ -492,17 +545,18 @@ func (c *Client) call(p transport.Proc, req *Request) (Reply, bool) {
 	c.flushOut(true)
 	c.BlockingOps++
 	to := c.shardFor(req.Key)
+	sent, size := c.reqSlab.New(*req), req.wireSize()
 	// The deferred re-lock (instead of a plain Lock after the call) keeps
 	// the mutex balanced when a killed live process unwinds out of the
 	// network wait: the kill panic must leave c.mu held for the caller's
 	// own deferred Unlock.
 	c.mu.Unlock()
 	defer c.mu.Lock()
-	res, ok := c.net.Call(p, c.cfg.Endpoint, to, req, req.wireSize(), c.cfg.RPCTimeout)
+	res, ok := c.net.Call(p, c.cfg.Endpoint, to, sent, size, c.cfg.RPCTimeout)
 	if !ok {
 		return Reply{}, false
 	}
-	return res.(Reply), true
+	return *res.(*Reply), true
 }
 
 // --- The outbound list (DESIGN.md §4) -----------------------------------------
@@ -521,15 +575,30 @@ func (c *Client) merge(req *Request) bool {
 		return false
 	}
 	stream := outKey{k: req.Key, field: req.Field}
-	if head := c.open[stream]; head != nil && head.Op == req.Op && 1+len(head.Batch) < coalesceMax {
-		head.Batch = append(head.Batch, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
-		c.CoalescedOps++
-		return true
+	if i, ok := c.open[stream]; ok {
+		if head := &c.out[i]; head.Op == req.Op && 1+len(head.Batch) < coalesceMax {
+			head.Batch = append(head.Batch, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
+			c.CoalescedOps++
+			return true
+		}
 	}
-	r := *req
-	c.open[stream] = &r
-	c.out = append(c.out, &r)
+	c.open[stream] = c.hold(req)
 	return true
+}
+
+// hold appends a copy of req to the outbound list and returns its index.
+// The slot keeps the Batch array it held before, so a head that merges
+// increments grows it only the first few times the slot is used.
+func (c *Client) hold(req *Request) int {
+	i := len(c.out)
+	if i == cap(c.out) {
+		c.out = append(c.out, Request{})
+	}
+	c.out = c.out[:i+1]
+	batch := append(c.out[i].Batch[:0], req.Batch...)
+	c.out[i] = *req
+	c.out[i].Batch = batch
+	return i
 }
 
 // issued ends every path that put ops on the list outside a flush. The ops
@@ -544,14 +613,17 @@ func (c *Client) issued() {
 	if window <= 0 {
 		window = defaultCoalesceWindow
 	}
-	c.net.Schedule(window, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.outTimer = false
-		if !c.shutdown {
-			c.flushOut(true)
-		}
-	})
+	c.net.Schedule(window, c.windowFn)
+}
+
+// windowFlush is the window timer: it sends the whole list.
+func (c *Client) windowFlush() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.outTimer = false
+	if !c.shutdown {
+		c.flushOut(true)
+	}
 }
 
 // flushOut sends the list in issue order: all of it when sealOpen is set,
@@ -559,7 +631,10 @@ func (c *Client) issued() {
 // increments to merge into. Each op is WAL-logged here, at send time (the
 // positions a checkpoint records assume that the WAL mirrors the order in
 // which ops reach the wire, per shard). The ops of one shard travel as one
-// message, shards in first-use order. Expects c.mu held.
+// message, shards in first-use order. A message owns three allocations:
+// its ops, the Requests they point to and those Requests' Batch entries,
+// whatever its op count; the list's slots are emptied for reuse. Expects
+// c.mu held.
 func (c *Client) flushOut(sealOpen bool) {
 	if len(c.out) == 0 {
 		return // the usual case under a blocking call; open is empty too
@@ -567,44 +642,85 @@ func (c *Client) flushOut(sealOpen bool) {
 	if sealOpen {
 		clear(c.open)
 	}
-	kept := c.out[:0]
-	for i, req := range c.out {
-		if len(c.open) > 0 && c.open[outKey{k: req.Key, field: req.Field}] == req {
-			kept = append(kept, req)
+	for i := range c.out {
+		if !c.isOpen(i) {
+			g := c.group(c.pmap.Index(c.out[i].Key))
+			g.n++
+			g.nb += len(c.out[i].Batch)
+		}
+	}
+	for g := range c.groups {
+		grp := &c.groups[g]
+		grp.ops = make([]AsyncOp, 0, grp.n)
+		grp.reqs = make([]Request, 0, grp.n)
+		if grp.nb > 0 {
+			grp.batch = make([]BatchEntry, 0, grp.nb)
+		}
+	}
+	kept := 0
+	for i := range c.out {
+		req := &c.out[i]
+		if c.isOpen(i) {
+			// Swapped, not copied: the slot left behind was sent and
+			// emptied, and two slots must never share a Batch array.
+			c.out[kept], c.out[i] = c.out[i], c.out[kept]
+			c.open[outKey{k: c.out[kept].Key, field: c.out[kept].Field}] = kept
+			kept++
 			continue
 		}
-		shard := c.logOp(req)
+		grp := c.group(c.logOp(req))
+		grp.reqs = append(grp.reqs, *req)
+		sent := &grp.reqs[len(grp.reqs)-1]
+		sent.Batch = nil
 		if len(req.Batch) > 0 {
+			lo := len(grp.batch)
+			grp.batch = append(grp.batch, req.Batch...)
+			sent.Batch = grp.batch[lo:len(grp.batch):len(grp.batch)]
 			c.BatchedSends++
 		}
 		c.AsyncOps++
 		c.seq++
-		op := AsyncOp{Req: req, Seq: c.seq, From: c.cfg.Endpoint}
+		op := AsyncOp{Req: sent, Seq: c.seq, From: c.cfg.Endpoint}
 		c.pending[op.Seq] = op
-		g := 0
-		for g < len(c.groups) && c.groups[g].shard != shard {
-			g++
-		}
-		if g == len(c.groups) {
-			// The message keeps the slice, so it is made here; no group
-			// can get more than the ops still to go.
-			c.groups = append(c.groups, outGroup{shard: shard, ops: make([]AsyncOp, 0, len(c.out)-i)})
-		}
-		c.groups[g].ops = append(c.groups[g].ops, op)
+		grp.ops = append(grp.ops, op)
+		*req = Request{Batch: req.Batch[:0]}
 	}
-	clear(c.out[len(kept):])
-	c.out = kept
+	c.out = c.out[:kept]
+	if cap(c.out) > outKeepCap {
+		c.out = append([]Request(nil), c.out...)
+	}
 	for g := range c.groups {
-		c.send(c.groups[g].shard, c.groups[g].ops)
+		c.send(c.pmap.Shards[c.groups[g].shard], c.groups[g].ops)
 		c.groups[g] = outGroup{}
 	}
 	c.groups = c.groups[:0]
 }
 
-// send ships ops to shard as one message and arms their retransmit timer.
-// Acks stay per op: the timer offers again, together, whichever of them are
-// still pending, so a lost message degrades to retransmission without any
-// message-level ack state.
+// isOpen reports whether out[i] is an open head. Expects c.mu held.
+func (c *Client) isOpen(i int) bool {
+	if len(c.open) == 0 {
+		return false
+	}
+	j, ok := c.open[outKey{k: c.out[i].Key, field: c.out[i].Field}]
+	return ok && j == i
+}
+
+// group returns flushOut's group for the shard of that index, adding it
+// after the others the first time.
+func (c *Client) group(shard int) *outGroup {
+	for g := range c.groups {
+		if c.groups[g].shard == shard {
+			return &c.groups[g]
+		}
+	}
+	c.groups = append(c.groups, outGroup{shard: shard})
+	return &c.groups[len(c.groups)-1]
+}
+
+// send ships ops to shard as one message and queues them for the
+// retransmit timer. Acks stay per op: at the message's deadline the timer
+// offers again, together, whichever of them are still pending, so a lost
+// message degrades to retransmission without any message-level ack state.
 func (c *Client) send(shard string, ops []AsyncOp) {
 	size := 0
 	for _, op := range ops {
@@ -618,23 +734,73 @@ func (c *Client) send(shard string, ops []AsyncOp) {
 	if len(ops) > 1 {
 		c.BurstRPCs++
 	}
-	c.net.Schedule(c.cfg.AckTimeout, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.shutdown {
-			return
-		}
+	// The queue slides down over its consumed prefix, as a live mailbox
+	// does, rather than growing.
+	if len(c.retx) == cap(c.retx) && c.retxHead > 0 && c.retxHead*8 >= len(c.retx)-c.retxHead {
+		n := copy(c.retx, c.retx[c.retxHead:])
+		clear(c.retx[n:])
+		c.retx, c.retxHead = c.retx[:n], 0
+	}
+	c.retx = append(c.retx, retxEntry{at: c.net.Now().Add(c.cfg.AckTimeout), shard: shard, ops: ops})
+	if !c.retxArmed {
+		c.retxArmed = true
+		c.net.Schedule(c.cfg.AckTimeout, c.retxFn)
+	}
+}
+
+// retransmit is the retransmit timer: it offers again the unacked ops of
+// every send whose deadline has come, then re-arms for the next deadline.
+// It fires at each deadline, the instants one timer per send would.
+func (c *Client) retransmit() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shutdown {
+		return
+	}
+	now := c.net.Now()
+	// retxArmed stays set while the due sends are offered again, so their
+	// sends queue behind the rest without arming a second timer.
+	for c.retxHead < len(c.retx) && c.retx[c.retxHead].at <= now {
+		due := c.retx[c.retxHead]
+		c.retx[c.retxHead] = retxEntry{}
+		c.retxHead++
 		var again []AsyncOp
-		for _, op := range ops {
+		for _, op := range due.ops {
 			if _, unacked := c.pending[op.Seq]; unacked {
 				again = append(again, op)
 			}
 		}
 		if len(again) > 0 {
 			c.Retransmits += uint64(len(again))
-			c.send(shard, again)
+			c.send(due.shard, again)
 		}
-	})
+	}
+	if c.retxHead == len(c.retx) {
+		c.retx, c.retxHead = c.retx[:0], 0
+		c.retxArmed = false
+		return
+	}
+	c.net.Schedule(c.retx[c.retxHead].at.Sub(now), c.retxFn)
+}
+
+// dropAcked takes off the head of the retransmit queue the sends whose ops
+// are all acked: nothing of theirs can be offered again, so their memory
+// goes at the ack, not at the deadline. The timer stays armed; at its
+// deadline it finds a later head or none, so retransmissions keep their
+// instants.
+func (c *Client) dropAcked() {
+	for c.retxHead < len(c.retx) {
+		head := &c.retx[c.retxHead]
+		for len(head.ops) > 0 {
+			if _, unacked := c.pending[head.ops[0].Seq]; unacked {
+				return
+			}
+			head.ops = head.ops[1:]
+		}
+		*head = retxEntry{}
+		c.retxHead++
+	}
+	c.retx, c.retxHead = c.retx[:0], 0
 }
 
 // FlushBurst sends the sealed part of the list; the runtime calls it at
@@ -654,8 +820,8 @@ func (c *Client) OutPending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, req := range c.out {
-		n += 1 + len(req.Batch)
+	for i := range c.out {
+		n += 1 + len(c.out[i].Batch)
 	}
 	return n
 }
@@ -668,10 +834,11 @@ func (c *Client) HandleMessage(payload any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch m := payload.(type) {
-	case AckMsg:
+	case *AckMsg:
 		for _, seq := range m.Seqs {
 			delete(c.pending, seq)
 		}
+		c.dropAcked()
 		return true
 	case CallbackMsg:
 		// Read-heavy cache refresh pushed by the store.
@@ -729,12 +896,12 @@ func (c *Client) truncate(shard string, ts, pos map[uint16]uint64) {
 
 // logOp appends req — and, for a merged request, each increment merged into
 // it — to its shard's WAL, then stamps req with the resulting WAL position
-// of that shard, whose name it returns: the store learns from the stamp
+// of that shard, whose index it returns: the store learns from the stamp
 // exactly how much of this client's WAL stream the op's arrival covers
 // (FIFO links: every earlier entry has been delivered by then). Ops
 // without a packet clock are not shared-state mutations and are not
 // logged.
-func (c *Client) logOp(req *Request) (shard string) {
+func (c *Client) logOp(req *Request) (shard int) {
 	i := c.pmap.Index(req.Key)
 	l := &c.wal[i]
 	if req.Clock != 0 {
@@ -748,7 +915,7 @@ func (c *Client) logOp(req *Request) (shard string) {
 		}
 	}
 	req.WalPos = l.total
-	return c.pmap.Shards[i]
+	return i
 }
 
 // --- State operations used by NF code ---------------------------------------
@@ -811,17 +978,14 @@ func (c *Client) Update(p transport.Proc, req Request) {
 			// WAL, whose order mirrors it) sees this client's ops in issue
 			// order.
 			clear(c.open)
-			r := req
-			c.out = append(c.out, &r)
+			c.hold(&req)
 		}
 		c.issued()
 		return
 	}
 	// Non-blocking op, but wait for the ACK (models #1/#2): one RTT, no
-	// lock contention since the store serializes (§4.3). The call keeps
-	// a copy, so that req stays on the stack for the paths above.
-	r := req
-	c.callLogged(p, d, e, &r)
+	// lock contention since the store serializes (§4.3).
+	c.callLogged(p, d, e, &req)
 }
 
 // callLogged sends a mutating op as a blocking call. The outbound list
@@ -864,6 +1028,10 @@ func (c *Client) absorb(p transport.Proc, e *cacheEntry, req *Request) Reply {
 	c.ensureCached(p, e, req)
 	rep := ApplyToValue(&e.val, req)
 	e.valid = true
+	if e.pending == nil && len(c.pendFree) > 0 {
+		e.pending = c.pendFree[len(c.pendFree)-1]
+		c.pendFree = c.pendFree[:len(c.pendFree)-1]
+	}
 	e.pending = append(e.pending, *req)
 	c.markDirty(req.Key, e)
 	return rep
@@ -900,17 +1068,20 @@ func (c *Client) NonDet(p transport.Proc, obj uint16, sub uint64, kind NonDetKin
 // --- Flush and handover ------------------------------------------------------
 
 // flushEntry moves an entry's pending ops onto the outbound list, as ops
-// (per §7.3 R2, handover "flushes only operations"), and clears them. It
-// leaves the open heads open: the keys it flushes are cached ones. The
-// caller follows with issued or flushOut.
+// (per §7.3 R2, handover "flushes only operations"), and clears them; the
+// emptied slice goes on pendFree. It leaves the open heads open: the keys
+// it flushes are cached ones. The caller follows with issued or flushOut.
 func (c *Client) flushEntry(k Key, e *cacheEntry) int {
 	n := len(e.pending)
 	for i := range e.pending {
-		r := e.pending[i]
-		r.Key = k
-		c.out = append(c.out, &r)
+		e.pending[i].Key = k
+		c.hold(&e.pending[i])
 	}
 	c.FlushedOps += uint64(n)
+	if cap(e.pending) > 0 && cap(e.pending) <= pendFreeCap && len(c.pendFree) < pendFreeMax {
+		clear(e.pending)
+		c.pendFree = append(c.pendFree, e.pending[:0])
+	}
 	e.pending = nil
 	return n
 }

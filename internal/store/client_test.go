@@ -301,7 +301,7 @@ func TestCommitSignalsToRoot(t *testing.T) {
 	sim.Spawn("root", func(p *vtime.Proc) {
 		for {
 			msg := rootEp.Recv(p)
-			if cm, ok := msg.Payload.(CommitMsg); ok {
+			if cm, ok := msg.Payload.(*CommitMsg); ok {
 				commits = append(commits, cm.Commits...)
 			}
 		}

@@ -227,6 +227,10 @@ type dupEntry struct {
 	ok  bool
 }
 
+// dupFreeMax bounds the emptied duplicate-log lists an engine keeps: more
+// than the clocks one burst of root deletes prunes, about 26 KiB.
+const dupFreeMax = 64
+
 type entry struct {
 	val   Value
 	owner uint16 // 0 = shared / unowned
@@ -251,9 +255,11 @@ type Engine struct {
 	// Duplicate-suppression log: clock -> (key, result value) of each update
 	// that clock induced (§5.3). A packet updates a handful of keys, so the
 	// per-clock list is searched linearly. Pruned when the root deletes the
-	// packet.
-	logMu  sync.Mutex
-	updLog clockset.Table[[]dupEntry]
+	// packet, when the clock's emptied list goes on dupFree for a later
+	// clock.
+	logMu   sync.Mutex
+	updLog  clockset.Table[[]dupEntry]
+	dupFree [][]dupEntry
 	// pruned tombstones completed clocks (see PruneClock).
 	pruned clockset.Set
 
@@ -353,9 +359,13 @@ func (e *Engine) logDup(clock uint64, k Key, result Value, ok bool) {
 		return
 	}
 	if *log == nil {
-		// A packet updates one to four keys per shard: one allocation
-		// instead of growing 1 → 2 → 4.
-		*log = make([]dupEntry, 0, 4)
+		// A packet updates one to four keys per shard: one list of four
+		// instead of growing 1 → 2 → 4, a pruned clock's when there is one.
+		if n := len(e.dupFree); n > 0 {
+			*log, e.dupFree = e.dupFree[n-1], e.dupFree[:n-1]
+		} else {
+			*log = make([]dupEntry, 0, 4)
+		}
 	}
 	*log = append(*log, dupEntry{k, result.Copy(), ok})
 }
@@ -365,8 +375,14 @@ func (e *Engine) logDup(clock uint64, k Key, result Value, ok bool) {
 // re-executed op for the finished packet can never double-apply. The
 // tombstone set costs one bit per completed packet until a page of 32 Ki
 // consecutive clocks has completed, and one directory entry from then on.
+// The clock's list is emptied and kept for reuse, up to dupFreeMax lists:
+// lookupDup hands out copies of the logged values, never the list.
 func (e *Engine) PruneClock(clock uint64) {
 	e.logMu.Lock()
+	if log := e.updLog.Get(clock); log != nil && len(e.dupFree) < dupFreeMax {
+		clear(*log)
+		e.dupFree = append(e.dupFree, (*log)[:0])
+	}
 	e.updLog.Delete(clock)
 	e.pruned.Add(clock)
 	e.logMu.Unlock()

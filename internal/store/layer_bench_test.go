@@ -35,14 +35,18 @@ func BenchmarkClientFlushAll(b *testing.B) {
 					c.Update(nil, Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 2, Sub: uint64(sub)}, Arg: IntVal(1)})
 				}
 				c.FlushAll()
-				// Nobody acks on the stub transport; forget the ops just sent
-				// so the retransmit table does not grow with b.N.
-				for s := c.seq - uint64(bc.dirty) + 1; s <= c.seq; s++ {
-					delete(c.pending, s)
-				}
+				forgetSent(c)
 			}
 		})
 	}
+}
+
+// forgetSent drops what c awaits acks for: nobody acks, and no timer fires,
+// on the stub transport, and the benchmarks' memory must not grow with b.N.
+func forgetSent(c *Client) {
+	clear(c.pending)
+	clear(c.retx)
+	c.retx, c.retxHead, c.retxArmed = c.retx[:0], 0, false
 }
 
 // BenchmarkClientLogWal: appends to a WAL that is never truncated, as on a
@@ -81,7 +85,7 @@ func BenchmarkClientOutbound(b *testing.B) {
 		c.Update(nil, req)
 		if i%32 == 31 {
 			c.FlushBurst()
-			clear(c.pending) // nobody acks on the stub transport
+			forgetSent(c)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (s *Server) handleLockGet(p transport.Proc, cm transport.Call, req LockGetR
 	ls.held = true
 	ls.holder = req.Instance
 	rep := s.engine.Apply(&Request{Op: OpGet, Key: req.Key, Instance: req.Instance})
-	cm.Reply(rep, 16+rep.Val.wireSize())
+	cm.Reply(s.replySlab.New(rep), 16+rep.Val.wireSize())
 }
 
 // handleSetUnlock writes, releases, and grants the next waiter.
@@ -70,7 +70,7 @@ func (s *Server) handleSetUnlock(p transport.Proc, cm transport.Call, req SetUnl
 	ls := s.lockStateFor(req.Key)
 	ls.held = false
 	ls.holder = 0
-	cm.Reply(rep, 16)
+	cm.Reply(s.replySlab.New(rep), 16)
 	if len(ls.waiters) > 0 {
 		next := ls.waiters[0]
 		ls.waiters = ls.waiters[1:]
@@ -78,7 +78,7 @@ func (s *Server) handleSetUnlock(p transport.Proc, cm transport.Call, req SetUnl
 		ls.held = true
 		ls.holder = nreq.Instance
 		nrep := s.engine.Apply(&Request{Op: OpGet, Key: nreq.Key, Instance: nreq.Instance})
-		next.Reply(nrep, 16+nrep.Val.wireSize())
+		next.Reply(s.replySlab.New(nrep), 16+nrep.Val.wireSize())
 	}
 }
 
@@ -93,8 +93,7 @@ func (c *Client) LockGet(p transport.Proc, key Key) (Value, bool) {
 	if !ok {
 		return Value{}, false
 	}
-	rep := res.(Reply)
-	return rep.Val, true
+	return res.(*Reply).Val, true
 }
 
 // SetUnlock writes back and releases: the second RTT of the naive RMW.

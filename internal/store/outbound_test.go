@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"chc/internal/transport"
 )
 
 // outModel is the reference for the client's outbound list: which unsent
@@ -15,6 +18,7 @@ import (
 type outModel struct {
 	out    []*modelOp // held ops, in issue order
 	armed  bool       // the window timer is scheduled and has not fired
+	retx   bool       // the retransmit timer is scheduled (it never fires here)
 	events []string   // the verb's expected stubNet events
 	shard  func(Key) string
 }
@@ -75,8 +79,8 @@ func (m *outModel) issued() {
 
 // flush expects the held ops on the wire (all of them, or the sealed ones
 // only, the open heads staying): one message per shard, shards in
-// first-use order, each op in list order, each message followed by its
-// retransmit timer.
+// first-use order, each op in list order; the first message arms the
+// client's one retransmit timer.
 func (m *outModel) flush(all bool) {
 	var shards []string
 	byShard := map[string][]*modelOp{}
@@ -97,7 +101,10 @@ func (m *outModel) flush(all bool) {
 		for _, o := range byShard[sh] {
 			m.events = append(m.events, sendEvent(o.key, o.field, o.clocks))
 		}
-		m.events = append(m.events, "ack")
+		if !m.retx {
+			m.retx = true
+			m.events = append(m.events, "ack")
+		}
 	}
 }
 
@@ -404,8 +411,9 @@ func outboundModelRun(t *testing.T, seed int64) {
 		}
 	}
 
-	// Unacked, every async op is offered again when its timer fires, once;
-	// acked, never.
+	// Unacked, every async op is offered again when its timer fires, once,
+	// with the clocks it first left with (the list's slots have been
+	// reused since); acked, never.
 	if c.PendingAcks() != len(asyncOps) {
 		fail("%d ops await an ack, %d were sent", c.PendingAcks(), len(asyncOps))
 	}
@@ -414,6 +422,13 @@ func outboundModelRun(t *testing.T, seed int64) {
 	for _, msg := range net.sent[sentMark:] {
 		for _, op := range msg.Payload.(AsyncBatchMsg).Ops {
 			again[op.Seq]++
+			clocks := []uint64{op.Req.Clock}
+			for _, b := range op.Req.Batch {
+				clocks = append(clocks, b.Clock)
+			}
+			if !reflect.DeepEqual(clocks, asyncOps[op.Seq]) {
+				fail("seq %d offered again with clocks %v, sent with %v", op.Seq, clocks, asyncOps[op.Seq])
+			}
 		}
 	}
 	if len(again) != len(asyncOps) || int(c.Retransmits) != len(asyncOps) {
@@ -428,10 +443,10 @@ func outboundModelRun(t *testing.T, seed int64) {
 	}
 	// A server acknowledges a message's ops together: the first ack lists
 	// one op, the second all the others, and an empty one changes nothing.
-	c.HandleMessage(AckMsg{})
+	c.HandleMessage(&AckMsg{})
 	if len(acked) > 0 {
-		c.HandleMessage(AckMsg{Seqs: acked[:1]})
-		c.HandleMessage(AckMsg{Seqs: acked[1:]})
+		c.HandleMessage(&AckMsg{Seqs: acked[:1]})
+		c.HandleMessage(&AckMsg{Seqs: acked[1:]})
 	}
 	sentMark = len(net.sent)
 	net.fire(ackTimeout)
@@ -485,4 +500,70 @@ func walByShard(c *Client) map[string][]uint64 {
 		}
 	}
 	return out
+}
+
+// TestRetransmitAtEachSendsDeadline: the client's one retransmit timer
+// offers a send's unacked ops again at that send's deadline, AckTimeout
+// after it left, as one timer per send would: a send 0.4 ms after another
+// is offered again 0.4 ms after it, an acked one never, and a resend gets
+// a deadline of its own.
+func TestRetransmitAtEachSendsDeadline(t *testing.T) {
+	const ms = transport.Time(time.Millisecond)
+	net := &stubNet{keep: true}
+	c := NewClient(net, ClientConfig{Vertex: 1, Instance: 1, Endpoint: "nfa", Store: "store0",
+		Mode: ModeEOCNA, Decls: counterDecl, AckTimeout: time.Millisecond})
+	send := func(sub uint64) {
+		c.Update(nil, Request{Op: OpSet, Key: Key{Vertex: 1, Obj: 1, Sub: sub}, Arg: IntVal(1)})
+		c.FlushAll()
+	}
+	// at moves time to now and runs the one armed timer, which must have
+	// been scheduled for exactly now; it returns the subs sent meanwhile.
+	armedAt := ms // the first send arms the timer at 0 for 1 ms
+	at := func(now transport.Time) (subs []uint64) {
+		t.Helper()
+		var armed []stubTimer
+		for _, tm := range net.timers {
+			if !tm.fired && tm.d != defaultCoalesceWindow {
+				armed = append(armed, tm)
+			}
+		}
+		if len(armed) != 1 {
+			t.Fatalf("at %v: %d retransmit timers armed, want 1", now, len(armed))
+		}
+		if now != armedAt {
+			t.Fatalf("the timer is due at %v, not %v", armedAt, now)
+		}
+		net.now, net.sent = now, net.sent[:0]
+		for i := range net.timers {
+			net.timers[i].fired = true
+		}
+		armed[0].fn()
+		for _, m := range net.sent {
+			for _, op := range m.Payload.(AsyncBatchMsg).Ops {
+				subs = append(subs, op.Req.Key.Sub)
+			}
+		}
+		for _, tm := range net.timers {
+			if !tm.fired && tm.d != defaultCoalesceWindow {
+				armedAt = now + transport.Time(tm.d)
+			}
+		}
+		return subs
+	}
+	send(1) // at 0: deadline 1 ms
+	net.now = 4 * ms / 10
+	send(2) // at 0.4 ms: deadline 1.4 ms
+	if got := at(ms); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("at 1 ms: sent %v again, want [1]", got)
+	}
+	c.HandleMessage(&AckMsg{Seqs: []uint64{2}})
+	if got := at(14 * ms / 10); len(got) != 0 {
+		t.Fatalf("at 1.4 ms: sent %v again, want nothing: sub 2 was acked", got)
+	}
+	if got := at(2 * ms); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("at 2 ms: sent %v again, want [1], whose resend left at 1 ms", got)
+	}
+	if c.Retransmits != 2 {
+		t.Fatalf("Retransmits = %d, want 2", c.Retransmits)
+	}
 }

@@ -167,11 +167,15 @@ type Server struct {
 	// The Fig 6 commits the message being served raises collect in
 	// commits, and an AsyncBatchMsg's acks in acks; sendCommits ships them
 	// before the message's reply or ack. The slabs cut the slices the
-	// signals carry. Touched by the serving process only.
+	// signals carry and the envelopes the receivers consume: the reply,
+	// CommitMsg and AckMsg. Touched by the serving process only.
 	commits    []Commit
 	acks       []uint64
 	commitSlab transport.Slab[Commit]
 	seqSlab    transport.Slab[uint64]
+	replySlab  transport.Slab[Reply]
+	commitMsgs transport.Slab[CommitMsg]
+	ackMsgs    transport.Slab[AckMsg]
 
 	// stats
 	OpsServed   uint64
@@ -284,7 +288,7 @@ func (s *Server) run(p transport.Proc) {
 			}
 			rep := s.apply(req)
 			s.sendCommits()
-			pl.Reply(rep, 16+rep.Val.wireSize())
+			pl.Reply(s.replySlab.New(rep), 16+rep.Val.wireSize())
 		case AsyncBatchMsg:
 			s.serveAsync(p, pl.Ops)
 		case OwnerSeedMsg:
@@ -343,7 +347,7 @@ func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
 	}
 	s.sendCommits()
 	if n := len(s.acks); n > 0 {
-		s.net.Send(transport.Message{From: s.Name, To: from, Payload: AckMsg{Seqs: s.seqSlab.Cut(s.acks...)}, Size: 4 + 8*n})
+		s.net.Send(transport.Message{From: s.Name, To: from, Payload: s.ackMsgs.New(AckMsg{Seqs: s.seqSlab.Cut(s.acks...)}), Size: 4 + 8*n})
 		s.acks = s.acks[:0]
 	}
 }
@@ -353,7 +357,7 @@ func (s *Server) serveAsync(p transport.Proc, ops []AsyncOp) {
 func (s *Server) sendCommits() {
 	if n := len(s.commits); n > 0 {
 		s.net.Send(transport.Message{From: s.Name, To: s.cfg.RootEndpoint,
-			Payload: CommitMsg{Commits: s.commitSlab.Cut(s.commits...)}, Size: 4 + 16*n})
+			Payload: s.commitMsgs.New(CommitMsg{Commits: s.commitSlab.Cut(s.commits...)}), Size: 4 + 16*n})
 		s.commits = s.commits[:0]
 	}
 }

@@ -45,8 +45,8 @@ func TestServerHoldsSignalsPerBatch(t *testing.T) {
 	first := op(1, Request{Op: OpIncr, Key: counter, Arg: IntVal(1), Clock: 9})
 	srv.serveAsync(stubProc{}, []AsyncOp{first})
 	want("a lone op",
-		transport.Message{From: "store0", To: "root", Size: 20, Payload: CommitMsg{Commits: []Commit{commit(9, counter)}}},
-		transport.Message{From: "store0", To: "nfa", Size: 12, Payload: AckMsg{Seqs: []uint64{1}}})
+		transport.Message{From: "store0", To: "root", Size: 20, Payload: &CommitMsg{Commits: []Commit{commit(9, counter)}}},
+		transport.Message{From: "store0", To: "nfa", Size: 12, Payload: &AckMsg{Seqs: []uint64{1}}})
 
 	other := Key{Vertex: 1, Obj: 3}
 	srv.serveAsync(stubProc{}, []AsyncOp{
@@ -56,15 +56,15 @@ func TestServerHoldsSignalsPerBatch(t *testing.T) {
 		first, // retransmitted: applied before, acked again, no commit
 	})
 	want("a batch of four",
-		transport.Message{From: "store0", To: "root", Size: 4 + 16*4, Payload: CommitMsg{Commits: []Commit{
+		transport.Message{From: "store0", To: "root", Size: 4 + 16*4, Payload: &CommitMsg{Commits: []Commit{
 			commit(10, counter), commit(11, counter), commit(12, counter), commit(13, other)}}},
-		transport.Message{From: "store0", To: "nfa", Size: 4 + 8*3, Payload: AckMsg{Seqs: []uint64{2, 3, 1}}})
+		transport.Message{From: "store0", To: "nfa", Size: 4 + 8*3, Payload: &AckMsg{Seqs: []uint64{2, 3, 1}}})
 
 	srv.serveAsync(stubProc{}, []AsyncOp{op(5, merged(20))})
 	want("a lone merged op",
-		transport.Message{From: "store0", To: "root", Size: 4 + 16*3, Payload: CommitMsg{Commits: []Commit{
+		transport.Message{From: "store0", To: "root", Size: 4 + 16*3, Payload: &CommitMsg{Commits: []Commit{
 			commit(20, counter), commit(21, counter), commit(22, counter)}}},
-		transport.Message{From: "store0", To: "nfa", Size: 12, Payload: AckMsg{Seqs: []uint64{5}}})
+		transport.Message{From: "store0", To: "nfa", Size: 12, Payload: &AckMsg{Seqs: []uint64{5}}})
 
 	srv.serveAsync(stubProc{}, nil)
 	srv.serveAsync(stubProc{}, []AsyncOp{op(6, Request{Op: OpSet, Key: owned, Arg: IntVal(1), Clock: 30}),

@@ -9,7 +9,8 @@ import (
 // stubNet is the transport for unit tests and layer benchmarks that need
 // no peer. With keep set it records what the client does, in order: Send
 // and Call append to sent (a call as a message whose payload is the
-// *Request), Schedule appends to timers and never fires one by itself.
+// *Request), Schedule appends to timers and never fires one by itself;
+// time stands still but for fire, which moves it on.
 // Without keep everything is dropped. Call is answered on the spot with a
 // miss; every other Transport method is the embedded nil interface's and
 // panics if reached.
@@ -19,6 +20,7 @@ type stubNet struct {
 	sent   []transport.Message
 	calls  []*Request
 	timers []stubTimer
+	now    transport.Time
 	// onCall, if set, runs inside every recorded Call, before the reply.
 	onCall func(*Request)
 }
@@ -53,14 +55,16 @@ func (n *stubNet) Call(_ transport.Proc, _, to string, payload any, _ int, _ tim
 			n.onCall(req)
 		}
 	}
-	return Reply{}, true
+	return &Reply{}, true
 }
 
-func (n *stubNet) Now() transport.Time { return 0 }
+func (n *stubNet) Now() transport.Time { return n.now }
 
-// fire runs, once each, the timers scheduled for d that are recorded now
-// (not the ones they schedule in turn) and reports how many it ran.
+// fire moves time on by d, then runs, once each, the timers scheduled for
+// d that are recorded now (not the ones they schedule in turn) and reports
+// how many it ran.
 func (n *stubNet) fire(d time.Duration) (ran int) {
+	n.now = n.now.Add(d)
 	for i, end := 0, len(n.timers); i < end; i++ {
 		if t := n.timers[i]; t.d == d && !t.fired {
 			n.timers[i].fired = true

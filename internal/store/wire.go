@@ -90,7 +90,7 @@ func decRequest(d *transport.WireDec) *Request {
 	return r
 }
 
-func encReply(e *transport.WireEnc, r Reply) {
+func encReply(e *transport.WireEnc, r *Reply) {
 	encValue(e, r.Val)
 	e.Bool(r.OK)
 	e.Bool(r.Emulated)
@@ -98,8 +98,8 @@ func encReply(e *transport.WireEnc, r Reply) {
 	e.MapU16U64(r.TS)
 }
 
-func decReply(d *transport.WireDec) Reply {
-	return Reply{
+func decReply(d *transport.WireDec) *Reply {
+	return &Reply{
 		Val:      decValue(d),
 		OK:       d.Bool(),
 		Emulated: d.Bool(),
@@ -120,7 +120,7 @@ func decAsyncOp(d *transport.WireDec) AsyncOp {
 
 func init() {
 	transport.RegisterWire[*Request](16, "store.Request", encRequest, decRequest)
-	transport.RegisterWire[Reply](17, "store.Reply", encReply, decReply)
+	transport.RegisterWire[*Reply](17, "store.Reply", encReply, decReply)
 	// Tag 18 carried a stand-alone AsyncOp; an op now always travels in an
 	// AsyncBatchMsg. Tags are append-only, so 18 stays unused.
 	transport.RegisterWire[AsyncBatchMsg](19, "store.AsyncBatchMsg",
@@ -199,11 +199,13 @@ func init() {
 			m.Version = version
 			return m
 		})
-	transport.RegisterWire[AckMsg](31, "store.AckMsg",
-		func(e *transport.WireEnc, m AckMsg) { e.U64s(m.Seqs) },
-		func(d *transport.WireDec) AckMsg { return AckMsg{Seqs: d.U64s()} })
-	transport.RegisterWire[CommitMsg](32, "store.CommitMsg",
-		func(e *transport.WireEnc, m CommitMsg) {
+	// Replies, commits and acks travel as pointers: the sender cuts them
+	// from a slab (transport.Slab) instead of boxing a value per message.
+	transport.RegisterWire[*AckMsg](31, "store.AckMsg",
+		func(e *transport.WireEnc, m *AckMsg) { e.U64s(m.Seqs) },
+		func(d *transport.WireDec) *AckMsg { return &AckMsg{Seqs: d.U64s()} })
+	transport.RegisterWire[*CommitMsg](32, "store.CommitMsg",
+		func(e *transport.WireEnc, m *CommitMsg) {
 			e.U32(uint32(len(m.Commits)))
 			for _, c := range m.Commits {
 				e.U64(c.Clock)
@@ -211,8 +213,8 @@ func init() {
 				encKey(e, c.Key)
 			}
 		},
-		func(d *transport.WireDec) CommitMsg {
-			var m CommitMsg
+		func(d *transport.WireDec) *CommitMsg {
+			m := new(CommitMsg)
 			if n := d.Len(22); n > 0 {
 				m.Commits = make([]Commit, n)
 				for i := range m.Commits {

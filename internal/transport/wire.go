@@ -168,6 +168,9 @@ type WireDec struct {
 // NewWireDec wraps b for decoding (codec tests).
 func NewWireDec(b []byte) *WireDec { return &WireDec{b: b} }
 
+// Reset points d at b, so that one decoder serves a stream of inputs.
+func (d *WireDec) Reset(b []byte) { *d = WireDec{b: b} }
+
 // Err returns the latched decode error, if any.
 func (d *WireDec) Err() error { return d.err }
 
@@ -262,16 +265,18 @@ func (d *WireDec) Str() string {
 }
 
 // Blob reads a length-prefixed byte slice (nil when empty: canonical).
-func (d *WireDec) Blob() []byte {
+func (d *WireDec) Blob() []byte { return append([]byte(nil), d.View()...) }
+
+// View reads a length-prefixed byte slice without copying it: the result
+// aliases the input and is valid only as long as the input is (nil when
+// empty). Codecs use Blob; View is for framing whose payload is decoded
+// at once.
+func (d *WireDec) View() []byte {
 	n := d.length(1)
 	if n == 0 {
 		return nil
 	}
-	p := d.take(n)
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
+	return d.take(n)
 }
 
 // I64s reads a length-prefixed []int64 (nil when empty).
@@ -429,8 +434,13 @@ func EncodePayload(v any) ([]byte, error) {
 
 // DecodePayload decodes an EncodePayload frame back into its Go value.
 // Trailing bytes are an error: canonical frames are exactly consumed.
-func DecodePayload(b []byte) (any, error) {
-	d := NewWireDec(b)
+// The value shares no memory with b.
+func DecodePayload(b []byte) (any, error) { return new(WireDec).DecodePayload(b) }
+
+// DecodePayload is the package function DecodePayload with d as the
+// decoder, Reset to b: a reader that decodes many payloads reuses one.
+func (d *WireDec) DecodePayload(b []byte) (any, error) {
+	d.Reset(b)
 	tag := d.U16()
 	if d.err != nil {
 		return nil, d.err
