@@ -117,6 +117,44 @@ func TestRootDeleteWaitsForEveryCommit(t *testing.T) {
 	}
 }
 
+// TestRootDeleteBalancesAnyExecution: two executions of one packet sign
+// different vectors — the first pass updated (nat,o1..o4), a failover
+// replacement's re-run found the flow's mapping gone and updated (nat,o2)
+// and (nat,o3) only — and the store committed the first pass's four. The
+// replacement's delete arrives last; the check still passes on the first
+// pass's vector once its commits are in, and not before.
+func TestRootDeleteBalancesAnyExecution(t *testing.T) {
+	c := New(testConfig(), threeNFSpecs(store.ModeEOCNA)...)
+	c.Start()
+	natInst, tail := c.Vertices[0].Instances[0], c.Vertices[2].Instances[0]
+	c.Net().SetLinkUp(c.Root.Endpoint, natInst.Endpoint, false)
+	c.Inject(&packet.Packet{Proto: packet.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}, c.Now())
+	c.RunFor(time.Millisecond)
+	clock := packet.MakeClock(c.Root.ID, 1)
+
+	term := func(obj uint16) uint32 { return fig6Term(natInst.xorID, obj) }
+	first := term(1) ^ term(2) ^ term(3) ^ term(4)
+	rerun := term(2) ^ term(3)
+	send := func(from string, payload any) {
+		c.Net().Send(transport.Message{From: from, To: c.Root.Endpoint, Size: 20, Payload: payload})
+		c.RunFor(time.Millisecond)
+	}
+	send(tail.Endpoint, DeleteMsg{Dels: []Delete{{Clock: clock, Vec: first}}})
+	send(tail.Endpoint, DeleteMsg{Dels: []Delete{{Clock: clock, Vec: rerun}}})
+	for n, obj := range []uint16{1, 4, 2, 3} {
+		if c.Root.LogSize() != 1 || c.Root.Deleted != 0 {
+			t.Fatalf("with %d of 4 first-pass commits delivered: log=%d deleted=%d, want the clock still logged",
+				n, c.Root.LogSize(), c.Root.Deleted)
+		}
+		send(c.Stores[0].Name, &store.CommitMsg{Commits: []store.Commit{
+			{Clock: clock, Instance: natInst.ID, Key: store.Key{Vertex: natInst.vertex.ID, Obj: obj}}}})
+	}
+	if c.Root.LogSize() != 0 || c.Root.Deleted != 1 {
+		t.Fatalf("with the first pass's commits delivered: log=%d deleted=%d, want the clock deleted",
+			c.Root.LogSize(), c.Root.Deleted)
+	}
+}
+
 // TestRootPrunesPerInboundBatch: the clocks one inbound message lets the
 // root delete are pruned together, one PruneMsg per shard listing them in
 // the order their checks passed; a clock whose check still fails stays

@@ -113,9 +113,10 @@ type Instance struct {
 	// xorLog records the XOR bit-vector contribution of each processed
 	// clock. A replayed packet re-executed here on its way to a downstream
 	// clone repeats the RECORDED contribution instead of the recomputed
-	// one: reads are not clock-emulated, so re-executed control flow can
-	// drift (e.g. a FIN whose port mapping the first pass already
-	// deleted), and a drifted vector would leave the packet's Fig 6 check
+	// one: an instance's own reads are not clock-emulated (the store serves
+	// logged first-pass reads only to other instances), so re-executed
+	// control flow can drift (e.g. a FIN whose port mapping the first pass
+	// already deleted), and a drifted vector would leave the packet's Fig 6 check
 	// unbalanced forever. Kept only by store-backed instances (without a
 	// client every contribution is 0): 4 bytes per clock, never deleted.
 	xorLog clockset.Table[uint32]

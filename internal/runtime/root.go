@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"chc/internal/clockset"
@@ -61,11 +62,19 @@ type RootStats struct {
 type rootLogEntry struct {
 	pkt       *packet.Packet
 	gotDelete bool
-	finalVec  uint32
+	// finalVecs are the distinct Fig 6 vectors this clock's deletes carried,
+	// in arrival order; when all are taken a newer one replaces the last.
+	// Two executions of one packet can sign different vectors: one a
+	// failover replacement re-ran from the root's log can read other state
+	// than the first pass read and update other objects. The delete check
+	// passes when the commits balance any of them: that execution's
+	// updates all committed, and its output left after its delete.
+	finalVecs [4]uint32
+	nVecs     uint8
 	// commitXor accumulates the store's Fig 6 step-2 commit signals for this
-	// clock; the delete check passes when it equals finalVec. It lives and
-	// dies with the entry, so a commit that arrives after the delete has
-	// nowhere to land (see handleCommit).
+	// clock; the delete check passes when it equals one of finalVecs. It
+	// lives and dies with the entry, so a commit that arrives after the
+	// delete has nowhere to land (see handleCommit).
 	commitXor uint32
 	// class is the traffic class the fork classifier assigned at ingest:
 	// replay uses it to resend only the packets whose branch reaches the
@@ -171,7 +180,7 @@ func (r *Root) StuckClocks(limit int) []StuckClock {
 	var out []StuckClock
 	r.log.Each(func(clk uint64, ent *rootLogEntry) {
 		if len(out) < limit {
-			out = append(out, StuckClock{Clock: clk, GotDelete: ent.gotDelete, FinalVec: ent.finalVec,
+			out = append(out, StuckClock{Clock: clk, GotDelete: ent.gotDelete, FinalVec: ent.lastVec(),
 				CommitXor: ent.commitXor, Proto: ent.pkt.Proto, Flags: ent.pkt.TCPFlags, Commits: r.traceCommits[clk]})
 		}
 	})
@@ -322,8 +331,34 @@ func (r *Root) handleDelete(d Delete) {
 		return
 	}
 	ent.gotDelete = true
-	ent.finalVec = d.Vec
+	ent.addVec(d.Vec)
 	r.tryDelete(d.Clock, ent)
+}
+
+// addVec records a delete's vector unless the entry already holds it.
+func (ent *rootLogEntry) addVec(v uint32) {
+	if slices.Contains(ent.finalVecs[:ent.nVecs], v) {
+		return
+	}
+	if int(ent.nVecs) == len(ent.finalVecs) {
+		ent.finalVecs[ent.nVecs-1] = v
+		return
+	}
+	ent.finalVecs[ent.nVecs] = v
+	ent.nVecs++
+}
+
+// lastVec is the newest delete's vector, 0 before any delete.
+func (ent *rootLogEntry) lastVec() uint32 {
+	if ent.nVecs == 0 {
+		return 0
+	}
+	return ent.finalVecs[ent.nVecs-1]
+}
+
+// balanced reports whether the commits balance one of the deletes' vectors.
+func (ent *rootLogEntry) balanced() bool {
+	return slices.Contains(ent.finalVecs[:ent.nVecs], ent.commitXor)
 }
 
 // handleCommit accumulates Fig 6 step-2 signals from the store. Commits
@@ -365,7 +400,7 @@ func (r *Root) handleCommit(m store.Commit) {
 }
 
 func (r *Root) tryDelete(clock uint64, ent *rootLogEntry) {
-	if r.chain.cfg.XORCheck && ent.finalVec^ent.commitXor != 0 {
+	if r.chain.cfg.XORCheck && !ent.balanced() {
 		// Some update this packet induced has not committed: keep the
 		// packet logged so it can be replayed (§5.4 non-blocking ops).
 		return

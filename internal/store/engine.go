@@ -219,16 +219,21 @@ type Hooks struct {
 	OnOwnerChange func(key Key, owner uint16)
 }
 
-// dupEntry is one logged update of a clock: the key and the result the op
-// returned, failed or not.
+// dupEntry is what one clock did to one key, by instance by: the result an
+// update returned, failed or not, or (read set) what a Get served. A
+// delete that removed a value logs that value instead of its empty result
+// (deleted set); an emulated copy of the delete still replies with none.
 type dupEntry struct {
-	key Key
-	val Value
-	ok  bool
+	key     Key
+	val     Value
+	ok      bool
+	read    bool
+	deleted bool
+	by      uint16
 }
 
 // dupFreeMax bounds the emptied duplicate-log lists an engine keeps: more
-// than the clocks one burst of root deletes prunes, about 26 KiB.
+// than the clocks one burst of root deletes prunes, about 40 KiB.
 const dupFreeMax = 64
 
 type entry struct {
@@ -334,40 +339,88 @@ func (e *Engine) lookupDup(clock uint64, k Key) (val Value, ok, seen bool) {
 		return Value{}, true, true
 	}
 	if log := e.updLog.Get(clock); log != nil {
-		if d := findDup(*log, k); d != nil {
+		if d := findDup(*log, k, false); d != nil {
+			if d.deleted {
+				return Value{}, d.ok, true
+			}
 			return d.val, d.ok, true
 		}
 	}
 	return Value{}, false, false
 }
 
-func findDup(log []dupEntry, k Key) *dupEntry {
+// readAt serves a Get of k for clock; cur is what the key holds now. A
+// re-execution of a packet on another instance (a failover replacement
+// replaying the root's log, a straggler's clone) reads what the first
+// pass read, not the state the first pass, or a packet that overtook it,
+// left: the NFs read a per-flow key before deleting it, and a re-run that
+// found the key gone would take another branch, update other objects than
+// the first pass committed, and sign a Fig 6 vector the root's commits
+// can never balance. So a Get of k for clock is logged when it is the
+// clock's first and comes before the clock updates k, and a Get for that
+// clock from another instance gets the logged value; failing that (the
+// first pass read its cache), the value clock's own delete removed. The
+// issuer's own reads see the key as it is.
+func (e *Engine) readAt(clock uint64, k Key, reader uint16, cur Reply) Reply {
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
+	if e.pruned.Has(clock) {
+		return cur
+	}
+	log := e.dupList(clock)
+	if d := findDup(*log, k, true); d != nil {
+		if d.by == reader {
+			return cur
+		}
+		return Reply{Val: d.val.Copy(), OK: d.ok}
+	}
+	switch d := findDup(*log, k, false); {
+	case d == nil:
+		*log = append(*log, dupEntry{key: k, val: cur.Val.Copy(), ok: cur.OK, read: true, by: reader})
+	case d.deleted && d.by != reader:
+		return Reply{Val: d.val.Copy(), OK: true}
+	}
+	return cur
+}
+
+// findDup returns clock's read (read set) or update entry for k.
+func findDup(log []dupEntry, k Key, read bool) *dupEntry {
 	for i := range log {
-		if log[i].key == k {
+		if log[i].key == k && log[i].read == read {
 			return &log[i]
 		}
 	}
 	return nil
 }
 
-func (e *Engine) logDup(clock uint64, k Key, result Value, ok bool) {
+func (e *Engine) logDup(clock uint64, d dupEntry) {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
-	log := e.updLog.Put(clock)
-	if d := findDup(*log, k); d != nil {
-		d.val, d.ok = result.Copy(), ok
+	log := e.dupList(clock)
+	d.val = d.val.Copy()
+	if old := findDup(*log, d.key, false); old != nil {
+		*old = d
 		return
 	}
+	*log = append(*log, d)
+}
+
+// dupList returns clock's list, creating it if need be. Callers hold logMu.
+func (e *Engine) dupList(clock uint64) *[]dupEntry {
+	log := e.updLog.Put(clock)
 	if *log == nil {
-		// A packet updates one to four keys per shard: one list of four
-		// instead of growing 1 → 2 → 4, a pruned clock's when there is one.
+		// A packet reads and updates up to about six keys per shard (a
+		// mid-flow packet through nat→ids→lb: two counters and a mapping
+		// read at the NAT, a byte counter and a mapping read at the
+		// balancer): one list of six instead of growing 1 → 2 → 4 → 8,
+		// a pruned clock's when there is one.
 		if n := len(e.dupFree); n > 0 {
 			*log, e.dupFree = e.dupFree[n-1], e.dupFree[:n-1]
 		} else {
-			*log = make([]dupEntry, 0, 4)
+			*log = make([]dupEntry, 0, 6)
 		}
 	}
-	*log = append(*log, dupEntry{k, result.Copy(), ok})
+	return log
 }
 
 // PruneClock discards duplicate-suppression log entries for a packet whose
@@ -388,7 +441,8 @@ func (e *Engine) PruneClock(clock uint64) {
 	e.logMu.Unlock()
 }
 
-// PendingClocks reports how many clocks have logged updates (tests/metrics).
+// PendingClocks reports how many clocks have logged updates or reads
+// (tests/metrics).
 func (e *Engine) PendingClocks() int {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
@@ -497,6 +551,7 @@ func (e *Engine) Apply(req *Request) Reply {
 	}
 
 	var rep Reply
+	var gone Value // what a delete removed
 	var ownerChanged bool
 	var newOwner uint16
 
@@ -504,12 +559,16 @@ func (e *Engine) Apply(req *Request) Reply {
 	case OpGet:
 		if exists {
 			rep = Reply{Val: ent.val.Copy(), OK: true}
-		} else {
-			rep = Reply{OK: false}
+		}
+		if req.Clock != 0 {
+			rep = e.readAt(req.Clock, req.Key, req.Instance, rep)
 		}
 	case OpDelete:
 		delete(sh.data, req.Key)
 		rep = Reply{OK: exists}
+		if exists {
+			gone = ent.val
+		}
 	case OpCustom:
 		fn, ok := e.customs[req.Custom]
 		if !ok {
@@ -606,8 +665,12 @@ func (e *Engine) Apply(req *Request) Reply {
 	// an empty pool): the packet's XOR vector counts it on issue. Only an
 	// ownership conflict does not commit: an async op is re-offered until
 	// it applies, and the NF does not sign a blocking one.
+	result := dupEntry{key: req.Key, val: rep.Val, ok: rep.OK, by: req.Instance}
+	if req.Op == OpDelete && rep.OK {
+		result.val, result.deleted = gone, true
+	}
 	for _, clock := range fresh {
-		e.logDup(clock, req.Key, rep.Val, rep.OK)
+		e.logDup(clock, result)
 		if e.hooks.OnCommit != nil && req.Op.Mutates() {
 			e.hooks.OnCommit(clock, req.Instance, req.Key)
 		}

@@ -243,6 +243,66 @@ func TestDuplicateSuppressionPerKey(t *testing.T) {
 	}
 }
 
+// TestReplayReadsWhatItsFirstPassRead: a NAT's FIN reads the flow's port
+// mapping and deletes it. A re-run of the FIN on another instance (the
+// failover replacement) must read the mapping the first pass read, else it
+// skips the port push and the delete and signs a vector the first pass's
+// commits never balance. Two first passes: one read at the store before
+// another FIN of the connection deleted the mapping, one read its cache
+// and deleted the mapping itself. Only reads of that clock from another
+// instance see the old value, and only until the root deletes the packet.
+func TestReplayReadsWhatItsFirstPassRead(t *testing.T) {
+	e := NewEngine(4)
+	conn := k(1, 4, 77)
+	get := func(clock uint64, inst uint16) Reply {
+		return e.Apply(&Request{Op: OpGet, Key: conn, Clock: clock, Instance: inst})
+	}
+	wantRead := func(what string, r Reply, ok bool) {
+		t.Helper()
+		if r.OK != ok || ok && r.Val.Int != 10042 {
+			t.Fatalf("%s read %+v, want found=%v", what, r, ok)
+		}
+	}
+
+	// Clocks 8 and 9 both read the mapping; 8 deletes it; the crash takes
+	// 9's delete. 9's re-run reads what 9 read, 8's what 8 deleted.
+	e.Apply(&Request{Op: OpSet, Key: conn, Arg: IntVal(10042), Clock: 3, Instance: 1})
+	wantRead("first pass of 8", get(8, 1), true)
+	wantRead("first pass of 9", get(9, 1), true)
+	if del := e.Apply(&Request{Op: OpDelete, Key: conn, Clock: 8, Instance: 1}); !del.OK || !del.Val.IsNil() {
+		t.Fatalf("delete = %+v, want OK with no value", del)
+	}
+	wantRead("the first instance's own second read of 9", get(9, 1), false)
+	wantRead("the re-run of 8", get(8, 7), true)
+	wantRead("the re-run of 9", get(9, 7), true)
+	wantRead("a second re-run of 9", get(9, 9), true)
+	wantRead("a later packet", get(10, 7), false)
+	wantRead("an unclocked read", get(0, 7), false)
+	if del := e.Apply(&Request{Op: OpDelete, Key: conn, Clock: 8, Instance: 7}); !del.Emulated || !del.OK || !del.Val.IsNil() {
+		t.Fatalf("re-run delete of 8 = %+v, want emulated, OK, no value", del)
+	}
+	if del := e.Apply(&Request{Op: OpDelete, Key: conn, Clock: 9, Instance: 7}); del.Emulated || del.OK {
+		t.Fatalf("re-run delete of 9 = %+v, want applied to the absent key", del)
+	}
+
+	// Clock 20 read its cache (the store never saw the read) and deleted
+	// the mapping; its re-run reads the deleted value.
+	e.Apply(&Request{Op: OpSet, Key: conn, Arg: IntVal(10042), Clock: 12, Instance: 1})
+	e.Apply(&Request{Op: OpDelete, Key: conn, Clock: 20, Instance: 1})
+	wantRead("the deleting instance", get(20, 1), false)
+	wantRead("the re-run of 20", get(20, 7), true)
+	if _, ok := e.Get(conn); ok {
+		t.Fatal("a read brought the key back")
+	}
+	for _, c := range []uint64{8, 9, 20} {
+		e.PruneClock(c)
+		wantRead("a re-run after the prune", get(c, 9), false)
+	}
+	if n := e.PendingClocks(); n != 3 {
+		t.Fatalf("%d clocks logged after the prunes, want 3 (the Sets', clock 10's read)", n)
+	}
+}
+
 func TestNonDetMemoization(t *testing.T) {
 	e := NewEngine(4)
 	key := k(1, 8, 0)
