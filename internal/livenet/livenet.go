@@ -12,6 +12,9 @@
 //   - links model latency/jitter/bandwidth, loss, reordering and
 //     duplication from a seeded source, through the same
 //     transport.Link.Plan as the DES, on both legs of every call;
+//   - deferred work, delayed deliveries and Schedule callbacks alike,
+//     leaves one deadline queue in (deadline, push order) order, the
+//     order of the DES's event queue;
 //   - Crash fail-stops an endpoint (traffic dropped, inbox cleared);
 //   - Kill fail-stops a process at its next blocking point (recv, sleep,
 //     call wait), exactly like the DES's kill-unwind.
@@ -21,16 +24,25 @@
 package livenet
 
 import (
-	"container/heap"
 	"math/rand"
 	"sync"
 	"time"
 
+	"chc/internal/queue"
 	"chc/internal/transport"
 )
 
 // killSentinel unwinds killed processes (recovered by the spawn wrapper).
 type killSentinel struct{ name string }
+
+// post sends on a one-slot wake channel without blocking: a post still
+// pending covers this one.
+func post(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
 
 // Config tunes a live network.
 type Config struct {
@@ -40,103 +52,55 @@ type Config struct {
 	DefaultLink transport.LinkConfig
 }
 
-// mailbox is an unbounded FIFO with a wake channel. Lost-wakeup safety:
-// push posts a (coalesced) notify; a consumer that pops while more
-// messages remain re-posts it, so coalesced notifies never strand queued
-// messages when several consumers share the box.
-//
-// The queue is q[head:]. A pop advances head, and the box resets to
-// q[:0] when it empties, so a box that runs dry between messages keeps
-// its array instead of re-slicing it down to capacity 0. An append that
-// finds the array full slides the live part down over the consumed prefix
-// instead of growing, unless the prefix is less than an eighth of the
-// live part: memory stays bounded by peak depth, and a slide costs at
-// most eight copies per message freed.
-type mailbox struct {
-	mu     sync.Mutex
-	q      []transport.Message
-	head   int
-	notify chan struct{}
-}
-
-func newMailbox() *mailbox { return &mailbox{notify: make(chan struct{}, 1)} }
-
-func (m *mailbox) wake() {
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
-
-// appendLocked queues msg. Expects m.mu held.
-func (m *mailbox) appendLocked(msg transport.Message) {
-	if len(m.q) == cap(m.q) && m.head > 0 && m.head*8 >= len(m.q)-m.head {
-		n := copy(m.q, m.q[m.head:])
-		clear(m.q[n:])
-		m.q = m.q[:n]
-		m.head = 0
-	}
-	m.q = append(m.q, msg)
-}
-
-func (m *mailbox) push(msg transport.Message) {
-	m.mu.Lock()
-	m.appendLocked(msg)
-	m.mu.Unlock()
-	m.wake()
-}
-
-func (m *mailbox) pop() (transport.Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.head == len(m.q) {
-		return transport.Message{}, false
-	}
-	msg := m.q[m.head]
-	m.q[m.head] = transport.Message{}
-	m.head++
-	if m.head == len(m.q) {
-		m.q, m.head = m.q[:0], 0
-	} else {
-		m.wake()
-	}
-	return msg, true
-}
-
-func (m *mailbox) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.q) - m.head
-}
-
-func (m *mailbox) drain() {
-	m.mu.Lock()
-	m.q, m.head = nil, 0
-	m.mu.Unlock()
-}
-
-// Endpoint is a named attachment point.
+// Endpoint is a named attachment point: an unbounded FIFO inbox with a
+// wake channel. Lost-wakeup safety: a push posts a (coalesced) notify; a
+// consumer that pops while more messages remain re-posts it, so coalesced
+// notifies never strand queued messages when several consumers share the
+// inbox.
 type Endpoint struct {
-	name string
-	box  *mailbox
-	down bool // guarded by net.mu
+	name   string
+	down   bool       // guarded by net.mu
+	mu     sync.Mutex // guards q
+	q      queue.FIFO[transport.Message]
+	notify chan struct{}
 }
 
 // Name returns the endpoint name.
 func (e *Endpoint) Name() string { return e.name }
 
 // Len reports queued messages.
-func (e *Endpoint) Len() int { return e.box.len() }
+func (e *Endpoint) Len() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.q.Len()
+}
+
+func (e *Endpoint) push(msg transport.Message) {
+	e.mu.Lock()
+	e.q.Push(msg)
+	e.mu.Unlock()
+	post(e.notify)
+}
+
+func (e *Endpoint) pop() (transport.Message, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	msg, ok := e.q.Pop()
+	if ok && e.q.Len() > 0 {
+		post(e.notify)
+	}
+	return msg, ok
+}
 
 // Recv suspends p until a message is available. A killed process unwinds.
 func (e *Endpoint) Recv(p transport.Proc) transport.Message {
 	lp := p.(*Proc)
 	for {
-		if msg, ok := e.box.pop(); ok {
+		if msg, ok := e.pop(); ok {
 			return msg
 		}
 		select {
-		case <-e.box.notify:
+		case <-e.notify:
 		case <-lp.killed:
 			panic(killSentinel{lp.name})
 		}
@@ -234,10 +198,7 @@ func (p *Proc) ResolveCall(gen uint64, v any) {
 	p.mu.Lock()
 	if gen == p.gen && !p.resolved {
 		p.resolved, p.reply = true, v
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
+		post(p.wake)
 	}
 	p.mu.Unlock()
 }
@@ -285,16 +246,7 @@ func (s *signal) Resolved() bool {
 // WaitTimeout suspends p until the signal resolves or d elapses. A
 // resolution racing the deadline wins, as in AwaitCall.
 func (s *signal) WaitTimeout(p transport.Proc, d time.Duration) (any, bool) {
-	if lp, ok := p.(*Proc); ok {
-		lp.wait(s.done, d)
-	} else {
-		t := time.NewTimer(d)
-		select {
-		case <-s.done:
-		case <-t.C:
-		}
-		t.Stop()
-	}
+	p.(*Proc).wait(s.done, d)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.v, s.resolved
@@ -332,113 +284,101 @@ type Net struct {
 	endpoints map[string]*Endpoint
 	links     *transport.Links // guarded by mu
 	procs     map[*Proc]struct{}
-	timers    map[*time.Timer]struct{}
 	stopped   bool
 	wg        sync.WaitGroup
 
-	// Delayed-delivery dispatcher: a single goroutine executes deliveries
-	// in (deadline, enqueue-order) order, mirroring the DES event heap's
-	// seq tie-break — per-link FIFO holds even when latency is injected
-	// (independent time.AfterFunc callbacks would race equal deadlines).
+	// The dispatcher: one goroutine runs all deferred work, delayed
+	// deliveries and Schedule callbacks alike, in (deadline, push order)
+	// order, the DES event queue's order, so per-link FIFO holds under
+	// injected latency. It waits on one reused timer and is kicked only
+	// when a push becomes the new head. A delivery runs inline; a
+	// callback, which may block, starts on its own goroutine. Shutdown
+	// cancels whatever is still queued by dropping the queue.
 	dmu      sync.Mutex
-	dheap    deliveryHeap
-	dseq     uint64
+	due      queue.Deadline[deferred]
 	dkick    chan struct{}
-	drunning bool
 	dstopped bool
 
 	rng *rand.Rand // guarded by mu
 }
 
-// New creates a live network.
+// deferred is one queued piece of deferred work: a delivery, or a
+// Schedule callback (own: started on its own goroutine).
+type deferred struct {
+	fn  func()
+	own bool
+}
+
+// New creates a live network and starts its dispatcher.
 func New(cfg Config) *Net {
-	return &Net{
+	n := &Net{
 		start:     time.Now(),
 		endpoints: make(map[string]*Endpoint),
 		links:     transport.NewLinks(cfg.DefaultLink),
 		procs:     make(map[*Proc]struct{}),
-		timers:    make(map[*time.Timer]struct{}),
 		dkick:     make(chan struct{}, 1),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
+	n.wg.Add(1)
+	go n.dispatch()
+	return n
 }
 
-// delivery is one pending dispatched action.
-type delivery struct {
-	at  transport.Time
-	seq uint64
-	fn  func()
-}
-
-type deliveryHeap []delivery
-
-func (h deliveryHeap) Len() int { return len(h) }
-func (h deliveryHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h deliveryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *deliveryHeap) Push(x any)   { *h = append(*h, x.(delivery)) }
-func (h *deliveryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// scheduleDelivery enqueues fn to run after delay, ordered with every
-// other scheduled delivery (lazily starts the dispatcher goroutine).
-func (n *Net) scheduleDelivery(delay time.Duration, fn func()) {
+// later queues fn to run after delay, ordered with all other deferred
+// work. It is dropped after Shutdown.
+func (n *Net) later(delay time.Duration, fn func(), own bool) {
+	at := int64(n.Now().Add(delay))
 	n.dmu.Lock()
 	if n.dstopped {
 		n.dmu.Unlock()
 		return
 	}
-	heap.Push(&n.dheap, delivery{at: n.Now().Add(delay), seq: n.dseq, fn: fn})
-	n.dseq++
-	if !n.drunning {
-		n.drunning = true
-		n.wg.Add(1)
-		go n.dispatchLoop()
-	}
+	head, _, ok := n.due.Front()
+	n.due.Push(at, deferred{fn: fn, own: own})
 	n.dmu.Unlock()
-	select {
-	case n.dkick <- struct{}{}:
-	default:
+	if !ok || at < head {
+		post(n.dkick)
 	}
 }
 
-func (n *Net) dispatchLoop() {
+func (n *Net) dispatch() {
 	defer n.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for {
 		n.dmu.Lock()
 		if n.dstopped {
 			n.dmu.Unlock()
 			return
 		}
-		if len(n.dheap) == 0 {
+		at, next, ok := n.due.Front()
+		if !ok {
 			n.dmu.Unlock()
 			<-n.dkick
 			continue
 		}
-		next := n.dheap[0]
-		wait := next.at.Sub(n.Now())
-		if wait <= 0 {
-			heap.Pop(&n.dheap)
+		if wait := transport.Time(at).Sub(n.Now()); wait > 0 {
 			n.dmu.Unlock()
-			next.fn()
+			timer.Reset(wait)
+			select {
+			case <-timer.C:
+			case <-n.dkick:
+			}
 			continue
 		}
+		n.due.Pop()
 		n.dmu.Unlock()
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-n.dkick:
+		if next.own {
+			// Counted before the dispatcher's own count can drop, so
+			// Shutdown's wait covers the callback.
+			n.wg.Add(1)
+			go func() {
+				defer n.wg.Done()
+				next.fn()
+			}()
+		} else {
+			next.fn()
 		}
-		t.Stop()
 	}
 }
 
@@ -463,7 +403,7 @@ func (n *Net) endpointLocked(name string) *Endpoint {
 	if e, ok := n.endpoints[name]; ok {
 		return e
 	}
-	e := &Endpoint{name: name, box: newMailbox()}
+	e := &Endpoint{name: name, notify: make(chan struct{}, 1)}
 	n.endpoints[name] = e
 	return e
 }
@@ -489,23 +429,20 @@ func (n *Net) LinkStats(from, to string) (sent, delivered, dropped uint64) {
 	return n.links.Stats(from, to)
 }
 
-// Crash marks an endpoint down and clears its inbox. The drain happens
-// under the network lock so it is atomic with the down flag: no delivery
-// can observe the endpoint up and then push after the drain.
-func (n *Net) Crash(name string) {
-	n.mu.Lock()
-	e := n.endpointLocked(name)
-	e.down = true
-	e.box.drain()
-	n.mu.Unlock()
-}
+// Crash marks an endpoint down and clears its inbox; Restart brings it
+// back with an empty one. The drain happens under the network lock so it
+// is atomic with the down flag: no delivery can observe the endpoint up
+// and then push after the drain.
+func (n *Net) Crash(name string)   { n.setDown(name, true) }
+func (n *Net) Restart(name string) { n.setDown(name, false) }
 
-// Restart brings a crashed endpoint back with an empty inbox.
-func (n *Net) Restart(name string) {
+func (n *Net) setDown(name string, down bool) {
 	n.mu.Lock()
 	e := n.endpointLocked(name)
-	e.down = false
-	e.box.drain()
+	e.down = down
+	e.mu.Lock()
+	e.q.Clear()
+	e.mu.Unlock()
 	n.mu.Unlock()
 }
 
@@ -528,7 +465,7 @@ func (n *Net) landLater(delay time.Duration, copies int, l *transport.Link, dst 
 		n.mu.Unlock()
 	}
 	for range copies {
-		n.scheduleDelivery(delay, arrive)
+		n.later(delay, arrive, false)
 	}
 }
 
@@ -539,7 +476,7 @@ func (n *Net) Send(msg transport.Message) {
 }
 
 // SendBurst transmits msgs with one network-lock acquisition for the
-// whole burst and one mailbox lock/notify per same-destination run,
+// whole burst and one inbox lock/notify per same-destination run,
 // instead of one of each per message. The link model (loss, duplication,
 // jitter, bandwidth serialization) is applied per message under the
 // seeded source, so a burst is observationally a sequence of Sends: FIFO
@@ -549,15 +486,15 @@ func (n *Net) Send(msg transport.Message) {
 // cases.
 func (n *Net) SendBurst(msgs []transport.Message) {
 	n.mu.Lock()
-	// Zero-delay survivors append to the destination mailbox directly; the
-	// box lock is held across a same-destination run and the wake is
+	// Zero-delay survivors append to the destination inbox directly; its
+	// lock is held across a same-destination run and the wake is
 	// coalesced to one notify per run.
-	var curBox *mailbox
+	var cur *Endpoint
 	flush := func() {
-		if curBox != nil {
-			curBox.mu.Unlock()
-			curBox.wake()
-			curBox = nil
+		if cur != nil {
+			cur.mu.Unlock()
+			post(cur.notify)
+			cur = nil
 		}
 	}
 	for _, msg := range msgs {
@@ -565,17 +502,17 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 		l := n.links.Get(msg.From, msg.To)
 		delay, copies := l.Plan(n, msg.Size, n.endsUpLocked(msg.From, dst), n.rng)
 		if delay > 0 {
-			n.landLater(delay, copies, l, dst, func() { dst.box.push(msg) })
+			n.landLater(delay, copies, l, dst, func() { dst.push(msg) })
 			continue
 		}
 		for range copies {
-			if curBox != dst.box {
+			if cur != dst {
 				flush()
-				curBox = dst.box
-				curBox.mu.Lock()
+				cur = dst
+				cur.mu.Lock()
 			}
 			l.Land(true)
-			curBox.appendLocked(msg)
+			cur.q.Push(msg)
 		}
 	}
 	flush()
@@ -655,32 +592,11 @@ func (n *Net) Kill(h transport.Handle) {
 	}
 }
 
-// Schedule runs fn once after real delay d (dropped after Shutdown).
-func (n *Net) Schedule(d time.Duration, fn func()) { n.afterFunc(d, fn) }
-
-// afterFunc is Schedule with shutdown tracking: Shutdown stops pending
-// timers and waits for in-flight callbacks.
-func (n *Net) afterFunc(d time.Duration, fn func()) {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.wg.Add(1)
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		n.mu.Lock()
-		delete(n.timers, t)
-		stopped := n.stopped
-		n.mu.Unlock()
-		if !stopped {
-			fn()
-		}
-		n.wg.Done()
-	})
-	n.timers[t] = struct{}{}
-	n.mu.Unlock()
-}
+// Schedule runs fn once after real delay d, on its own goroutine, so a
+// callback that blocks stalls neither deliveries nor other callbacks. A
+// callback still queued at Shutdown never runs; Shutdown waits for one
+// already running.
+func (n *Net) Schedule(d time.Duration, fn func()) { n.later(d, fn, true) }
 
 // RunFor sleeps d of real time (the goroutines advance themselves).
 func (n *Net) RunFor(d time.Duration) { time.Sleep(d) }
@@ -698,9 +614,10 @@ func (n *Net) Drive(sig transport.Signal, timeout time.Duration) bool {
 	}
 }
 
-// Shutdown fail-stops every process, cancels pending timers, and waits
-// for all of them to exit. Component state is safe to read afterwards
-// (the join establishes happens-before with every process's writes).
+// Shutdown fail-stops every process, cancels all deferred work, and
+// waits for the processes and running callbacks to exit. Component state
+// is safe to read afterwards (the join establishes happens-before with
+// every process's writes).
 func (n *Net) Shutdown() {
 	n.mu.Lock()
 	if n.stopped {
@@ -709,12 +626,6 @@ func (n *Net) Shutdown() {
 		return
 	}
 	n.stopped = true
-	for t := range n.timers {
-		if t.Stop() {
-			n.wg.Done()
-		}
-		delete(n.timers, t)
-	}
 	procs := make([]*Proc, 0, len(n.procs))
 	for p := range n.procs {
 		procs = append(procs, p)
@@ -722,12 +633,9 @@ func (n *Net) Shutdown() {
 	n.mu.Unlock()
 	n.dmu.Lock()
 	n.dstopped = true
-	n.dheap = nil
+	n.due.Clear()
 	n.dmu.Unlock()
-	select {
-	case n.dkick <- struct{}{}:
-	default:
-	}
+	post(n.dkick)
 	for _, p := range procs {
 		p.kill()
 	}

@@ -1,0 +1,7 @@
+//go:build race
+
+package livenet
+
+// raceEnabled reports a -race build: the race runtime allocates on paths
+// that allocate nothing without it, so allocation guards skip.
+const raceEnabled = true

@@ -76,6 +76,7 @@ func (c *Cluster) Stats() NetStats {
 		s.RemoteMsgs += ns.RemoteMsgs
 		s.RemoteCalls += ns.RemoteCalls
 		s.RemoteBytes += ns.RemoteBytes
+		s.RemoteDropped += ns.RemoteDropped
 	}
 	return s
 }
@@ -111,21 +112,16 @@ func (c *Cluster) Call(p transport.Proc, from, to string, payload any, size int,
 	return c.netFor(from).Call(p, from, to, payload, size, timeout)
 }
 
-// Crash fail-stops an endpoint cluster-wide: every node flushes its
-// in-flight frames first, then the shared core drops the endpoint.
-func (c *Cluster) Crash(name string) {
-	for _, node := range c.order {
-		c.nets[node].flush()
-	}
-	c.Net.Crash(name)
-}
+// Crash fail-stops an endpoint cluster-wide, and Restart brings it back
+// with an empty inbox: every node flushes its in-flight frames first, then
+// the shared core acts.
+func (c *Cluster) Crash(name string)   { c.flush(); c.Net.Crash(name) }
+func (c *Cluster) Restart(name string) { c.flush(); c.Net.Restart(name) }
 
-// Restart brings a crashed endpoint back with an empty inbox.
-func (c *Cluster) Restart(name string) {
+func (c *Cluster) flush() {
 	for _, node := range c.order {
 		c.nets[node].flush()
 	}
-	c.Net.Restart(name)
 }
 
 // Shutdown tears down every hub, then the shared core.

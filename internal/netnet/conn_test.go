@@ -38,7 +38,8 @@ func payload(t testing.TB, v int) []byte {
 // TestUndeclaredNodeFailsAtOnce: a frame naming a node the NodeMap does not
 // declare costs no dial retry. A ping from an unknown node leaves the
 // connection's reader free for the next frame, and a reply to a call from
-// an unknown node returns at once instead of stalling the replier.
+// an unknown node returns at once instead of stalling the replier, and
+// counts as dropped.
 func TestUndeclaredNodeFailsAtOnce(t *testing.T) {
 	nm := transport.NewNodeMap([]transport.NodeSpec{{Name: "w1", Endpoints: []string{"b"}}})
 	n, err := New(Config{Seed: 1, Node: "w1", Nodes: nm})
@@ -68,6 +69,9 @@ func TestUndeclaredNodeFailsAtOnce(t *testing.T) {
 	(&remoteCall{n: n, node: "ghost", id: 1, from: "cli"}).Reply(1, 8)
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("a reply to an undeclared node took %v", d)
+	}
+	if d := n.Stats().RemoteDropped; d != 1 {
+		t.Fatalf("RemoteDropped = %d after one reply to an undeclared node, want 1", d)
 	}
 }
 
@@ -109,7 +113,8 @@ func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
 
 // TestWriteDeadlineOnStalledPeer: a peer that accepts and never reads
 // fills the socket, and the write that blocks then fails within
-// writeTimeout; the peer is marked down, as for any failed write.
+// writeTimeout: its burst counts as dropped, and the peer is marked down,
+// as for any failed write.
 func TestWriteDeadlineOnStalledPeer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -122,27 +127,34 @@ func TestWriteDeadlineOnStalledPeer(t *testing.T) {
 			time.Sleep(writeTimeout + 10*time.Second)
 		}
 	}()
-	nm := transport.NewNodeMap([]transport.NodeSpec{{Name: "w1"}, {Name: "stall", Addr: ln.Addr().String()}})
+	nm := transport.NewNodeMap([]transport.NodeSpec{
+		{Name: "w1", Endpoints: []string{"a"}},
+		{Name: "stall", Addr: ln.Addr().String(), Endpoints: []string{"b"}},
+	})
 	n, err := New(Config{Seed: 1, Node: "w1", Nodes: nm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
 
-	failed := make(chan error, 1)
+	msgs := make([]transport.Message, 4096)
+	for i := range msgs {
+		msgs[i] = transport.Message{From: "a", To: "b", Payload: i, Size: 8}
+	}
+	failed := make(chan struct{})
 	go func() {
-		body := make([]byte, 1<<20)
-		for {
-			if err := n.writeFrame("stall", frameMsg, body); err != nil {
-				failed <- err
-				return
-			}
+		defer close(failed)
+		for n.Stats().RemoteDropped == 0 {
+			n.SendBurst(msgs)
 		}
 	}()
 	select {
 	case <-failed:
 	case <-time.After(writeTimeout + 5*time.Second):
-		t.Fatal("writes to a peer that never reads did not fail")
+		t.Fatal("writes to a peer that never reads were not counted dropped")
+	}
+	if d := n.Stats().RemoteDropped; d != uint64(len(msgs)) {
+		t.Fatalf("RemoteDropped = %d, want one burst of %d", d, len(msgs))
 	}
 	n.mu.Lock()
 	down := n.down["stall"]

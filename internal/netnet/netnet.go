@@ -116,6 +116,9 @@ type NetStats struct {
 	RemoteMsgs  uint64 `json:"remote_msgs"`  // messages shipped to another node (burst members included)
 	RemoteCalls uint64 `json:"remote_calls"` // RPCs shipped to another node
 	RemoteBytes uint64 `json:"remote_bytes"` // frame bytes written
+	// Messages (burst members included), calls and replies whose frame was
+	// never written: no address, a failed dial, a write error or deadline.
+	RemoteDropped uint64 `json:"remote_dropped"`
 }
 
 // Net is one node of a networked transport. It implements
@@ -144,9 +147,10 @@ type Net struct {
 	callsMu sync.Mutex
 	calls   map[uint64]pendingCall // call id -> the caller's slot
 
-	remoteMsgs  atomic.Uint64
-	remoteCalls atomic.Uint64
-	remoteBytes atomic.Uint64
+	remoteMsgs    atomic.Uint64
+	remoteCalls   atomic.Uint64
+	remoteBytes   atomic.Uint64
+	remoteDropped atomic.Uint64
 }
 
 // New creates one node of a multi-process deployment: a livenet core plus
@@ -203,9 +207,10 @@ func (n *Net) Nodes() *transport.NodeMap { return n.nodes }
 // Stats returns this node's cross-node traffic counters.
 func (n *Net) Stats() NetStats {
 	return NetStats{
-		RemoteMsgs:  n.remoteMsgs.Load(),
-		RemoteCalls: n.remoteCalls.Load(),
-		RemoteBytes: n.remoteBytes.Load(),
+		RemoteMsgs:    n.remoteMsgs.Load(),
+		RemoteCalls:   n.remoteCalls.Load(),
+		RemoteBytes:   n.remoteBytes.Load(),
+		RemoteDropped: n.remoteDropped.Load(),
 	}
 }
 
@@ -316,7 +321,7 @@ func (n *Net) serveConn(c net.Conn) {
 			}
 			e := &transport.WireEnc{}
 			e.U64(seq)
-			n.writeFrame(fromNode, framePong, e.Bytes()) //nolint:errcheck // pong loss = barrier timeout
+			n.writeFrame(fromNode, framePong, e.Bytes(), 0) //nolint:errcheck // pong loss = barrier timeout
 		case framePong:
 			seq := d.U64()
 			n.mu.Lock()
@@ -433,15 +438,19 @@ func (n *Net) connTo(node string) (*wconn, error) {
 	return wc, nil
 }
 
-// writeFrame ships one frame to a peer node, synchronously: when it
-// returns nil the frame is in the socket's send path, ordered after every
-// earlier frame to that peer.
-func (n *Net) writeFrame(node string, kind uint8, body []byte) error {
+// writeFrame ships one frame carrying k messages, calls or replies to a
+// peer node, synchronously: when it returns nil the frame is in the
+// socket's send path, ordered after every earlier frame to that peer; when
+// it fails, the k count as dropped.
+func (n *Net) writeFrame(node string, kind uint8, body []byte, k int) error {
 	wc, err := n.connTo(node)
-	if err != nil {
-		return err
+	if err == nil {
+		err = n.writeOn(wc, node, kind, body)
 	}
-	return n.writeOn(wc, node, kind, body)
+	if err != nil {
+		n.remoteDropped.Add(uint64(k))
+	}
+	return err
 }
 
 func (n *Net) writeOn(wc *wconn, node string, kind uint8, body []byte) error {
@@ -499,7 +508,7 @@ func (n *Net) Send(msg transport.Message) {
 		panic(err)
 	}
 	n.remoteMsgs.Add(1)
-	n.writeFrame(dst, frameMsg, e.Bytes()) //nolint:errcheck // failed write = network loss
+	n.writeFrame(dst, frameMsg, e.Bytes(), 1) //nolint:errcheck // failed write = network loss
 }
 
 // SendBurst ships a burst, grouping consecutive same-node runs into one
@@ -523,7 +532,7 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 				}
 			}
 			n.remoteMsgs.Add(uint64(len(run)))
-			n.writeFrame(dst, frameBurst, e.Bytes()) //nolint:errcheck // failed write = network loss
+			n.writeFrame(dst, frameBurst, e.Bytes(), len(run)) //nolint:errcheck // failed write = network loss
 		}
 		i = j
 	}
@@ -567,7 +576,7 @@ func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, tim
 	e.Str(to)
 	e.Blob(enc)
 	n.remoteCalls.Add(1)
-	if err := n.writeFrame(dst, frameCall, e.Bytes()); err != nil {
+	if err := n.writeFrame(dst, frameCall, e.Bytes(), 1); err != nil {
 		return nil, false
 	}
 	return lp.AwaitCall(timeout)
@@ -600,7 +609,7 @@ func (c *remoteCall) Reply(v any, size int) {
 	e := &transport.WireEnc{}
 	e.U64(c.id)
 	e.Blob(enc)
-	c.n.writeFrame(c.node, frameReply, e.Bytes()) //nolint:errcheck // failed write = lost reply (caller times out)
+	c.n.writeFrame(c.node, frameReply, e.Bytes(), 1) //nolint:errcheck // failed write = lost reply (caller times out)
 }
 
 // flush is the in-flight barrier: a ping down every open connection, and
@@ -627,7 +636,7 @@ func (n *Net) flush() {
 		e := &transport.WireEnc{}
 		e.U64(seq)
 		e.Str(n.node)
-		if err := n.writeFrame(node, framePing, e.Bytes()); err != nil {
+		if err := n.writeFrame(node, framePing, e.Bytes(), 0); err != nil {
 			n.mu.Lock()
 			delete(n.pings, seq)
 			n.mu.Unlock()
@@ -647,18 +656,10 @@ func (n *Net) flush() {
 }
 
 // Crash fail-stops an endpoint after flushing in-flight frames, so the
-// inbox drain cannot race traffic already accepted by the socket layer.
-func (n *Net) Crash(name string) {
-	n.flush()
-	n.Net.Crash(name)
-}
-
-// Restart brings a crashed endpoint back with an empty inbox (flushing
-// first: frames sent pre-restart land pre-restart).
-func (n *Net) Restart(name string) {
-	n.flush()
-	n.Net.Restart(name)
-}
+// inbox drain cannot race traffic already accepted by the socket layer;
+// Restart flushes too, so frames sent before it land before it.
+func (n *Net) Crash(name string)   { n.flush(); n.Net.Crash(name) }
+func (n *Net) Restart(name string) { n.flush(); n.Net.Restart(name) }
 
 // closeHub tears down the TCP layer: listener, connections, readers.
 func (n *Net) closeHub() {

@@ -62,8 +62,8 @@ func TestCrossNodeSendFIFO(t *testing.T) {
 	if sizes[0] != 10 {
 		t.Fatalf("Size = %d, want encoded length 10", sizes[0])
 	}
-	if s := n1.Stats(); s.RemoteMsgs != total || s.RemoteBytes == 0 {
-		t.Fatalf("sender stats = %+v, want %d remote msgs", s, total)
+	if s := n1.Stats(); s.RemoteMsgs != total || s.RemoteBytes == 0 || s.RemoteDropped != 0 {
+		t.Fatalf("sender stats = %+v, want %d remote msgs and none dropped", s, total)
 	}
 }
 

@@ -57,7 +57,7 @@ func (n *Network) endpoint(name string) *Endpoint {
 	if e, ok := n.endpoints[name]; ok {
 		return e
 	}
-	e := &Endpoint{name: name, Inbox: vtime.NewMailbox[Message](n.sim, name+".inbox")}
+	e := &Endpoint{name: name, Inbox: vtime.NewMailbox[Message](n.sim)}
 	n.endpoints[name] = e
 	return e
 }
@@ -69,18 +69,14 @@ func (n *Network) SetLink(from, to string, cfg LinkConfig) { n.links.Set(from, t
 func (n *Network) SetLinkUp(from, to string, up bool) { n.links.SetUp(from, to, up) }
 
 // Crash marks an endpoint down: all traffic to or from it is dropped and its
-// inbox is cleared. Used for fail-stop failure injection.
-func (n *Network) Crash(name string) {
-	e := n.endpoint(name)
-	e.down = true
-	e.Inbox.Drain()
-}
+// inbox is cleared (fail-stop failure injection). Restart brings it back
+// with an empty inbox, as a fresh process would have.
+func (n *Network) Crash(name string)   { n.setDown(name, true) }
+func (n *Network) Restart(name string) { n.setDown(name, false) }
 
-// Restart brings a crashed endpoint back (with an empty inbox, as a fresh
-// process would have).
-func (n *Network) Restart(name string) {
+func (n *Network) setDown(name string, down bool) {
 	e := n.endpoint(name)
-	e.down = false
+	e.down = down
 	e.Inbox.Drain()
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"chc/internal/queue"
 	"chc/internal/transport"
 )
 
@@ -174,14 +175,12 @@ type Client struct {
 	seq     uint64
 	pending map[uint64]AsyncOp
 
-	// retx holds the sends awaiting their ack deadlines, retx[retxHead:]
-	// in send order, which is deadline order; a send leaves it at its
-	// deadline or, all its ops acked, at an ack (dropAcked). One timer,
-	// armed while the queue is not empty, fires at the head's deadline
-	// (retransmit). retxFn and windowFn are the two timers' callbacks, made
-	// once.
-	retx      []retxEntry
-	retxHead  int
+	// retx holds the sends awaiting their ack deadlines in send order,
+	// which is deadline order; a send leaves it at its deadline or, all
+	// its ops acked, at an ack (dropAcked). One timer, armed while the
+	// queue is not empty, fires at the head's deadline (retransmit). retxFn
+	// and windowFn are the two timers' callbacks, made once.
+	retx      queue.FIFO[retxEntry]
 	retxArmed bool
 	retxFn    func()
 	windowFn  func()
@@ -378,7 +377,7 @@ func (c *Client) Shutdown() {
 	c.pending = make(map[uint64]AsyncOp)
 	c.out = nil
 	clear(c.open)
-	c.retx, c.retxHead = nil, 0
+	c.retx.Clear()
 }
 
 // StartFlusher spawns the periodic cache flusher if configured.
@@ -734,14 +733,7 @@ func (c *Client) send(shard string, ops []AsyncOp) {
 	if len(ops) > 1 {
 		c.BurstRPCs++
 	}
-	// The queue slides down over its consumed prefix, as a live mailbox
-	// does, rather than growing.
-	if len(c.retx) == cap(c.retx) && c.retxHead > 0 && c.retxHead*8 >= len(c.retx)-c.retxHead {
-		n := copy(c.retx, c.retx[c.retxHead:])
-		clear(c.retx[n:])
-		c.retx, c.retxHead = c.retx[:n], 0
-	}
-	c.retx = append(c.retx, retxEntry{at: c.net.Now().Add(c.cfg.AckTimeout), shard: shard, ops: ops})
+	c.retx.Push(retxEntry{at: c.net.Now().Add(c.cfg.AckTimeout), shard: shard, ops: ops})
 	if !c.retxArmed {
 		c.retxArmed = true
 		c.net.Schedule(c.cfg.AckTimeout, c.retxFn)
@@ -760,10 +752,8 @@ func (c *Client) retransmit() {
 	now := c.net.Now()
 	// retxArmed stays set while the due sends are offered again, so their
 	// sends queue behind the rest without arming a second timer.
-	for c.retxHead < len(c.retx) && c.retx[c.retxHead].at <= now {
-		due := c.retx[c.retxHead]
-		c.retx[c.retxHead] = retxEntry{}
-		c.retxHead++
+	for head := c.retx.Front(); head != nil && head.at <= now; head = c.retx.Front() {
+		due, _ := c.retx.Pop()
 		var again []AsyncOp
 		for _, op := range due.ops {
 			if _, unacked := c.pending[op.Seq]; unacked {
@@ -775,12 +765,12 @@ func (c *Client) retransmit() {
 			c.send(due.shard, again)
 		}
 	}
-	if c.retxHead == len(c.retx) {
-		c.retx, c.retxHead = c.retx[:0], 0
+	head := c.retx.Front()
+	if head == nil {
 		c.retxArmed = false
 		return
 	}
-	c.net.Schedule(c.retx[c.retxHead].at.Sub(now), c.retxFn)
+	c.net.Schedule(head.at.Sub(now), c.retxFn)
 }
 
 // dropAcked takes off the head of the retransmit queue the sends whose ops
@@ -789,18 +779,15 @@ func (c *Client) retransmit() {
 // deadline it finds a later head or none, so retransmissions keep their
 // instants.
 func (c *Client) dropAcked() {
-	for c.retxHead < len(c.retx) {
-		head := &c.retx[c.retxHead]
+	for head := c.retx.Front(); head != nil; head = c.retx.Front() {
 		for len(head.ops) > 0 {
 			if _, unacked := c.pending[head.ops[0].Seq]; unacked {
 				return
 			}
 			head.ops = head.ops[1:]
 		}
-		*head = retxEntry{}
-		c.retxHead++
+		c.retx.Pop()
 	}
-	c.retx, c.retxHead = c.retx[:0], 0
 }
 
 // FlushBurst sends the sealed part of the list; the runtime calls it at

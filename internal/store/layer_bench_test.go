@@ -45,8 +45,10 @@ func BenchmarkClientFlushAll(b *testing.B) {
 // on the stub transport, and the benchmarks' memory must not grow with b.N.
 func forgetSent(c *Client) {
 	clear(c.pending)
-	clear(c.retx)
-	c.retx, c.retxHead, c.retxArmed = c.retx[:0], 0, false
+	for c.retx.Len() > 0 {
+		c.retx.Pop()
+	}
+	c.retxArmed = false
 }
 
 // BenchmarkClientLogWal: appends to a WAL that is never truncated, as on a

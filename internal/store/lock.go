@@ -1,6 +1,7 @@
 package store
 
 import (
+	"chc/internal/queue"
 	"chc/internal/transport"
 )
 
@@ -28,7 +29,7 @@ type SetUnlockReq struct {
 type lockState struct {
 	held    bool
 	holder  uint16
-	waiters []transport.Call
+	waiters queue.FIFO[transport.Call]
 }
 
 // lockTable is lazily attached to a Server.
@@ -53,7 +54,7 @@ func (s *Server) handleLockGet(p transport.Proc, cm transport.Call, req LockGetR
 	p.Sleep(s.cfg.OpService)
 	ls := s.lockStateFor(req.Key)
 	if ls.held {
-		ls.waiters = append(ls.waiters, cm)
+		ls.waiters.Push(cm)
 		return
 	}
 	ls.held = true
@@ -71,9 +72,7 @@ func (s *Server) handleSetUnlock(p transport.Proc, cm transport.Call, req SetUnl
 	ls.held = false
 	ls.holder = 0
 	cm.Reply(s.replySlab.New(rep), 16)
-	if len(ls.waiters) > 0 {
-		next := ls.waiters[0]
-		ls.waiters = ls.waiters[1:]
+	if next, ok := ls.waiters.Pop(); ok {
 		nreq := next.Body().(LockGetReq)
 		ls.held = true
 		ls.holder = nreq.Instance

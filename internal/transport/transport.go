@@ -132,8 +132,10 @@ type Transport interface {
 	// blocking point.
 	Spawn(name string, fn func(Proc)) Handle
 	Kill(h Handle)
-	// Schedule runs fn once after d. fn must not block. In livenet fn runs
-	// on a timer goroutine and must do its own synchronization.
+	// Schedule runs fn once after d. On the DES fn runs in scheduler
+	// context and must not block. On livenet and netnet fn waits in the
+	// queue of delayed deliveries, then starts on its own goroutine: it
+	// does its own synchronization, and may block. Shutdown cancels it.
 	Schedule(d time.Duration, fn func())
 
 	Now() Time

@@ -4,7 +4,7 @@
 // substrate contract the chain runtime depends on: per-link FIFO
 // ordering, loss/duplication injection on both legs of a call, crash
 // fail-stop semantics, RPC round trips and timeouts, kill-unwind of
-// blocked processes, and timer delivery.
+// blocked processes, and timer delivery and cancellation.
 //
 // The call cases pin what a substrate may reuse between one process's
 // calls: a reply that misses its call (late, after a timeout; a second
@@ -13,6 +13,7 @@
 package transporttest
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,6 +43,7 @@ func Run(t *testing.T, mk func() transport.Transport) {
 	t.Run("ReplyWinsAtDeadline", func(t *testing.T) { testReplyAtDeadline(t, mk()) })
 	t.Run("KillUnblocksRecv", func(t *testing.T) { testKill(t, mk()) })
 	t.Run("ScheduleFires", func(t *testing.T) { testSchedule(t, mk()) })
+	t.Run("ScheduleAfterShutdown", func(t *testing.T) { testScheduleAfterShutdown(t, mk()) })
 	t.Run("BurstFIFO", func(t *testing.T) { testBurstFIFO(t, mk()) })
 	t.Run("BurstFanOut", func(t *testing.T) { testBurstFanOut(t, mk()) })
 	t.Run("BurstLoss", func(t *testing.T) { testBurstLoss(t, mk()) })
@@ -606,5 +608,38 @@ func testSchedule(t *testing.T, tr transport.Transport) {
 	}
 	if !order.Resolved() {
 		t.Fatal("later timer fired before earlier timer")
+	}
+}
+
+// testScheduleAfterShutdown: Shutdown returns only after a running
+// callback has, and neither a callback pending at Shutdown nor one
+// scheduled after it ever runs. (The DES's Shutdown is a no-op: its
+// callbacks run only while the caller drives it.)
+func testScheduleAfterShutdown(t *testing.T, tr transport.Transport) {
+	if !tr.Live() {
+		t.Skip("the DES's Shutdown is a no-op")
+	}
+	const hold = 50 * time.Millisecond
+	started, release := make(chan struct{}), make(chan struct{})
+	var returned, ran atomic.Bool
+	tr.Schedule(time.Millisecond, func() {
+		close(started)
+		<-release
+		returned.Store(true)
+	})
+	tr.Schedule(hold/2, func() { ran.Store(true) }) // due while Shutdown waits
+	select {
+	case <-started:
+	case <-time.After(step):
+		t.Fatal("timer did not fire")
+	}
+	time.AfterFunc(hold, func() { close(release) })
+	tr.Shutdown()
+	if !returned.Load() {
+		t.Fatal("Shutdown returned before a running callback did")
+	}
+	tr.Schedule(0, func() { ran.Store(true) })
+	if time.Sleep(hold); ran.Load() {
+		t.Fatal("a callback pending at or scheduled after Shutdown ran")
 	}
 }

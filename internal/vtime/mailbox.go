@@ -1,57 +1,48 @@
 package vtime
 
+import (
+	"slices"
+
+	"chc/internal/queue"
+)
+
 // Mailbox is an unbounded FIFO message queue usable from simulation context.
 // Send never blocks; Recv suspends the calling process until a message is
 // available. Messages are delivered in send order. A Mailbox belongs to one
 // simulator and must not be shared across simulators.
 type Mailbox[T any] struct {
 	sim     *Sim
-	name    string
-	queue   []T
-	waiters []*Proc
+	queue   queue.FIFO[T]
+	waiters queue.FIFO[*Proc]
 }
 
 // NewMailbox creates a mailbox on s.
-func NewMailbox[T any](s *Sim, name string) *Mailbox[T] {
-	return &Mailbox[T]{sim: s, name: name}
-}
+func NewMailbox[T any](s *Sim) *Mailbox[T] { return &Mailbox[T]{sim: s} }
 
 // Len reports queued (undelivered) messages.
-func (m *Mailbox[T]) Len() int { return len(m.queue) }
-
-// Name returns the mailbox name.
-func (m *Mailbox[T]) Name() string { return m.name }
+func (m *Mailbox[T]) Len() int { return m.queue.Len() }
 
 // Send enqueues v at the current virtual instant, waking one waiter if any.
 // Send may be called from scheduler callbacks or any process.
 func (m *Mailbox[T]) Send(v T) {
-	m.queue = append(m.queue, v)
-	if len(m.waiters) > 0 {
-		p := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	m.queue.Push(v)
+	if p, ok := m.waiters.Pop(); ok {
 		m.sim.schedule(m.sim.now, nil, p)
 	}
 }
 
 // Recv suspends p until a message is available and returns it.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for len(m.queue) == 0 {
-		m.waiters = append(m.waiters, p)
+	for m.queue.Len() == 0 {
+		m.waiters.Push(p)
 		p.yield()
 	}
-	v := m.queue[0]
-	var zero T
-	m.queue[0] = zero
-	m.queue = m.queue[1:]
+	v, _ := m.queue.Pop()
 	return v
 }
 
-// Drain removes and returns all queued messages without blocking.
-func (m *Mailbox[T]) Drain() []T {
-	out := m.queue
-	m.queue = nil
-	return out
-}
+// Drain drops all queued messages.
+func (m *Mailbox[T]) Drain() { m.queue.Clear() }
 
 // Future is a one-shot value handoff between simulation participants: the
 // producer calls Resolve once; consumers block in Wait. It is the building
@@ -107,12 +98,7 @@ func (f *Future[T]) WaitTimeout(p *Proc, d Duration) (v T, ok bool) {
 	}
 	// Timed out: deregister, so a later Resolve cannot spuriously wake this
 	// process out of whatever it blocks on next.
-	for i, w := range f.waiters {
-		if w == p {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			break
-		}
-	}
+	f.waiters = slices.DeleteFunc(f.waiters, func(w *Proc) bool { return w == p })
 	var zero T
 	return zero, false
 }

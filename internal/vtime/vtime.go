@@ -1,11 +1,13 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
+
+	"chc/internal/queue"
 )
 
 // Time is a virtual instant, in nanoseconds since simulation start.
@@ -27,46 +29,23 @@ func (t Time) String() string { return Duration(t).String() }
 
 // event is a scheduled occurrence: either a callback or a process wake-up.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: schedule order
 	fn   func() // non-nil for callback events
 	proc *Proc  // non-nil for wake events
-	// canceled events stay in the heap but are skipped when popped.
+	// canceled events stay in the queue but are skipped when popped.
 	canceled bool
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; construct
 // with NewSim.
 type Sim struct {
-	now     Time
-	events  eventHeap
-	seq     uint64
+	now Time
+	// events pops in (time, schedule order): ties between events at one
+	// instant break by schedule order.
+	events  queue.Deadline[*event]
 	rng     *rand.Rand
 	yieldCh chan yieldMsg // processes signal the scheduler here
 	procSeq int
 	procs   map[int]*Proc
-	// stats
-	fired uint64
 }
 
 type yieldMsg struct {
@@ -90,17 +69,13 @@ func (s *Sim) Now() Time { return s.now }
 // used from simulation context (callbacks or processes).
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// EventsFired reports how many events have been executed.
-func (s *Sim) EventsFired() uint64 { return s.fired }
-
 // schedule inserts an event and returns it (for cancellation).
 func (s *Sim) schedule(at Time, fn func(), p *Proc) *event {
 	if at < s.now {
 		at = s.now
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn, proc: p}
-	s.seq++
-	heap.Push(&s.events, ev)
+	ev := &event{fn: fn, proc: p}
+	s.events.Push(int64(at), ev)
 	return ev
 }
 
@@ -135,24 +110,12 @@ type Proc struct {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the unique process id.
-func (p *Proc) ID() int { return p.id }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
 // Spawn creates a process that begins executing fn at the current virtual
 // time (after already-scheduled events for this instant).
-func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{sim: s, id: s.procSeq, name: name, resume: make(chan struct{}), fn: fn}
-	s.procs[p.id] = p
-	s.schedule(s.now, nil, p)
-	return p
-}
+func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc { return s.SpawnAfter(0, name, fn) }
 
 // SpawnAfter creates a process that begins executing fn after delay d.
 func (s *Sim) SpawnAfter(d Duration, name string, fn func(*Proc)) *Proc {
@@ -192,13 +155,7 @@ func (p *Proc) yield() {
 }
 
 // Sleep suspends the process for virtual duration d.
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.sim.schedule(p.sim.now.Add(d), nil, p)
-	p.yield()
-}
+func (p *Proc) Sleep(d Duration) { p.SleepUntil(p.sim.now.Add(d)) }
 
 // SleepUntil suspends the process until absolute virtual time at.
 func (p *Proc) SleepUntil(at Time) {
@@ -241,14 +198,21 @@ func (s *Sim) runProc(p *Proc) bool {
 
 // Step executes the next pending event. It returns false when no events
 // remain.
-func (s *Sim) Step() bool {
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
+func (s *Sim) Step() bool { return s.step(math.MaxInt64) }
+
+// step executes the next pending event due by until, skipping canceled
+// ones; false when there is none.
+func (s *Sim) step(until Time) bool {
+	for {
+		at, ev, ok := s.events.Front()
+		if !ok || Time(at) > until {
+			return false
+		}
+		s.events.Pop()
 		if ev.canceled {
 			continue
 		}
-		s.now = ev.at
-		s.fired++
+		s.now = Time(at)
 		if ev.proc != nil {
 			s.runProc(ev.proc)
 		} else if ev.fn != nil {
@@ -256,7 +220,6 @@ func (s *Sim) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // Run executes events until the event queue drains.
@@ -268,17 +231,7 @@ func (s *Sim) Run() {
 // RunUntil executes events with timestamps <= until, then sets the clock to
 // until. Events scheduled beyond the horizon remain pending.
 func (s *Sim) RunUntil(until Time) {
-	for len(s.events) > 0 {
-		// Peek.
-		next := s.events[0]
-		if next.canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if next.at > until {
-			break
-		}
-		s.Step()
+	for s.step(until) {
 	}
 	if s.now < until {
 		s.now = until

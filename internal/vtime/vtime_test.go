@@ -84,7 +84,7 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestMailboxSendRecv(t *testing.T) {
 	s := NewSim(1)
-	mb := NewMailbox[int](s, "mb")
+	mb := NewMailbox[int](s)
 	var got []int
 	s.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -103,9 +103,32 @@ func TestMailboxSendRecv(t *testing.T) {
 	}
 }
 
+// TestMailboxDrainedAllocs: a send and a receive on a box that runs dry
+// between messages allocate nothing: the box keeps its array.
+func TestMailboxDrainedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	s := NewSim(1)
+	mb := NewMailbox[int](s)
+	allocs := -1.0
+	s.Spawn("p", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() {
+			mb.Send(7)
+			if v := mb.Recv(p); v != 7 {
+				t.Errorf("received %d, want 7", v)
+			}
+		})
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Fatalf("send+recv on a drained box: %v allocs, want 0", allocs)
+	}
+}
+
 func TestMailboxRecvBeforeSend(t *testing.T) {
 	s := NewSim(1)
-	mb := NewMailbox[string](s, "mb")
+	mb := NewMailbox[string](s)
 	var got string
 	var at Time
 	s.Spawn("c", func(p *Proc) {
@@ -169,7 +192,7 @@ func TestFutureMultipleWaiters(t *testing.T) {
 
 func TestKillBlockedProcess(t *testing.T) {
 	s := NewSim(1)
-	mb := NewMailbox[int](s, "mb")
+	mb := NewMailbox[int](s)
 	reached := false
 	p := s.Spawn("victim", func(p *Proc) {
 		mb.Recv(p)
@@ -233,7 +256,7 @@ func TestSpawnAfter(t *testing.T) {
 // trace, used to check determinism.
 func simDigest(seed int64) string {
 	s := NewSim(seed)
-	mb := NewMailbox[int](s, "mb")
+	mb := NewMailbox[int](s)
 	digest := ""
 	for i := 0; i < 4; i++ {
 		i := i
