@@ -306,8 +306,8 @@ type Chain struct {
 // it, edits the copy and publishes it once (Chain.publish), so the packet
 // path reads a single consistent view with one atomic load and a reader
 // can never see a half-applied failover. Instance IDs are global and
-// dense (1, 2, ...), so the three ID tables are slices indexed by ID with
-// entry 0 unused.
+// dense (1, 2, ...), so the ID tables are slices indexed by ID with entry
+// 0 unused.
 type topology struct {
 	// slots holds each vertex's routing slots (index Vertex.ID-1) in
 	// hash % len placement order.
@@ -321,6 +321,14 @@ type topology struct {
 	// replica is the clone mirroring each primary's traffic (§5.3), nil
 	// for none.
 	replica []*Instance
+	// dead marks fail-stopped instances; draining marks those scaled in
+	// (Chain.scaleIn), whose hash share new keys skip, retirees included.
+	dead, draining []bool
+}
+
+// serves reports whether in takes new traffic: neither dead nor draining.
+func (t *topology) serves(in *Instance) bool {
+	return !t.dead[in.ID] && !t.draining[in.ID]
 }
 
 // slotsOf returns v's routing slots. The slice is shared with every reader
@@ -392,7 +400,8 @@ func New(cfg ChainConfig, spec ...VertexSpec) *Chain {
 		nodes: nodes, node: cfg.Node, Metrics: NewMetrics(sub == SubstrateSim),
 		arena: packet.NewArena(sub != SubstrateSim)}
 	c.topo.Store(&topology{slots: make([][]*Instance, len(spec)),
-		byID: []*Instance{nil}, serving: []*Instance{nil}, replica: []*Instance{nil}})
+		byID: []*Instance{nil}, serving: []*Instance{nil}, replica: []*Instance{nil},
+		dead: []bool{false}, draining: []bool{false}})
 
 	nshards := cfg.StoreShards
 	if nshards <= 0 {

@@ -110,9 +110,10 @@ func (c *Chain) Controller() *Controller { return c.ctl }
 // draining (a draining instance is already on its way out and must not
 // satisfy a desired replica).
 func (c *Chain) liveReplicas(v *Vertex) int {
+	t := c.topo.Load()
 	n := 0
-	for _, in := range c.topo.Load().slotsOf(v) {
-		if !in.isDead() && !in.isDraining() {
+	for _, in := range t.slotsOf(v) {
+		if t.serves(in) {
 			n++
 		}
 	}
@@ -285,9 +286,10 @@ func (ctl *Controller) applySpecLocked(spec DeploymentSpec) ([]ReconcileAction, 
 // instance (draining newest-first keeps the longest-lived instances — and
 // the bulk of the pinned flow placements — where they are).
 func (ctl *Controller) newestLive(v *Vertex) *Instance {
-	insts := ctl.chain.topo.Load().slotsOf(v)
+	t := ctl.chain.topo.Load()
+	insts := t.slotsOf(v)
 	for i := len(insts) - 1; i >= 0; i-- {
-		if !insts[i].isDead() && !insts[i].isDraining() {
+		if t.serves(insts[i]) {
 			return insts[i]
 		}
 	}

@@ -245,7 +245,7 @@ func TestControllerFailoverRecorded(t *testing.T) {
 	old := c.Vertices[0].Instances[0]
 	nu := c.Controller().Failover(old)
 	c.RunFor(50 * time.Millisecond)
-	if nu == old || nu.isDead() {
+	if nu == old || c.topo.Load().dead[nu.ID] {
 		t.Fatal("failover did not produce a live replacement")
 	}
 	st := c.Controller().Status()

@@ -216,7 +216,7 @@ func TestDAGBranchScaleOutIn(t *testing.T) {
 	}
 	applyReplicas(t, c, "nat", 1)
 	c.RunFor(10 * time.Millisecond)
-	if !nu.dead {
+	if !c.topo.Load().dead[nu.ID] {
 		t.Fatal("drained branch instance still alive after grace")
 	}
 	c.RunTrace(subTrace(tr, 2*third, len(tr.Events)), 500*time.Millisecond)

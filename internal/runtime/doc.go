@@ -6,6 +6,9 @@
 // buffer shared by the root and every instance, straggler cloning, and
 // the failover paths for NF instances, roots and datastore shards.
 //
+// Splitters only decide (RouteBurst appends to its caller's list); the
+// root, each instance and the live pacer send each flush as one burst.
+//
 // The topology is a directed acyclic policy graph (ChainConfig.Topology):
 // one ordered vertex path per traffic class, classified once at the root
 // and routed by per-class successor tables at every fork, with rejoins

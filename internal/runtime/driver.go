@@ -55,16 +55,7 @@ func (c *Chain) runTraceLive(tr *trace.Trace, settle time.Duration) time.Duratio
 		// rate is low.
 		var msgs []transport.Message
 		var burstStart transport.Time
-		flush := func() {
-			if len(msgs) == 0 {
-				return
-			}
-			transport.SendBurst(c.tr, msgs)
-			for i := range msgs {
-				msgs[i] = transport.Message{}
-			}
-			msgs = msgs[:0]
-		}
+		flush := func() { sendBurst(c.tr, &msgs) }
 		for idx := range tr.Events {
 			ev := tr.Events[idx]
 			target := base + ev.At

@@ -63,17 +63,26 @@ func (b *fwdBuf) add(v *Vertex, pkt *packet.Packet) {
 	b.runs = append(b.runs, fwdRun{v: v, pkts: []*packet.Packet{pkt}})
 }
 
-// flush sends each vertex's run as one RouteBurst, in first-use order,
-// and zeroes the packet references so the arena can recycle the buffers
-// once their new owners release them.
-func (b *fwdBuf) flush(from string, now transport.Time) {
+// route routes each vertex's run with one RouteBurst into out, in
+// first-use order, keeping a successor's deliveries together for the
+// transport's per-run handling, and zeroes the packet references so the
+// arena can recycle the buffers once their new owners release them.
+func (b *fwdBuf) route(from string, now transport.Time, out *[]transport.Message) {
 	for idx := range b.runs {
 		run := &b.runs[idx]
 		if len(run.pkts) == 0 {
 			continue
 		}
-		run.v.Splitter.RouteBurst(from, run.pkts, now)
+		run.v.Splitter.RouteBurst(from, run.pkts, now, out)
 		clear(run.pkts)
 		run.pkts = run.pkts[:0]
 	}
+}
+
+// sendBurst sends msgs as one burst and empties the list, zeroing its
+// entries so the arena can recycle the packets they carried.
+func sendBurst(tr transport.Transport, msgs *[]transport.Message) {
+	transport.SendBurst(tr, *msgs)
+	clear(*msgs)
+	*msgs = (*msgs)[:0]
 }

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"chc/internal/nf"
+	"chc/internal/packet"
 	"chc/internal/store"
+	"chc/internal/transport"
 )
 
 // TestRootTap runs a chain whose off-path tap is declared before any
@@ -64,5 +66,66 @@ func TestRootTap(t *testing.T) {
 					c.Sink.Received, c.Sink.Duplicates, c.Root.Injected)
 			}
 		})
+	}
+}
+
+// TestRouteBurstOnlyDecides pins the route contract: RouteBurst appends
+// its deliveries to the caller's list and sends nothing; the caller's one
+// SendBurst is what reaches the links. The burst holds a plain packet, a
+// packet of a flow under a Fig 4 move, whose MetaLast clone goes to the
+// old owner, and a packet for a slot whose straggler has a replica, which
+// goes to both.
+func TestRouteBurstOnlyDecides(t *testing.T) {
+	c := New(testConfig(), VertexSpec{Name: "pass", Make: func() nf.NF { return nf.Pass{} },
+		Instances: 2, Backend: BackendTraditional})
+	c.Start()
+	v := c.Vertices[0]
+	a, b := v.Instances[0], v.Instances[1]
+	clone := c.Controller().CloneStraggler(a)
+	topo := c.topo.Load()
+	// flowTo returns a packet of a flow whose partition key lands on in.
+	port := uint16(1000)
+	flowTo := func(in *Instance) *packet.Packet {
+		for {
+			port++
+			pkt := &packet.Packet{SrcIP: 0x0A000001, DstIP: 0x08080808, SrcPort: port,
+				DstPort: 80, Proto: packet.ProtoTCP}
+			if topo.pick(v, mix(pkt.Key().Canonical().Hash())) == in {
+				return pkt
+			}
+		}
+	}
+	plain, moved, mirrored := flowTo(b), flowTo(b), flowTo(a)
+	c.Controller().MoveFlows(v, []uint64{moved.Key().Canonical().Hash()}, a)
+
+	const from = "upstream"
+	var out []transport.Message
+	v.Splitter.RouteBurst(from, []*packet.Packet{plain, moved, mirrored}, c.Now(), &out)
+	want := []*Instance{b, b, a, clone}
+	if len(out) != len(want) {
+		t.Fatalf("RouteBurst appended %d deliveries, want %d", len(out), len(want))
+	}
+	for k, in := range want {
+		if out[k].To != in.Endpoint || out[k].From != from {
+			t.Fatalf("delivery %d: %s -> %s, want %s -> %s", k, out[k].From, out[k].To, from, in.Endpoint)
+		}
+	}
+	if last := out[1].Payload.(*packet.Packet); last.Meta.Flags&packet.MetaLast == 0 || last == moved {
+		t.Fatal("the moved flow's packet did not leave as a MetaLast clone")
+	}
+	sent := func(in *Instance) uint64 {
+		n, _, _ := c.Net().LinkStats(from, in.Endpoint)
+		return n
+	}
+	for _, in := range []*Instance{a, b, clone} {
+		if n := sent(in); n != 0 {
+			t.Fatalf("%d sends to %s before the caller sent", n, in.Endpoint)
+		}
+	}
+	transport.SendBurst(c.Net(), out)
+	for in, n := range map[*Instance]uint64{a: 1, b: 2, clone: 1} {
+		if got := sent(in); got != n {
+			t.Fatalf("%d sends to %s after the caller's burst, want %d", got, in.Endpoint, n)
+		}
 	}
 }

@@ -108,7 +108,9 @@ type Instance struct {
 	seen clockset.Set
 	// inFlight counts packets a worker has accepted (marked seen) but not
 	// finished processing — a worker blocked in a handover acquire or a
-	// service sleep holds one. Scale-in quiescence requires zero.
+	// service sleep holds one — and the parked packets an end-of-replay
+	// drain has taken but not yet processed. Scale-in quiescence requires
+	// zero.
 	inFlight int
 	// xorLog records the XOR bit-vector contribution of each processed
 	// clock. A replayed packet re-executed here on its way to a downstream
@@ -136,7 +138,8 @@ type Instance struct {
 
 	// Burst output buffers, flushed by flushBurst: out holds the
 	// per-successor-vertex packet runs (off-path taps included), delBuf the
-	// delete requests, sinkBuf the tail outputs. No blocking point lies
+	// delete requests, sinkBuf the tail outputs, and msgs the list a flush
+	// fills from all three and sends as one burst. No blocking point lies
 	// between buffering a packet's outputs and the next flush (see run), so
 	// the buffers are empty whenever a worker blocks. That is what lets the
 	// DES's coroutine workers share them, and live runs one worker per
@@ -144,14 +147,9 @@ type Instance struct {
 	// carry.
 	out     fwdBuf
 	delBuf  []Delete
-	sinkBuf []transport.Message
+	sinkBuf []*packet.Packet
+	msgs    []transport.Message
 	delSlab transport.Slab[Delete]
-
-	dead bool
-	// draining marks an instance being scaled in: the splitter stops
-	// placing NEW partition keys on it while its existing flows hand over
-	// to the survivors (Chain.scaleIn).
-	draining bool
 
 	// Stats.
 	Processed      uint64
@@ -200,6 +198,8 @@ func (c *Chain) newInstance(t *topology, v *Vertex) *Instance {
 	t.byID = append(t.byID, inst)
 	t.serving = append(t.serving, inst)
 	t.replica = append(t.replica, nil)
+	t.dead = append(t.dead, false)
+	t.draining = append(t.draining, false)
 	return inst
 }
 
@@ -231,49 +231,14 @@ func (i *Instance) ProcessedCount() uint64 {
 	return i.Processed
 }
 
-// inFlightCount reads the accepted-but-unfinished packet count under the
-// instance lock (scale-in quiescence).
-func (i *Instance) inFlightCount() int {
+// busy reports whether the instance holds packets outside its inbox that
+// a crash would lose: accepted but unfinished (inFlight), or parked by a
+// replay target still buffering or yet to drain. Scale-in quiescence
+// requires false.
+func (i *Instance) busy() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.inFlight
-}
-
-// holdsParked reports whether the instance is a replay target still
-// buffering, or holds parked live packets awaiting the end-of-replay
-// drain. Such an instance is never quiescent: the parked packets are in
-// no inbox and no counter, and crashing would silently drop them.
-func (i *Instance) holdsParked() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.buffering || len(i.parked) > 0
-}
-
-// isDead reads the fail-stop flag under the instance lock (live-mode
-// failover flips it concurrently with splitter routing decisions).
-func (i *Instance) isDead() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.dead
-}
-
-// isDraining reads the scale-in drain flag under the instance lock.
-func (i *Instance) isDraining() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.draining
-}
-
-func (i *Instance) setDead(v bool) {
-	i.mu.Lock()
-	i.dead = v
-	i.mu.Unlock()
-}
-
-func (i *Instance) setDraining(v bool) {
-	i.mu.Lock()
-	i.draining = v
-	i.mu.Unlock()
+	return i.inFlight > 0 || i.buffering || len(i.parked) > 0
 }
 
 // NFImpl exposes the NF value (experiments inspect detector verdicts).
@@ -289,7 +254,6 @@ func (i *Instance) Start() {
 	if !i.chain.onNode(i.Endpoint) {
 		return
 	}
-	i.setDead(false)
 	n := i.vertex.Spec.Threads
 	if n <= 0 || i.chain.live() {
 		n = 1
@@ -302,21 +266,6 @@ func (i *Instance) Start() {
 		i.client.StartFlusher()
 		i.applyExclusivityDefaults()
 	}
-}
-
-// Crash fail-stops the instance: workers killed, endpoint down, local state
-// (and for CHC, only the cache) lost, outstanding retransmissions silenced.
-func (i *Instance) Crash() {
-	i.setDead(true)
-	for _, p := range i.procs {
-		i.chain.tr.Kill(p)
-	}
-	i.procs = nil
-	if i.client != nil {
-		i.client.StopFlusher()
-		i.client.Shutdown()
-	}
-	i.chain.tr.Crash(i.Endpoint)
 }
 
 // applyExclusivityDefaults derives per-object cache permissions from the
@@ -363,27 +312,30 @@ func (i *Instance) dispatch(msg transport.Message) {
 	}
 }
 
-// flushBurst ships the buffered outputs: the per-vertex forward runs in
-// first-use order, then the deletes as one DeleteMsg, then the sink
-// outputs (§5.4 delete-before-output holds per packet because the sink goes
-// last), then the store client's held async ops. For a tail with an
-// off-path tap that is [tap copy, delete, sink] per packet. Packet
-// references are zeroed as the buffers truncate so the arena can recycle
-// the buffers once their new owners release them.
+// flushBurst ships the buffered outputs as one transport burst: the
+// per-vertex forward runs in first-use order, then the deletes as one
+// DeleteMsg, then the sink outputs, stamped as sent now (§5.4
+// delete-before-output holds per packet because the sink goes last); then
+// the store client's held async ops leave. For a tail with an off-path tap
+// that is [tap copy, delete, sink] per packet. Packet references are zeroed
+// as the buffers truncate so the arena can recycle the buffers once their
+// new owners release them.
 func (i *Instance) flushBurst(p transport.Proc) {
-	i.out.flush(i.Endpoint, p.Now())
+	now := p.Now()
+	i.out.route(i.Endpoint, now, &i.msgs)
 	if n := len(i.delBuf); n > 0 {
-		i.chain.tr.Send(transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint,
+		i.msgs = append(i.msgs, transport.Message{From: i.Endpoint, To: i.chain.Root.Endpoint,
 			Payload: DeleteMsg{Dels: i.delSlab.Cut(i.delBuf...)}, Size: 4 + 12*n})
 		i.delBuf = i.delBuf[:0]
 	}
-	if len(i.sinkBuf) > 0 {
-		transport.SendBurst(i.chain.tr, i.sinkBuf)
-		for idx := range i.sinkBuf {
-			i.sinkBuf[idx] = transport.Message{}
-		}
-		i.sinkBuf = i.sinkBuf[:0]
+	for _, out := range i.sinkBuf {
+		out.SentNs = int64(now)
+		i.msgs = append(i.msgs, transport.Message{From: i.Endpoint, To: SinkEndpoint,
+			Payload: out, Size: out.WireLen()})
 	}
+	clear(i.sinkBuf)
+	i.sinkBuf = i.sinkBuf[:0]
+	sendBurst(i.chain.tr, &i.msgs)
 	if i.client != nil {
 		i.client.FlushBurst()
 	}
@@ -602,12 +554,7 @@ func (i *Instance) forward(p transport.Proc, out *packet.Packet) {
 		return
 	}
 	i.sendDelete(p, out.Meta.Clock, out.Meta.BitVec)
-	out.SentNs = int64(p.Now())
-	i.sinkBuf = append(i.sinkBuf, transport.Message{
-		From: i.Endpoint, To: SinkEndpoint,
-		Payload: out,
-		Size:    out.WireLen(),
-	})
+	i.sinkBuf = append(i.sinkBuf, out)
 }
 
 // sendDelete buffers a delete request for flushBurst. With SyncDelete it
@@ -650,16 +597,20 @@ func (i *Instance) StartReplayTarget() {
 // processing"). The drain runs the same duplicate accounting as the live
 // queue: a parked copy whose clock was meanwhile replayed counts toward
 // DupSeen/DupStateEvents (the Table 5 metrics) and is suppressed only when
-// suppression is on.
+// suppression is on. The taken packets count as in flight until each is
+// processed or suppressed, so a scale-in poll never reads the drain as
+// quiescence.
 func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 	i.mu.Lock()
 	i.buffering = false
 	parked := i.parked
 	i.parked = nil
+	i.inFlight += len(parked)
 	i.mu.Unlock()
 	for _, pkt := range parked {
 		i.mu.Lock()
 		if i.seen.Has(pkt.Meta.Clock) && i.suppressDup(pkt) {
+			i.inFlight--
 			i.mu.Unlock()
 			continue
 		}
@@ -669,6 +620,7 @@ func (i *Instance) endReplay(p transport.Proc, ctx *nf.Ctx) {
 		i.flushBurst(p)
 		i.mu.Lock()
 		i.Processed++
+		i.inFlight--
 		i.mu.Unlock()
 	}
 }

@@ -23,10 +23,12 @@ func (c *Chain) publish(edit func(t *topology)) {
 	defer c.topoMu.Unlock()
 	cur := c.topo.Load()
 	t := &topology{
-		slots:   make([][]*Instance, len(cur.slots)),
-		byID:    append([]*Instance(nil), cur.byID...),
-		serving: append([]*Instance(nil), cur.serving...),
-		replica: append([]*Instance(nil), cur.replica...),
+		slots:    make([][]*Instance, len(cur.slots)),
+		byID:     append([]*Instance(nil), cur.byID...),
+		serving:  append([]*Instance(nil), cur.serving...),
+		replica:  append([]*Instance(nil), cur.replica...),
+		dead:     append([]bool(nil), cur.dead...),
+		draining: append([]bool(nil), cur.draining...),
 	}
 	for i, s := range cur.slots {
 		t.slots[i] = append([]*Instance(nil), s...)
@@ -101,7 +103,7 @@ func (c *Chain) scaleIn(v *Vertex, inst *Instance, grace time.Duration) {
 	for _, key := range keys {
 		v.Splitter.StartMove([]uint64{key}, targets[key])
 	}
-	inst.setDraining(true)
+	c.publish(func(t *topology) { t.draining[inst.ID] = true })
 	last := inst.ProcessedCount()
 	c.tr.Schedule(grace, func() { c.pollScaleIn(v, inst, last) })
 }
@@ -118,8 +120,7 @@ func (c *Chain) scaleIn(v *Vertex, inst *Instance, grace time.Duration) {
 // silence the retries and lose the updates (their clocks' Fig 6 vectors
 // could never balance).
 func (c *Chain) pollScaleIn(v *Vertex, inst *Instance, lastProcessed uint64) {
-	idle := c.tr.Endpoint(inst.Endpoint).Len() == 0 && inst.ProcessedCount() == lastProcessed &&
-		inst.inFlightCount() == 0 && !inst.holdsParked()
+	idle := c.tr.Endpoint(inst.Endpoint).Len() == 0 && inst.ProcessedCount() == lastProcessed && !inst.busy()
 	if inst.client != nil && (inst.client.PendingAcks() > 0 || inst.client.OutPending() > 0) {
 		idle = false
 	}
@@ -151,6 +152,7 @@ func (c *Chain) finishScaleIn(v *Vertex, inst *Instance) {
 				t.replica[id] = nil
 			}
 		}
+		t.dead[inst.ID] = true
 	})
 	if inst.client != nil {
 		inst.client.FlushAll()
@@ -158,8 +160,29 @@ func (c *Chain) finishScaleIn(v *Vertex, inst *Instance) {
 	for _, s := range c.Stores {
 		s.Engine().ReassignOwner(inst.ID, 0)
 	}
-	inst.Crash()
+	inst.halt()
 	v.Splitter.notifyExclusivity()
+}
+
+// Crash fail-stops the instance: marked dead in the routing state, workers
+// killed, endpoint down, local state (and for CHC, only the cache) lost,
+// outstanding retransmissions silenced.
+func (i *Instance) Crash() {
+	i.chain.publish(func(t *topology) { t.dead[i.ID] = true })
+	i.halt()
+}
+
+// halt is Crash for verbs that mark the instance dead in their own publish.
+func (i *Instance) halt() {
+	for _, p := range i.procs {
+		i.chain.tr.Kill(p)
+	}
+	i.procs = nil
+	if i.client != nil {
+		i.client.StopFlusher()
+		i.client.Shutdown()
+	}
+	i.chain.tr.Crash(i.Endpoint)
 }
 
 // failoverNF replaces a crashed (or about-to-be-crashed) instance: a fresh
@@ -183,12 +206,13 @@ func (c *Chain) finishScaleIn(v *Vertex, inst *Instance) {
 // sees the old instance everywhere or the new one everywhere, never an ID
 // that resolves to nothing.
 func (c *Chain) failoverNF(old *Instance) *Instance {
-	if !old.isDead() {
-		old.Crash()
+	if !c.topo.Load().dead[old.ID] {
+		old.halt()
 	}
 	v := old.vertex
 	var nu *Instance
 	c.publish(func(t *topology) {
+		t.dead[old.ID] = true
 		nu = c.newInstance(t, v)
 		nu.xorID = old.xorID
 		nu.StartReplayTarget()
@@ -244,8 +268,9 @@ func (c *Chain) retainFaster(straggler, clone *Instance) {
 	c.publish(func(t *topology) {
 		t.replica[straggler.ID] = nil
 		t.redirect(straggler, clone)
+		t.dead[straggler.ID] = true
 	})
-	straggler.Crash()
+	straggler.halt()
 }
 
 // --- Store failover ----------------------------------------------------------
@@ -290,8 +315,9 @@ func (c *Chain) RecoverStoreShard(idx int, rcfg StoreRecoveryConfig) (took time.
 		var clients []store.ClientState
 		rtt := 2 * c.cfg.LinkLatency
 		for _, v := range c.Vertices {
-			for _, in := range c.topo.Load().slotsOf(v) {
-				if in.client == nil || in.isDead() {
+			t := c.topo.Load()
+			for _, in := range t.slotsOf(v) {
+				if in.client == nil || t.dead[in.ID] {
 					continue
 				}
 				p.Sleep(time.Duration(rcfg.PerClientRTTs) * rtt)

@@ -102,8 +102,10 @@ type Root struct {
 	proc     transport.Handle
 	procTime *Series // "proc.root", resolved once
 	// out is the root's forwarding buffer (root process only), toward the
-	// chain's entry successors.
-	out fwdBuf
+	// chain's entry successors; msgs is the list each flush routes it into
+	// and sends as one burst.
+	out  fwdBuf
+	msgs []transport.Message
 	// prunes collects the clocks deleted while one inbound message is
 	// handled (root process only); sendPrunes hands them to the shards in a
 	// slice cut from pruneSlab.
@@ -188,7 +190,7 @@ func (r *Root) StuckClocks(limit int) []StuckClock {
 }
 
 // run stamps, persists and logs each packet of a drained burst, then
-// forwards the burst as one RouteBurst per successor vertex.
+// forwards the burst as one transport burst (flush).
 func (r *Root) run(p transport.Proc) {
 	ep := r.chain.tr.Endpoint(r.Endpoint)
 	bs := r.chain.burstSize()
@@ -205,7 +207,7 @@ func (r *Root) run(p transport.Proc) {
 			r.Bursts++
 			ingested = false
 		}
-		r.out.flush(r.Endpoint, p.Now())
+		r.flush(p.Now())
 	}
 	for {
 		drain(p, ep, bs, ingest, other, flush)
@@ -315,12 +317,19 @@ func (r *Root) forward(pkt *packet.Packet) {
 	}
 }
 
+// flush routes the forwarding buffer, one RouteBurst per successor vertex
+// in first-use order, and sends the deliveries as one burst.
+func (r *Root) flush(now transport.Time) {
+	r.out.route(r.Endpoint, now, &r.msgs)
+	sendBurst(r.chain.tr, &r.msgs)
+}
+
 // resend forwards one packet as a flush of its own (replay, retransmission,
 // end-of-replay markers). It runs between drained bursts, when the buffer
 // is empty.
 func (r *Root) resend(pkt *packet.Packet, now transport.Time) {
 	r.forward(pkt)
-	r.out.flush(r.Endpoint, now)
+	r.flush(now)
 }
 
 // handleDelete runs Fig 6 step 4: match the final vector against the
@@ -617,8 +626,9 @@ func (c *Chain) RecoverRoot() (newRoot *Root, took time.Duration) {
 		}
 		// Query flow allocation from one instance of each on-path vertex.
 		for _, v := range c.OnPath() {
-			for _, in := range c.topo.Load().slotsOf(v) {
-				if in.isDead() {
+			t := c.topo.Load()
+			for _, in := range t.slotsOf(v) {
+				if t.dead[in.ID] {
 					continue
 				}
 				c.tr.Call(p, nr.Endpoint, in.Endpoint, FlowTableQuery{}, 16, 10*time.Millisecond)

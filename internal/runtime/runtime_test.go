@@ -479,7 +479,7 @@ func TestReplayDrainAdmitsParkedPackets(t *testing.T) {
 	}
 	send(0, packet.MetaReplay|packet.MetaLastRp)
 	c.RunFor(time.Millisecond)
-	if in.holdsParked() {
+	if in.busy() {
 		t.Fatal("the last marker did not end the replay")
 	}
 	if in.Processed != 2 || in.Suppressed != 1 || in.DupSeen != 1 || in.DupStateEvents != 1 {
@@ -489,6 +489,54 @@ func TestReplayDrainAdmitsParkedPackets(t *testing.T) {
 	if c.Sink.Received != 2 || c.Sink.Duplicates != 0 {
 		t.Fatalf("sink received %d (duplicates %d), want clocks 1 and 2 once each",
 			c.Sink.Received, c.Sink.Duplicates)
+	}
+}
+
+// TestScaleInWaitsForReplayDrain scales in a replay target that holds
+// parked packets, before its last end-of-replay marker arrives. Each
+// drained packet takes longer than the scale-in poll interval, so a poll
+// lands while one is in process with the inbox empty and the processed
+// count unchanged. The drained packets count as in flight, so the
+// instance retires only after the drain: every parked packet is processed
+// once and the root log empties. When the drain did not count them, the
+// poll crashed the instance mid-drain and the rest of its parked packets
+// stayed in the root log.
+func TestScaleInWaitsForReplayDrain(t *testing.T) {
+	c := New(testConfig(), VertexSpec{Name: "pass", Make: func() nf.NF { return nf.Pass{} },
+		Instances: 2, Backend: BackendTraditional})
+	c.Start()
+	v := c.Vertices[0]
+	in := v.Instances[1]
+	v.Splitter.IdxFn = func(*packet.Packet) int { return 1 }
+	in.ExtraDelay = func(func(int64) int64) time.Duration { return 2 * time.Millisecond }
+	in.StartReplayTarget()
+	const parked = 4
+	for k := 0; k < parked; k++ {
+		c.Inject(&packet.Packet{SrcIP: 0x0A000001, DstIP: 0x08080808, SrcPort: uint16(4000 + k),
+			DstPort: 80, Proto: packet.ProtoTCP, TCPFlags: packet.FlagSYN}, c.Now())
+	}
+	c.RunFor(time.Millisecond)
+	if !in.busy() || len(in.parked) != parked {
+		t.Fatalf("before the marker: %d parked, want %d", len(in.parked), parked)
+	}
+	c.scaleIn(v, in, 100*time.Microsecond)
+	c.RunFor(2 * time.Millisecond)
+	marker := &packet.Packet{}
+	marker.Meta.Flags = packet.MetaReplay | packet.MetaLastRp
+	marker.Meta.CloneID = in.ID
+	c.Net().Send(transport.Message{From: "driver", To: in.Endpoint, Payload: marker, Size: marker.WireLen()})
+	c.RunFor(50 * time.Millisecond)
+	if !c.topo.Load().dead[in.ID] {
+		t.Fatal("the drained instance never retired")
+	}
+	if in.Processed != parked || c.Sink.Received != parked || c.Sink.Duplicates != 0 {
+		t.Fatalf("processed %d, sink received %d (duplicates %d), want each of %d parked packets once",
+			in.Processed, c.Sink.Received, c.Sink.Duplicates, parked)
+	}
+	if c.Root.LogSize() != 0 || c.Root.Injected != c.Root.Deleted {
+		logStuckClocks(t, c)
+		t.Fatalf("root log=%d injected=%d deleted=%d, want it drained",
+			c.Root.LogSize(), c.Root.Injected, c.Root.Deleted)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestScaleOutScaleIn(t *testing.T) {
 	}
 	applyReplicas(t, c, "nat", 1)
 	c.RunFor(10 * time.Millisecond)
-	if !nu.dead {
+	if !c.topo.Load().dead[nu.ID] {
 		t.Fatal("drained instance still alive after grace")
 	}
 	before := c.Vertices[0].Instances[0].Processed

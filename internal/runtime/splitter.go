@@ -18,12 +18,15 @@ type Splitter struct {
 	vertex *Vertex
 
 	// mu guards the tables the data path itself writes while routing
-	// (moves, overrides, seenKeys, pending) plus scopeIdx and splitHosts:
-	// in live mode the root process, every upstream instance's worker and
-	// the framework's scaling actions all route/mutate concurrently
-	// (uncontended on the DES). Which instance serves an ID is NOT here —
-	// that is the chain's published topology, loaded once per route call.
-	// Never held across blocking operations; Send is non-blocking.
+	// (moves, overrides, seenKeys) plus scopeIdx and splitHosts: in live
+	// mode the root process, every upstream instance's worker and the
+	// framework's scaling actions all route/mutate concurrently
+	// (uncontended on the DES). Which instance serves an ID, and whether it
+	// is dead or draining, is NOT here — that is the chain's published
+	// topology, loaded once per route call. The packet path never sends
+	// under mu (RouteBurst appends to its caller's list); a move's
+	// ownership seeds do (StartMove, applyScaleOut), as they must leave
+	// before any router sees the move, and on netnet such a Send can block.
 	mu sync.Mutex
 
 	// scopes are the candidate partitioning granularities, coarsest first
@@ -54,13 +57,6 @@ type Splitter struct {
 	// IdxFn, when set, selects the instance index directly (strongest
 	// override; modulo the instance count).
 	IdxFn func(*packet.Packet) int
-
-	// pending buffers this route call's outgoing packet messages so one
-	// RouteBurst turns into one transport.SendBurst. The buffer
-	// is only ever filled and drained under mu within a single call, so its
-	// reuse across calls is race-free; entries are zeroed on flush to drop
-	// packet references.
-	pending []transport.Message
 }
 
 type moveState struct {
@@ -149,9 +145,10 @@ func (s *Splitter) grantsExclusiveLocked(objScope store.Scope) bool {
 }
 
 func (s *Splitter) aliveCount() int {
+	t := s.chain.topo.Load()
 	n := 0
-	for _, in := range s.chain.topo.Load().slotsOf(s.vertex) {
-		if !in.isDead() {
+	for _, in := range t.slotsOf(s.vertex) {
+		if !t.dead[in.ID] {
 			n++
 		}
 	}
@@ -162,8 +159,9 @@ func (s *Splitter) aliveCount() int {
 // instance's client library (§4.3: the framework notifies the client-side
 // library when to cache or flush).
 func (s *Splitter) notifyExclusivity() {
-	for _, in := range s.chain.topo.Load().slotsOf(s.vertex) {
-		if in.client == nil || in.isDead() {
+	t := s.chain.topo.Load()
+	for _, in := range t.slotsOf(s.vertex) {
+		if in.client == nil || t.dead[in.ID] {
 			continue
 		}
 		in.applyExclusivityDefaults()
@@ -214,7 +212,7 @@ func (s *Splitter) instanceFor(t *topology, key uint64) *Instance {
 		return t.serving[id]
 	}
 	in := t.pick(s.vertex, mix(key))
-	if in.isDraining() {
+	if t.draining[in.ID] {
 		// A retired instance keeps its draining flag, so post-drain traffic
 		// also lands here (crashed-but-not-drained instances are the
 		// failover path's business, via the serving table).
@@ -234,7 +232,7 @@ func (s *Splitter) instanceFor(t *topology, key uint64) *Instance {
 func (s *Splitter) liveSlots(t *topology, skip uint16) []*Instance {
 	var live []*Instance
 	for _, in := range t.slotsOf(s.vertex) {
-		if !in.isDead() && !in.isDraining() && in.ID != skip {
+		if t.serves(in) && in.ID != skip {
 			live = append(live, in)
 		}
 	}
@@ -251,37 +249,33 @@ func rehash(key uint64, live []*Instance) *Instance {
 	return live[mix(mix(key)^0x9e3779b97f4a7c15)%uint64(len(live))]
 }
 
-// RouteBurst delivers each packet to its owning instance, applying
-// handover marks, host-split routing and straggler replication, and
-// flushes the deliveries to the transport as one burst: on the live
-// substrate the destination mailbox is locked and notified once per run of
-// same-target packets instead of once per packet. Routing decisions are
-// made per packet (routeOne), so the DES's bursts of one and the live
-// substrate's longer ones produce the same per-packet placements; the
-// whole burst routes under one topology snapshot.
-func (s *Splitter) RouteBurst(from string, pkts []*packet.Packet, now transport.Time) {
+// RouteBurst appends each packet's deliveries, stamped as sent at now, to
+// out: its owning instance, with handover marks, host-split routing and
+// straggler replication applied. It sends nothing; the caller sends out.
+// Decisions are per packet (routeOne), so the DES's bursts of one and the
+// live substrate's longer ones place packets alike; the whole burst routes
+// under one topology snapshot.
+func (s *Splitter) RouteBurst(from string, pkts []*packet.Packet, now transport.Time, out *[]transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.chain.topo.Load()
 	for _, pkt := range pkts {
-		s.routeOne(t, from, pkt, now)
+		s.routeOne(t, from, pkt, now, out)
 	}
-	s.flushLocked()
 }
 
 // routeOne applies the routing decision for one packet under routing
-// snapshot t, queueing its deliveries on s.pending. Expects s.mu held; the
-// caller flushes.
-func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now transport.Time) {
+// snapshot t, appending its deliveries to out. Expects s.mu held.
+func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now transport.Time, out *[]transport.Message) {
 	// End-of-replay marker: deliver straight to the clone when it lives in
 	// this vertex; otherwise push it through an instance toward the next
 	// vertex, behind the replayed traffic.
 	if pkt.Proto == 0 && pkt.Meta.Flags&packet.MetaLastRp != 0 {
 		if clone := s.chain.instanceByID(pkt.Meta.CloneID); clone != nil && clone.vertex == s.vertex {
-			s.deliver(from, clone, pkt, now)
+			deliver(out, from, clone, pkt, now)
 			return
 		}
-		s.deliver(from, s.instanceFor(t, 0), pkt, now)
+		deliver(out, from, s.instanceFor(t, 0), pkt, now)
 		return
 	}
 
@@ -293,7 +287,7 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 			mv.lastSent = true
 			marked := s.chain.arena.Clone(pkt)
 			marked.Meta.Flags |= packet.MetaLast
-			s.deliver(from, t.serving[mv.from], marked, now)
+			deliver(out, from, t.serving[mv.from], marked, now)
 			// Subsequent packets go to the new instance.
 			s.overrides[flowKey] = mv.to
 			return
@@ -303,11 +297,11 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 			mv.firstSent = true
 			marked := s.chain.arena.Clone(pkt)
 			marked.Meta.Flags |= packet.MetaFirst
-			s.deliver(from, target, marked, now)
+			deliver(out, from, target, marked, now)
 			delete(s.moves, flowKey)
 			return
 		}
-		s.deliver(from, target, pkt, now)
+		deliver(out, from, target, pkt, now)
 		return
 	}
 
@@ -323,37 +317,23 @@ func (s *Splitter) routeOne(t *topology, from string, pkt *packet.Packet, now tr
 		s.seenKeys[pk] = struct{}{}
 		target = s.instanceFor(t, pk)
 	}
-	s.deliver(from, target, pkt, now)
+	deliver(out, from, target, pkt, now)
 	if clone := t.replica[target.ID]; clone != nil {
-		s.deliver(from, clone, s.chain.arena.Clone(pkt), now)
+		deliver(out, from, clone, s.chain.arena.Clone(pkt), now)
 	}
 }
 
-// deliver stamps one packet as sent at now and queues it on the pending
-// buffer; flushLocked ships the buffer. Queue-then-flush keeps send order
-// identical to the historical immediate Send (routing makes no RNG draws or
-// sends between deliver calls), so the DES schedule is unchanged.
-func (s *Splitter) deliver(from string, target *Instance, pkt *packet.Packet, now transport.Time) {
+// deliver stamps one packet as sent at now and appends its delivery to
+// target to out. Routing draws no RNG and sends nothing, so sending out in
+// order gives the DES the schedule of immediate sends.
+func deliver(out *[]transport.Message, from string, target *Instance, pkt *packet.Packet, now transport.Time) {
 	pkt.SentNs = int64(now)
-	s.pending = append(s.pending, transport.Message{
+	*out = append(*out, transport.Message{
 		From:    from,
 		To:      target.Endpoint,
 		Payload: pkt,
 		Size:    pkt.WireLen(),
 	})
-}
-
-// flushLocked sends the pending deliveries as one burst and clears the
-// buffer, dropping packet references so the arena can recycle them.
-func (s *Splitter) flushLocked() {
-	if len(s.pending) == 0 {
-		return
-	}
-	transport.SendBurst(s.chain.tr, s.pending)
-	for i := range s.pending {
-		s.pending[i] = transport.Message{}
-	}
-	s.pending = s.pending[:0]
 }
 
 // StartMove initiates Fig 4 handovers for the given canonical flow hashes
@@ -542,8 +522,9 @@ func (s *Splitter) SetSplitHosts(hosts []uint32, objs []uint16) {
 		prevSorted = append(prevSorted, h)
 	}
 	sort.Slice(prevSorted, func(i, j int) bool { return prevSorted[i] < prevSorted[j] })
-	for _, in := range s.chain.topo.Load().slotsOf(s.vertex) {
-		if in.client == nil || in.isDead() {
+	t := s.chain.topo.Load()
+	for _, in := range t.slotsOf(s.vertex) {
+		if in.client == nil || t.dead[in.ID] {
 			continue
 		}
 		// Revert the previous split set first.

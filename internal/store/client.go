@@ -1186,7 +1186,8 @@ func (c *Client) seedCache(k Key, v Value) {
 	e.valid = !v.IsNil()
 }
 
-// InvalidateAll clears the cache (used by tests and failover bring-up).
+// InvalidateAll clears the cache, dropping the ops it holds unsent. Only
+// tests call it: a failover replacement starts with an empty cache.
 func (c *Client) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
